@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,6 +24,7 @@ from .core import (
     RunRecord,
     Topic,
     ValidationError,
+    format_trec_run,
     parse_passages,
     parse_qrels,
     parse_topics,
@@ -142,12 +144,19 @@ class PipelineConfig:
             raise ValidationError("methods must not be empty")
 
 
+_COMMENT = re.compile(r"(?:^|\s)#.*")
+
+
 def parse_config_file(path) -> dict:
-    """Plain `key = value` lines; '#' starts a comment; later keys win."""
+    """Plain `key = value` lines; later keys win.
+
+    '#' starts a comment at the start of a line or after whitespace, so
+    `out = run#2` keeps its '#'.
+    """
     values = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.sub("", raw, count=1).strip()
             if not line:
                 continue
             if "=" not in line:
@@ -415,10 +424,7 @@ def cmd_import_runs(config: PipelineConfig) -> None:
             by_system.setdefault(r.system_id, []).append(r)
         for system_id in sorted(by_system):
             target = runs_dir / f"{system_id}.run"
-            rendered = "".join(
-                f"{r.query_id} Q0 {r.passage_id} {r.rank} {r.score!r} {r.system_id}\n"
-                for r in sorted(by_system[system_id], key=lambda r: (r.query_id, r.rank))
-            )
+            rendered = format_trec_run(by_system[system_id])
             if target.exists() and target.read_text(encoding="utf-8") != rendered:
                 raise ValidationError(
                     f"system {system_id!r} already present with different content"
@@ -489,7 +495,8 @@ def cmd_evaluate(config: PipelineConfig) -> None:
     for key in ranked:
         ranked[key].sort(key=lambda r: r.rank)
 
-    skipped = sum(1 for key in ranked if key[1] not in set(expected))
+    expected_ids = set(expected)
+    skipped = sum(1 for key in ranked if key[1] not in expected_ids)
     if skipped:
         print(f"warning: {skipped} run query ids outside the variant sweep were ignored")
 

@@ -298,11 +298,17 @@ def validate_run_records(records: Iterable[RunRecord]) -> None:
                 )
 
 
-def write_trec_run(records: Iterable[RunRecord], path) -> None:
+def format_trec_run(records: Iterable[RunRecord]) -> str:
+    """The text of a TREC run file, sorted by (tag, qid, rank)."""
     ordered = sorted(records, key=lambda r: (r.system_id, r.query_id, r.rank))
+    return "".join(
+        f"{r.query_id} Q0 {r.passage_id} {r.rank} {r.score!r} {r.system_id}\n" for r in ordered
+    )
+
+
+def write_trec_run(records: Iterable[RunRecord], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for r in ordered:
-            fh.write(f"{r.query_id} Q0 {r.passage_id} {r.rank} {r.score!r} {r.system_id}\n")
+        fh.write(format_trec_run(records))
 
 
 def parse_qrels(path) -> list[Qrel]:

@@ -5,7 +5,6 @@ from .agreement import (
     PairVerdict,
     ProfilePairAgreement,
     agreement_from_verdicts,
-    pairwise_profile_agreement,
     system_verdicts,
 )
 from .anova import (
@@ -20,7 +19,6 @@ from .anova import (
 )
 from .metrics import (
     MannWhitneyResult,
-    RankingCorrelation,
     kendall_tau,
     mann_whitney_u,
     ndcg_at_k,
@@ -41,7 +39,6 @@ __all__ = [
     "MarginalMean",
     "PairVerdict",
     "ProfilePairAgreement",
-    "RankingCorrelation",
     "TukeyResult",
     "agreement_from_verdicts",
     "anova",
@@ -51,7 +48,6 @@ __all__ = [
     "marginal_means",
     "ndcg_at_k",
     "omega_squared_partial",
-    "pairwise_profile_agreement",
     "studentized_range_cdf",
     "studentized_range_quantile",
     "system_verdicts",

@@ -115,15 +115,3 @@ def agreement_from_verdicts(
         fractions=fractions,
         total_pairs=total,
     )
-
-
-def pairwise_profile_agreement(
-    matrix: EffectivenessMatrix,
-    profile_a: str,
-    profile_b: str,
-    alpha: float = 0.05,
-) -> ProfilePairAgreement:
-    """Classify every system pair across two profiles' Tukey verdicts."""
-    verdicts_a, _ = system_verdicts(matrix, profile_a, alpha)
-    verdicts_b, _ = system_verdicts(matrix, profile_b, alpha)
-    return agreement_from_verdicts(profile_a, profile_b, verdicts_a, verdicts_b)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .special import norm_sf
@@ -48,13 +47,6 @@ def ndcg_at_k(
     if idcg == 0.0:
         return 0.0
     return _dcg(ranked_grades, k, gain) / idcg
-
-
-@dataclass(frozen=True)
-class RankingCorrelation:
-    profile_a: str
-    profile_b: str
-    tau: float
 
 
 def kendall_tau(

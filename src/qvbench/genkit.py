@@ -1,9 +1,13 @@
 """Query variant and backstory generation over a pluggable completion provider.
 
-The prompt template lives in an editable text file with four numbered
-sections; neutral variants drop the two profile sections. Providers
-expose a single ``complete(prompt) -> text`` method. The HTTP provider
-speaks a chat-completion API; the mock provider derives every response
+Every provider call, for variants, backstories and relevance labels,
+goes through one path: a template read by ``load_template``,
+placeholders filled by ``_substitute``, and ``complete_parsed`` asking
+the provider until a response parses. Calls run one at a time, in a
+fixed order. The variant template has four numbered sections; neutral
+variants drop the two profile sections. Providers expose a single
+``complete(prompt) -> text`` method. The HTTP provider speaks a
+chat-completion API; the mock provider derives every response
 from a hash of the prompt and a fixed seed string, so sweeps are
 bit-reproducible and need no network.
 
@@ -20,14 +24,11 @@ import json
 import os
 import random
 import re
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Callable, Iterable, Optional, Protocol, Sequence, TypeVar
 
 import requests
 
@@ -43,9 +44,9 @@ __all__ = [
     "Provider",
     "MockProvider",
     "HttpProvider",
-    "RateLimiter",
+    "complete_parsed",
     "load_profiles",
-    "load_backstory_template",
+    "load_template",
     "build_prompt",
     "build_neutral_prompt",
     "parse_variant_response",
@@ -55,8 +56,6 @@ __all__ = [
     "generate_sweep",
 ]
 
-_TEMPLATE_RESOURCE = "data/templates/variant_prompt.txt"
-_BACKSTORY_RESOURCE = "data/templates/backstory_prompt.txt"
 _PROFILES_RESOURCE = "data/profiles.json"
 
 _PART_KEYS = ("1", "2", "3a", "3b")
@@ -104,15 +103,32 @@ class PromptTemplate:
 
     @classmethod
     def load(cls, path=None, n_variants: int = 3) -> "PromptTemplate":
-        if path is None:
-            text = resources.files("qvbench").joinpath(_TEMPLATE_RESOURCE).read_text("utf-8")
-        else:
-            text = Path(path).read_text("utf-8")
-        return cls(parts=_parse_parts(text), n_variants=n_variants)
+        return cls(parts=_parse_parts(load_template("variant", path)), n_variants=n_variants)
+
+
+def load_template(name: str, path=None) -> str:
+    """Prompt template text: the file at path, else the bundled
+    ``data/templates/<name>_prompt.txt``, without its leading block of
+    ``#`` comment and blank lines."""
+    if path is None:
+        resource = f"data/templates/{name}_prompt.txt"
+        text = resources.files("qvbench").joinpath(resource).read_text("utf-8")
+    else:
+        text = Path(path).read_text("utf-8")
+    lines = text.splitlines()
+    start = 0
+    while start < len(lines) and (
+        not lines[start].strip() or lines[start].lstrip().startswith("#")
+    ):
+        start += 1
+    body = "\n".join(lines[start:]).strip()
+    if not body:
+        raise ParseError(f"{name} template is empty")
+    return body
 
 
 def _parse_parts(text: str) -> dict[str, str]:
-    """Split on [part N] marker lines; leading # comment lines are ignored."""
+    """Split on [part N] marker lines."""
     parts: dict[str, list[str]] = {}
     current: Optional[str] = None
     for line in text.splitlines():
@@ -127,7 +143,7 @@ def _parse_parts(text: str) -> dict[str, str]:
             parts[key] = []
         elif current is not None:
             parts[current].append(line)
-        elif line.strip() and not line.lstrip().startswith("#"):
+        elif line.strip():
             raise ParseError("template text before the first [part] marker")
     return {key: "\n".join(lines).strip() for key, lines in parts.items()}
 
@@ -135,23 +151,6 @@ def _parse_parts(text: str) -> dict[str, str]:
 @lru_cache(maxsize=1)
 def default_template() -> PromptTemplate:
     return PromptTemplate.load()
-
-
-def load_backstory_template(path=None) -> str:
-    if path is None:
-        text = resources.files("qvbench").joinpath(_BACKSTORY_RESOURCE).read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    lines = text.splitlines()
-    start = 0
-    while start < len(lines) and (
-        not lines[start].strip() or lines[start].lstrip().startswith("#")
-    ):
-        start += 1
-    body = "\n".join(lines[start:]).strip()
-    if not body:
-        raise ParseError("backstory template is empty")
-    return body
 
 
 def _substitute(text: str, mapping: dict[str, object]) -> str:
@@ -238,6 +237,32 @@ class GenerationLog:
     attempts: int
 
 
+T = TypeVar("T")
+
+
+def complete_parsed(
+    provider: Provider, prompt: str, parse: Callable[[str], T], max_retries: int, what: str
+) -> tuple[T, str, int]:
+    """Ask for a completion until parse accepts it: the parsed value, the
+    raw text that parsed, and the 1-based attempt number.
+
+    A ParseError from parse costs one retry with the same prompt; after
+    max_retries + 1 attempts, GenerationError names `what` and carries
+    every raw response.
+    """
+    raw_responses: list[str] = []
+    for attempt in range(1, max_retries + 2):
+        raw = provider.complete(prompt)
+        raw_responses.append(raw)
+        try:
+            return parse(raw), raw, attempt
+        except ParseError:
+            continue
+    raise GenerationError(
+        f"no parseable {what} after {len(raw_responses)} attempts", raw_responses
+    )
+
+
 def generate_variants(
     provider: Provider,
     topic: Topic,
@@ -252,27 +277,19 @@ def generate_variants(
         prompt = build_neutral_prompt(topic, template)
     else:
         prompt = build_prompt(topic, profile, template)
-    raw_responses: list[str] = []
-    for attempt in range(1, max_retries + 2):
-        raw = provider.complete(prompt)
-        raw_responses.append(raw)
-        try:
-            parsed = parse_variant_response(raw, template.n_variants)
-        except ParseError:
-            continue
-        if logs is not None:
-            logs.append(
-                GenerationLog(topic.topic_id, profile.profile_id, raw, tuple(parsed), attempt)
-            )
-        return [
-            QueryVariant(topic.topic_id, profile.profile_id, i, text)
-            for i, text in enumerate(parsed, start=1)
-        ]
-    raise GenerationError(
-        f"no parseable variant list for topic {topic.topic_id}, "
-        f"profile {profile.profile_id} after {len(raw_responses)} attempts",
-        raw_responses,
+    parsed, raw, attempt = complete_parsed(
+        provider,
+        prompt,
+        lambda text: parse_variant_response(text, template.n_variants),
+        max_retries,
+        f"variant list for topic {topic.topic_id}, profile {profile.profile_id}",
     )
+    if logs is not None:
+        logs.append(GenerationLog(topic.topic_id, profile.profile_id, raw, tuple(parsed), attempt))
+    return [
+        QueryVariant(topic.topic_id, profile.profile_id, i, text)
+        for i, text in enumerate(parsed, start=1)
+    ]
 
 
 def generate_backstory(
@@ -283,22 +300,21 @@ def generate_backstory(
     max_words: int = 120,
 ) -> str:
     """One-paragraph backstory, whitespace-collapsed, truncated to max_words."""
-    prompt_text = template if template is not None else load_backstory_template()
+    prompt_text = template if template is not None else load_template("backstory")
     prompt = _substitute(
         prompt_text, {"seed_query": topic.seed_query, "max_words": max_words}
     )
-    raw_responses: list[str] = []
-    for _ in range(max_retries + 1):
-        raw = provider.complete(prompt)
-        raw_responses.append(raw)
-        words = raw.split()
-        if words:
-            return " ".join(words[:max_words])
-    raise GenerationError(
-        f"empty backstory response for topic {topic.topic_id} "
-        f"after {len(raw_responses)} attempts",
-        raw_responses,
+
+    def parse(text: str) -> str:
+        words = text.split()
+        if not words:
+            raise ParseError("empty backstory response")
+        return " ".join(words[:max_words])
+
+    story, _, _ = complete_parsed(
+        provider, prompt, parse, max_retries, f"backstory for topic {topic.topic_id}"
     )
+    return story
 
 
 def generate_backstories(
@@ -324,15 +340,12 @@ class ProviderConfig:
     endpoint: str
     model_name: str
     temperature: float = 1.0
-    max_retries: int = 3
     timeout: float = 60.0
     api_key: Optional[str] = None
 
     def __post_init__(self):
         if self.temperature < 0:
             raise ValidationError("temperature must be >= 0")
-        if self.max_retries < 0:
-            raise ValidationError("max_retries must be >= 0")
         if self.timeout <= 0:
             raise ValidationError("timeout must be positive")
         if self.api_key is None:
@@ -553,34 +566,6 @@ def _prompt_field(prompt: str, label: str) -> Optional[str]:
     return match.group(1) if match else None
 
 
-class RateLimiter:
-    """Token bucket: at most `rate` acquisitions per second after an
-    initial burst of `capacity`."""
-
-    def __init__(self, rate: float, capacity: Optional[float] = None):
-        if rate <= 0:
-            raise ValidationError("rate must be positive")
-        self.rate = float(rate)
-        self.capacity = float(capacity) if capacity is not None else float(rate)
-        if self.capacity < 1:
-            raise ValidationError("capacity must be at least 1")
-        self._tokens = self.capacity
-        self._stamp = time.monotonic()
-        self._lock = threading.Lock()
-
-    def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = time.monotonic()
-                self._tokens = min(self.capacity, self._tokens + (now - self._stamp) * self.rate)
-                self._stamp = now
-                if self._tokens >= 1:
-                    self._tokens -= 1
-                    return
-                wait = (1 - self._tokens) / self.rate
-            time.sleep(wait)
-
-
 def generate_sweep(
     provider: Provider,
     topics: Sequence[Topic],
@@ -588,63 +573,26 @@ def generate_sweep(
     template: Optional[PromptTemplate] = None,
     existing: Iterable[QueryVariant] = (),
     max_retries: int = 3,
-    max_in_flight: int = 1,
-    rate_limit: Optional[float] = None,
     logs: Optional[list[GenerationLog]] = None,
 ) -> list[QueryVariant]:
     """Every (topic, profile) combination, reusing complete existing pairs.
 
     Pairs holding fewer than n_variants stored variants are regenerated
-    whole. Output order is topics-major, profiles-minor, index-ascending,
-    regardless of concurrency. With max_in_flight > 1 provider calls run
-    on a thread pool; log append order is then scheduling-dependent even
-    though the variants themselves are not.
+    whole. Provider calls and the output run topics-major,
+    profiles-minor, index-ascending.
     """
     template = template or default_template()
-    if max_in_flight < 1:
-        raise ValidationError("max_in_flight must be >= 1")
     done: dict[tuple[str, str], list[QueryVariant]] = {}
     for pair, group in group_variants(existing).items():
         if len(group) == template.n_variants:
             done[pair] = group
-    limiter = RateLimiter(rate_limit) if rate_limit is not None else None
-    jobs = [
-        (topic, profile)
-        for topic in topics
-        for profile in profiles
-        if (topic.topic_id, profile.profile_id) not in done
-    ]
-    results: dict[tuple[str, str], list[QueryVariant]] = {}
-    results_lock = threading.Lock()
-    log_lock = threading.Lock()
-
-    def run_one(job: tuple[Topic, Profile]) -> None:
-        topic, profile = job
-        if limiter is not None:
-            limiter.acquire()
-        local_logs: list[GenerationLog] = []
-        variants = generate_variants(
-            provider, topic, profile, template, max_retries, logs=local_logs
-        )
-        with results_lock:
-            results[(topic.topic_id, profile.profile_id)] = variants
-        if logs is not None:
-            with log_lock:
-                logs.extend(local_logs)
-
-    if max_in_flight == 1:
-        for job in jobs:
-            run_one(job)
-    else:
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            for future in [pool.submit(run_one, job) for job in jobs]:
-                future.result()
-
     out: list[QueryVariant] = []
     for topic in topics:
         for profile in profiles:
-            pair = (topic.topic_id, profile.profile_id)
-            out.extend(done.get(pair) or results[pair])
+            group = done.get((topic.topic_id, profile.profile_id))
+            if group is None:
+                group = generate_variants(provider, topic, profile, template, max_retries, logs)
+            out.extend(group)
     return out
 
 

@@ -1,8 +1,12 @@
 """Judgment coverage, LLM relevance labeling, and agreement with human qrels.
 
-Labels live on the 4-point scale used by the human judgments. A label
-store caches grades by (topic, passage) so a passage retrieved by many
-systems and variants costs one provider call, and persists them as
+Labels live on the 4-point scale used by the human judgments. They come
+from the same provider path as query variants: the label template read
+once per ``label_topk`` through ``genkit.load_template``, filled by
+``genkit._substitute``, and asked through ``genkit.complete_parsed``
+until the response is a bare grade. A label store caches grades by
+(topic, passage) so a passage retrieved by many systems and variants
+costs one provider call, one call at a time, and persists them as
 TREC-style qrels with a source column plus a JSONL sidecar of raw
 responses. Agreement metrics compare the two label sources: mean
 absolute error and Cohen's kappa after binarizing, Krippendorff's
@@ -14,9 +18,7 @@ from __future__ import annotations
 import csv
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -34,7 +36,7 @@ from .core import (
     write_jsonl,
     write_qrels,
 )
-from .genkit import GenerationError, Provider, RateLimiter
+from .genkit import Provider, _substitute, complete_parsed, load_template
 
 __all__ = [
     "CoverageReport",
@@ -56,8 +58,6 @@ __all__ = [
     "write_coverage_csv",
     "write_agreement_csv",
 ]
-
-_LABEL_RESOURCE = "data/templates/label_prompt.txt"
 
 GRADES = (0, 1, 2, 3)
 
@@ -142,27 +142,11 @@ def coverage(
 
 
 def load_label_template(path=None) -> str:
-    if path is None:
-        text = resources.files("qvbench").joinpath(_LABEL_RESOURCE).read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    lines = text.splitlines()
-    start = 0
-    while start < len(lines) and (
-        not lines[start].strip() or lines[start].lstrip().startswith("#")
-    ):
-        start += 1
-    body = "\n".join(lines[start:]).strip()
-    if not body:
-        raise ParseError("label template is empty")
-    return body
+    return load_template("label", path)
 
 
 def build_label_prompt(
-    backstory: str,
-    passage_text: str,
-    scale_description: str = SCALE_DESCRIPTION,
-    template: Optional[str] = None,
+    backstory: str, passage_text: str, template: Optional[str] = None
 ) -> str:
     """Labeling prompt around the backstory, not the seed query."""
     if not backstory or not backstory.strip():
@@ -170,13 +154,12 @@ def build_label_prompt(
             "topic has no backstory; generate one with genkit.generate_backstory first"
         )
     text = template if template is not None else load_label_template()
-    for key, value in (
-        ("backstory", backstory),
-        ("passage", passage_text),
-        ("scale_description", scale_description),
-    ):
-        text = text.replace("{" + key + "}", value)
-    return text
+    # a placeholder inside an earlier value is filled by a later key, so
+    # this order is part of the prompt bytes
+    return _substitute(
+        text,
+        {"backstory": backstory, "passage": passage_text, "scale_description": SCALE_DESCRIPTION},
+    )
 
 
 class LabelStore:
@@ -256,30 +239,21 @@ def label(
     passage: Passage,
     store: LabelStore,
     template: Optional[str] = None,
-    scale_description: str = SCALE_DESCRIPTION,
     max_retries: int = 3,
 ) -> Qrel:
     """One LLM grade for (topic, passage), served from the store when known."""
     cached = store.get(topic.topic_id, passage.passage_id)
     if cached is not None:
         return cached
-    prompt = build_label_prompt(
-        topic.backstory or "", passage.text, scale_description, template
+    prompt = build_label_prompt(topic.backstory or "", passage.text, template)
+    grade, raw, _ = complete_parsed(
+        provider,
+        prompt,
+        _parse_grade,
+        max_retries,
+        f"grade for topic {topic.topic_id}, passage {passage.passage_id}",
     )
-    raw_responses: list[str] = []
-    for _ in range(max_retries + 1):
-        raw = provider.complete(prompt)
-        raw_responses.append(raw)
-        try:
-            grade = _parse_grade(raw)
-        except ParseError:
-            continue
-        return store.put(topic.topic_id, passage.passage_id, grade, raw)
-    raise GenerationError(
-        f"no parseable grade for topic {topic.topic_id}, passage "
-        f"{passage.passage_id} after {len(raw_responses)} attempts",
-        raw_responses,
-    )
+    return store.put(topic.topic_id, passage.passage_id, grade, raw)
 
 
 def label_topk(
@@ -290,14 +264,10 @@ def label_topk(
     store: LabelStore,
     k: int = 10,
     template: Optional[str] = None,
-    scale_description: str = SCALE_DESCRIPTION,
     max_retries: int = 3,
-    max_in_flight: int = 1,
-    rate_limit: Optional[float] = None,
 ) -> list[Qrel]:
-    """Label every distinct (topic, passage) pair in the runs' top k."""
-    if max_in_flight < 1:
-        raise ValidationError("max_in_flight must be >= 1")
+    """Label every distinct (topic, passage) pair in the runs' top k,
+    in sorted order, reading the label template once."""
     topic_by = {t.topic_id: t for t in topics}
     passage_by = {p.passage_id: p for p in passages}
     needed: set[tuple[str, str]] = set()
@@ -310,33 +280,12 @@ def label_topk(
         if record.passage_id not in passage_by:
             raise ValidationError(f"run references unknown passage {record.passage_id!r}")
         needed.add((topic_id, record.passage_id))
-    limiter = RateLimiter(rate_limit) if rate_limit is not None else None
-
-    def run_one(pair: tuple[str, str]) -> None:
-        topic_id, passage_id = pair
-        if store.get(topic_id, passage_id) is None and limiter is not None:
-            limiter.acquire()
-        label(
-            provider,
-            topic_by[topic_id],
-            passage_by[passage_id],
-            store,
-            template,
-            scale_description,
-            max_retries,
-        )
-
-    ordered = sorted(needed)
-    if max_in_flight == 1:
-        for pair in ordered:
-            run_one(pair)
-    else:
-        with ThreadPoolExecutor(max_workers=max_in_flight) as pool:
-            for future in [pool.submit(run_one, pair) for pair in ordered]:
-                future.result()
-    labeled = [store.get(t, p) for t, p in ordered]
-    assert all(q is not None for q in labeled)
-    return labeled
+    if template is None:
+        template = load_label_template()
+    return [
+        label(provider, topic_by[t], passage_by[p], store, template, max_retries)
+        for t, p in sorted(needed)
+    ]
 
 
 def binarize(grade: int) -> int:

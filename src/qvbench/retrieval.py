@@ -1,4 +1,4 @@
-"""Desk-scale lexical retrieval: inverted index, BM25, run export.
+"""Desk-scale lexical retrieval: inverted index, BM25, run records.
 
 Indexing and querying share the textkit pipeline (lowercase, strip
 punctuation, Porter stem). Scores follow the Robertson BM25 form with
@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .core import Passage, RunRecord, write_trec_run
+from .core import Passage, RunRecord
 from .textkit import porter_stem, tokenize
 
 
@@ -128,16 +128,3 @@ def run_queries(
         for rank, (pid, score) in enumerate(search(index, params, queries[query_id], k), 1):
             records.append(RunRecord(system_id, query_id, pid, rank, score))
     return records
-
-
-def export_run(
-    results: Mapping[str, Sequence[tuple[str, float]]],
-    system_id: str,
-    path,
-) -> None:
-    """Write per-query (passage_id, score) lists as a TREC run file."""
-    records = []
-    for query_id in sorted(results):
-        for rank, (pid, score) in enumerate(results[query_id], start=1):
-            records.append(RunRecord(system_id, query_id, pid, rank, float(score)))
-    write_trec_run(records, path)

@@ -9,7 +9,7 @@ from qvbench.evalstats.agreement import (
     AGREEMENT_CLASSES,
     PairVerdict,
     _classify,
-    pairwise_profile_agreement,
+    agreement_from_verdicts,
     system_verdicts,
 )
 from qvbench.evalstats.anova import EffectivenessMatrix
@@ -29,10 +29,16 @@ def build_matrix(system_offsets_by_profile, topics=4, reps=3, noise=0.01, seed=5
     return m
 
 
+def agreement(m, profile_a, profile_b):
+    verdicts_a, _ = system_verdicts(m, profile_a)
+    verdicts_b, _ = system_verdicts(m, profile_b)
+    return agreement_from_verdicts(profile_a, profile_b, verdicts_a, verdicts_b)
+
+
 def test_profile_against_itself():
     offsets = {"s1": 0.0, "s2": 0.2, "s3": 0.01}
     m = build_matrix({"alpha": offsets})
-    result = pairwise_profile_agreement(m, "alpha", "alpha")
+    result = agreement(m, "alpha", "alpha")
     assert result.counts["AD"] == 0
     assert result.counts["MD"] == 0
     assert result.counts["PD"] == 0
@@ -49,7 +55,7 @@ def test_active_agreement_counted():
             "beta": {"s1": 0.3, "s2": 0.0, "s3": 0.0},
         }
     )
-    result = pairwise_profile_agreement(m, "alpha", "beta")
+    result = agreement(m, "alpha", "beta")
     verdicts_a, _ = system_verdicts(m, "alpha")
     assert verdicts_a[("s1", "s2")].significant
     assert result.counts["AA"] >= 1
@@ -65,7 +71,7 @@ def test_active_disagreement_counted():
             "beta": {"s1": 0.0, "s2": 0.35},
         }
     )
-    result = pairwise_profile_agreement(m, "alpha", "beta")
+    result = agreement(m, "alpha", "beta")
     assert result.counts["AD"] == 1
     assert result.total_pairs == 1
 
@@ -79,7 +85,7 @@ def test_passive_agreement_on_noise():
         noise=0.05,
         seed=11,
     )
-    result = pairwise_profile_agreement(m, "alpha", "beta")
+    result = agreement(m, "alpha", "beta")
     assert result.counts["AA"] == 0
     assert result.counts["PA"] + result.counts["PD"] + result.counts["MA"] + result.counts[
         "MD"
@@ -92,7 +98,7 @@ def test_fractions_sum_exactly_one():
         offsets_a = {f"s{j}": rng.uniform(0, 0.3) for j in range(4)}
         offsets_b = {f"s{j}": rng.uniform(0, 0.3) for j in range(4)}
         m = build_matrix({"pa": offsets_a, "pb": offsets_b}, seed=trial)
-        result = pairwise_profile_agreement(m, "pa", "pb")
+        result = agreement(m, "pa", "pb")
         assert sum(result.fractions.values()) == Fraction(1)
         assert result.total_pairs == 6
         assert sum(result.counts.values()) == 6
@@ -120,4 +126,4 @@ def test_classification_rules_direct():
 def test_mismatched_system_sets_rejected():
     m = build_matrix({"alpha": {"s1": 0.0, "s2": 0.1}, "beta": {"s1": 0.0, "s3": 0.1}})
     with pytest.raises(ValueError, match="different system sets"):
-        pairwise_profile_agreement(m, "alpha", "beta")
+        agreement(m, "alpha", "beta")

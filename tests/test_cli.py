@@ -57,6 +57,11 @@ class TestConfigFile:
         path.write_text("# header\nk = 5\nseed = 1  # inline\nk = 7\n")
         assert parse_config_file(path) == {"k": "7", "seed": "1"}
 
+    def test_hash_inside_value_is_kept(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("out=run#2\nruns = a#b\t# note\n  # indented comment\n")
+        assert parse_config_file(path) == {"out": "run#2", "runs": "a#b"}
+
     def test_rejects_bare_lines(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("topics\n")

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import qvbench.judge as judge
 from qvbench.core import Passage, Qrel, RunRecord, Topic, ValidationError
 from qvbench.genkit import GenerationError, MockProvider
 from qvbench.judge import (
@@ -215,17 +216,21 @@ class TestLabelTopk:
         label_topk(MockProvider(), runs, self.TOPICS, self.PASSAGES, store, k=2)
         assert len(store) == 2
 
-    def test_threaded_matches_serial(self):
+    def test_template_read_once_for_many_new_labels(self, monkeypatch):
         runs = [run("s1", t.topic_id, p.passage_id, i + 1)
                 for t in self.TOPICS for i, p in enumerate(self.PASSAGES)]
-        serial_store = LabelStore()
-        label_topk(MockProvider(seed_material="x"), runs, self.TOPICS, self.PASSAGES, serial_store, k=10)
-        threaded_store = LabelStore()
-        label_topk(
-            MockProvider(seed_material="x"), runs, self.TOPICS, self.PASSAGES,
-            threaded_store, k=10, max_in_flight=4,
-        )
-        assert serial_store.qrels() == threaded_store.qrels()
+        loads = []
+        original = judge.load_label_template
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(judge, "load_label_template", counting)
+        provider = CountingProvider(MockProvider())
+        label_topk(provider, runs, self.TOPICS, self.PASSAGES, LabelStore(), k=10)
+        assert provider.calls == 10
+        assert len(loads) == 1
 
     def test_unknown_passage_rejected(self):
         runs = [run("s1", "t1", "ghost", 1)]

@@ -5,12 +5,11 @@ import random
 
 import pytest
 
-from qvbench.core import Passage, parse_trec_run
+from qvbench.core import Passage, parse_trec_run, write_trec_run
 from qvbench.retrieval import (
     Bm25Params,
     bm25_score,
     build_index,
-    export_run,
     index_tokens,
     run_queries,
     search,
@@ -192,24 +191,19 @@ def test_bm25_params_validation():
     assert defaults.b == 0.4
 
 
-def test_export_run_roundtrip(tmp_path):
-    index = build_index(CORPUS)
-    params = Bm25Params()
-    results = {
-        "q1": search(index, params, "bangkok budget", k=10),
-        "q2": search(index, params, "dog breeds", k=10),
-    }
-    path = tmp_path / "run.txt"
-    export_run(results, "bm25-default", path)
-    parsed = parse_trec_run(path)
-    assert {r.system_id for r in parsed} == {"bm25-default"}
-    q1 = [r for r in parsed if r.query_id == "q1"]
-    assert [r.rank for r in q1] == list(range(1, len(results["q1"]) + 1))
-    assert [r.passage_id for r in q1] == [pid for pid, _ in results["q1"]]
-
-
 def test_run_queries_records(tmp_path):
     index = build_index(CORPUS)
     records = run_queries(index, Bm25Params(), {"q1": "bangkok"}, "sysX", k=2)
     assert all(r.system_id == "sysX" for r in records)
     assert [r.rank for r in records] == [1, 2]
+
+    queries = {"q1": "bangkok budget", "q2": "dog breeds"}
+    records = run_queries(index, Bm25Params(), queries, "bm25-default", k=10)
+    path = tmp_path / "run.txt"
+    write_trec_run(records, path)
+    parsed = parse_trec_run(path)
+    assert {r.system_id for r in parsed} == {"bm25-default"}
+    hits = search(index, Bm25Params(), queries["q1"], k=10)
+    q1 = [r for r in parsed if r.query_id == "q1"]
+    assert [r.rank for r in q1] == list(range(1, len(hits) + 1))
+    assert [r.passage_id for r in q1] == [pid for pid, _ in hits]
