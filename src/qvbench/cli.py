@@ -20,9 +20,6 @@ from typing import Optional, Sequence
 from .core import (
     PROFILE_METHODS,
     ParseError,
-    Qrel,
-    RunRecord,
-    Topic,
     ValidationError,
     format_trec_run,
     parse_passages,
@@ -32,7 +29,6 @@ from .core import (
     parse_variant_query_id,
     read_annotations,
     read_variants,
-    topic_of_query_id,
     variant_query_id,
     write_qrels,
     write_topics,
@@ -71,7 +67,6 @@ from .validate import (
     write_verdicts_csv,
 )
 
-N_VARIANTS = 3
 SEED_PROFILE = "seed"
 GAIN_MODES = ("linear", "exp")
 PROVIDERS = ("mock", "http")
@@ -248,16 +243,6 @@ def make_provider(config: PipelineConfig):
     return HttpProvider(ProviderConfig(endpoint=config.endpoint, model_name=config.model))
 
 
-def _load_topics(config: PipelineConfig) -> list:
-    fmt = "jsonl" if str(config.topics).endswith(".jsonl") else "tsv"
-    return parse_topics(config.topics, format=fmt)
-
-
-def _load_corpus(config: PipelineConfig) -> list:
-    fmt = "jsonl" if str(config.corpus).endswith(".jsonl") else "tsv"
-    return parse_passages(config.corpus, format=fmt)
-
-
 def _variants_path(config: PipelineConfig) -> Path:
     return config.out / "variants.jsonl"
 
@@ -281,7 +266,7 @@ def _read_all_runs(config: PipelineConfig) -> list:
 
 
 def cmd_generate(config: PipelineConfig) -> None:
-    topics = _load_topics(config)
+    topics = parse_topics(config.topics)
     profiles = load_profiles(config.profiles)
     selected = [p for p in profiles if p.method in config.methods]
     if not selected:
@@ -328,7 +313,7 @@ def cmd_generate(config: PipelineConfig) -> None:
 
 
 def cmd_validate(config: PipelineConfig) -> None:
-    topics = _load_topics(config)
+    topics = parse_topics(config.topics)
     profiles = load_profiles(config.profiles)
     variants = read_variants(_variants_path(config))
     dictionary = load_dictionary()
@@ -372,7 +357,7 @@ def cmd_validate(config: PipelineConfig) -> None:
 
 
 def cmd_index(config: PipelineConfig) -> None:
-    passages = _load_corpus(config)
+    passages = parse_passages(config.corpus)
     index = build_index(passages)
     config.out.mkdir(parents=True, exist_ok=True)
     stats = {
@@ -388,7 +373,7 @@ def cmd_index(config: PipelineConfig) -> None:
 
 
 def _query_texts(config: PipelineConfig) -> dict:
-    topics = _load_topics(config)
+    topics = parse_topics(config.topics)
     variants = read_variants(_variants_path(config))
     queries = {t.topic_id: t.seed_query for t in topics}
     for v in variants:
@@ -397,7 +382,7 @@ def _query_texts(config: PipelineConfig) -> dict:
 
 
 def cmd_search(config: PipelineConfig) -> None:
-    passages = _load_corpus(config)
+    passages = parse_passages(config.corpus)
     index = build_index(passages)
     queries = _query_texts(config)
     runs_dir = _runs_out(config)
@@ -435,16 +420,16 @@ def cmd_import_runs(config: PipelineConfig) -> None:
 
 
 def cmd_judge(config: PipelineConfig) -> None:
-    passages = _load_corpus(config)
+    passages = parse_passages(config.corpus)
     runs = _read_all_runs(config)
     config.out.mkdir(parents=True, exist_ok=True)
     provider = make_provider(config)
 
     backstories_path = config.out / "backstories.jsonl"
     if backstories_path.exists():
-        topics = parse_topics(backstories_path, format="jsonl")
+        topics = parse_topics(backstories_path)
     else:
-        topics = _load_topics(config)
+        topics = parse_topics(config.topics)
     topics = generate_backstories(provider, topics)
     write_topics(topics, backstories_path)
 
@@ -556,20 +541,6 @@ def _read_matrix(config: PipelineConfig) -> EffectivenessMatrix:
     return matrix
 
 
-def _profile_rankings(matrix: EffectivenessMatrix) -> dict:
-    sums = {}
-    counts = {}
-    for (t, s, p, i), v in matrix.items():
-        sums[(p, s)] = sums.get((p, s), 0.0) + v
-        counts[(p, s)] = counts.get((p, s), 0) + 1
-    rankings = {}
-    for profile in matrix.profiles:
-        rankings[profile] = {
-            s: sums[(profile, s)] / counts[(profile, s)] for s in matrix.systems
-        }
-    return rankings
-
-
 def cmd_analyze(config: PipelineConfig) -> None:
     matrix = _read_matrix(config)
 
@@ -590,24 +561,23 @@ def cmd_analyze(config: PipelineConfig) -> None:
                 ]
             )
 
-    rankings = _profile_rankings(matrix)
     profiles = matrix.profiles
-    with open(config.out / "tau_matrix.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["profile"] + profiles)
-        for a in profiles:
-            row = [a]
-            for b in profiles:
-                tau = 1.0 if a == b else kendall_tau(rankings[a], rankings[b])
-                row.append(repr(tau))
-            writer.writerow(row)
-
     verdicts = {}
     tukeys = {}
     for profile in profiles:
         verdicts[profile], tukeys[profile] = system_verdicts(
             matrix, profile, alpha=config.alpha
         )
+
+    with open(config.out / "tau_matrix.csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["profile"] + profiles)
+        for a in profiles:
+            row = [a]
+            for b in profiles:
+                tau = 1.0 if a == b else kendall_tau(tukeys[a].means, tukeys[b].means)
+                row.append(repr(tau))
+            writer.writerow(row)
 
     with open(config.out / "agreement.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -725,11 +695,10 @@ def _svg_bar_chart(title, labels, values, errors=None, width=940, height=430):
 
 
 def cmd_report(config: PipelineConfig) -> None:
+    system_means, _ = _read_matrix(config).group_means("system")
     means_path = config.out / "marginal_means.csv"
-    ndcg_path = config.out / "ndcg.csv"
-    for path in (means_path, ndcg_path):
-        if not path.exists():
-            raise ValidationError(f"{path} missing; run evaluate and analyze first")
+    if not means_path.exists():
+        raise ValidationError(f"{means_path} missing; run analyze first")
 
     labels, values, errors = [], [], []
     with open(means_path, encoding="utf-8", newline="") as fh:
@@ -740,19 +709,11 @@ def cmd_report(config: PipelineConfig) -> None:
     svg = _svg_bar_chart("Marginal mean NDCG by profile", labels, values, errors)
     (config.out / "marginal_means.svg").write_text(svg, encoding="utf-8")
 
-    sums, counts = {}, {}
-    with open(ndcg_path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["profile_id"] == SEED_PROFILE:
-                continue
-            s = row["system_id"]
-            sums[s] = sums.get(s, 0.0) + float(row["ndcg"])
-            counts[s] = counts.get(s, 0) + 1
-    systems = sorted(sums, key=lambda s: (-sums[s] / counts[s], s))
+    systems = sorted(system_means, key=lambda s: (-system_means[s], s))
     svg = _svg_bar_chart(
         "System ranking by mean NDCG over variants",
         systems,
-        [sums[s] / counts[s] for s in systems],
+        [system_means[s] for s in systems],
     )
     (config.out / "system_rankings.svg").write_text(svg, encoding="utf-8")
     print(f"report: 2 charts written to {config.out}")

@@ -199,48 +199,70 @@ def _lines(path):
                 yield lineno, line
 
 
-def parse_topics(path, format: str = "tsv") -> list[Topic]:
-    if format not in ("tsv", "jsonl"):
-        raise ValueError(f"unknown topics format {format!r}")
-    topics: list[Topic] = []
-    seen: set[str] = set()
+def _read_records(path, build, required=(), text=(), columns=None) -> list:
+    """Records of a TSV or JSONL file, one per non-blank line.
+
+    The file is JSONL when `columns` is None or its name ends in
+    `.jsonl`; otherwise each line holds the tab-separated `columns`,
+    the first (an id) stripped. Each line becomes a dict that must hold
+    the `required` keys and a string under every `text` key (an
+    optional one may be absent or null); `build` turns it into a
+    record. Every ParseError and ValidationError names the file and line.
+    """
+    jsonl = columns is None or str(path).endswith(".jsonl")
+    records = []
     for lineno, line in _lines(path):
-        if format == "tsv":
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 2 tab-separated fields, got {len(cols)}"
-                )
-            topic = Topic(topic_id=cols[0].strip(), seed_query=cols[1])
+        where = f"{path}:{lineno}"
+        if jsonl:
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
+            if not isinstance(obj, dict):
+                raise ParseError(f"{where}: expected a JSON object")
         else:
-            obj = _load_json_line(path, lineno, line)
-            topic = _topic_from_obj(path, lineno, obj)
-        if topic.topic_id in seen:
-            raise ValidationError(f"{path}:{lineno}: duplicate topic_id {topic.topic_id}")
-        seen.add(topic.topic_id)
-        topics.append(topic)
-    return topics
+            cols = line.split("\t")
+            if len(cols) != len(columns):
+                raise ParseError(
+                    f"{where}: expected {len(columns)} tab-separated fields, got {len(cols)}"
+                )
+            obj = dict(zip(columns, [cols[0].strip(), *cols[1:]]))
+        for key in required:
+            if key not in obj:
+                raise ParseError(f"{where}: missing key {key!r}")
+        for key in text:
+            value = obj.get(key)
+            if not isinstance(value, str) and (value is not None or key in required):
+                raise ParseError(f"{where}: {key} must be a string, got {type(value).__name__}")
+        try:
+            records.append(build(obj))
+        except (ParseError, ValidationError) as exc:
+            raise type(exc)(f"{where}: {exc}") from exc
+    return records
 
 
-def _load_json_line(path, lineno: int, line: str) -> dict:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(obj, dict):
-        raise ParseError(f"{path}:{lineno}: expected a JSON object")
-    return obj
+def _read_id_text(path, cls, id_key: str, text_key: str, optional=()) -> list:
+    """Records of `cls(id, text, *optional)`, from TSV `id<TAB>text` or JSONL.
+
+    Ids go through str() and must be unique.
+    """
+    seen: set[str] = set()
+
+    def build(obj):
+        record = cls(str(obj[id_key]), obj[text_key], *(obj.get(k) for k in optional))
+        record_id = getattr(record, id_key)
+        if record_id in seen:
+            raise ValidationError(f"duplicate {id_key} {record_id}")
+        seen.add(record_id)
+        return record
+
+    keys = (id_key, text_key)
+    return _read_records(path, build, keys, (text_key, *optional), columns=keys)
 
 
-def _topic_from_obj(path, lineno: int, obj: dict) -> Topic:
-    try:
-        return Topic(
-            topic_id=str(obj["topic_id"]),
-            seed_query=obj["seed_query"],
-            backstory=obj.get("backstory"),
-        )
-    except KeyError as exc:
-        raise ParseError(f"{path}:{lineno}: missing key {exc.args[0]!r}") from exc
+def parse_topics(path) -> list[Topic]:
+    """Seed topics: `topic_id<TAB>seed_query`, or JSONL when the name ends in `.jsonl`."""
+    return _read_id_text(path, Topic, "topic_id", "seed_query", optional=("backstory",))
 
 
 def write_topics(topics: Iterable[Topic], path) -> None:
@@ -346,32 +368,9 @@ def write_qrels(qrels: Iterable[Qrel], path, with_source: bool = False) -> None:
             fh.write(line + "\n")
 
 
-def parse_passages(path, format: str = "tsv") -> list[Passage]:
-    if format not in ("tsv", "jsonl"):
-        raise ValueError(f"unknown passages format {format!r}")
-    passages: list[Passage] = []
-    seen: set[str] = set()
-    for lineno, line in _lines(path):
-        if format == "tsv":
-            cols = line.split("\t")
-            if len(cols) != 2:
-                raise ParseError(
-                    f"{path}:{lineno}: expected 2 tab-separated fields, got {len(cols)}"
-                )
-            passage = Passage(passage_id=cols[0].strip(), text=cols[1])
-        else:
-            obj = _load_json_line(path, lineno, line)
-            try:
-                passage = Passage(passage_id=str(obj["passage_id"]), text=obj["text"])
-            except KeyError as exc:
-                raise ParseError(f"{path}:{lineno}: missing key {exc.args[0]!r}") from exc
-        if passage.passage_id in seen:
-            raise ValidationError(
-                f"{path}:{lineno}: duplicate passage_id {passage.passage_id}"
-            )
-        seen.add(passage.passage_id)
-        passages.append(passage)
-    return passages
+def parse_passages(path) -> list[Passage]:
+    """Passages: `passage_id<TAB>text`, or JSONL when the name ends in `.jsonl`."""
+    return _read_id_text(path, Passage, "passage_id", "text")
 
 
 def write_passages(passages: Iterable[Passage], path) -> None:
@@ -380,31 +379,15 @@ def write_passages(passages: Iterable[Passage], path) -> None:
             fh.write(f"{p.passage_id}\t{p.text}\n")
 
 
-_VARIANT_KEYS = ("topic_id", "profile_id", "index", "text")
+def _variant(obj: dict) -> QueryVariant:
+    index = obj["index"]
+    if not isinstance(index, int) or isinstance(index, bool):
+        raise ParseError("index must be an integer")
+    return QueryVariant(str(obj["topic_id"]), str(obj["profile_id"]), index, obj["text"])
 
 
 def read_variants(path) -> list[QueryVariant]:
-    variants: list[QueryVariant] = []
-    for lineno, line in _lines(path):
-        obj = _load_json_line(path, lineno, line)
-        missing = [k for k in _VARIANT_KEYS if k not in obj]
-        if missing:
-            raise ParseError(f"{path}:{lineno}: missing key {missing[0]!r}")
-        index = obj["index"]
-        if not isinstance(index, int) or isinstance(index, bool):
-            raise ParseError(f"{path}:{lineno}: index must be an integer")
-        try:
-            variants.append(
-                QueryVariant(
-                    topic_id=str(obj["topic_id"]),
-                    profile_id=str(obj["profile_id"]),
-                    index=index,
-                    text=obj["text"],
-                )
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return variants
+    return _read_records(path, _variant, ("topic_id", "profile_id", "index", "text"), ("text",))
 
 
 def write_variants(variants: Iterable[QueryVariant], path) -> None:
@@ -419,32 +402,26 @@ def write_variants(variants: Iterable[QueryVariant], path) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-_ANNOTATION_KEYS = ("pair_id", "annotator_id", "task", "seed_query", "variant", "answer")
+def _annotation(obj: dict) -> AnnotationRecord:
+    return AnnotationRecord(
+        pair_id=str(obj["pair_id"]),
+        annotator_id=str(obj["annotator_id"]),
+        task=obj["task"],
+        seed_query=obj["seed_query"],
+        variant=obj["variant"],
+        answer=str(obj["answer"]),
+        is_gold=bool(obj.get("is_gold", False)),
+        gold_answer=obj.get("gold_answer"),
+    )
 
 
 def read_annotations(path) -> list[AnnotationRecord]:
-    records: list[AnnotationRecord] = []
-    for lineno, line in _lines(path):
-        obj = _load_json_line(path, lineno, line)
-        missing = [k for k in _ANNOTATION_KEYS if k not in obj]
-        if missing:
-            raise ParseError(f"{path}:{lineno}: missing key {missing[0]!r}")
-        try:
-            records.append(
-                AnnotationRecord(
-                    pair_id=str(obj["pair_id"]),
-                    annotator_id=str(obj["annotator_id"]),
-                    task=obj["task"],
-                    seed_query=obj["seed_query"],
-                    variant=obj["variant"],
-                    answer=str(obj["answer"]),
-                    is_gold=bool(obj.get("is_gold", False)),
-                    gold_answer=obj.get("gold_answer"),
-                )
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    return records
+    return _read_records(
+        path,
+        _annotation,
+        ("pair_id", "annotator_id", "task", "seed_query", "variant", "answer"),
+        ("task", "seed_query", "variant", "gold_answer"),
+    )
 
 
 def write_annotations(records: Iterable[AnnotationRecord], path) -> None:
@@ -464,8 +441,8 @@ def write_annotations(records: Iterable[AnnotationRecord], path) -> None:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
-def read_jsonl(path) -> list[dict]:
-    return [_load_json_line(path, lineno, line) for lineno, line in _lines(path)]
+def read_jsonl(path, required=()) -> list[dict]:
+    return _read_records(path, dict, required)
 
 
 def write_jsonl(objects: Iterable[dict], path) -> None:

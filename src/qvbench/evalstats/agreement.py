@@ -41,12 +41,7 @@ def system_verdicts(
     if len(sub) == 0:
         raise ValueError(f"no cells for profile {profile!r}")
     table = anova(sub, ("topic", "system"), with_interactions=True)
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for (t, s, p, i), v in sub.items():
-        sums[s] = sums.get(s, 0.0) + v
-        counts[s] = counts.get(s, 0) + 1
-    means = {s: sums[s] / counts[s] for s in sums}
+    means, _ = sub.group_means("system")
     n_per_group = len(sub) // len(means)
     tukey = tukey_hsd(means, n_per_group, table.ms_error, table.df_error, alpha)
     verdicts = {

@@ -74,6 +74,21 @@ class EffectivenessMatrix:
     def indices(self) -> list[int]:
         return self._axis_values(3)
 
+    def group_means(self, axis: str) -> tuple[dict, dict]:
+        """Mean and cell count for each level of `axis`, levels sorted.
+
+        Each level sums its cells in insertion order, so every caller
+        gets the same floats for the same matrix.
+        """
+        pos = AXES.index(axis)
+        sums: dict = {}
+        counts: dict = {}
+        for key, value in self._cells.items():
+            sums[key[pos]] = sums.get(key[pos], 0.0) + value
+            counts[key[pos]] = counts.get(key[pos], 0) + 1
+        levels = sorted(sums)
+        return {lv: sums[lv] / counts[lv] for lv in levels}, {lv: counts[lv] for lv in levels}
+
     def subset(
         self,
         topics: Optional[Iterable[str]] = None,
@@ -334,15 +349,10 @@ def marginal_means(
     if not factor_names:
         raise ValueError("matrix is a single cell group: nothing to analyse")
     table = anova(matrix, factor_names, with_interactions=True)
-    sums: dict[str, float] = {lv: 0.0 for lv in levels}
-    counts: dict[str, int] = {lv: 0 for lv in levels}
-    for key, value in matrix.items():
-        sums[key[axis_pos]] += value
-        counts[key[axis_pos]] += 1
+    group_means, counts = matrix.group_means(axis)
     n_per_group = counts[levels[0]]
     if any(c != n_per_group for c in counts.values()):
         raise ValueError(f"unbalanced {axis} groups: {counts}")
-    group_means = {lv: sums[lv] / counts[lv] for lv in levels}
     if len(levels) >= 2:
         tukey = tukey_hsd(
             group_means, n_per_group, table.ms_error, table.df_error, alpha, ci

@@ -30,8 +30,6 @@ from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol, Sequence, TypeVar
 
-import requests
-
 from .core import ParseError, Profile, QueryVariant, Topic, ValidationError, group_variants
 from .validate import load_dictionary, spell_correct
 
@@ -359,6 +357,8 @@ class HttpProvider:
         self.config = config
 
     def complete(self, prompt: str) -> str:
+        import requests  # here, so stages on the mock provider never load it
+
         headers = {"Content-Type": "application/json"}
         if self.config.api_key:
             headers["Authorization"] = f"Bearer {self.config.api_key}"

@@ -216,7 +216,7 @@ class LabelStore:
                 )
             store._labels[(qrel.query_id, qrel.passage_id)] = qrel
         if raw_path is not None and Path(raw_path).exists():
-            for row in read_jsonl(raw_path):
+            for row in read_jsonl(raw_path, required=("topic_id", "passage_id")):
                 key = (row["topic_id"], row["passage_id"])
                 if key in store._labels:
                     store._raw[key] = row.get("raw_response", "")

@@ -7,7 +7,6 @@ mock provider's misspelling machinery applicable to every topic.
 """
 
 import hashlib
-import json
 import random
 import shutil
 from pathlib import Path

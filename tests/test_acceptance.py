@@ -4,6 +4,7 @@ Each criterion gets its own test name prefix (c1..c7); the terminal
 summary hook in conftest.py prints one verdict line per criterion.
 """
 
+import hashlib
 import math
 import os
 import random
@@ -337,6 +338,16 @@ def test_c5_toy_pipeline_byte_reproducible(tmp_path):
     assert sorted(tree_a) == sorted(tree_b)
     mismatched = [name for name in tree_a if tree_a[name] != tree_b[name]]
     assert mismatched == []
+
+    # Pinned so a change in how inputs are read or means are summed shows
+    # up; none of the three goes through numpy, so BLAS cannot move them.
+    pinned = {
+        "ndcg.csv": "6e3d5c6118e5ed6e27fa3700cb34d34e74bb2c8cc3d9064c61949e3d53189968",
+        "tau_matrix.csv": "488588301ca48b0539f2b6d7c0762d95f8ee1dce182256c500630a5e1785a1fa",
+        "system_rankings.svg": "b14c29bf9c7cc5e279820bc4c55156722585f5c57881ef1e9150c4e73f51b797",
+    }
+    for name, digest in pinned.items():
+        assert hashlib.sha256(tree_a[name]).hexdigest() == digest, name
 
     import csv
 

@@ -230,7 +230,7 @@ class TestImportRuns:
 
 class TestJudgeStage:
     def test_backstories_written_for_all_topics(self, workspace):
-        topics = parse_topics(out_dir(workspace) / "backstories.jsonl", format="jsonl")
+        topics = parse_topics(out_dir(workspace) / "backstories.jsonl")
         assert len(topics) == 5
         assert all(t.backstory for t in topics)
 
@@ -374,6 +374,13 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_non_string_topic_field(self, tmp_path, capsys):
+        config_path = write_toy_workspace(tmp_path / "ws")
+        topics = tmp_path / "topics.jsonl"
+        topics.write_text('{"topic_id": "1", "seed_query": 5}\n', encoding="utf-8")
+        assert main(["generate", "--config", str(config_path), "--topics", str(topics)]) == 2
+        assert f"{topics}:1: seed_query must be a string" in capsys.readouterr().err
+
     def test_analyze_before_evaluate(self, tmp_path):
         config_path = write_toy_workspace(tmp_path / "ws")
         assert main(["analyze", "--config", str(config_path)]) == 2
@@ -383,6 +390,12 @@ class TestExitCodes:
 
 
 class TestModuleEntryPoint:
+    def test_import_leaves_requests_unloaded(self):
+        code = "import sys, qvbench.cli; print('requests' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
+
     def test_python_dash_m(self, workspace):
         result = subprocess.run(
             [sys.executable, "-m", "qvbench", "index", "--config", str(workspace)],

@@ -67,7 +67,31 @@ def test_topics_jsonl_roundtrip(tmp_path):
     ]
     p = tmp_path / "topics.jsonl"
     write_topics(topics, p)
-    assert parse_topics(p, format="jsonl") == topics
+    assert parse_topics(p) == topics
+
+
+@pytest.mark.parametrize(
+    "reader, name, text, error",
+    [
+        (parse_topics, "topics.tsv", "2001\tok query\n2002\t   \n", ValidationError),
+        (parse_passages, "passages.tsv", "p1\tfine\np2\t \n", ValidationError),
+        (parse_topics, "topics.jsonl", '{"topic_id": "1", "seed_query": "ok"}\n'
+         '{"topic_id": "2", "seed_query": 5}\n', ParseError),
+        (parse_passages, "passages.jsonl", '{"passage_id": "p1", "text": "ok"}\n'
+         '{"passage_id": "p2", "text": null}\n', ParseError),
+        (read_variants, "variants.jsonl",
+         '{"topic_id": "1", "profile_id": "a", "index": 1, "text": "ok"}\n'
+         '{"topic_id": "1", "profile_id": "a", "index": 2, "text": 5}\n', ParseError),
+    ],
+    ids=["topics-tsv-empty-query", "passages-tsv-empty-text", "topics-jsonl-int-query",
+         "passages-jsonl-null-text", "variants-int-text"],
+)
+def test_bad_record_names_file_and_line(tmp_path, reader, name, text, error):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(error) as info:
+        reader(p)
+    assert str(info.value).startswith(f"{p}:2: ")
 
 
 def test_topic_normalized_to_nfc():

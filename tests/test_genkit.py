@@ -3,8 +3,8 @@
 import json
 
 import pytest
+import requests
 
-import qvbench.genkit as genkit
 from qvbench.core import ParseError, Profile, QueryVariant, Topic, ValidationError
 from qvbench.genkit import (
     GenerationError,
@@ -363,7 +363,7 @@ class TestHttpProvider:
             captured.update(url=url, json=json, headers=headers, timeout=timeout)
             return FakeResponse(body={"choices": [{"message": {"content": "hello"}}]})
 
-        monkeypatch.setattr(genkit.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         assert HttpProvider(self.CONFIG).complete("prompt text") == "hello"
         assert captured["url"] == self.CONFIG.endpoint
         assert captured["json"]["model"] == "test-model"
@@ -373,22 +373,22 @@ class TestHttpProvider:
 
     def test_http_error_status(self, monkeypatch):
         monkeypatch.setattr(
-            genkit.requests, "post", lambda *a, **k: FakeResponse(status_code=401, text="denied")
+            requests, "post", lambda *a, **k: FakeResponse(status_code=401, text="denied")
         )
         with pytest.raises(TransportError):
             HttpProvider(self.CONFIG).complete("p")
 
     def test_connection_failure(self, monkeypatch):
         def fake_post(*args, **kwargs):
-            raise genkit.requests.ConnectionError("refused")
+            raise requests.ConnectionError("refused")
 
-        monkeypatch.setattr(genkit.requests, "post", fake_post)
+        monkeypatch.setattr(requests, "post", fake_post)
         with pytest.raises(TransportError):
             HttpProvider(self.CONFIG).complete("p")
 
     def test_malformed_body(self, monkeypatch):
         monkeypatch.setattr(
-            genkit.requests, "post", lambda *a, **k: FakeResponse(body={"unexpected": True})
+            requests, "post", lambda *a, **k: FakeResponse(body={"unexpected": True})
         )
         with pytest.raises(TransportError):
             HttpProvider(self.CONFIG).complete("p")

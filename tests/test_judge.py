@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 import qvbench.judge as judge
-from qvbench.core import Passage, Qrel, RunRecord, Topic, ValidationError
+from qvbench.core import ParseError, Passage, Qrel, RunRecord, Topic, ValidationError
 from qvbench.genkit import GenerationError, MockProvider
 from qvbench.judge import (
     AgreementReport,
@@ -268,6 +268,15 @@ class TestLabelStorePersistence:
         path.write_text("t1 0 p1 2 human\n")
         with pytest.raises(ValidationError):
             LabelStore.load(path)
+
+    def test_sidecar_row_without_key_names_file_and_line(self, tmp_path):
+        qrels_path = tmp_path / "llm_qrels.txt"
+        qrels_path.write_text("t1 0 p1 2 llm\n")
+        raw_path = tmp_path / "llm_raw.jsonl"
+        raw_path.write_text('{"topic_id": "t1", "passage_id": "p1", "raw_response": "2"}\n'
+                            '{"topic_id": "t1", "raw_response": "1"}\n')
+        with pytest.raises(ParseError, match=r"llm_raw\.jsonl:2: missing key 'passage_id'"):
+            LabelStore.load(qrels_path, raw_path)
 
 
 class TestBinarize:
