@@ -595,7 +595,7 @@ def cmd_analyze(config: PipelineConfig) -> None:
                     + [repr(float(rep.fractions[cls])) for cls in AGREEMENT_CLASSES]
                 )
 
-    means, _ = marginal_means(matrix, axis="profile", alpha=config.alpha)
+    means, _ = marginal_means(matrix, table, axis="profile", alpha=config.alpha)
     with open(config.out / "marginal_means.csv", "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["profile", "mean", "ci_low", "ci_high"])

@@ -295,8 +295,14 @@ def parse_trec_run(path) -> list[RunRecord]:
             score = float(score_text)
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-numeric score {score_text!r}") from exc
-        records.append(RunRecord(tag, qid, docid, rank, score))
-    validate_run_records(records)
+        try:
+            records.append(RunRecord(tag, qid, docid, rank, score))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    try:
+        validate_run_records(records)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
     records.sort(key=lambda r: (r.system_id, r.query_id, r.rank))
     return records
 

@@ -329,26 +329,23 @@ class MarginalMean:
 
 def marginal_means(
     matrix: EffectivenessMatrix,
+    table: AnovaTable,
     axis: str = "profile",
     alpha: float = 0.05,
     ci: str = "t",
 ) -> tuple[list[MarginalMean], Optional[TukeyResult]]:
-    """Per-level means on one axis with intervals from the companion ANOVA.
+    """Per-level means on one axis with intervals from `table`.
 
-    Factors are every axis with at least two observed levels; the rest
-    (variant index always) provide replication. Intervals are t-based by
-    default; ci="tukey" switches to simultaneous half-widths.
+    `table` is the ANOVA of `matrix` that the intervals take their error
+    term from; the pipeline passes the (topic, system, profile) table it
+    writes to anova.csv. Intervals are t-based by default; ci="tukey"
+    switches to simultaneous half-widths.
     """
     if axis not in AXES:
         raise ValueError(f"unknown axis {axis!r}")
-    axis_pos = AXES.index(axis)
-    levels = matrix._axis_values(axis_pos)
+    levels = matrix._axis_values(AXES.index(axis))
     if not levels:
         raise ValueError(f"matrix has no {axis} levels")
-    factor_names = [f for f in AXES if len(matrix._axis_values(AXES.index(f))) >= 2]
-    if not factor_names:
-        raise ValueError("matrix is a single cell group: nothing to analyse")
-    table = anova(matrix, factor_names, with_interactions=True)
     group_means, counts = matrix.group_means(axis)
     n_per_group = counts[levels[0]]
     if any(c != n_per_group for c in counts.values()):

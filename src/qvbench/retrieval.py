@@ -2,14 +2,16 @@
 
 Indexing and querying share the textkit pipeline (lowercase, strip
 punctuation, Porter stem). Scores follow the Robertson BM25 form with
-the +1-smoothed IDF, which keeps every term weight positive.
+the +1-smoothed IDF, which keeps every term weight positive. Scoring is
+term-at-a-time over the postings: each query token's posting list adds
+its weight to a per-passage accumulator.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .core import Passage, RunRecord
 from .textkit import porter_stem, tokenize
@@ -39,15 +41,6 @@ class InvertedIndex:
         self.doc_lengths = doc_lengths
         self.doc_count = len(doc_lengths)
         self.avg_doc_length = sum(doc_lengths.values()) / self.doc_count
-        self._tf = {
-            term: {pid: tf for pid, tf in plist} for term, plist in postings.items()
-        }
-
-    def df(self, term: str) -> int:
-        return len(self.postings.get(term, ()))
-
-    def tf(self, term: str, passage_id: str) -> int:
-        return self._tf.get(term, {}).get(passage_id, 0)
 
 
 def index_tokens(text: str) -> list[str]:
@@ -74,46 +67,36 @@ def build_index(passages: Iterable[Passage]) -> InvertedIndex:
     return InvertedIndex(postings, dict(sorted(doc_lengths.items())))
 
 
-def bm25_score(
-    index: InvertedIndex,
-    params: Bm25Params,
-    query_tokens: Sequence[str],
-    passage_id: str,
-) -> float:
-    """Sum of per-token BM25 weights; repeated query tokens count again."""
-    if passage_id not in index.doc_lengths:
-        raise ValueError(f"unknown passage {passage_id!r}")
-    length_ratio = index.doc_lengths[passage_id] / index.avg_doc_length
-    n = index.doc_count
-    score = 0.0
-    for term in query_tokens:
-        tf = index.tf(term, passage_id)
-        if tf == 0:
-            continue
-        df = index.df(term)
-        idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
-        score += idf * tf * (params.k1 + 1.0) / (
-            tf + params.k1 * (1.0 - params.b + params.b * length_ratio)
-        )
-    return score
-
-
 def search(
     index: InvertedIndex,
     params: Bm25Params,
     query: str,
     k: int = 10,
 ) -> list[tuple[str, float]]:
-    """Top-k passages by BM25, score descending, ties by passage_id."""
+    """Top-k passages by BM25, score descending, ties by passage_id.
+
+    Repeated query tokens count again; each passage's weights are summed
+    in query-token order.
+    """
     if k < 1:
         raise ValueError(f"k={k} must be >= 1")
-    tokens = index_tokens(query)
-    candidates: set[str] = set()
-    for term in set(tokens):
-        candidates.update(pid for pid, _ in index.postings.get(term, ()))
-    scored = [(pid, bm25_score(index, params, tokens, pid)) for pid in candidates]
-    scored.sort(key=lambda hit: (-hit[1], hit[0]))
-    return scored[:k]
+    n = index.doc_count
+    avg = index.avg_doc_length
+    lengths = index.doc_lengths
+    k1_plus_1 = params.k1 + 1.0
+    one_minus_b = 1.0 - params.b
+    scores: dict[str, float] = {}
+    for term in index_tokens(query):
+        plist = index.postings.get(term, ())
+        df = len(plist)
+        idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+        for pid, tf in plist:
+            w = idf * tf * k1_plus_1 / (
+                tf + params.k1 * (one_minus_b + params.b * (lengths[pid] / avg))
+            )
+            scores[pid] = scores.get(pid, 0.0) + w
+    ranked = sorted(scores.items(), key=lambda hit: (-hit[1], hit[0]))
+    return ranked[:k]
 
 
 def run_queries(

@@ -339,9 +339,14 @@ def test_c5_toy_pipeline_byte_reproducible(tmp_path):
     mismatched = [name for name in tree_a if tree_a[name] != tree_b[name]]
     assert mismatched == []
 
-    # Pinned so a change in how inputs are read or means are summed shows
-    # up; none of the three goes through numpy, so BLAS cannot move them.
+    # Pinned so a change in how inputs are read, BM25 scores are summed or
+    # means are summed shows up (run files hold the repr of every score);
+    # none of these goes through numpy, so BLAS cannot move them.
     pinned = {
+        "index_stats.json": "824c5bb43cc6a67f3f45f9af99f0fa4909cd9300fb6e31b8d5502f43d4737e4a",
+        "runs/bm25_k09_b04.run": "8a53d4b987548321ad506333ec2768a8c6edd327d9e4449bba416ed158b3bb97",
+        "runs/bm25_k12_b075.run": "f498a94693defa4877e4148aca94511a4ad44c6a079a4b6badc9119c0b20f2a4",
+        "runs/bm25_k20_b075.run": "47f0711bc8a485077a90b66da145f205923625cd185ea3763d3d9944b2073c7e",
         "ndcg.csv": "6e3d5c6118e5ed6e27fa3700cb34d34e74bb2c8cc3d9064c61949e3d53189968",
         "tau_matrix.csv": "488588301ca48b0539f2b6d7c0762d95f8ee1dce182256c500630a5e1785a1fa",
         "system_rankings.svg": "b14c29bf9c7cc5e279820bc4c55156722585f5c57881ef1e9150c4e73f51b797",

@@ -347,7 +347,8 @@ def test_marginal_means_constant_matrix():
             for p in ("p0", "p1"):
                 for i in (1, 2):
                     m.set(t, s, p, i, 0.5)
-    means, tukey = marginal_means(m, axis="profile")
+    table = anova(m, ("topic", "system", "profile"))
+    means, tukey = marginal_means(m, table, axis="profile")
     assert [mm.mean for mm in means] == [0.5, 0.5]
     for mm in means:
         assert mm.ci_low == pytest.approx(mm.mean, abs=1e-12)
@@ -368,7 +369,8 @@ def test_marginal_means_uniform_shift():
     for (t, s, i), v in base.items():
         m.set(t, s, "plain", i, v)
         m.set(t, s, "boost", i, v + delta)
-    means, _ = marginal_means(m, axis="profile")
+    table = anova(m, ("topic", "system", "profile"))
+    means, _ = marginal_means(m, table, axis="profile")
     by_level = {mm.level: mm.mean for mm in means}
     assert by_level["boost"] - by_level["plain"] == pytest.approx(delta, abs=1e-12)
 

@@ -320,6 +320,31 @@ class TestAnalyzeStage:
             expect = abs(float(row["diff"])) > float(row["hsd"])
             assert row["significant"] == str(expect).lower()
 
+    def test_three_way_anova_computed_once(self, workspace, tmp_path, monkeypatch):
+        import importlib
+
+        import qvbench.cli as cli
+
+        # The package re-exports the function under the submodule's name.
+        anova_module = importlib.import_module("qvbench.evalstats.anova")
+        real = anova_module.anova
+        three_way = []
+
+        def counting(matrix, factors, *args, **kwargs):
+            if len(factors) == 3:
+                three_way.append(tuple(factors))
+            return real(matrix, factors, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "anova", counting)
+        monkeypatch.setattr(anova_module, "anova", counting)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "ndcg.csv").write_bytes((out_dir(workspace) / "ndcg.csv").read_bytes())
+        assert main(["analyze", "--config", str(workspace), "--out", str(out)]) == 0
+        assert three_way == [("topic", "system", "profile")]
+        for name in ("anova.csv", "marginal_means.csv"):
+            assert (out / name).read_bytes() == (out_dir(workspace) / name).read_bytes()
+
     def test_imbalance_exits_4(self, workspace, tmp_path, capsys):
         out = tmp_path / "broken"
         out.mkdir()

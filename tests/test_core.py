@@ -164,6 +164,23 @@ def test_parse_trec_run_tie_order(tmp_path):
         parse_trec_run(p)
 
 
+@pytest.mark.parametrize(
+    "text, prefix, message",
+    [
+        ("q1 Q0 p7 1 2.0 sys\nq1 Q0 p8 0 1.0 sys\n", "{p}:2: ", "rank 0 must be >= 1"),
+        ("q1 Q0 p7 1 2.0 sys\nq1 Q0 p8 1 1.0 sys\n", "{p}: ",
+         "run sys, query q1: ranks are not a gap-free 1..n sequence"),
+    ],
+    ids=["record-rank-zero", "query-duplicate-rank"],
+)
+def test_bad_run_names_file(tmp_path, text, prefix, message):
+    p = tmp_path / "sys.run"
+    p.write_text(text, encoding="utf-8")
+    with pytest.raises(ValidationError) as info:
+        parse_trec_run(p)
+    assert str(info.value) == prefix.format(p=p) + message
+
+
 def test_trec_run_roundtrip(tmp_path):
     records = [
         RunRecord("bm25", "q1", "p7", 1, 12.5),

@@ -8,7 +8,6 @@ import pytest
 from qvbench.core import Passage, parse_trec_run, write_trec_run
 from qvbench.retrieval import (
     Bm25Params,
-    bm25_score,
     build_index,
     index_tokens,
     run_queries,
@@ -45,8 +44,8 @@ def oracle_bm25(passages, query_text, passage_id, k1, b):
 def test_index_statistics():
     index = build_index(CORPUS)
     assert index.doc_count == 3
-    assert index.df(porter_stem("bangkok")) == 2
-    assert index.df(porter_stem("dog")) == 1
+    assert len(index.postings[porter_stem("bangkok")]) == 2
+    assert len(index.postings[porter_stem("dog")]) == 1
     assert index.avg_doc_length == pytest.approx(
         sum(len(index_tokens(p.text)) for p in CORPUS) / 3
     )
@@ -76,27 +75,37 @@ def test_index_order_independent():
     assert a.avg_doc_length == b.avg_doc_length
 
 
+def all_scores(index, params, passages, query):
+    """Every passage's search score; a passage not retrieved scores 0."""
+    hits = dict(search(index, params, query, k=len(passages)))
+    return {p.passage_id: hits.get(p.passage_id, 0.0) for p in passages}
+
+
+def assert_matches_oracle(passages, params, query):
+    hits = dict(search(build_index(passages), params, query, k=len(passages)))
+    for p in passages:
+        want = oracle_bm25(passages, query, p.passage_id, params.k1, params.b)
+        if p.passage_id in hits:
+            assert hits[p.passage_id] == pytest.approx(want, abs=1e-12), (query, p.passage_id)
+        else:
+            assert want == 0.0, (query, p.passage_id)
+
+
 def test_score_zero_without_matches():
     index = build_index(CORPUS)
     params = Bm25Params()
-    assert bm25_score(index, params, index_tokens("quantum физика"), "p1") == 0.0
+    assert search(index, params, "quantum физика", k=len(CORPUS)) == []
+    assert all_scores(index, params, CORPUS, "dog")["p1"] == 0.0
 
 
 def test_score_positive_on_single_doc():
     index = build_index([CORPUS[0]])
-    params = Bm25Params()
-    tokens = index_tokens(CORPUS[0].text)
-    assert bm25_score(index, params, tokens, "p1") > 0.0
-
-
-def test_unknown_passage_rejected():
-    index = build_index(CORPUS)
-    with pytest.raises(ValueError, match="unknown passage"):
-        bm25_score(index, Bm25Params(), ["bangkok"], "p99")
+    [(pid, score)] = search(index, Bm25Params(), CORPUS[0].text, k=1)
+    assert pid == "p1"
+    assert score > 0.0
 
 
 def test_scores_match_oracle_on_toy_corpus():
-    index = build_index(CORPUS)
     params = Bm25Params()
     queries = [
         "cheap budget Bangkok",
@@ -105,10 +114,7 @@ def test_scores_match_oracle_on_toy_corpus():
         "good travel food",
     ]
     for q in queries:
-        for p in CORPUS:
-            want = oracle_bm25(CORPUS, q, p.passage_id, params.k1, params.b)
-            got = bm25_score(index, params, index_tokens(q), p.passage_id)
-            assert got == pytest.approx(want, abs=1e-12), (q, p.passage_id)
+        assert_matches_oracle(CORPUS, params, q)
 
 
 def test_scores_match_oracle_randomized():
@@ -120,12 +126,8 @@ def test_scores_match_oracle_randomized():
             for i in range(rng.randint(2, 6))
         ]
         params = Bm25Params(k1=rng.uniform(0.3, 2.0), b=rng.uniform(0.0, 1.0))
-        index = build_index(passages)
         query = " ".join(rng.choices(vocab, k=rng.randint(1, 5)))
-        for p in passages:
-            want = oracle_bm25(passages, query, p.passage_id, params.k1, params.b)
-            got = bm25_score(index, params, index_tokens(query), p.passage_id)
-            assert got == pytest.approx(want, abs=1e-12)
+        assert_matches_oracle(passages, params, query)
 
 
 def test_score_monotone_in_tf():
@@ -136,17 +138,17 @@ def test_score_monotone_in_tf():
         Passage("d3", "epsilon zeta eta theta"),
     ]
     index = build_index(passages)
-    params = Bm25Params()
-    s1 = bm25_score(index, params, ["alpha"], "d1")
-    s2 = bm25_score(index, params, ["alpha"], "d2")
-    assert s2 > s1 > 0
+    scores = all_scores(index, Bm25Params(), passages, "alpha")
+    assert scores["d2"] > scores["d1"] > 0
+    assert scores["d3"] == 0.0
 
 
 def test_idf_nonnegative_even_for_ubiquitous_terms():
     passages = [Passage(f"d{i}", "common word") for i in range(5)]
     index = build_index(passages)
-    score = bm25_score(index, Bm25Params(), ["common"], "d0")
-    assert score > 0.0
+    hits = search(index, Bm25Params(), "common", k=len(passages))
+    assert len(hits) == len(passages)
+    assert all(score > 0.0 for _, score in hits)
 
 
 def test_search_ranks_exact_duplicate_first():
