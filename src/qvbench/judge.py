@@ -4,13 +4,14 @@ Labels live on the 4-point scale used by the human judgments. They come
 from the same provider path as query variants: the label template read
 once per ``label_topk`` through ``genkit.load_template``, filled by
 ``genkit._substitute``, and asked through ``genkit.complete_parsed``
-until the response is a bare grade. A label store caches grades by
+until the response is a bare grade, with ``genkit.run_in_order``
+keeping the provider's calls in flight. A label store caches grades by
 (topic, passage) so a passage retrieved by many systems and variants
-costs one provider call, one call at a time, and persists them as
-TREC-style qrels with a source column plus a JSONL sidecar of raw
-responses. Agreement metrics compare the two label sources: mean
-absolute error and Cohen's kappa after binarizing, Krippendorff's
-ordinal alpha on the full scale.
+costs one provider call, and persists them, sorted by key whatever
+order the calls finished in, as TREC-style qrels with a source column
+plus a JSONL sidecar of raw responses. Agreement metrics compare the
+two label sources: mean absolute error and Cohen's kappa after
+binarizing, Krippendorff's ordinal alpha on the full scale.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .core import (
     write_jsonl,
     write_qrels,
 )
-from .genkit import Provider, _substitute, complete_parsed, load_template
+from .genkit import Provider, _substitute, complete_parsed, load_template, run_in_order
 
 __all__ = [
     "CoverageReport",
@@ -163,7 +164,8 @@ def build_label_prompt(
 
 
 class LabelStore:
-    """Single-writer cache of LLM labels keyed by (topic_id, passage_id)."""
+    """Cache of LLM labels keyed by (topic_id, passage_id). Threads may
+    get and put at once; qrels and save list labels sorted by key."""
 
     def __init__(self):
         self._labels: dict[tuple[str, str], Qrel] = {}
@@ -267,7 +269,8 @@ def label_topk(
     max_retries: int = 3,
 ) -> list[Qrel]:
     """Label every distinct (topic, passage) pair in the runs' top k,
-    in sorted order, reading the label template once."""
+    reading the label template once; the qrels come back in sorted
+    pair order."""
     topic_by = {t.topic_id: t for t in topics}
     passage_by = {p.passage_id: p for p in passages}
     needed: set[tuple[str, str]] = set()
@@ -282,10 +285,13 @@ def label_topk(
         needed.add((topic_id, record.passage_id))
     if template is None:
         template = load_label_template()
-    return [
-        label(provider, topic_by[t], passage_by[p], store, template, max_retries)
-        for t, p in sorted(needed)
-    ]
+    return run_in_order(
+        provider,
+        lambda pair: label(
+            provider, topic_by[pair[0]], passage_by[pair[1]], store, template, max_retries
+        ),
+        sorted(needed),
+    )
 
 
 def binarize(grade: int) -> int:

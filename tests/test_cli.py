@@ -1,14 +1,18 @@
 """Pipeline subcommands: config handling, artifacts, exit codes."""
 
 import csv
+import hashlib
 import json
 import subprocess
 import sys
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import qvbench.cli as cli
 from qvbench.cli import (
     BM25_SYSTEMS,
     PipelineConfig,
@@ -17,6 +21,7 @@ from qvbench.cli import (
     parse_config_file,
 )
 from qvbench.core import ValidationError, parse_qrels, parse_topics, read_variants
+from qvbench.genkit import MockProvider, TransportError
 from qvbench.toydata import write_toy_workspace
 
 STAGES = (
@@ -414,12 +419,100 @@ class TestExitCodes:
         assert main(["index", "--config", str(workspace)]) == 0
 
 
+# the stages up to judge, the two that call the provider included
+PROVIDER_STAGES = ("generate", "index", "search", "import-runs", "judge")
+PROVIDER_OUTPUTS = (
+    "variants.jsonl",
+    "genlog.jsonl",
+    "backstories.jsonl",
+    "llm_qrels.txt",
+    "llm_raw.jsonl",
+)
+
+
+def out_files(out: Path) -> dict:
+    return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+class Overlapping:
+    """The mock provider's answers after a prompt-hashed 0-3 ms sleep,
+    with in_flight calls overlapping, so calls finish out of order.
+    From call fail_from on, every call raises TransportError."""
+
+    def __init__(self, seed, in_flight, fail_from=None):
+        self.mock = MockProvider(seed_material=str(seed))
+        self.in_flight = in_flight
+        self.fail_from = fail_from
+        self.calls = 0
+        self.lock = threading.Lock()
+
+    def complete(self, prompt):
+        with self.lock:
+            self.calls += 1
+            call = self.calls
+        if self.fail_from is not None and call >= self.fail_from:
+            raise TransportError(f"endpoint down at call {call}")
+        time.sleep(hashlib.sha256(prompt.encode("utf-8")).digest()[0] % 4 / 1000)
+        return self.mock.complete(prompt)
+
+
+class TestOverlappedProviderCalls:
+    def run_stages(self, config_path, monkeypatch, in_flight):
+        monkeypatch.setattr(cli, "make_provider", lambda config: Overlapping(config.seed, in_flight))
+        for stage in PROVIDER_STAGES:
+            assert main([stage, "--config", str(config_path)]) == 0, stage
+        return out_dir(config_path)
+
+    def test_outputs_equal_one_in_flight(self, tmp_path, monkeypatch):
+        serial = self.run_stages(write_toy_workspace(tmp_path / "one"), monkeypatch, 1)
+        overlapped = self.run_stages(write_toy_workspace(tmp_path / "four"), monkeypatch, 4)
+        for name in PROVIDER_OUTPUTS:
+            assert (overlapped / name).read_bytes() == (serial / name).read_bytes(), name
+
+    def test_first_failure_exits_3_within_the_window(self, tmp_path, monkeypatch, capsys):
+        fail_from = 20
+        provider = Overlapping(0, 4, fail_from)
+        monkeypatch.setattr(cli, "make_provider", lambda config: provider)
+        config_path = write_toy_workspace(tmp_path / "ws")
+        assert main(["generate", "--config", str(config_path)]) == 3
+        assert "error: provider failure: endpoint down at call" in capsys.readouterr().err
+        assert fail_from <= provider.calls <= fail_from + 3
+
+    def test_http_provider_writes_mock_bytes(self, tmp_path, chat_server):
+        mock_ws = write_toy_workspace(tmp_path / "mock")
+        for stage in PROVIDER_STAGES:
+            assert main([stage, "--config", str(mock_ws)]) == 0, stage
+        http_ws = write_toy_workspace(tmp_path / "http")
+        mock = MockProvider(seed_material=str(build_config(_args(config=str(http_ws))).seed))
+        chat_server.reply = lambda request: mock.complete(
+            json.loads(request.body)["messages"][0]["content"]
+        )
+        flags = ["--provider", "http", "--endpoint", chat_server.url, "--model", "m"]
+        for stage in PROVIDER_STAGES:
+            assert main([stage, "--config", str(http_ws), *flags]) == 0, stage
+        assert out_files(out_dir(http_ws)) == out_files(out_dir(mock_ws))
+        assert len(chat_server.seen) > 1000
+
+
 class TestModuleEntryPoint:
-    def test_import_leaves_requests_unloaded(self):
-        code = "import sys, qvbench.cli; print('requests' in sys.modules)"
-        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    def test_import_leaves_requests_unloaded(self, chat_server):
+        chat_server.reply = lambda request: "pong"
+        code = (
+            "import sys, qvbench.cli\n"
+            "print('requests' in sys.modules)\n"
+            "sys.modules['requests'] = None\n"
+            "from qvbench.genkit import HttpProvider, ProviderConfig\n"
+            "config = ProviderConfig(endpoint=sys.argv[1], model_name='m', api_key='')\n"
+            "print(HttpProvider(config).complete('ping'))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code, chat_server.url],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.strip() == "False"
+        assert result.stdout.split() == ["False", "pong"]
 
     def test_python_dash_m(self, workspace):
         result = subprocess.run(

@@ -1,11 +1,15 @@
 """Prompt assembly, response parsing, providers, and sweep behavior."""
 
 import json
+import socket
+import threading
+import time
+from types import SimpleNamespace
 
 import pytest
-import requests
 
-from qvbench.core import ParseError, Profile, QueryVariant, Topic, ValidationError
+import qvbench.genkit as genkit
+from qvbench.core import ParseError, Passage, Profile, QueryVariant, RunRecord, Topic, ValidationError
 from qvbench.genkit import (
     GenerationError,
     HttpProvider,
@@ -22,7 +26,9 @@ from qvbench.genkit import (
     generate_variants,
     load_profiles,
     parse_variant_response,
+    run_in_order,
 )
+from qvbench.judge import LabelStore, label_topk
 from qvbench.validate import load_dictionary, validate_misspelling, validate_order
 
 TOPIC = Topic("t1", "asthma symptoms in children")
@@ -339,59 +345,143 @@ class TestProviderConfig:
             ProviderConfig(endpoint="e", model_name="m", timeout=0)
 
 
-class FakeResponse:
-    def __init__(self, status_code=200, body=None, text=""):
-        self.status_code = status_code
-        self._body = body
-        self.text = text
-
-    def json(self):
-        if self._body is None:
-            raise ValueError("no body")
-        return self._body
-
-
 class TestHttpProvider:
-    CONFIG = ProviderConfig(
-        endpoint="https://api.example/v1/chat", model_name="test-model", api_key="sk-1"
-    )
+    @staticmethod
+    def provider(url):
+        return HttpProvider(ProviderConfig(endpoint=url, model_name="test-model", api_key="sk-1"))
 
-    def test_success_path_and_payload(self, monkeypatch):
-        captured = {}
+    def test_success_path_and_payload(self, chat_server):
+        chat_server.reply = lambda request: "hello"
+        assert self.provider(chat_server.url).complete("prompt text") == "hello"
+        (request,) = chat_server.seen
+        assert request.path == "/v1/chat/completions"
+        assert request.headers["Authorization"] == "Bearer sk-1"
+        assert request.headers["Content-Type"] == "application/json"
+        assert json.loads(request.body) == {
+            "model": "test-model",
+            "temperature": 1.0,
+            "messages": [{"role": "user", "content": "prompt text"}],
+        }
 
-        def fake_post(url, json=None, headers=None, timeout=None):
-            captured.update(url=url, json=json, headers=headers, timeout=timeout)
-            return FakeResponse(body={"choices": [{"message": {"content": "hello"}}]})
+    def test_http_error_status(self, chat_server):
+        chat_server.reply = lambda request: (401, {}, b"denied: bad key")
+        with pytest.raises(TransportError, match="provider returned HTTP 401: denied: bad key"):
+            self.provider(chat_server.url).complete("p")
+        assert len(chat_server.seen) == 1
 
-        monkeypatch.setattr(requests, "post", fake_post)
-        assert HttpProvider(self.CONFIG).complete("prompt text") == "hello"
-        assert captured["url"] == self.CONFIG.endpoint
-        assert captured["json"]["model"] == "test-model"
-        assert captured["json"]["temperature"] == 1.0
-        assert captured["json"]["messages"] == [{"role": "user", "content": "prompt text"}]
-        assert captured["headers"]["Authorization"] == "Bearer sk-1"
+    def test_connection_failure(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        url = f"http://127.0.0.1:{port}/v1/chat/completions"
+        with pytest.raises(TransportError, match=f"request to {url} failed"):
+            self.provider(url).complete("p")
 
-    def test_http_error_status(self, monkeypatch):
-        monkeypatch.setattr(
-            requests, "post", lambda *a, **k: FakeResponse(status_code=401, text="denied")
+    def test_malformed_body(self, chat_server):
+        for body in (b"not json", b'{"unexpected": true}', b'{"choices": []}'):
+            chat_server.reply = lambda request: (200, {}, body)
+            with pytest.raises(TransportError, match="malformed provider response"):
+                self.provider(chat_server.url).complete("p")
+
+    def test_non_string_content(self, chat_server):
+        chat_server.reply = lambda request: 5
+        with pytest.raises(TransportError, match="provider message content is not text"):
+            self.provider(chat_server.url).complete("p")
+
+
+class TestHttpBackoff:
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        slept = []
+        monkeypatch.setattr(genkit.time, "sleep", slept.append)
+        return slept
+
+    @staticmethod
+    def script(server, answers):
+        """Answer the n-th request with answers[n], the last one thereafter."""
+        server.reply = lambda request: answers[min(len(server.seen), len(answers)) - 1]
+
+    def test_5xx_retried_with_jittered_backoff(self, chat_server, sleeps):
+        date = {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}
+        self.script(chat_server, [(503, date, b""), (500, {}, b""), "fine"])
+        assert TestHttpProvider.provider(chat_server.url).complete("p") == "fine"
+        assert len(chat_server.seen) == 3
+        assert len(sleeps) == 2
+        assert 0 <= sleeps[0] <= genkit._BACKOFF_BASE_S
+        assert 0 <= sleeps[1] <= 2 * genkit._BACKOFF_BASE_S
+
+    def test_retry_after_seconds_honoured_and_capped(self, chat_server, sleeps):
+        self.script(
+            chat_server,
+            [(429, {"Retry-After": "7"}, b""), (429, {"Retry-After": "100000"}, b""), "fine"],
         )
-        with pytest.raises(TransportError):
-            HttpProvider(self.CONFIG).complete("p")
+        assert TestHttpProvider.provider(chat_server.url).complete("p") == "fine"
+        assert sleeps == [7.0, genkit._BACKOFF_CAP_S]
 
-    def test_connection_failure(self, monkeypatch):
-        def fake_post(*args, **kwargs):
-            raise requests.ConnectionError("refused")
+    def test_gives_up_after_three_retries(self, chat_server, sleeps):
+        self.script(chat_server, [(502, {}, b"busy")])
+        with pytest.raises(TransportError, match="provider returned HTTP 502: busy"):
+            TestHttpProvider.provider(chat_server.url).complete("p")
+        assert len(chat_server.seen) == 4
+        assert len(sleeps) == 3
+        for retry, delay in enumerate(sleeps):
+            assert 0 <= delay <= genkit._BACKOFF_BASE_S * 2**retry
 
-        monkeypatch.setattr(requests, "post", fake_post)
-        with pytest.raises(TransportError):
-            HttpProvider(self.CONFIG).complete("p")
+    @pytest.mark.parametrize("status", [400, 401, 404])
+    def test_other_4xx_not_retried(self, chat_server, sleeps, status):
+        self.script(chat_server, [(status, {"Retry-After": "1"}, b"no")])
+        with pytest.raises(TransportError, match=f"HTTP {status}: no"):
+            TestHttpProvider.provider(chat_server.url).complete("p")
+        assert len(chat_server.seen) == 1
+        assert sleeps == []
 
-    def test_malformed_body(self, monkeypatch):
-        monkeypatch.setattr(
-            requests, "post", lambda *a, **k: FakeResponse(body={"unexpected": True})
-        )
-        with pytest.raises(TransportError):
-            HttpProvider(self.CONFIG).complete("p")
+
+class TestRunInOrder:
+    TOPICS = [Topic(f"t{i}", f"best travel guide city {i}") for i in range(1, 5)]
+    PROFILES = [EMILY, ORDER, MISSPELLING, NEUTRAL]
+    OVERLAPPING = SimpleNamespace(in_flight=4)  # a provider as run_in_order sees it
+
+    def test_results_in_item_order(self):
+        threads = set()
+
+        def fn(item):
+            threads.add(threading.get_ident())
+            time.sleep(item * 7 % 4 / 1000)
+            return item * item
+
+        assert run_in_order(self.OVERLAPPING, fn, range(40)) == [i * i for i in range(40)]
+        assert len(threads) > 1
+
+    def test_first_error_in_item_order_propagates(self):
+        started = []
+        lock = threading.Lock()
+
+        def fn(item):
+            with lock:
+                started.append(item)
+            if item == 3:
+                time.sleep(0.05)
+                raise ValueError("item 3")
+            if item >= 4:
+                raise ValueError(f"item {item}")
+            return item
+
+        with pytest.raises(ValueError, match="item 3"):
+            run_in_order(self.OVERLAPPING, fn, range(20))
+        # no item more than in_flight - 1 past the failed one starts
+        assert sorted(started) == list(range(7))
+
+    def test_mock_provider_starts_no_thread(self, monkeypatch):
+        def refuse(thread):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        provider = MockProvider()
+        assert len(generate_sweep(provider, self.TOPICS, self.PROFILES)) == 48
+        topics = generate_backstories(provider, self.TOPICS)
+        passages = [Passage(f"p{i}", f"passage text {i}") for i in range(1, 4)]
+        runs = [RunRecord("s1", "t1", p.passage_id, i + 1, 9.0 - i) for i, p in enumerate(passages)]
+        assert len(label_topk(provider, runs, topics, passages, LabelStore())) == 3
 
 
 class TestProfilesFile:

@@ -1,6 +1,7 @@
 """Coverage, labeling, and human/LLM agreement metrics."""
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -231,6 +232,28 @@ class TestLabelTopk:
         label_topk(provider, runs, self.TOPICS, self.PASSAGES, LabelStore(), k=10)
         assert provider.calls == 10
         assert len(loads) == 1
+
+    def test_overlapped_labels_match_serial(self, tmp_path):
+        passages = [Passage(f"p{i}", f"passage text {i}") for i in range(1, 201)]
+        runs = [run("s1", t.topic_id, p.passage_id, i + 1)
+                for t in self.TOPICS for i, p in enumerate(passages)]
+        serial = LabelStore()
+        expected = label_topk(MockProvider(), runs, self.TOPICS, passages, serial, k=200)
+        provider = MockProvider()
+        provider.in_flight = 8  # more threads than cores
+        store = LabelStore()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            qrels = label_topk(provider, runs, self.TOPICS, passages, store, k=200)
+        finally:
+            sys.setswitchinterval(interval)
+        assert qrels == expected
+        serial.save(tmp_path / "serial.txt", tmp_path / "serial.jsonl")
+        store.save(tmp_path / "overlapped.txt", tmp_path / "overlapped.jsonl")
+        for suffix in ("txt", "jsonl"):
+            serial_bytes = (tmp_path / f"serial.{suffix}").read_bytes()
+            assert (tmp_path / f"overlapped.{suffix}").read_bytes() == serial_bytes
 
     def test_unknown_passage_rejected(self):
         runs = [run("s1", "t1", "ghost", 1)]
