@@ -339,9 +339,10 @@ def test_c5_toy_pipeline_byte_reproducible(tmp_path):
     mismatched = [name for name in tree_a if tree_a[name] != tree_b[name]]
     assert mismatched == []
 
-    # Pinned so a change in how inputs are read, BM25 scores are summed or
-    # means are summed shows up (run files hold the repr of every score);
-    # none of these goes through numpy, so BLAS cannot move them.
+    # Pinned so a change in how inputs are read, BM25 scores are summed,
+    # means are summed or artifacts are written shows up (run files hold
+    # the repr of every score); none of these goes through numpy, so BLAS
+    # cannot move them.
     pinned = {
         "index_stats.json": "824c5bb43cc6a67f3f45f9af99f0fa4909cd9300fb6e31b8d5502f43d4737e4a",
         "runs/bm25_k09_b04.run": "8a53d4b987548321ad506333ec2768a8c6edd327d9e4449bba416ed158b3bb97",
@@ -350,6 +351,15 @@ def test_c5_toy_pipeline_byte_reproducible(tmp_path):
         "ndcg.csv": "6e3d5c6118e5ed6e27fa3700cb34d34e74bb2c8cc3d9064c61949e3d53189968",
         "tau_matrix.csv": "488588301ca48b0539f2b6d7c0762d95f8ee1dce182256c500630a5e1785a1fa",
         "system_rankings.svg": "b14c29bf9c7cc5e279820bc4c55156722585f5c57881ef1e9150c4e73f51b797",
+        "verdicts.csv": "f02f2db2a4a5143f5cd5df0975827c908d8c9544021941a6af2bfd00a3746067",
+        "features.csv": "3e03e44dd3fc51c05c7b0bfa48ccdc45a0f4c41553318b25699ee24de87c1d4b",
+        "coverage.csv": "f7ee097463d48e7cff1437e352b2912c501275ba869d1e41c3a328ae318da10f",
+        "variants.jsonl": "ea6da43feea4e4c4fa761c7a5d4b2548440cf6be801c817d5e1d2267edd7c06e",
+        "backstories.jsonl": "8fe528613ace0d51b684cbf0ae7b8c89b779b8b8b7c8b3651adade7d8c8f7b8a",
+        "llm_qrels.txt": "9c2c752898b6081c9a4a425980e118f54e949e69629a986a7cef5ecd80fb090d",
+        "llm_raw.jsonl": "8ed6312be1531145493fa11b1a1b6d50497cc4f64772f686683f2f0fbd96bc8a",
+        "merged_qrels.txt": "de75d3b43737848dec5fc02eca69a07ee3ab70f860815549fb225752aff1acd3",
+        "genlog.jsonl": "8b152775fc2e8c1cda34cfb104b24a58916fe49ce4b4c933f7f23d1bf57375cb",
     }
     for name, digest in pinned.items():
         assert hashlib.sha256(tree_a[name]).hexdigest() == digest, name
