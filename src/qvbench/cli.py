@@ -30,21 +30,15 @@ from .core import (
     read_annotations,
     read_variants,
     variant_query_id,
+    write_csv,
     write_qrels,
     write_topics,
     write_trec_run,
     write_variants,
 )
-from .evalstats import (
-    AGREEMENT_CLASSES,
-    EffectivenessMatrix,
-    agreement_from_verdicts,
-    anova,
-    kendall_tau,
-    marginal_means,
-    ndcg_at_k,
-    system_verdicts,
-)
+from .evalstats.agreement import AGREEMENT_CLASSES, agreement_from_verdicts, system_verdicts
+from .evalstats.anova import EffectivenessMatrix, anova, marginal_means
+from .evalstats.metrics import kendall_tau, ndcg_at_k
 from .genkit import (
     GenerationError,
     HttpProvider,
@@ -55,16 +49,16 @@ from .genkit import (
     generate_sweep,
     load_profiles,
 )
-from .judge import LabelStore, coverage, label_topk, merge_qrels, write_coverage_csv
+from .judge import CoverageReport, LabelStore, coverage, label_topk, merge_qrels
 from .retrieval import Bm25Params, build_index, run_queries
-from .textkit import variant_features, write_feature_csv
+from .textkit import VariantFeatureRecord, variant_features
 from .validate import (
+    ConsensusReport,
+    ValidationVerdict,
     alignment_accuracy,
     load_dictionary,
     similarity_accuracy,
     validate_variants,
-    write_consensus_csv,
-    write_verdicts_csv,
 )
 
 SEED_PROFILE = "seed"
@@ -84,19 +78,6 @@ _MERGE_ALIASES = {
     "llm-only": "llm-only",
     "human-preferred": "human-preferred",
 }
-
-COMMANDS = (
-    "generate",
-    "validate",
-    "index",
-    "search",
-    "import-runs",
-    "judge",
-    "evaluate",
-    "analyze",
-    "report",
-)
-
 
 class ImbalanceError(Exception):
     """Effectiveness matrix cannot enter the balanced analysis."""
@@ -320,7 +301,11 @@ def cmd_validate(config: PipelineConfig) -> None:
     config.out.mkdir(parents=True, exist_ok=True)
 
     verdicts = validate_variants(topics, variants, profiles, dictionary)
-    write_verdicts_csv(verdicts, config.out / "verdicts.csv")
+    write_csv(
+        config.out / "verdicts.csv",
+        [f.name for f in dataclasses.fields(ValidationVerdict)],
+        map(dataclasses.astuple, verdicts),
+    )
     n_valid = sum(1 for v in verdicts if v.valid)
     print(f"verdicts: {n_valid}/{len(verdicts)} valid")
 
@@ -329,7 +314,11 @@ def cmd_validate(config: PipelineConfig) -> None:
         variant_features(v.topic_id, v.profile_id, v.index, seed_text[v.topic_id], v.text)
         for v in variants
     ]
-    write_feature_csv(features, config.out / "features.csv")
+    write_csv(
+        config.out / "features.csv",
+        [f.name for f in dataclasses.fields(VariantFeatureRecord)],
+        map(dataclasses.astuple, features),
+    )
     print(f"features: {len(features)} rows")
 
     if config.annotations is None or not Path(config.annotations).exists():
@@ -351,8 +340,9 @@ def cmd_validate(config: PipelineConfig) -> None:
             )
             if report.n_pairs:
                 alignment_rows.append(report)
-    write_consensus_csv(similarity_rows, config.out / "consensus_similarity.csv")
-    write_consensus_csv(alignment_rows, config.out / "consensus_alignment.csv")
+    header = [f.name for f in dataclasses.fields(ConsensusReport)]
+    for task, reports in (("similarity", similarity_rows), ("alignment", alignment_rows)):
+        write_csv(config.out / f"consensus_{task}.csv", header, map(dataclasses.astuple, reports))
     print(f"consensus: {len(similarity_rows)} similarity rows, {len(alignment_rows)} alignment rows")
 
 
@@ -465,7 +455,11 @@ def cmd_evaluate(config: PipelineConfig) -> None:
     runs = _read_all_runs(config)
 
     reports = coverage(runs, merged, k=config.k)
-    write_coverage_csv(reports, config.out / "coverage.csv")
+    write_csv(
+        config.out / "coverage.csv",
+        [f.name for f in dataclasses.fields(CoverageReport)],
+        map(dataclasses.astuple, reports),
+    )
 
     grades = {}
     for q in merged:
@@ -504,11 +498,8 @@ def cmd_evaluate(config: PipelineConfig) -> None:
         print(f"warning: {len(unscored)} (system, query) pairs missing from runs scored 0.0 ({shown} ...)")
 
     rows.sort()
-    with open(config.out / "ndcg.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["topic_id", "system_id", "profile_id", "variant_index", "ndcg"])
-        for topic_id, system_id, profile_id, index, value in rows:
-            writer.writerow([topic_id, system_id, profile_id, index, repr(value)])
+    header = ["topic_id", "system_id", "profile_id", "variant_index", "ndcg"]
+    write_csv(config.out / "ndcg.csv", header, rows)
     print(f"ndcg: {len(rows)} rows over {len(systems)} systems")
 
 
@@ -545,21 +536,14 @@ def cmd_analyze(config: PipelineConfig) -> None:
     matrix = _read_matrix(config)
 
     table = anova(matrix, ("topic", "system", "profile"), with_interactions=True)
-    with open(config.out / "anova.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["source", "ss", "df", "ms", "f", "p", "omega_sq_p"])
-        for row in table.all_rows():
-            writer.writerow(
-                [
-                    row.source,
-                    repr(row.ss),
-                    row.df,
-                    repr(row.ms),
-                    "" if row.f is None else repr(row.f),
-                    "" if row.p is None else repr(row.p),
-                    "" if row.omega_sq_partial is None else repr(row.omega_sq_partial),
-                ]
-            )
+    write_csv(
+        config.out / "anova.csv",
+        ["source", "ss", "df", "ms", "f", "p", "omega_sq_p"],
+        (
+            (row.source, row.ss, row.df, row.ms, row.f, row.p, row.omega_sq_partial)
+            for row in table.all_rows()
+        ),
+    )
 
     profiles = matrix.profiles
     verdicts = {}
@@ -569,55 +553,45 @@ def cmd_analyze(config: PipelineConfig) -> None:
             matrix, profile, alpha=config.alpha
         )
 
-    with open(config.out / "tau_matrix.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["profile"] + profiles)
-        for a in profiles:
-            row = [a]
-            for b in profiles:
-                tau = 1.0 if a == b else kendall_tau(tukeys[a].means, tukeys[b].means)
-                row.append(repr(tau))
-            writer.writerow(row)
+    tau_rows = [
+        [a] + [1.0 if a == b else kendall_tau(tukeys[a].means, tukeys[b].means) for b in profiles]
+        for a in profiles
+    ]
+    write_csv(config.out / "tau_matrix.csv", ["profile"] + profiles, tau_rows)
 
-    with open(config.out / "agreement.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["profile_a", "profile_b", "total_pairs"]
-            + list(AGREEMENT_CLASSES)
-            + [f"frac_{cls}" for cls in AGREEMENT_CLASSES]
-        )
-        for i, a in enumerate(profiles):
-            for b in profiles[i:]:
-                rep = agreement_from_verdicts(a, b, verdicts[a], verdicts[b])
-                writer.writerow(
-                    [a, b, rep.total_pairs]
-                    + [rep.counts[cls] for cls in AGREEMENT_CLASSES]
-                    + [repr(float(rep.fractions[cls])) for cls in AGREEMENT_CLASSES]
-                )
+    agreement_rows = []
+    for i, a in enumerate(profiles):
+        for b in profiles[i:]:
+            rep = agreement_from_verdicts(a, b, verdicts[a], verdicts[b])
+            agreement_rows.append(
+                [a, b, rep.total_pairs]
+                + [rep.counts[cls] for cls in AGREEMENT_CLASSES]
+                + [float(rep.fractions[cls]) for cls in AGREEMENT_CLASSES]
+            )
+    write_csv(
+        config.out / "agreement.csv",
+        ["profile_a", "profile_b", "total_pairs"]
+        + list(AGREEMENT_CLASSES)
+        + [f"frac_{cls}" for cls in AGREEMENT_CLASSES],
+        agreement_rows,
+    )
 
     means, _ = marginal_means(matrix, table, axis="profile", alpha=config.alpha)
-    with open(config.out / "marginal_means.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["profile", "mean", "ci_low", "ci_high"])
-        for m in means:
-            writer.writerow([m.level, repr(m.mean), repr(m.ci_low), repr(m.ci_high)])
+    write_csv(
+        config.out / "marginal_means.csv",
+        ["profile", "mean", "ci_low", "ci_high"],
+        ((m.level, m.mean, m.ci_low, m.ci_high) for m in means),
+    )
 
-    with open(config.out / "tukey_pairs.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["profile", "system_a", "system_b", "diff", "hsd", "significant"])
-        for profile in profiles:
-            tukey = tukeys[profile]
-            for pair in tukey.pairs:
-                writer.writerow(
-                    [
-                        profile,
-                        pair.group_a,
-                        pair.group_b,
-                        repr(pair.diff),
-                        repr(tukey.hsd),
-                        str(pair.significant).lower(),
-                    ]
-                )
+    write_csv(
+        config.out / "tukey_pairs.csv",
+        ["profile", "system_a", "system_b", "diff", "hsd", "significant"],
+        (
+            (profile, pair.group_a, pair.group_b, pair.diff, tukeys[profile].hsd, pair.significant)
+            for profile in profiles
+            for pair in tukeys[profile].pairs
+        ),
+    )
 
     print(
         f"analysis over {len(profiles)} profiles, {len(matrix.systems)} systems, "
@@ -748,7 +722,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Query-variant generation, validation, and evaluation pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
+    for name in _DISPATCH:
         sub.add_parser(name, parents=[common])
     return parser
 

@@ -2,17 +2,19 @@
 
 Flat value objects plus parsers/writers for the on-disk formats: topics
 as TSV or JSONL, runs and qrels as TREC plain text, variants and
-annotations as JSONL. All ingested text is normalized to Unicode NFC so
-downstream equality checks are stable.
+annotations as JSONL, and every result table as CSV through `write_csv`.
+All ingested text is normalized to Unicode NFC so downstream equality
+checks are stable.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass, fields
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 PROFILE_METHODS = ("persona", "group", "textual", "neutral")
 QREL_SOURCES = ("human", "llm")
@@ -265,13 +267,15 @@ def parse_topics(path) -> list[Topic]:
     return _read_id_text(path, Topic, "topic_id", "seed_query", optional=("backstory",))
 
 
+def _topic_dict(t: Topic) -> dict:
+    obj = {"topic_id": t.topic_id, "seed_query": t.seed_query}
+    if t.backstory is not None:
+        obj["backstory"] = t.backstory
+    return obj
+
+
 def write_topics(topics: Iterable[Topic], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in topics:
-            obj = {"topic_id": t.topic_id, "seed_query": t.seed_query}
-            if t.backstory is not None:
-                obj["backstory"] = t.backstory
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    write_jsonl(map(_topic_dict, topics), path)
 
 
 def parse_trec_run(path) -> list[RunRecord]:
@@ -397,15 +401,13 @@ def read_variants(path) -> list[QueryVariant]:
 
 
 def write_variants(variants: Iterable[QueryVariant], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in variants:
-            obj = {
-                "topic_id": v.topic_id,
-                "profile_id": v.profile_id,
-                "index": v.index,
-                "text": v.text,
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    write_jsonl(
+        (
+            {"topic_id": v.topic_id, "profile_id": v.profile_id, "index": v.index, "text": v.text}
+            for v in variants
+        ),
+        path,
+    )
 
 
 def _annotation(obj: dict) -> AnnotationRecord:
@@ -430,23 +432,6 @@ def read_annotations(path) -> list[AnnotationRecord]:
     )
 
 
-def write_annotations(records: Iterable[AnnotationRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for r in records:
-            obj = {
-                "pair_id": r.pair_id,
-                "annotator_id": r.annotator_id,
-                "task": r.task,
-                "seed_query": r.seed_query,
-                "variant": r.variant,
-                "answer": r.answer,
-                "is_gold": r.is_gold,
-            }
-            if r.gold_answer is not None:
-                obj["gold_answer"] = r.gold_answer
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
-
-
 def read_jsonl(path, required=()) -> list[dict]:
     return _read_records(path, dict, required)
 
@@ -455,6 +440,32 @@ def write_jsonl(objects: Iterable[dict], path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for obj in objects:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+
+
+def _csv_cell(value) -> str:
+    if value is None:
+        return ""
+    # numpy.bool_ is not a bool subclass; its type is named bool_ (numpy 1)
+    # or bool (numpy 2). Checked by name so this module never loads numpy.
+    if isinstance(value, bool) or type(value).__name__ in ("bool", "bool_"):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        # float() first: numpy 2 spells repr(np.float64(x)) "np.float64(x)".
+        return repr(float(value))
+    return str(value)
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """A UTF-8 CSV table in the default csv dialect (CRLF line ends).
+
+    Cells: None is empty, a bool is `true`/`false`, a float its repr
+    (shortest round-trip digits), anything else its str.
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_csv_cell(value) for value in row])
 
 
 def expected_variant_count(num_seeds: int, num_profiles: int, per_pair: int = 3) -> int:

@@ -128,15 +128,6 @@ def t_quantile(p: float, df: float) -> float:
 
 
 _SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def norm_pdf(x: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-
-
-def norm_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
 
 
 def norm_sf(x: float) -> float:

@@ -16,7 +16,6 @@ binarizing, Krippendorff's ordinal alpha on the full scale.
 
 from __future__ import annotations
 
-import csv
 import re
 import threading
 from dataclasses import dataclass
@@ -56,8 +55,6 @@ __all__ = [
     "agreement_report",
     "paired_grades",
     "merge_qrels",
-    "write_coverage_csv",
-    "write_agreement_csv",
 ]
 
 GRADES = (0, 1, 2, 3)
@@ -441,29 +438,3 @@ def merge_qrels(
         )
     return sorted(merged, key=lambda q: (q.query_id, q.passage_id))
 
-
-def write_coverage_csv(reports: Iterable[CoverageReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["system_id", "profile_id", "k", "judged", "total", "missing_fraction"]
-        )
-        for r in reports:
-            writer.writerow(
-                [r.system_id, r.profile_id, r.k, r.judged, r.total, repr(r.missing_fraction)]
-            )
-
-
-def write_agreement_csv(report: AgreementReport, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "mae_binary", "kappa_binary", "mae_graded", "alpha_graded"])
-        writer.writerow(
-            [
-                report.n,
-                repr(report.mae_binary),
-                repr(report.kappa_binary),
-                repr(report.mae_graded),
-                repr(report.alpha_graded),
-            ]
-        )

@@ -9,12 +9,11 @@ than comparable to external calculators.
 
 from __future__ import annotations
 
-import csv
 import re
 import unicodedata
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .porter import porter_stem
 
@@ -27,7 +26,6 @@ __all__ = [
     "count_syllables",
     "flesch_kincaid_grade",
     "VariantFeatureRecord",
-    "write_feature_csv",
 ]
 
 
@@ -130,30 +128,3 @@ def variant_features(
         lexical_diversity=lexical_diversity([variant_text]),
     )
 
-
-def write_feature_csv(records: Iterable[VariantFeatureRecord], path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "topic_id",
-                "profile_id",
-                "index",
-                "jaccard",
-                "length_words",
-                "fk_grade",
-                "lexical_diversity",
-            ]
-        )
-        for rec in records:
-            writer.writerow(
-                [
-                    rec.topic_id,
-                    rec.profile_id,
-                    rec.index,
-                    repr(rec.jaccard),
-                    rec.length_words,
-                    repr(rec.fk_grade),
-                    repr(rec.lexical_diversity),
-                ]
-            )

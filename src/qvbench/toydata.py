@@ -329,10 +329,3 @@ def write_toy_workspace(
     config_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return config_path
 
-
-def dictionary_gaps(dictionary: frozenset) -> list[str]:
-    """Toy-vocabulary words absent from a spelling dictionary."""
-    used = set(_FILLER)
-    for query in SEED_QUERIES:
-        used.update(tokenize(query))
-    return sorted(w for w in used if w not in dictionary)

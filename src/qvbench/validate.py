@@ -13,9 +13,6 @@ accuracy per profile for the similarity and alignment tasks.
 
 from __future__ import annotations
 
-import csv
-import math
-import random
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -41,12 +38,8 @@ __all__ = [
     "validate_misspelling",
     "validate_variants",
     "filter_by_gold",
-    "incomplete_pairs",
     "similarity_accuracy",
     "alignment_accuracy",
-    "sample_for_annotation",
-    "write_verdicts_csv",
-    "write_consensus_csv",
     "SIMILARITY_ANSWERS",
     "EQUALLY_LIKELY",
 ]
@@ -260,21 +253,6 @@ def _scored_pairs(
     return {p: r for p, r in grouped.items() if len(r) == 2}
 
 
-def incomplete_pairs(
-    annotations: Sequence[AnnotationRecord], task: str
-) -> list[str]:
-    """Pairs left with fewer than two kept annotators, sorted by pair id."""
-    kept, _ = filter_by_gold(annotations)
-    counts: dict[str, int] = {}
-    for record in annotations:
-        if record.task != task or record.is_gold:
-            continue
-        counts.setdefault(record.pair_id, 0)
-        if record.annotator_id in kept:
-            counts[record.pair_id] += 1
-    return sorted(p for p, n in counts.items() if n < 2)
-
-
 def _profile_of_pair(pair_id: str) -> Optional[str]:
     parsed = parse_variant_query_id(pair_id)
     return parsed[1] if parsed else None
@@ -356,42 +334,3 @@ def alignment_accuracy(
     accuracy = n_correct / n_pairs if n_pairs else 0.0
     return ConsensusReport("alignment", profile_id, n_pairs, n_correct, accuracy, n_disagree)
 
-
-def sample_for_annotation(
-    variants: Sequence[QueryVariant], fraction: float = 0.10, seed: int = 0
-) -> list[QueryVariant]:
-    """Per-profile uniform sample without replacement, round-half-up sizes."""
-    if not 0 < fraction <= 1:
-        raise ValidationError(f"fraction {fraction} outside (0, 1]")
-    by_profile: dict[str, list[QueryVariant]] = {}
-    for v in variants:
-        by_profile.setdefault(v.profile_id, []).append(v)
-    rng = random.Random(seed)
-    sampled: list[QueryVariant] = []
-    for profile_id in sorted(by_profile):
-        group = sorted(by_profile[profile_id], key=lambda v: (v.topic_id, v.index))
-        size = int(math.floor(len(group) * fraction + 0.5))
-        sampled.extend(rng.sample(group, size))
-    return sampled
-
-
-def write_verdicts_csv(verdicts: Iterable[ValidationVerdict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["topic_id", "profile_id", "index", "check", "valid", "detail"])
-        for v in verdicts:
-            writer.writerow(
-                [v.topic_id, v.profile_id, v.index, v.check, str(v.valid).lower(), v.detail]
-            )
-
-
-def write_consensus_csv(reports: Iterable[ConsensusReport], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["task", "profile_id", "n_pairs", "n_agree_correct", "accuracy", "n_disagreements"]
-        )
-        for r in reports:
-            writer.writerow(
-                [r.task, r.profile_id, r.n_pairs, r.n_agree_correct, repr(r.accuracy), r.n_disagreements]
-            )

@@ -30,16 +30,11 @@ from test_metrics import (
 
 from qvbench.cli import main
 from qvbench.core import parse_qrels
-from qvbench.evalstats import (
-    anova,
-    kendall_tau,
-    mann_whitney_u,
-    ndcg_at_k,
-    studentized_range_quantile,
-    system_verdicts,
-)
-from qvbench.evalstats.anova import EffectivenessMatrix
+from qvbench.evalstats.agreement import system_verdicts
+from qvbench.evalstats.anova import EffectivenessMatrix, anova
+from qvbench.evalstats.metrics import kendall_tau, mann_whitney_u, ndcg_at_k
 from qvbench.evalstats.special import t_quantile
+from qvbench.evalstats.tukey import studentized_range_quantile
 from qvbench.genkit import MockProvider, generate_sweep, load_profiles
 from qvbench.judge import agreement_report, cohen_kappa, krippendorff_alpha, mae, paired_grades
 from qvbench.textkit import jaccard, stemmed_set

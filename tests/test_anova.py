@@ -2,6 +2,7 @@
 
 import math
 import random
+import types
 
 import mpmath
 import pytest
@@ -15,6 +16,13 @@ from qvbench.evalstats.anova import (
 )
 
 mpmath.mp.dps = 30
+
+
+def test_submodule_import_binds_the_module():
+    import qvbench.evalstats.anova as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.anova is anova
 
 
 def mp_f_sf(f, d1, d2):

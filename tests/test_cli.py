@@ -175,15 +175,16 @@ class TestValidateStage:
         assert "skipped (no annotations" in capsys.readouterr().out
 
     def test_consensus_written_with_annotations(self, workspace, tmp_path, capsys):
-        from qvbench.core import AnnotationRecord, write_annotations
+        from qvbench.core import write_jsonl
 
         pair = "t01__persona_emily__1"
         records = [
-            AnnotationRecord(pair, "a1", "similarity", "q", "v", "similar"),
-            AnnotationRecord(pair, "a2", "similarity", "q", "v", "similar"),
+            {"pair_id": pair, "annotator_id": a, "task": "similarity", "seed_query": "q",
+             "variant": "v", "answer": "similar"}
+            for a in ("a1", "a2")
         ]
         path = tmp_path / "ann.jsonl"
-        write_annotations(records, path)
+        write_jsonl(records, path)
         assert main(["validate", "--config", str(workspace), "--annotations", str(path)]) == 0
         assert "1 similarity rows" in capsys.readouterr().out
         rows = read_csv(out_dir(workspace) / "consensus_similarity.csv")
@@ -191,15 +192,16 @@ class TestValidateStage:
         assert rows[0]["accuracy"] == "1.0"
 
     def test_unknown_alignment_answer_rejected(self, workspace, tmp_path, capsys):
-        from qvbench.core import AnnotationRecord, write_annotations
+        from qvbench.core import write_jsonl
 
         pair = "t01__persona_emily__1"
         records = [
-            AnnotationRecord(pair, "a1", "alignment", "q", "v", "persona_emily"),
-            AnnotationRecord(pair, "a2", "alignment", "q", "v", "not_a_profile"),
+            {"pair_id": pair, "annotator_id": a, "task": "alignment", "seed_query": "q",
+             "variant": "v", "answer": answer}
+            for a, answer in (("a1", "persona_emily"), ("a2", "not_a_profile"))
         ]
         path = tmp_path / "ann.jsonl"
-        write_annotations(records, path)
+        write_jsonl(records, path)
         assert main(["validate", "--config", str(workspace), "--annotations", str(path)]) == 2
         assert "unknown alignment answer" in capsys.readouterr().err
 
@@ -326,12 +328,9 @@ class TestAnalyzeStage:
             assert row["significant"] == str(expect).lower()
 
     def test_three_way_anova_computed_once(self, workspace, tmp_path, monkeypatch):
-        import importlib
-
         import qvbench.cli as cli
+        import qvbench.evalstats.anova as anova_module
 
-        # The package re-exports the function under the submodule's name.
-        anova_module = importlib.import_module("qvbench.evalstats.anova")
         real = anova_module.anova
         three_way = []
 

@@ -1,5 +1,9 @@
-"""Domain types, parsers, and round-trips."""
+"""Domain types, parsers, writers, and round-trips."""
 
+import csv
+import dataclasses
+
+import numpy as np
 import pytest
 
 from qvbench.core import (
@@ -25,12 +29,16 @@ from qvbench.core import (
     topic_of_query_id,
     variant_query_id,
     verify_complete,
-    write_annotations,
+    write_csv,
+    write_jsonl,
     write_qrels,
     write_topics,
     write_trec_run,
     write_variants,
 )
+from qvbench.judge import AgreementReport, CoverageReport
+from qvbench.textkit import VariantFeatureRecord
+from qvbench.validate import ConsensusReport, ValidationVerdict
 
 
 def test_parse_topics_tsv(tmp_path):
@@ -352,7 +360,7 @@ def test_annotations_roundtrip(tmp_path):
         ),
     ]
     p = tmp_path / "annotations.jsonl"
-    write_annotations(records, p)
+    write_jsonl(map(dataclasses.asdict, records), p)
     assert read_annotations(p) == records
 
 
@@ -373,3 +381,72 @@ def test_parse_passages_duplicate(tmp_path):
     p.write_text("p1\ta\np1\tb\n", encoding="utf-8")
     with pytest.raises(ValidationError, match="duplicate"):
         parse_passages(p)
+
+
+# One case per record type the pipeline writes as a CSV table; the
+# header is the dataclass's field names, in order.
+@pytest.mark.parametrize(
+    "records, header, rows",
+    [
+        pytest.param(
+            [
+                ValidationVerdict("t1", "o", 1, "order", True),
+                ValidationVerdict("t1", "o", 2, "order", False, "token multisets differ"),
+            ],
+            "topic_id,profile_id,index,check,valid,detail",
+            [
+                ["t1", "o", "1", "order", "true", ""],
+                ["t1", "o", "2", "order", "false", "token multisets differ"],
+            ],
+            id="verdicts",
+        ),
+        pytest.param(
+            [ConsensusReport("alignment", "p", 8, 6, 0.75, 2)],
+            "task,profile_id,n_pairs,n_agree_correct,accuracy,n_disagreements",
+            [["alignment", "p", "8", "6", "0.75", "2"]],
+            id="consensus",
+        ),
+        pytest.param(
+            [VariantFeatureRecord("2001", "child", 1, 0.5, 3, -3.4, 1.0)],
+            "topic_id,profile_id,index,jaccard,length_words,fk_grade,lexical_diversity",
+            [["2001", "child", "1", "0.5", "3", "-3.4", "1.0"]],
+            id="features",
+        ),
+        pytest.param(
+            [CoverageReport("s", "p", 10, 7, 10, 1 - 7 / 10)],
+            "system_id,profile_id,k,judged,total,missing_fraction",
+            [["s", "p", "10", "7", "10", "0.30000000000000004"]],
+            id="coverage",
+        ),
+        pytest.param(
+            [AgreementReport(4, 0.25, 0.5, 0.75, 0.6)],
+            "n,mae_binary,kappa_binary,mae_graded,alpha_graded",
+            [["4", "0.25", "0.5", "0.75", "0.6"]],
+            id="agreement",
+        ),
+    ],
+)
+def test_write_csv_dataclass_rows(tmp_path, records, header, rows):
+    path = tmp_path / "table.csv"
+    fields = [f.name for f in dataclasses.fields(records[0])]
+    write_csv(path, fields, map(dataclasses.astuple, records))
+    text = path.read_bytes().decode("utf-8")
+    assert text.split("\r\n")[0] == header
+    with open(path, encoding="utf-8", newline="") as fh:
+        assert list(csv.reader(fh))[1:] == rows
+
+
+def test_write_csv_cells_and_bytes(tmp_path):
+    path = tmp_path / "cells.csv"
+    write_csv(
+        path,
+        ["a", "b"],
+        [
+            (None, True),
+            (np.bool_(False), np.float64(0.1) + np.float64(0.2)),
+            (7, 'say "hi", ünï'),
+        ],
+    )
+    assert path.read_bytes() == (
+        'a,b\r\n,true\r\nfalse,0.30000000000000004\r\n7,"say ""hi"", ünï"\r\n'
+    ).encode("utf-8")

@@ -24,8 +24,6 @@ from qvbench.judge import (
     mae,
     merge_qrels,
     paired_grades,
-    write_agreement_csv,
-    write_coverage_csv,
 )
 
 TOPIC = Topic("t1", "asthma symptoms in children", backstory="You worry about a wheezing child.")
@@ -436,18 +434,6 @@ class TestAgreementReport:
             AgreementReport(4, -0.1, 0.0, 0.0, 0.0)
         with pytest.raises(ValidationError):
             AgreementReport(4, 0.0, 1.2, 0.0, 0.0)
-
-    def test_csv_writers(self, tmp_path):
-        report = agreement_report([(0, 1), (2, 2), (3, 0), (1, 1)])
-        agreement_path = tmp_path / "agreement.csv"
-        write_agreement_csv(report, agreement_path)
-        lines = agreement_path.read_text().strip().splitlines()
-        assert lines[0] == "n,mae_binary,kappa_binary,mae_graded,alpha_graded"
-        assert lines[1].startswith("4,")
-        coverage_path = tmp_path / "coverage.csv"
-        write_coverage_csv([CoverageReport("s", "p", 10, 7, 10, 1 - 7 / 10)], coverage_path)
-        rows = coverage_path.read_text().strip().splitlines()
-        assert rows[1].startswith("s,p,10,7,10,")
 
 
 class TestMergePolicies:

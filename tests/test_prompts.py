@@ -1,8 +1,10 @@
 """Prompt bytes pinned by digest, and the public names each module exports."""
 
+import ast
 import hashlib
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -76,3 +78,60 @@ EXPORTING = sorted(
 def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
+
+
+# Public names that nothing else in the package reaches yet: the README
+# entry point, the version, and library API the paper's analysis still
+# has to wire into a stage (completeness check, feature comparison,
+# effect-size labels, human-vs-LLM label agreement).
+UNREFERENCED_ALLOWED = {
+    "__version__",
+    "write_toy_workspace",
+    "expected_variant_count",
+    "verify_complete",
+    "mann_whitney_u",
+    "classify_omega",
+    "agreement_report",
+    "paired_grades",
+}
+
+
+def _top_level_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = node.targets if isinstance(node, ast.Assign) else []
+    if isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    return [t.id for t in targets if isinstance(t, ast.Name)]
+
+
+def test_no_public_name_only_tests_reach():
+    """Every public top-level name of `src/qvbench` is referenced by other code there.
+
+    A reference is a name or attribute use outside the definition
+    itself; imports and `__all__` lists do not count, so a name kept
+    alive only by tests or re-exports shows up here.
+    """
+    defined = set()
+    used = set()  # (name, module, top-level name the use sits in)
+    for path in sorted(Path(qvbench.__file__).parent.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _top_level_names(node)
+            if names == ["__all__"]:
+                continue
+            for name in names:
+                if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
+                    defined.add((name, path))
+            owner = names[0] if len(names) == 1 else None
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+                    used.add((sub.id, path, owner))
+                elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                    used.add((sub.attr, path, owner))
+    unreferenced = sorted(
+        name
+        for name, path in defined
+        if not any(u == name and (p, owner) != (path, name) for u, p, owner in used)
+    )
+    assert [n for n in unreferenced if n not in UNREFERENCED_ALLOWED] == []
+    assert sorted(UNREFERENCED_ALLOWED - set(unreferenced)) == []

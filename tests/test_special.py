@@ -9,8 +9,6 @@ import pytest
 from qvbench.evalstats.special import (
     betainc_regularized,
     f_sf,
-    norm_cdf,
-    norm_pdf,
     t_cdf,
     t_quantile,
     t_sf,
@@ -100,9 +98,3 @@ def test_t_quantile_roundtrip():
 def test_t_quantile_negative_branch():
     assert t_quantile(0.025, 10) == pytest.approx(-t_quantile(0.975, 10), abs=1e-12)
     assert t_quantile(0.5, 10) == 0.0
-
-
-def test_norm_functions():
-    assert norm_cdf(0.0) == 0.5
-    assert norm_cdf(1.959963984540054) == pytest.approx(0.975, abs=1e-12)
-    assert norm_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-15)

@@ -15,9 +15,9 @@ from qvbench.textkit import tokenize
 from qvbench.toydata import (
     FIXTURE_SYSTEMS,
     SEED_QUERIES,
+    _FILLER,
     all_query_ids,
     content_words,
-    dictionary_gaps,
     fixture_run_records,
     toy_passages,
     toy_qrels,
@@ -58,7 +58,11 @@ class TestTopics:
             ), topic
 
     def test_vocabulary_inside_dictionary(self):
-        assert dictionary_gaps(load_dictionary()) == []
+        used = set(_FILLER)
+        for query in SEED_QUERIES:
+            used.update(tokenize(query))
+        dictionary = load_dictionary()
+        assert sorted(w for w in used if w not in dictionary) == []
 
     def test_content_words_drop_stopwords(self):
         words = content_words("asthma symptoms in young children")

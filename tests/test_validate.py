@@ -1,6 +1,5 @@
 """Transformation validators, spell correction, and annotation scoring."""
 
-import csv
 import random
 from functools import lru_cache
 
@@ -12,17 +11,13 @@ from qvbench.validate import (
     ValidationVerdict,
     alignment_accuracy,
     filter_by_gold,
-    incomplete_pairs,
     load_dictionary,
     osa_distance,
-    sample_for_annotation,
     similarity_accuracy,
     spell_correct,
     validate_misspelling,
     validate_order,
     validate_variants,
-    write_consensus_csv,
-    write_verdicts_csv,
 )
 
 
@@ -260,15 +255,6 @@ class TestGoldFiltering:
         assert kept2 == kept
         assert rejected2 == frozenset()
 
-    def test_incomplete_pairs_reported(self):
-        records = [
-            ann("g1", "a1", "similar", gold="dissimilar"),
-            ann("t1__p__1", "a1", "similar"),
-            ann("t1__p__1", "a2", "similar"),
-            ann("t1__p__2", "a2", "similar"),
-            ann("g1", "a2", "similar", gold="similar"),
-        ]
-        assert incomplete_pairs(records, "similarity") == ["t1__p__1", "t1__p__2"]
 
 
 class TestSimilarityAccuracy:
@@ -378,56 +364,6 @@ class TestAlignmentAccuracy:
             alignment_accuracy([], "emily", "typo")
 
 
-class TestSampling:
-    @staticmethod
-    def build_variants(n_topics, profile_ids):
-        variants = []
-        for t in range(1, n_topics + 1):
-            for p in profile_ids:
-                for i in range(1, 4):
-                    variants.append(QueryVariant(f"t{t}", p, i, f"q {t} {p} {i}"))
-        return variants
-
-    def test_ten_percent_of_six_persona_profiles(self):
-        profile_ids = [f"persona_{c}" for c in "abcdef"]
-        variants = self.build_variants(53, profile_ids)
-        assert len(variants) == 954
-        sample = sample_for_annotation(variants, fraction=0.10, seed=7)
-        counts = {}
-        for v in sample:
-            counts[v.profile_id] = counts.get(v.profile_id, 0) + 1
-        assert counts == {p: 16 for p in profile_ids}
-
-    def test_full_fraction_returns_everything(self):
-        variants = self.build_variants(3, ["p1", "p2"])
-        sample = sample_for_annotation(variants, fraction=1.0, seed=1)
-        assert set(sample) == set(variants)
-        assert len(sample) == len(variants)
-
-    def test_same_seed_reproduces_sample(self):
-        variants = self.build_variants(10, ["p1", "p2", "p3"])
-        first = sample_for_annotation(variants, fraction=0.3, seed=42)
-        second = sample_for_annotation(variants, fraction=0.3, seed=42)
-        assert first == second
-
-    def test_different_seed_changes_sample(self):
-        variants = self.build_variants(20, ["p1"])
-        a = sample_for_annotation(variants, fraction=0.25, seed=1)
-        b = sample_for_annotation(variants, fraction=0.25, seed=2)
-        assert set(a) != set(b)
-
-    def test_rounding_is_half_up(self):
-        variants = self.build_variants(5, ["p1"])  # 15 variants, 0.1 -> 1.5 -> 2
-        sample = sample_for_annotation(variants, fraction=0.10, seed=3)
-        assert len(sample) == 2
-
-    def test_fraction_bounds(self):
-        variants = self.build_variants(1, ["p1"])
-        for bad in (0.0, -0.1, 1.5):
-            with pytest.raises(ValidationError):
-                sample_for_annotation(variants, fraction=bad, seed=0)
-
-
 class TestReportsAndCsv:
     def test_consensus_report_invariant(self):
         ConsensusReport("similarity", "p", 4, 3, 0.75, 1)
@@ -435,23 +371,3 @@ class TestReportsAndCsv:
             ConsensusReport("similarity", "p", 4, 3, 0.9, 1)
         with pytest.raises(ValidationError):
             ConsensusReport("similarity", "p", 4, 5, 1.25, 0)
-
-    def test_verdict_csv(self, tmp_path):
-        path = tmp_path / "verdicts.csv"
-        write_verdicts_csv(
-            [
-                ValidationVerdict("t1", "o", 1, "order", True),
-                ValidationVerdict("t1", "o", 2, "order", False, "token multisets differ"),
-            ],
-            path,
-        )
-        rows = list(csv.reader(path.open()))
-        assert rows[0] == ["topic_id", "profile_id", "index", "check", "valid", "detail"]
-        assert rows[1][4] == "true" and rows[2][4] == "false"
-        assert rows[2][5] == "token multisets differ"
-
-    def test_consensus_csv(self, tmp_path):
-        path = tmp_path / "consensus.csv"
-        write_consensus_csv([ConsensusReport("alignment", "p", 8, 6, 0.75, 2)], path)
-        rows = list(csv.reader(path.open()))
-        assert rows[1] == ["alignment", "p", "8", "6", "0.75", "2"]
