@@ -445,13 +445,12 @@ def write_jsonl(objects: Iterable[dict], path) -> None:
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    # numpy.bool_ is not a bool subclass; its type is named bool_ (numpy 1)
-    # or bool (numpy 2). Checked by name so this module never loads numpy.
-    if isinstance(value, bool) or type(value).__name__ in ("bool", "bool_"):
+    # bool, numpy.bool (numpy 2) and numpy.bool_ (numpy 1, not a bool
+    # subclass), matched by type name so this module never loads numpy.
+    if type(value).__name__ in ("bool", "bool_"):
         return "true" if value else "false"
     if isinstance(value, float):
-        # float() first: numpy 2 spells repr(np.float64(x)) "np.float64(x)".
-        return repr(float(value))
+        return repr(value)
     return str(value)
 
 

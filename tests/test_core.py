@@ -443,7 +443,7 @@ def test_write_csv_cells_and_bytes(tmp_path):
         ["a", "b"],
         [
             (None, True),
-            (np.bool_(False), np.float64(0.1) + np.float64(0.2)),
+            (np.bool_(False), 0.1 + 0.2),
             (7, 'say "hi", ünï'),
         ],
     )
