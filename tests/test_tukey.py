@@ -108,3 +108,19 @@ def test_tukey_input_validation():
         tukey_hsd({"a": 0.5, "b": 0.6}, 5, 0.01, 0)
     with pytest.raises(ValueError):
         tukey_hsd({"a": 0.5}, 5, 0.01, 10)
+
+
+# float.hex of the quantiles the toy and mid pipelines ask for, recorded
+# from the plain bisection search; a faster search must return the same
+# bits, or the hsd column of tukey_pairs.csv changes.
+PINNED_QUANTILES = {
+    (0.95, 5, 50): "0x1.001ffa3840986p+2",
+    (0.95, 19, 950): "0x1.3f3b298be30b9p+2",
+    (0.95, 5, 100): "0x1.f6e7694d79c44p+1",
+    (0.95, 19, 1900): "0x1.3ec7ac55168c5p+2",
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_QUANTILES))
+def test_quantile_bits_pinned(case):
+    assert studentized_range_quantile(*case).hex() == PINNED_QUANTILES[case]
