@@ -7,7 +7,6 @@ and the mock provider.
 """
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
@@ -28,6 +27,7 @@ from .core import (
     parse_trec_run,
     parse_variant_query_id,
     read_annotations,
+    read_csv,
     read_variants,
     variant_query_id,
     write_csv,
@@ -36,8 +36,7 @@ from .core import (
     write_trec_run,
     write_variants,
 )
-from .evalstats.agreement import AGREEMENT_CLASSES, agreement_from_verdicts, system_verdicts
-from .evalstats.anova import EffectivenessMatrix, anova, marginal_means
+from .evalstats.matrix import EffectivenessMatrix
 from .evalstats.metrics import kendall_tau, ndcg_at_k
 from .genkit import (
     GenerationError,
@@ -507,32 +506,32 @@ def _read_matrix(config: PipelineConfig) -> EffectivenessMatrix:
     path = config.out / "ndcg.csv"
     if not path.exists():
         raise ValidationError(f"{path} missing; run evaluate first")
-    cells = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            if row["profile_id"] == SEED_PROFILE:
-                continue
-            cells.append(
-                (
-                    row["topic_id"],
-                    row["system_id"],
-                    row["profile_id"],
-                    int(row["variant_index"]),
-                    float(row["ndcg"]),
-                )
-            )
+    cells = [
+        (
+            row["topic_id"],
+            row["system_id"],
+            row["profile_id"],
+            int(row["variant_index"]),
+            float(row["ndcg"]),
+        )
+        for row in read_csv(path)
+        if row["profile_id"] != SEED_PROFILE
+    ]
     if not cells:
         raise ValidationError("ndcg.csv holds no variant cells")
     try:
         matrix = EffectivenessMatrix.from_scores(cells, k=config.k)
-        matrix.to_array(("topic", "system", "profile"))
+        matrix.balanced_cells(("topic", "system", "profile"))
     except ValueError as exc:
         raise ImbalanceError(str(exc)) from exc
     return matrix
 
 
 def cmd_analyze(config: PipelineConfig) -> None:
+    # The one stage that loads numpy, so the only place these are imported.
+    from .evalstats.agreement import AGREEMENT_CLASSES, agreement_from_verdicts, system_verdicts
+    from .evalstats.anova import anova, marginal_means
+
     matrix = _read_matrix(config)
 
     table = anova(matrix, ("topic", "system", "profile"), with_interactions=True)
@@ -675,11 +674,10 @@ def cmd_report(config: PipelineConfig) -> None:
         raise ValidationError(f"{means_path} missing; run analyze first")
 
     labels, values, errors = [], [], []
-    with open(means_path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            labels.append(row["profile"])
-            values.append(float(row["mean"]))
-            errors.append((float(row["ci_low"]), float(row["ci_high"])))
+    for row in read_csv(means_path):
+        labels.append(row["profile"])
+        values.append(float(row["mean"]))
+        errors.append((float(row["ci_low"]), float(row["ci_high"])))
     svg = _svg_bar_chart("Marginal mean NDCG by profile", labels, values, errors)
     (config.out / "marginal_means.svg").write_text(svg, encoding="utf-8")
 

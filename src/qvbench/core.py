@@ -2,7 +2,8 @@
 
 Flat value objects plus parsers/writers for the on-disk formats: topics
 as TSV or JSONL, runs and qrels as TREC plain text, variants and
-annotations as JSONL, and every result table as CSV through `write_csv`.
+annotations as JSONL, and every result table as CSV through `write_csv`
+and back through `read_csv`.
 All ingested text is normalized to Unicode NFC so downstream equality
 checks are stable.
 """
@@ -465,6 +466,12 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
         writer.writerow(header)
         for row in rows:
             writer.writerow([_csv_cell(value) for value in row])
+
+
+def read_csv(path) -> list[dict]:
+    """The rows of a CSV table as dicts of header name to cell text."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def expected_variant_count(num_seeds: int, num_profiles: int, per_pair: int = 3) -> int:

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .anova import EffectivenessMatrix, anova
+from .anova import anova
+from .matrix import EffectivenessMatrix
 from .tukey import TukeyResult, tukey_hsd
 
 logger = logging.getLogger(__name__)

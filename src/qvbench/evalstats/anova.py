@@ -12,141 +12,25 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .matrix import AXES, EffectivenessMatrix
 from .special import f_sf, t_quantile
 from .tukey import TukeyResult, tukey_hsd
 
-AXES = ("topic", "system", "profile")
 
-
-class EffectivenessMatrix:
-    """NDCG@k cells keyed by (topic, system, profile, variant index)."""
-
-    def __init__(self, k: int = 10):
-        self.k = k
-        self._cells: dict[tuple[str, str, str, int], float] = {}
-
-    def set(self, topic: str, system: str, profile: str, index: int, value: float) -> None:
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"cell value {value} outside [0, 1]")
-        key = (topic, system, profile, index)
-        if key in self._cells:
-            raise ValueError(f"duplicate cell {key}")
-        self._cells[key] = value
-
-    def get(self, topic: str, system: str, profile: str, index: int) -> float:
-        return self._cells[(topic, system, profile, index)]
-
-    def __len__(self) -> int:
-        return len(self._cells)
-
-    def items(self):
-        return self._cells.items()
-
-    @classmethod
-    def from_scores(
-        cls, scores: Iterable[tuple[str, str, str, int, float]], k: int = 10
-    ) -> "EffectivenessMatrix":
-        matrix = cls(k=k)
-        for topic, system, profile, index, value in scores:
-            matrix.set(topic, system, profile, index, value)
-        return matrix
-
-    def _axis_values(self, axis: int) -> list:
-        return sorted({key[axis] for key in self._cells})
-
-    @property
-    def topics(self) -> list[str]:
-        return self._axis_values(0)
-
-    @property
-    def systems(self) -> list[str]:
-        return self._axis_values(1)
-
-    @property
-    def profiles(self) -> list[str]:
-        return self._axis_values(2)
-
-    @property
-    def indices(self) -> list[int]:
-        return self._axis_values(3)
-
-    def group_means(self, axis: str) -> tuple[dict, dict]:
-        """Mean and cell count for each level of `axis`, levels sorted.
-
-        Each level sums its cells in insertion order, so every caller
-        gets the same floats for the same matrix.
-        """
-        pos = AXES.index(axis)
-        sums: dict = {}
-        counts: dict = {}
-        for key, value in self._cells.items():
-            sums[key[pos]] = sums.get(key[pos], 0.0) + value
-            counts[key[pos]] = counts.get(key[pos], 0) + 1
-        levels = sorted(sums)
-        return {lv: sums[lv] / counts[lv] for lv in levels}, {lv: counts[lv] for lv in levels}
-
-    def subset(
-        self,
-        topics: Optional[Iterable[str]] = None,
-        systems: Optional[Iterable[str]] = None,
-        profiles: Optional[Iterable[str]] = None,
-    ) -> "EffectivenessMatrix":
-        keep_t = set(topics) if topics is not None else None
-        keep_s = set(systems) if systems is not None else None
-        keep_p = set(profiles) if profiles is not None else None
-        out = EffectivenessMatrix(k=self.k)
-        for (t, s, p, i), v in self._cells.items():
-            if keep_t is not None and t not in keep_t:
-                continue
-            if keep_s is not None and s not in keep_s:
-                continue
-            if keep_p is not None and p not in keep_p:
-                continue
-            out._cells[(t, s, p, i)] = v
-        return out
-
-    def to_array(self, factors: Sequence[str]):
-        """Dense (levels..., replicates) array for a balanced design.
-
-        Raises when a factor-level combination is missing or replicate
-        counts differ between cells.
-        """
-        factor_axes = [AXES.index(f) for f in factors]
-        levels = [self._axis_values(a) for a in factor_axes]
-        positions = [{lv: i for i, lv in enumerate(level)} for level in levels]
-        buckets: dict[tuple, list] = {}
-        for key, value in self._cells.items():
-            combo = tuple(key[a] for a in factor_axes)
-            rep_key = tuple(v for a, v in enumerate(key) if a not in factor_axes)
-            buckets.setdefault(combo, []).append((rep_key, value))
-        expected = 1
-        for level in levels:
-            expected *= len(level)
-        if len(buckets) != expected:
-            have = set(buckets)
-            for combo in np.ndindex(*[len(level) for level in levels]):
-                cell = tuple(levels[i][combo[i]] for i in range(len(levels)))
-                if cell not in have:
-                    raise ValueError(f"missing cell {dict(zip(factors, cell))}")
-        counts = {len(vs) for vs in buckets.values()}
-        if len(counts) != 1:
-            bad = min(buckets, key=lambda c: len(buckets[c]))
-            raise ValueError(
-                f"unbalanced design: cell {dict(zip(factors, bad))} has "
-                f"{len(buckets[bad])} observations, others differ"
-            )
-        r = counts.pop()
-        shape = [len(level) for level in levels] + [r]
-        array = np.empty(shape, dtype=float)
-        for combo, values in buckets.items():
-            idx = tuple(positions[i][combo[i]] for i in range(len(combo)))
-            values.sort(key=lambda pair: pair[0])
-            array[idx] = [v for _, v in values]
-        return array, dict(zip(factors, levels))
+def _dense(matrix: EffectivenessMatrix, factors: Sequence[str]):
+    """Dense (levels..., replicates) array of a balanced design."""
+    levels, buckets = matrix.balanced_cells(factors)
+    positions = [{lv: i for i, lv in enumerate(level)} for level in levels]
+    r = len(next(iter(buckets.values())))
+    array = np.empty([len(level) for level in levels] + [r], dtype=float)
+    for combo, values in buckets.items():
+        idx = tuple(positions[i][combo[i]] for i in range(len(combo)))
+        array[idx] = [v for _, v in values]
+    return array, dict(zip(factors, levels))
 
 
 @dataclass(frozen=True)
@@ -207,7 +91,7 @@ def anova(
     single replicate the highest-order interaction is pooled into error.
     """
     names = _normalize_factors(factors)
-    y, levels = matrix.to_array(names)
+    y, levels = _dense(matrix, names)
     n_total = y.size
     r = y.shape[-1]
     m = len(names)

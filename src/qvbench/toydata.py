@@ -7,6 +7,7 @@ mock provider's misspelling machinery applicable to every topic.
 """
 
 import hashlib
+import heapq
 import random
 import shutil
 from pathlib import Path
@@ -254,11 +255,12 @@ def fixture_run_records(
         raise ValidationError(f"k={k} must be >= 1")
     records = []
     for query_id in sorted(set(query_ids)):
-        ranked = sorted(
+        top = heapq.nsmallest(
+            k,
             passage_ids,
             key=lambda pid: (-_hash_score(system_id, query_id, pid), pid),
         )
-        for rank, pid in enumerate(ranked[:k], 1):
+        for rank, pid in enumerate(top, 1):
             records.append(RunRecord(system_id, query_id, pid, rank, float(k - rank + 1)))
     return records
 

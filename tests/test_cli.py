@@ -328,7 +328,6 @@ class TestAnalyzeStage:
             assert row["significant"] == str(expect).lower()
 
     def test_three_way_anova_computed_once(self, workspace, tmp_path, monkeypatch):
-        import qvbench.cli as cli
         import qvbench.evalstats.anova as anova_module
 
         real = anova_module.anova
@@ -339,7 +338,6 @@ class TestAnalyzeStage:
                 three_way.append(tuple(factors))
             return real(matrix, factors, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "anova", counting)
         monkeypatch.setattr(anova_module, "anova", counting)
         out = tmp_path / "out"
         out.mkdir()
@@ -512,6 +510,34 @@ class TestModuleEntryPoint:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["False", "pong"]
+
+    def test_stages_but_analyze_leave_numpy_unloaded(self, workspace, tmp_path):
+        config = write_toy_workspace(tmp_path / "ws")
+        report_out = tmp_path / "report_out"
+        report_out.mkdir()
+        for name in ("ndcg.csv", "marginal_means.csv"):
+            (report_out / name).write_bytes((out_dir(workspace) / name).read_bytes())
+        code = (
+            "import sys\n"
+            "from qvbench.cli import main\n"
+            "config, report_out = sys.argv[1:3]\n"
+            "for stage in sys.argv[3:]:\n"
+            "    out = ['--out', report_out] if stage == 'report' else []\n"
+            "    code = main([stage, '--config', config, *out])\n"
+            "    print('stage', stage, code, 'numpy' in sys.modules)\n"
+        )
+        stages = [s for s in STAGES if s != "analyze"]
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(config), str(report_out), *stages],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = [line for line in result.stdout.splitlines() if line.startswith("stage ")]
+        assert lines == [f"stage {stage} 0 False" for stage in stages]
+        for name in ("marginal_means.svg", "system_rankings.svg"):
+            assert (report_out / name).read_bytes() == (out_dir(workspace) / name).read_bytes()
 
     def test_python_dash_m(self, workspace):
         result = subprocess.run(

@@ -25,6 +25,7 @@ from qvbench.core import (
     parse_variant_query_id,
     profile_of_query_id,
     read_annotations,
+    read_csv,
     read_variants,
     topic_of_query_id,
     variant_query_id,
@@ -450,3 +451,15 @@ def test_write_csv_cells_and_bytes(tmp_path):
     assert path.read_bytes() == (
         'a,b\r\n,true\r\nfalse,0.30000000000000004\r\n7,"say ""hi"", ünï"\r\n'
     ).encode("utf-8")
+
+
+def test_read_csv_returns_written_cells(tmp_path):
+    path = tmp_path / "table.csv"
+    header = ["name", "value", "flag", "note"]
+    write_csv(path, header, [("a", 0.1 + 0.2, True, None), ("b,c", 7, False, 'say "hi", ünï')])
+    assert read_csv(path) == [
+        {"name": "a", "value": "0.30000000000000004", "flag": "true", "note": ""},
+        {"name": "b,c", "value": "7", "flag": "false", "note": 'say "hi", ünï'},
+    ]
+    write_csv(path, header, [])
+    assert read_csv(path) == []

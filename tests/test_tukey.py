@@ -1,9 +1,11 @@
 """Studentized range distribution and Tukey HSD."""
 
 import math
+import random
 
 import pytest
 
+from qvbench.evalstats import tukey
 from qvbench.evalstats.special import t_quantile
 from qvbench.evalstats.tukey import (
     studentized_range_cdf,
@@ -124,3 +126,56 @@ PINNED_QUANTILES = {
 @pytest.mark.parametrize("case", sorted(PINNED_QUANTILES))
 def test_quantile_bits_pinned(case):
     assert studentized_range_quantile(*case).hex() == PINNED_QUANTILES[case]
+
+
+def bisection_quantile(p, k, df):
+    """The plain bisection that defines the quantile, kept as the oracle."""
+    lo, hi = 1e-9, 4.0
+    while studentized_range_cdf(hi, k, df) < p:
+        hi *= 1.6
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if studentized_range_cdf(mid, k, df) < p:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-10:
+            break
+    return 0.5 * (lo + hi)
+
+
+def random_quantile_cases(n, seed):
+    rng = random.Random(seed)
+    cases = set()
+    while len(cases) < n:
+        p = rng.choice([0.9, 0.95, 0.99, round(rng.uniform(0.5, 0.999), 4)])
+        df = rng.choice([rng.randint(1, 30), rng.randint(31, 5000)])
+        cases.add((p, rng.randint(2, 25), df))
+    return sorted(cases)
+
+
+def test_quantile_bits_equal_bisection():
+    for case in random_quantile_cases(40, seed=20261018):
+        want = bisection_quantile(*case)
+        got = studentized_range_quantile.__wrapped__(*case)
+        assert got.hex() == want.hex(), case
+
+
+def test_pinned_oracle_matches_bisection():
+    for case, bits in PINNED_QUANTILES.items():
+        assert bisection_quantile(*case).hex() == bits
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_QUANTILES))
+def test_quantile_cdf_evaluations(case, monkeypatch):
+    calls = []
+    real = tukey.studentized_range_cdf
+
+    def counting(q, k, df):
+        calls.append(q)
+        return real(q, k, df)
+
+    monkeypatch.setattr(tukey, "studentized_range_cdf", counting)
+    assert studentized_range_quantile.__wrapped__(*case).hex() == PINNED_QUANTILES[case]
+    assert len(calls) <= 20
+    assert len(set(calls)) == len(calls)
