@@ -476,7 +476,10 @@ def cmd_evaluate(config: PipelineConfig) -> None:
     expected_ids = set(expected)
     skipped = sum(1 for key in ranked if key[1] not in expected_ids)
     if skipped:
-        print(f"warning: {skipped} run query ids outside the variant sweep were ignored")
+        print(
+            f"warning: {skipped} run query ids outside the variant sweep were ignored",
+            file=sys.stderr,
+        )
 
     rows = []
     unscored = []
@@ -494,7 +497,11 @@ def cmd_evaluate(config: PipelineConfig) -> None:
             rows.append((topic_id, system_id, profile_id, index, value))
     if unscored:
         shown = ", ".join(f"{s}:{q}" for s, q in unscored[:5])
-        print(f"warning: {len(unscored)} (system, query) pairs missing from runs scored 0.0 ({shown} ...)")
+        print(
+            f"warning: {len(unscored)} (system, query) pairs missing from runs scored 0.0"
+            f" ({shown} ...)",
+            file=sys.stderr,
+        )
 
     rows.sort()
     header = ["topic_id", "system_id", "profile_id", "variant_index", "ndcg"]

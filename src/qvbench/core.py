@@ -14,7 +14,7 @@ import csv
 import json
 import unicodedata
 from collections import defaultdict
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 PROFILE_METHODS = ("persona", "group", "textual", "neutral")
@@ -33,13 +33,16 @@ class ValidationError(ValueError):
 
 
 def nfc(text: str) -> str:
-    return unicodedata.normalize("NFC", text)
+    """The NFC form of text; ASCII text is already NFC and comes back as is."""
+    return text if text.isascii() else unicodedata.normalize("NFC", text)
 
 
-def _norm_field(obj, name: str) -> None:
-    value = getattr(obj, name)
-    if isinstance(value, str):
-        object.__setattr__(obj, name, nfc(value))
+def _normalize(record) -> None:
+    """NFC every non-ASCII str field of a frozen dataclass record, in place."""
+    for name in record.__dataclass_fields__:
+        value = getattr(record, name)
+        if isinstance(value, str) and not value.isascii():
+            object.__setattr__(record, name, nfc(value))
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,7 @@ class Topic:
     backstory: Optional[str] = None
 
     def __post_init__(self):
-        for f in fields(self):
-            _norm_field(self, f.name)
+        _normalize(self)
         if not self.topic_id:
             raise ValidationError("topic_id must be non-empty")
         if not self.seed_query.strip():
@@ -65,8 +67,7 @@ class Profile:
     description: str = ""
 
     def __post_init__(self):
-        for f in fields(self):
-            _norm_field(self, f.name)
+        _normalize(self)
         if self.method not in PROFILE_METHODS:
             raise ValidationError(f"unknown profile method {self.method!r}")
         if self.method == "neutral" and self.description:
@@ -81,8 +82,7 @@ class QueryVariant:
     text: str
 
     def __post_init__(self):
-        for f in fields(self):
-            _norm_field(self, f.name)
+        _normalize(self)
         if not isinstance(self.index, int) or isinstance(self.index, bool):
             raise ValidationError("variant index must be an integer")
         if not 1 <= self.index <= 3:
@@ -106,8 +106,7 @@ class RunRecord:
     score: float
 
     def __post_init__(self):
-        for f in fields(self):
-            _norm_field(self, f.name)
+        _normalize(self)
         if self.rank < 1:
             raise ValidationError(f"rank {self.rank} must be >= 1")
 
@@ -120,8 +119,7 @@ class Qrel:
     source: str = "human"
 
     def __post_init__(self):
-        for f in fields(self):
-            _norm_field(self, f.name)
+        _normalize(self)
         if self.grade not in (0, 1, 2, 3):
             raise ValidationError(f"grade {self.grade} outside 0..3")
         if self.source not in QREL_SOURCES:
@@ -140,8 +138,7 @@ class AnnotationRecord:
     gold_answer: Optional[str] = None
 
     def __post_init__(self):
-        for f in fields(self):
-            _norm_field(self, f.name)
+        _normalize(self)
         if self.task not in ANNOTATION_TASKS:
             raise ValidationError(f"unknown annotation task {self.task!r}")
         if self.is_gold and self.gold_answer is None:
@@ -154,8 +151,7 @@ class Passage:
     text: str
 
     def __post_init__(self):
-        for f in fields(self):
-            _norm_field(self, f.name)
+        _normalize(self)
         if not self.passage_id:
             raise ValidationError("passage_id must be non-empty")
         if not self.text.strip():

@@ -27,11 +27,14 @@ _OUTER_NODES = 200
 _INNER_NODES = 240
 _INNER_HALFSPAN = 9.0
 
-_erf_vec = np.vectorize(math.erf)
+
+def _erf_array(x: np.ndarray) -> np.ndarray:
+    """math.erf elementwise: a map over a list, faster than np.vectorize."""
+    return np.fromiter(map(math.erf, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _norm_cdf_array(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + _erf_vec(x / math.sqrt(2.0)))
+    return 0.5 * (1.0 + _erf_array(x / math.sqrt(2.0)))
 
 
 @lru_cache(maxsize=8)

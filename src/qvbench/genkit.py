@@ -89,6 +89,10 @@ class TransportError(Exception):
     """The provider endpoint was unreachable or rejected the request."""
 
 
+class _Timeout(TransportError):
+    """The endpoint did not answer within the configured timeout."""
+
+
 class Provider(Protocol):
     """A completion source. An optional ``in_flight`` attribute (1 when
     absent) is how many calls ``run_in_order`` may overlap."""
@@ -405,9 +409,10 @@ class HttpProvider:
     """Chat-completion client: one user message in, first choice text out.
 
     Each call is one POST on a fresh connection through ``urllib``,
-    which sends ``Connection: close``. HTTP 429 and 5xx answers are
-    retried up to ``_HTTP_RETRIES`` times; any other status but 200 fails
-    at once. ``run_in_order`` keeps ``in_flight`` calls overlapping.
+    which sends ``Connection: close``. HTTP 429 and 5xx answers and
+    timeouts are retried up to ``_HTTP_RETRIES`` times; any other status
+    but 200, and any other transport error, fails at once.
+    ``run_in_order`` keeps ``in_flight`` calls overlapping.
     """
 
     # A fixed, modest overlap. Against a localhost endpoint with four
@@ -430,7 +435,13 @@ class HttpProvider:
         }
         data = json.dumps(payload).encode("utf-8")
         for retry in range(_HTTP_RETRIES + 1):
-            status, retry_after, body = self._post(data, headers)
+            try:
+                status, retry_after, body = self._post(data, headers)
+            except _Timeout:
+                if retry == _HTTP_RETRIES:
+                    raise
+                time.sleep(_retry_delay(None, retry))
+                continue
             if status == 200:
                 break
             if retry == _HTTP_RETRIES or not (status == 429 or status >= 500):
@@ -463,7 +474,12 @@ class HttpProvider:
             with response:
                 return response.status, response.headers.get("Retry-After"), response.read()
         except (OSError, ValueError, http.client.HTTPException) as exc:
-            raise TransportError(f"request to {self.config.endpoint} failed: {exc}") from exc
+            # a timeout while connecting arrives wrapped in a URLError
+            timed_out = isinstance(exc, TimeoutError) or isinstance(
+                getattr(exc, "reason", None), TimeoutError
+            )
+            error = _Timeout if timed_out else TransportError
+            raise error(f"request to {self.config.endpoint} failed: {exc}") from exc
 
 
 def _retry_delay(retry_after: Optional[str], retry: int) -> float:

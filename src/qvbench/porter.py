@@ -9,6 +9,8 @@ vocabulary/output lists).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 VOWELS = "aeiou"
 
 
@@ -196,8 +198,11 @@ def _step5b(word: str) -> str:
     return word
 
 
+# Bounded so an open-ended vocabulary cannot grow the cache without
+# limit; a corpus and its query sweep fit many times over.
+@lru_cache(maxsize=1 << 16)
 def porter_stem(word: str) -> str:
-    """Stem a lowercase word with the Porter algorithm."""
+    """Stem a lowercase word with the Porter algorithm (memoized)."""
     if len(word) <= 2:
         return word
     word = _step1a(word)

@@ -9,6 +9,7 @@ its weight to a per-passage accumulator.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping
@@ -41,6 +42,20 @@ class InvertedIndex:
         self.doc_lengths = doc_lengths
         self.doc_count = len(doc_lengths)
         self.avg_doc_length = sum(doc_lengths.values()) / self.doc_count
+        self._length_norms: dict[Bm25Params, dict[str, float]] = {}
+
+    def length_norms(self, params: Bm25Params) -> dict[str, float]:
+        """k1 * (1 - b + b * length / avg) per passage, computed once per params."""
+        norms = self._length_norms.get(params)
+        if norms is None:
+            avg = self.avg_doc_length
+            one_minus_b = 1.0 - params.b
+            norms = {
+                pid: params.k1 * (one_minus_b + params.b * (length / avg))
+                for pid, length in self.doc_lengths.items()
+            }
+            self._length_norms[params] = norms
+        return norms
 
 
 def index_tokens(text: str) -> list[str]:
@@ -81,22 +96,18 @@ def search(
     if k < 1:
         raise ValueError(f"k={k} must be >= 1")
     n = index.doc_count
-    avg = index.avg_doc_length
-    lengths = index.doc_lengths
+    norms = index.length_norms(params)
     k1_plus_1 = params.k1 + 1.0
-    one_minus_b = 1.0 - params.b
     scores: dict[str, float] = {}
     for term in index_tokens(query):
         plist = index.postings.get(term, ())
         df = len(plist)
         idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
         for pid, tf in plist:
-            w = idf * tf * k1_plus_1 / (
-                tf + params.k1 * (one_minus_b + params.b * (lengths[pid] / avg))
-            )
+            w = idf * tf * k1_plus_1 / (tf + norms[pid])
             scores[pid] = scores.get(pid, 0.0) + w
-    ranked = sorted(scores.items(), key=lambda hit: (-hit[1], hit[0]))
-    return ranked[:k]
+    # the same list as sorted(...)[:k], without sorting every candidate
+    return heapq.nsmallest(k, scores.items(), key=lambda hit: (-hit[1], hit[0]))
 
 
 def run_queries(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 from .porter import porter_stem
@@ -29,9 +28,19 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=4096)
-def _is_punctuation(ch: str) -> bool:
-    return unicodedata.category(ch).startswith("P")
+class _DropPunctuation(dict):
+    """A `str.translate` table that deletes Unicode punctuation (category P).
+
+    Each code point is classified on first sight and remembered.
+    """
+
+    def __missing__(self, code: int):
+        value = None if unicodedata.category(chr(code)).startswith("P") else code
+        self[code] = value
+        return value
+
+
+_DROP_PUNCTUATION = _DropPunctuation()
 
 
 def tokenize(text: str) -> list[str]:
@@ -40,9 +49,7 @@ def tokenize(text: str) -> list[str]:
     Apostrophes are punctuation, so they are removed in place:
     "what's" becomes "whats". Empty input gives an empty list.
     """
-    lowered = text.lower()
-    cleaned = "".join(ch for ch in lowered if not _is_punctuation(ch))
-    return cleaned.split()
+    return text.lower().translate(_DROP_PUNCTUATION).split()
 
 
 def stemmed_set(text: str) -> set[str]:

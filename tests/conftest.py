@@ -67,12 +67,15 @@ class _ChatHandler(BaseHTTPRequestHandler):
             self.server.seen.append(request)
         answer = self.server.reply(request)
         status, headers, payload = answer if isinstance(answer, tuple) else _chat_reply(answer)
-        self.send_response(status)
-        for key, value in headers.items():
-            self.send_header(key, value)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
+        try:
+            self.send_response(status)
+            for key, value in headers.items():
+                self.send_header(key, value)
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+        except ConnectionError:
+            pass  # the client timed out and closed the connection
 
     def log_message(self, format, *args):
         pass

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import shutil
 import subprocess
 import sys
 import threading
@@ -280,6 +281,36 @@ class TestEvaluateStage:
         overall = [r for r in rows if r["system_id"] == "all"]
         assert len(overall) == 1
         assert 0.0 <= float(overall[0]["missing_fraction"]) <= 1.0
+
+
+    @staticmethod
+    def evaluate_with_edited_run(workspace, tmp_path, edit):
+        """Evaluate a copy of the toy out/ whose first run file went through edit."""
+        out = tmp_path / "out"
+        shutil.copytree(out_dir(workspace), out)
+        run = sorted((out / "runs").glob("*.run"))[0]
+        run.write_text(edit(run.read_text().splitlines(keepends=True)))
+        assert main(["evaluate", "--config", str(workspace), "--out", str(out)]) == 0
+
+    def test_ignored_run_query_ids_warned_on_stderr(self, workspace, tmp_path, capsys):
+        def add_query(lines):
+            tag = lines[0].split()[5]
+            return "".join(lines) + f"zz_extra Q0 p001 1 1.0 {tag}\n"
+
+        self.evaluate_with_edited_run(workspace, tmp_path, add_query)
+        captured = capsys.readouterr()
+        assert "warning: 1 run query ids outside the variant sweep were ignored" in captured.err
+        assert "warning" not in captured.out
+
+    def test_unscored_pairs_warned_on_stderr(self, workspace, tmp_path, capsys):
+        def drop_first_query(lines):
+            qid = lines[0].split()[0]
+            return "".join(line for line in lines if line.split()[0] != qid)
+
+        self.evaluate_with_edited_run(workspace, tmp_path, drop_first_query)
+        captured = capsys.readouterr()
+        assert "warning: 1 (system, query) pairs missing from runs scored 0.0" in captured.err
+        assert "warning" not in captured.out
 
 
 class TestAnalyzeStage:

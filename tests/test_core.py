@@ -5,6 +5,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qvbench.core import (
     AnnotationRecord,
@@ -18,6 +20,7 @@ from qvbench.core import (
     ValidationError,
     expected_variant_count,
     group_variants,
+    nfc,
     parse_passages,
     parse_qrels,
     parse_topics,
@@ -32,6 +35,7 @@ from qvbench.core import (
     verify_complete,
     write_csv,
     write_jsonl,
+    write_passages,
     write_qrels,
     write_topics,
     write_trec_run,
@@ -107,6 +111,117 @@ def test_topic_normalized_to_nfc():
     decomposed = "café"
     t = Topic("1", decomposed)
     assert t.seed_query == "café"
+
+
+DECOMPOSED = "cafe\u0301"
+COMPOSED = "caf\u00e9"
+
+
+@pytest.mark.parametrize(
+    "record, names",
+    [
+        (Topic(DECOMPOSED, DECOMPOSED, DECOMPOSED), ("topic_id", "seed_query", "backstory")),
+        (
+            Profile(DECOMPOSED, "persona", DECOMPOSED, DECOMPOSED),
+            ("profile_id", "name", "description"),
+        ),
+        (QueryVariant(DECOMPOSED, DECOMPOSED, 1, DECOMPOSED), ("topic_id", "profile_id", "text")),
+        (
+            RunRecord(DECOMPOSED, DECOMPOSED, DECOMPOSED, 1, 1.0),
+            ("system_id", "query_id", "passage_id"),
+        ),
+        (Qrel(DECOMPOSED, DECOMPOSED, 2), ("query_id", "passage_id")),
+        (
+            AnnotationRecord(
+                DECOMPOSED, DECOMPOSED, "similarity", DECOMPOSED, DECOMPOSED, DECOMPOSED,
+                True, DECOMPOSED,
+            ),
+            ("pair_id", "annotator_id", "seed_query", "variant", "answer", "gold_answer"),
+        ),
+        (Passage(DECOMPOSED, DECOMPOSED), ("passage_id", "text")),
+    ],
+    ids=lambda value: type(value).__name__ if dataclasses.is_dataclass(value) else "",
+)
+def test_record_stores_composed_text(record, names):
+    for name in names:
+        assert getattr(record, name) == COMPOSED, name
+
+
+def test_nfc_returns_ascii_unchanged():
+    text = "plain ascii id"
+    assert nfc(text) is text
+    assert nfc(DECOMPOSED) == COMPOSED
+
+
+# Ids and text mixing ASCII, precomposed letters and combining marks
+# (acute, diaeresis, cedilla, ring), so many draws are not NFC.
+_MARKED = "aeoncAEOC019_-\u00e9\u00f1\u0301\u0308\u0327\u030a"
+_ids = st.text(st.sampled_from(_MARKED), min_size=1, max_size=6)
+_texts = st.text(st.sampled_from(_MARKED + " ,.?"), min_size=1, max_size=20).filter(str.strip)
+_round_trip = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@st.composite
+def _run_records(draw):
+    records = []
+    for system_id in draw(st.lists(_ids, min_size=1, max_size=2, unique_by=nfc)):
+        for query_id in draw(st.lists(_ids, min_size=1, max_size=3, unique_by=nfc)):
+            pids = draw(st.lists(_ids, min_size=1, max_size=4, unique_by=nfc))
+            scores = draw(
+                st.lists(
+                    st.one_of(st.sampled_from([0.0, 2.5]), st.floats(-1e6, 1e6)),
+                    min_size=len(pids),
+                    max_size=len(pids),
+                )
+            )
+            hits = sorted(zip(scores, pids), key=lambda hit: (-hit[0], nfc(hit[1])))
+            records += [
+                RunRecord(system_id, query_id, pid, rank, score)
+                for rank, (score, pid) in enumerate(hits, 1)
+            ]
+    return records
+
+
+@_round_trip
+@given(records=_run_records())
+def test_trec_run_round_trip_with_combining_marks(tmp_path, records):
+    path = tmp_path / "marked.run"
+    write_trec_run(records, path)
+    assert parse_trec_run(path) == sorted(
+        records, key=lambda r: (r.system_id, r.query_id, r.rank)
+    )
+
+
+@_round_trip
+@given(
+    keys=st.lists(
+        st.tuples(_ids, _ids, st.sampled_from(["human", "llm"])),
+        max_size=8,
+        unique_by=lambda key: (nfc(key[0]), nfc(key[1]), key[2]),
+    ),
+    grades=st.lists(st.integers(0, 3), min_size=8, max_size=8),
+)
+def test_qrels_round_trip_with_combining_marks(tmp_path, keys, grades):
+    qrels = [Qrel(q, p, grade, source) for (q, p, source), grade in zip(keys, grades)]
+    path = tmp_path / "marked_qrels.txt"
+    write_qrels(qrels, path, with_source=True)
+    assert parse_qrels(path) == sorted(
+        qrels, key=lambda q: (q.query_id, q.passage_id, q.source)
+    )
+
+
+@_round_trip
+@given(
+    ids=st.lists(_ids, min_size=1, max_size=6, unique_by=nfc),
+    texts=st.lists(_texts, min_size=6, max_size=6),
+)
+def test_passages_round_trip_with_combining_marks(tmp_path, ids, texts):
+    passages = [Passage(pid, text) for pid, text in zip(ids, texts)]
+    path = tmp_path / "marked_passages.tsv"
+    write_passages(passages, path)
+    assert parse_passages(path) == passages
 
 
 def test_topic_empty_seed_rejected():

@@ -427,6 +427,35 @@ class TestHttpBackoff:
         for retry, delay in enumerate(sleeps):
             assert 0 <= delay <= genkit._BACKOFF_BASE_S * 2**retry
 
+    def test_timeout_retried_with_backoff(self, chat_server, sleeps):
+        def reply(request):
+            if len(chat_server.seen) == 1:
+                threading.Event().wait(0.5)  # time.sleep is patched out
+            return "fine"
+
+        chat_server.reply = reply
+        config = ProviderConfig(endpoint=chat_server.url, model_name="m", timeout=0.1)
+        assert HttpProvider(config).complete("p") == "fine"
+        assert len(chat_server.seen) == 2
+        assert len(sleeps) == 1
+        assert 0 <= sleeps[0] <= genkit._BACKOFF_BASE_S
+
+    def test_timeouts_share_the_retry_budget(self, chat_server, sleeps):
+        chat_server.reply = lambda request: threading.Event().wait(0.3) and "late"
+        config = ProviderConfig(endpoint=chat_server.url, model_name="m", timeout=0.1)
+        with pytest.raises(TransportError, match="timed out"):
+            HttpProvider(config).complete("p")
+        assert len(chat_server.seen) == 4
+        assert len(sleeps) == 3
+
+    def test_connection_refused_not_retried(self, sleeps):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        with pytest.raises(TransportError, match="failed"):
+            TestHttpProvider.provider(f"http://127.0.0.1:{port}/v1").complete("p")
+        assert sleeps == []
+
     @pytest.mark.parametrize("status", [400, 401, 404])
     def test_other_4xx_not_retried(self, chat_server, sleeps, status):
         self.script(chat_server, [(status, {"Retry-After": "1"}, b"no")])

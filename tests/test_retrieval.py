@@ -176,6 +176,26 @@ def test_search_tie_broken_by_passage_id():
     assert hits[0][1] == hits[1][1]
 
 
+def test_search_more_ties_than_k_keeps_lowest_passage_ids():
+    passages = [Passage(f"p{i:02d}", "same text here") for i in range(30)]
+    passages.append(Passage("z9", "same same text"))
+    random.Random(5).shuffle(passages)
+    index = build_index(passages)
+    hits = search(index, Bm25Params(), "same text", k=6)
+    assert [pid for pid, _ in hits] == ["z9", "p00", "p01", "p02", "p03", "p04"]
+    assert len({score for _, score in hits[1:]}) == 1
+    assert hits == search(index, Bm25Params(), "same text", k=len(passages))[:6]
+
+
+def test_one_index_serves_several_params():
+    index = build_index(CORPUS)
+    settings = [Bm25Params(), Bm25Params(k1=1.2, b=0.75), Bm25Params(k1=0.4, b=0.0)]
+    query = "cheap budget bangkok food"
+    fresh = [search(build_index(CORPUS), params, query, k=3) for params in settings]
+    for _ in range(2):
+        assert [search(index, params, query, k=3) for params in settings] == fresh
+
+
 def test_search_descending_scores():
     index = build_index(CORPUS)
     hits = search(index, Bm25Params(), "cheap bangkok budget food", k=3)

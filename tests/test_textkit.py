@@ -1,6 +1,7 @@
 """Text analytics: tokenization, stemming, overlap, readability."""
 
 import random
+import unicodedata
 
 import pytest
 
@@ -138,6 +139,27 @@ def test_tokenize_empty():
 
 def test_tokenize_unicode_punctuation():
     assert tokenize("don’t “stop”") == ["dont", "stop"]
+
+
+def test_tokenize_matches_per_character_rule_over_the_bmp():
+    chars = [chr(c) for c in range(0x10000) if not 0xD800 <= c <= 0xDFFF]
+    text = " ".join(chars)
+    kept = "".join(
+        ch for ch in text.lower() if not unicodedata.category(ch).startswith("P")
+    )
+    assert tokenize(text) == kept.split()
+
+
+def test_porter_stem_same_on_cold_and_warm_cache():
+    rng = random.Random(11)
+    words = [w for w, _ in PORTER_GOLDEN]
+    words += ["".join(rng.choices("abcdeilnorstuyz", k=rng.randint(1, 12))) for _ in range(300)]
+    porter_stem.cache_clear()
+    cold = [porter_stem(w) for w in words]
+    assert porter_stem.cache_info().misses == len(set(words))
+    warm = [porter_stem(w) for w in words]
+    assert porter_stem.cache_info().hits >= len(words)
+    assert cold == warm == [porter_stem.__wrapped__(w) for w in words]
 
 
 def test_jaccard_identity():
