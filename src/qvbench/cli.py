@@ -18,6 +18,7 @@ from typing import Optional, Sequence
 
 from .core import (
     PROFILE_METHODS,
+    SEED_PROFILE,
     ParseError,
     ValidationError,
     format_trec_run,
@@ -25,7 +26,7 @@ from .core import (
     parse_qrels,
     parse_topics,
     parse_trec_run,
-    parse_variant_query_id,
+    query_cell,
     read_annotations,
     read_csv,
     read_variants,
@@ -48,10 +49,11 @@ from .genkit import (
     generate_sweep,
     load_profiles,
 )
-from .judge import CoverageReport, LabelStore, coverage, label_topk, merge_qrels
+from .judge import MERGE_POLICIES, CoverageReport, LabelStore, coverage, label_topk, merge_qrels
 from .retrieval import Bm25Params, build_index, run_queries
 from .textkit import VariantFeatureRecord, variant_features
 from .validate import (
+    CHECKED_PROFILES,
     ConsensusReport,
     ValidationVerdict,
     alignment_accuracy,
@@ -60,7 +62,6 @@ from .validate import (
     validate_variants,
 )
 
-SEED_PROFILE = "seed"
 GAIN_MODES = ("linear", "exp")
 PROVIDERS = ("mock", "http")
 
@@ -110,7 +111,7 @@ class PipelineConfig:
             raise ValidationError(f"unknown gain {self.gain!r}")
         if self.provider not in PROVIDERS:
             raise ValidationError(f"unknown provider {self.provider!r}")
-        if self.merge not in _MERGE_ALIASES.values():
+        if self.merge not in MERGE_POLICIES:
             raise ValidationError(f"unknown merge policy {self.merge!r}")
         bad = [m for m in self.methods if m not in PROFILE_METHODS]
         if bad:
@@ -324,12 +325,11 @@ def cmd_validate(config: PipelineConfig) -> None:
         print("consensus: skipped (no annotations file)")
         return
     annotations = read_annotations(config.annotations)
-    unchecked = {"order", "misspelling"}
     profile_ids = {p.profile_id for p in profiles}
     similarity_rows = []
     alignment_rows = []
     for profile in profiles:
-        if profile.name.lower() not in unchecked:
+        if profile.name.lower() not in CHECKED_PROFILES:
             report = similarity_accuracy(annotations, profile.profile_id)
             if report.n_pairs:
                 similarity_rows.append(report)
@@ -396,6 +396,10 @@ def cmd_import_runs(config: PipelineConfig) -> None:
         by_system = {}
         for r in records:
             by_system.setdefault(r.system_id, []).append(r)
+        for system_id in by_system:
+            # the tag becomes a file name under runs/
+            if "/" in system_id or "\\" in system_id or system_id.startswith("."):
+                raise ValidationError(f"{path}: run tag {system_id!r} is not a plain file name")
         for system_id in sorted(by_system):
             target = runs_dir / f"{system_id}.run"
             rendered = format_trec_run(by_system[system_id])
@@ -440,13 +444,6 @@ def _merged_qrels(config: PipelineConfig) -> list:
     return merge_qrels(human, llm, config.merge)
 
 
-def _cell_of_query(query_id: str):
-    parsed = parse_variant_query_id(query_id)
-    if parsed is None:
-        return query_id, SEED_PROFILE, 0
-    return parsed
-
-
 def cmd_evaluate(config: PipelineConfig) -> None:
     config.out.mkdir(parents=True, exist_ok=True)
     merged = _merged_qrels(config)
@@ -485,7 +482,7 @@ def cmd_evaluate(config: PipelineConfig) -> None:
     unscored = []
     for system_id in systems:
         for query_id in expected:
-            topic_id, profile_id, index = _cell_of_query(query_id)
+            topic_id, profile_id, index = query_cell(query_id)
             records = ranked.get((system_id, query_id))
             if not records:
                 unscored.append((system_id, query_id))
@@ -541,7 +538,7 @@ def cmd_analyze(config: PipelineConfig) -> None:
 
     matrix = _read_matrix(config)
 
-    table = anova(matrix, ("topic", "system", "profile"), with_interactions=True)
+    table = anova(matrix, ("topic", "system", "profile"))
     write_csv(
         config.out / "anova.csv",
         ["source", "ss", "df", "ms", "f", "p", "omega_sq_p"],
@@ -582,7 +579,7 @@ def cmd_analyze(config: PipelineConfig) -> None:
         agreement_rows,
     )
 
-    means, _ = marginal_means(matrix, table, axis="profile", alpha=config.alpha)
+    means, _ = marginal_means(matrix, table, alpha=config.alpha)
     write_csv(
         config.out / "marginal_means.csv",
         ["profile", "mean", "ci_low", "ci_high"],
@@ -717,8 +714,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--gain", choices=GAIN_MODES, help="NDCG gain mode")
     common.add_argument("--seed", type=int, help="random seed for the run")
     common.add_argument("--provider", choices=PROVIDERS, help="variant/label provider")
-    common.add_argument("--merge", choices=("human", "llm", "human-preferred"),
-                        help="qrels merge policy")
+    common.add_argument("--merge", choices=tuple(_MERGE_ALIASES), help="qrels merge policy")
     common.add_argument("--endpoint", help="http provider endpoint URL")
     common.add_argument("--model", help="http provider model name")
 

@@ -23,6 +23,14 @@ ANNOTATION_TASKS = ("similarity", "alignment")
 
 QUERY_ID_SEP = "__"
 
+# The study protocol: every (topic, profile) pair gets this many
+# variants, indexed 1..VARIANTS_PER_PAIR.
+VARIANTS_PER_PAIR = 3
+
+# The profile id the seed query of a topic runs under (index 0); no
+# profile may take it.
+SEED_PROFILE = "seed"
+
 
 class ParseError(ValueError):
     """A file does not match its on-disk format contract."""
@@ -85,8 +93,8 @@ class QueryVariant:
         _normalize(self)
         if not isinstance(self.index, int) or isinstance(self.index, bool):
             raise ValidationError("variant index must be an integer")
-        if not 1 <= self.index <= 3:
-            raise ValidationError(f"variant index {self.index} outside 1..3")
+        if not 1 <= self.index <= VARIANTS_PER_PAIR:
+            raise ValidationError(f"variant index {self.index} outside 1..{VARIANTS_PER_PAIR}")
         if not self.text.strip():
             raise ValidationError(
                 f"variant ({self.topic_id}, {self.profile_id}, {self.index}): empty text"
@@ -180,14 +188,10 @@ def parse_variant_query_id(query_id: str):
     return topic_id, profile_id, int(index_text)
 
 
-def topic_of_query_id(query_id: str) -> str:
-    parsed = parse_variant_query_id(query_id)
-    return parsed[0] if parsed else query_id
-
-
-def profile_of_query_id(query_id: str, seed_profile_id: str = "seed") -> str:
-    parsed = parse_variant_query_id(query_id)
-    return parsed[1] if parsed else seed_profile_id
+def query_cell(query_id: str) -> tuple[str, str, int]:
+    """(topic_id, profile_id, index) of any query id; a seed id is its
+    own topic under SEED_PROFILE with index 0."""
+    return parse_variant_query_id(query_id) or (query_id, SEED_PROFILE, 0)
 
 
 def _lines(path):
@@ -470,15 +474,11 @@ def read_csv(path) -> list[dict]:
         return list(csv.DictReader(fh))
 
 
-def expected_variant_count(num_seeds: int, num_profiles: int, per_pair: int = 3) -> int:
-    for name, value in (
-        ("num_seeds", num_seeds),
-        ("num_profiles", num_profiles),
-        ("per_pair", per_pair),
-    ):
+def expected_variant_count(num_seeds: int, num_profiles: int) -> int:
+    for name, value in (("num_seeds", num_seeds), ("num_profiles", num_profiles)):
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
-    return num_seeds * num_profiles * per_pair
+    return num_seeds * num_profiles * VARIANTS_PER_PAIR
 
 
 def group_variants(
@@ -494,14 +494,13 @@ def verify_complete(
     variants: Iterable[QueryVariant],
     topic_ids: Iterable[str],
     profile_ids: Iterable[str],
-    per_pair: int = 3,
 ) -> None:
-    """Check that every (topic, profile) pair has exactly indices 1..per_pair."""
+    """Check that every (topic, profile) pair has exactly indices 1..VARIANTS_PER_PAIR."""
     topic_ids = list(topic_ids)
     profile_ids = list(profile_ids)
     groups = group_variants(variants)
     known = {(t, p) for t in topic_ids for p in profile_ids}
-    want = list(range(1, per_pair + 1))
+    want = list(range(1, VARIANTS_PER_PAIR + 1))
     problems: list[str] = []
     for key, vs in sorted(groups.items()):
         if key not in known:

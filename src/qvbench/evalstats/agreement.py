@@ -41,7 +41,7 @@ def system_verdicts(
     sub = matrix.subset(profiles=[profile])
     if len(sub) == 0:
         raise ValueError(f"no cells for profile {profile!r}")
-    table = anova(sub, ("topic", "system"), with_interactions=True)
+    table = anova(sub, ("topic", "system"))
     means, _ = sub.group_means("system")
     n_per_group = len(sub) // len(means)
     tukey = tukey_hsd(means, n_per_group, table.ms_error, table.df_error, alpha)

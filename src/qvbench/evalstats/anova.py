@@ -80,12 +80,9 @@ def _normalize_factors(factors: Sequence[str]) -> list[str]:
     return ordered
 
 
-def anova(
-    matrix: EffectivenessMatrix,
-    factors: Sequence[str],
-    with_interactions: bool = True,
-) -> AnovaTable:
-    """Balanced fixed-effects decomposition with F and partial omega squared.
+def anova(matrix: EffectivenessMatrix, factors: Sequence[str]) -> AnovaTable:
+    """Balanced fixed-effects decomposition, every interaction included,
+    with F and partial omega squared.
 
     With replication the error term is the within-cell variation; with a
     single replicate the highest-order interaction is pooled into error.
@@ -107,21 +104,14 @@ def anova(
         return y.mean(axis=drop, keepdims=True)
 
     means = {(): np.full([1] * (m + 1), grand)}
-    all_subsets: list[tuple[int, ...]] = []
+    model_subsets: list[tuple[int, ...]] = []
     for size in range(1, m + 1):
         for subset in combinations(range(m), size):
-            all_subsets.append(subset)
+            model_subsets.append(subset)
             means[subset] = marginal(subset)
 
-    if with_interactions:
-        model_subsets = all_subsets
-    else:
-        model_subsets = [s for s in all_subsets if len(s) == 1]
-
-    pooled_top = with_interactions and r == 1 and m > 1
-    if pooled_top:
-        top = tuple(range(m))
-        model_subsets = [s for s in model_subsets if s != top]
+    if r == 1 and m > 1:
+        model_subsets.pop()  # the top interaction, pooled into error
 
     ss: dict[tuple[int, ...], float] = {}
     df: dict[tuple[int, ...], int] = {}
@@ -145,7 +135,7 @@ def anova(
     df_error = df_total - df_model
     if df_error < 1:
         raise ValueError(
-            "zero error degrees of freedom: add replication or drop interactions"
+            "zero error degrees of freedom: add replication"
         )
     ms_error = ss_error / df_error
 
@@ -212,32 +202,23 @@ class MarginalMean:
 
 
 def marginal_means(
-    matrix: EffectivenessMatrix,
-    table: AnovaTable,
-    axis: str = "profile",
-    alpha: float = 0.05,
-    ci: str = "t",
+    matrix: EffectivenessMatrix, table: AnovaTable, alpha: float = 0.05
 ) -> tuple[list[MarginalMean], Optional[TukeyResult]]:
-    """Per-level means on one axis with intervals from `table`.
+    """Per-profile means with t-based intervals from `table`.
 
     `table` is the ANOVA of `matrix` that the intervals take their error
     term from; the pipeline passes the (topic, system, profile) table it
-    writes to anova.csv. Intervals are t-based by default; ci="tukey"
-    switches to simultaneous half-widths.
+    writes to anova.csv.
     """
-    if axis not in AXES:
-        raise ValueError(f"unknown axis {axis!r}")
-    levels = matrix._axis_values(AXES.index(axis))
+    levels = matrix.profiles
     if not levels:
-        raise ValueError(f"matrix has no {axis} levels")
-    group_means, counts = matrix.group_means(axis)
+        raise ValueError("matrix has no profile levels")
+    group_means, counts = matrix.group_means("profile")
     n_per_group = counts[levels[0]]
     if any(c != n_per_group for c in counts.values()):
-        raise ValueError(f"unbalanced {axis} groups: {counts}")
+        raise ValueError(f"unbalanced profile groups: {counts}")
     if len(levels) >= 2:
-        tukey = tukey_hsd(
-            group_means, n_per_group, table.ms_error, table.df_error, alpha, ci
-        )
+        tukey = tukey_hsd(group_means, n_per_group, table.ms_error, table.df_error, alpha)
         cis = tukey.cis
     else:
         tukey = None

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from itertools import product
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 AXES = ("topic", "system", "profile")
 
@@ -60,10 +60,6 @@ class EffectivenessMatrix:
     def profiles(self) -> list[str]:
         return self._axis_values(2)
 
-    @property
-    def indices(self) -> list[int]:
-        return self._axis_values(3)
-
     def group_means(self, axis: str) -> tuple[dict, dict]:
         """Mean and cell count for each level of `axis`, levels sorted.
 
@@ -79,24 +75,11 @@ class EffectivenessMatrix:
         levels = sorted(sums)
         return {lv: sums[lv] / counts[lv] for lv in levels}, {lv: counts[lv] for lv in levels}
 
-    def subset(
-        self,
-        topics: Optional[Iterable[str]] = None,
-        systems: Optional[Iterable[str]] = None,
-        profiles: Optional[Iterable[str]] = None,
-    ) -> "EffectivenessMatrix":
-        keep_t = set(topics) if topics is not None else None
-        keep_s = set(systems) if systems is not None else None
-        keep_p = set(profiles) if profiles is not None else None
+    def subset(self, profiles: Iterable[str]) -> "EffectivenessMatrix":
+        """The cells of the given profiles, in insertion order."""
+        keep = set(profiles)
         out = EffectivenessMatrix(k=self.k)
-        for (t, s, p, i), v in self._cells.items():
-            if keep_t is not None and t not in keep_t:
-                continue
-            if keep_s is not None and s not in keep_s:
-                continue
-            if keep_p is not None and p not in keep_p:
-                continue
-            out._cells[(t, s, p, i)] = v
+        out._cells = {key: v for key, v in self._cells.items() if key[2] in keep}
         return out
 
     def balanced_cells(self, factors: Sequence[str]) -> tuple[list, dict]:

@@ -49,19 +49,12 @@ def ndcg_at_k(
     return _dcg(ranked_grades, k, gain) / idcg
 
 
-def kendall_tau(
-    ranking_a: Mapping[str, float],
-    ranking_b: Mapping[str, float],
-    variant: str = "b",
-) -> float:
-    """Kendall rank correlation between two keyed rankings.
+def kendall_tau(ranking_a: Mapping[str, float], ranking_b: Mapping[str, float]) -> float:
+    """Kendall's tau-b between two keyed rankings.
 
     Values may be ranks or scores; the two mappings must share an
-    orientation. Default is tau-b, which discounts ties in the
-    denominator; tau-a divides by all pairs instead.
+    orientation. Tau-b discounts ties in the denominator.
     """
-    if variant not in ("a", "b"):
-        raise ValueError(f"unknown tau variant {variant!r}")
     if set(ranking_a) != set(ranking_b):
         raise ValueError("rankings cover different key sets")
     keys = sorted(ranking_a)
@@ -83,8 +76,6 @@ def kendall_tau(
                 concordant += 1
             else:
                 discordant += 1
-    if variant == "a":
-        return (concordant - discordant) / (n * (n - 1) / 2)
     denom_a = concordant + discordant + ties_a_only
     denom_b = concordant + discordant + ties_b_only
     if denom_a == 0 or denom_b == 0:

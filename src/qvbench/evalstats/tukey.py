@@ -208,14 +208,12 @@ def tukey_hsd(
     ms_error: float,
     df_error: int,
     alpha: float = 0.05,
-    ci: str = "t",
 ) -> TukeyResult:
     """Tukey's honestly significant difference over equal-size groups.
 
     A pair differs significantly when |mean_i - mean_j| exceeds
     HSD = q(1-alpha, k, df) * sqrt(MS_error/n). Per-group intervals are
-    t-based by default; ci="tukey" widens them to q/sqrt(2) half-widths
-    for simultaneous coverage.
+    t-based: mean +- t(1-alpha/2, df) * sqrt(MS_error/n).
     """
     if df_error < 1:
         raise ValueError(f"df_error={df_error} must be >= 1")
@@ -225,16 +223,11 @@ def tukey_hsd(
         raise ValueError("ms_error must be >= 0")
     if len(group_means) < 2:
         raise ValueError("need at least two groups")
-    if ci not in ("t", "tukey"):
-        raise ValueError(f"unknown ci method {ci!r}")
     k = len(group_means)
     q_crit = studentized_range_quantile(1.0 - alpha, k, df_error)
     se = math.sqrt(ms_error / n_per_group)
     hsd = q_crit * se
-    if ci == "t":
-        half = t_quantile(1.0 - alpha / 2.0, df_error) * se
-    else:
-        half = q_crit / math.sqrt(2.0) * se
+    half = t_quantile(1.0 - alpha / 2.0, df_error) * se
     levels = sorted(group_means)
     pairs = []
     for i, a in enumerate(levels):

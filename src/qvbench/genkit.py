@@ -37,7 +37,16 @@ from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol, Sequence, TypeVar
 
-from .core import ParseError, Profile, QueryVariant, Topic, ValidationError, group_variants
+from .core import (
+    SEED_PROFILE,
+    VARIANTS_PER_PAIR,
+    ParseError,
+    Profile,
+    QueryVariant,
+    Topic,
+    ValidationError,
+    group_variants,
+)
 from .validate import load_dictionary, spell_correct
 
 __all__ = [
@@ -68,6 +77,12 @@ _PART_KEYS = ("1", "2", "3a", "3b")
 _PART_MARKER = re.compile(r"^\[part (\w+)\]$")
 
 API_KEY_ENV = "QVBENCH_API_KEY"
+
+# A response that does not parse is asked for again with the same
+# prompt this many times before the call fails.
+PARSE_RETRIES = 3
+# A generated backstory keeps at most this many words.
+BACKSTORY_WORDS = 120
 
 # HttpProvider retries HTTP 429 and 5xx this many times; each wait is the
 # server's Retry-After (seconds form) or a full-jitter exponential
@@ -107,7 +122,6 @@ class PromptTemplate:
     neutral prompts."""
 
     parts: dict[str, str]
-    n_variants: int = 3
 
     def __post_init__(self):
         parts = dict(self.parts)
@@ -117,13 +131,11 @@ class PromptTemplate:
         missing = [k for k in _PART_KEYS if not parts.get(k, "").strip()]
         if missing:
             raise ValidationError(f"template parts missing or empty: {', '.join(missing)}")
-        if not isinstance(self.n_variants, int) or self.n_variants < 1:
-            raise ValidationError("n_variants must be a positive integer")
         object.__setattr__(self, "parts", parts)
 
     @classmethod
-    def load(cls, path=None, n_variants: int = 3) -> "PromptTemplate":
-        return cls(parts=_parse_parts(load_template("variant", path)), n_variants=n_variants)
+    def load(cls, path=None) -> "PromptTemplate":
+        return cls(parts=_parse_parts(load_template("variant", path)))
 
 
 def load_template(name: str, path=None) -> str:
@@ -192,7 +204,7 @@ def build_prompt(topic: Topic, profile: Profile, template: Optional[PromptTempla
         "seed_query": topic.seed_query,
         "profile_name": profile.name,
         "profile_description": profile.description,
-        "n_variants": template.n_variants,
+        "n_variants": VARIANTS_PER_PAIR,
     }
     return "\n\n".join(_substitute(template.parts[k], mapping) for k in _PART_KEYS)
 
@@ -200,7 +212,7 @@ def build_prompt(topic: Topic, profile: Profile, template: Optional[PromptTempla
 def build_neutral_prompt(topic: Topic, template: Optional[PromptTemplate] = None) -> str:
     """Parts 1 and 3a only: no profile text at all."""
     template = template or default_template()
-    mapping = {"seed_query": topic.seed_query, "n_variants": template.n_variants}
+    mapping = {"seed_query": topic.seed_query, "n_variants": VARIANTS_PER_PAIR}
     return "\n\n".join(_substitute(template.parts[k], mapping) for k in ("1", "3a"))
 
 
@@ -213,8 +225,8 @@ def _as_string_list(value) -> Optional[list[str]]:
     return None
 
 
-def parse_variant_response(text: str, n_variants: int = 3) -> list[str]:
-    """JSON array of strings, else numbered lines; exactly n_variants of them.
+def parse_variant_response(text: str) -> list[str]:
+    """JSON array of strings, else numbered lines; exactly VARIANTS_PER_PAIR of them.
 
     The JSON route also accepts an array embedded in surrounding prose.
     """
@@ -241,8 +253,8 @@ def parse_variant_response(text: str, n_variants: int = 3) -> list[str]:
     if items is None:
         raise ParseError("response is neither a JSON array of strings nor a numbered list")
     cleaned = [item.strip() for item in items]
-    if len(cleaned) != n_variants:
-        raise ParseError(f"expected {n_variants} variant strings, got {len(cleaned)}")
+    if len(cleaned) != VARIANTS_PER_PAIR:
+        raise ParseError(f"expected {VARIANTS_PER_PAIR} variant strings, got {len(cleaned)}")
     if any(not item for item in cleaned):
         raise ParseError("variant strings must be non-empty")
     return cleaned
@@ -261,17 +273,17 @@ T = TypeVar("T")
 
 
 def complete_parsed(
-    provider: Provider, prompt: str, parse: Callable[[str], T], max_retries: int, what: str
+    provider: Provider, prompt: str, parse: Callable[[str], T], what: str
 ) -> tuple[T, str, int]:
     """Ask for a completion until parse accepts it: the parsed value, the
     raw text that parsed, and the 1-based attempt number.
 
     A ParseError from parse costs one retry with the same prompt; after
-    max_retries + 1 attempts, GenerationError names `what` and carries
+    PARSE_RETRIES + 1 attempts, GenerationError names `what` and carries
     every raw response.
     """
     raw_responses: list[str] = []
-    for attempt in range(1, max_retries + 2):
+    for attempt in range(1, PARSE_RETRIES + 2):
         raw = provider.complete(prompt)
         raw_responses.append(raw)
         try:
@@ -321,7 +333,6 @@ def generate_variants(
     topic: Topic,
     profile: Profile,
     template: Optional[PromptTemplate] = None,
-    max_retries: int = 3,
     logs: Optional[list[GenerationLog]] = None,
 ) -> list[QueryVariant]:
     """One generation call, retried on parse failures with the same prompt."""
@@ -333,8 +344,7 @@ def generate_variants(
     parsed, raw, attempt = complete_parsed(
         provider,
         prompt,
-        lambda text: parse_variant_response(text, template.n_variants),
-        max_retries,
+        parse_variant_response,
         f"variant list for topic {topic.topic_id}, profile {profile.profile_id}",
     )
     if logs is not None:
@@ -345,44 +355,32 @@ def generate_variants(
     ]
 
 
-def generate_backstory(
-    provider: Provider,
-    topic: Topic,
-    template: Optional[str] = None,
-    max_retries: int = 3,
-    max_words: int = 120,
-) -> str:
-    """One-paragraph backstory, whitespace-collapsed, truncated to max_words."""
+def generate_backstory(provider: Provider, topic: Topic, template: Optional[str] = None) -> str:
+    """One-paragraph backstory, whitespace-collapsed, truncated to BACKSTORY_WORDS."""
     prompt_text = template if template is not None else load_template("backstory")
     prompt = _substitute(
-        prompt_text, {"seed_query": topic.seed_query, "max_words": max_words}
+        prompt_text, {"seed_query": topic.seed_query, "max_words": BACKSTORY_WORDS}
     )
 
     def parse(text: str) -> str:
         words = text.split()
         if not words:
             raise ParseError("empty backstory response")
-        return " ".join(words[:max_words])
+        return " ".join(words[:BACKSTORY_WORDS])
 
-    story, _, _ = complete_parsed(
-        provider, prompt, parse, max_retries, f"backstory for topic {topic.topic_id}"
-    )
+    story, _, _ = complete_parsed(provider, prompt, parse, f"backstory for topic {topic.topic_id}")
     return story
 
 
 def generate_backstories(
-    provider: Provider,
-    topics: Sequence[Topic],
-    template: Optional[str] = None,
-    max_retries: int = 3,
-    max_words: int = 120,
+    provider: Provider, topics: Sequence[Topic], template: Optional[str] = None
 ) -> list[Topic]:
     """Fill in missing backstories; topics that already have one pass through."""
 
     def fill(topic: Topic) -> Topic:
         if topic.backstory:
             return topic
-        story = generate_backstory(provider, topic, template, max_retries, max_words)
+        story = generate_backstory(provider, topic, template)
         return replace(topic, backstory=story)
 
     return run_in_order(provider, fill, topics)
@@ -584,10 +582,8 @@ class MockProvider:
             raise ValidationError("mock provider needs a 'Seed query:' line in the prompt")
         if "backstory" in prompt.lower():
             return self._backstory(seed_query, rng)
-        count_match = re.search(r"exactly (\d+)", prompt)
-        n = int(count_match.group(1)) if count_match else 3
         profile_name = _prompt_field(prompt, "Transformation profile")
-        return json.dumps(self._variants(seed_query, profile_name, n, rng))
+        return json.dumps(self._variants(seed_query, profile_name, rng))
 
     def _backstory(self, seed_query: str, rng: random.Random) -> str:
         return (
@@ -596,14 +592,14 @@ class MockProvider:
         )
 
     def _variants(
-        self, seed_query: str, profile_name: Optional[str], n: int, rng: random.Random
+        self, seed_query: str, profile_name: Optional[str], rng: random.Random
     ) -> list[str]:
         kind = (profile_name or "").strip().lower()
         if kind == "order":
-            return [self._shuffled(seed_query, rng) for _ in range(n)]
+            return [self._shuffled(seed_query, rng) for _ in range(VARIANTS_PER_PAIR)]
         if kind == "misspelling":
-            return [self._misspelled(seed_query, rng) for _ in range(n)]
-        frames = rng.sample(_FRAMES, n) if n <= len(_FRAMES) else rng.choices(_FRAMES, k=n)
+            return [self._misspelled(seed_query, rng) for _ in range(VARIANTS_PER_PAIR)]
+        frames = rng.sample(_FRAMES, VARIANTS_PER_PAIR)
         return [self._paraphrased(seed_query, frame, rng) for frame in frames]
 
     def _shuffled(self, seed_query: str, rng: random.Random) -> str:
@@ -677,24 +673,23 @@ def generate_sweep(
     profiles: Sequence[Profile],
     template: Optional[PromptTemplate] = None,
     existing: Iterable[QueryVariant] = (),
-    max_retries: int = 3,
     logs: Optional[list[GenerationLog]] = None,
 ) -> list[QueryVariant]:
     """Every (topic, profile) combination, reusing complete existing pairs.
 
-    Pairs holding fewer than n_variants stored variants are regenerated
+    Pairs holding fewer than VARIANTS_PER_PAIR stored variants are regenerated
     whole. Provider calls are submitted, and the output and logs are
     assembled, topics-major, profiles-minor, index-ascending.
     """
     template = template or default_template()
     done: dict[tuple[str, str], list[QueryVariant]] = {}
     for pair, group in group_variants(existing).items():
-        if len(group) == template.n_variants:
+        if len(group) == VARIANTS_PER_PAIR:
             done[pair] = group
 
     def generate(pair: tuple[Topic, Profile]) -> tuple[list[QueryVariant], list[GenerationLog]]:
         pair_logs: list[GenerationLog] = []
-        group = generate_variants(provider, *pair, template, max_retries, pair_logs)
+        group = generate_variants(provider, *pair, template, pair_logs)
         return group, pair_logs
 
     missing = [
@@ -743,6 +738,8 @@ def load_profiles(path=None) -> list[Profile]:
             )
         except KeyError as exc:
             raise ParseError(f"profiles entry {i} lacks key {exc}") from exc
+        if profile.profile_id == SEED_PROFILE:
+            raise ParseError(f"profile_id {SEED_PROFILE!r} is reserved for seed queries")
         if profile.profile_id in seen:
             raise ParseError(f"duplicate profile_id {profile.profile_id!r}")
         seen.add(profile.profile_id)

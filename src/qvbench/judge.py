@@ -30,9 +30,8 @@ from .core import (
     Topic,
     ValidationError,
     parse_qrels,
-    profile_of_query_id,
+    query_cell,
     read_jsonl,
-    topic_of_query_id,
     write_jsonl,
     write_qrels,
 )
@@ -124,8 +123,7 @@ def coverage(
     for record in runs:
         if record.rank > k:
             continue
-        profile = profile_of_query_id(record.query_id)
-        topic = topic_of_query_id(record.query_id)
+        topic, profile, _ = query_cell(record.query_id)
         judged = (topic, record.passage_id) in human
         for key in ((record.system_id, profile), ("all", "all")):
             bucket = counts.setdefault(key, [0, 0])
@@ -190,20 +188,19 @@ class LabelStore:
         with self._lock:
             return [self._labels[key] for key in sorted(self._labels)]
 
-    def save(self, qrels_path, raw_path=None) -> None:
+    def save(self, qrels_path, raw_path) -> None:
         write_qrels(self.qrels(), qrels_path, with_source=True)
-        if raw_path is not None:
-            with self._lock:
-                rows = [
-                    {
-                        "topic_id": key[0],
-                        "passage_id": key[1],
-                        "grade": self._labels[key].grade,
-                        "raw_response": self._raw.get(key, ""),
-                    }
-                    for key in sorted(self._labels)
-                ]
-            write_jsonl(rows, raw_path)
+        with self._lock:
+            rows = [
+                {
+                    "topic_id": key[0],
+                    "passage_id": key[1],
+                    "grade": self._labels[key].grade,
+                    "raw_response": self._raw.get(key, ""),
+                }
+                for key in sorted(self._labels)
+            ]
+        write_jsonl(rows, raw_path)
 
     @classmethod
     def load(cls, qrels_path, raw_path=None) -> "LabelStore":
@@ -238,7 +235,6 @@ def label(
     passage: Passage,
     store: LabelStore,
     template: Optional[str] = None,
-    max_retries: int = 3,
 ) -> Qrel:
     """One LLM grade for (topic, passage), served from the store when known."""
     cached = store.get(topic.topic_id, passage.passage_id)
@@ -249,7 +245,6 @@ def label(
         provider,
         prompt,
         _parse_grade,
-        max_retries,
         f"grade for topic {topic.topic_id}, passage {passage.passage_id}",
     )
     return store.put(topic.topic_id, passage.passage_id, grade, raw)
@@ -263,7 +258,6 @@ def label_topk(
     store: LabelStore,
     k: int = 10,
     template: Optional[str] = None,
-    max_retries: int = 3,
 ) -> list[Qrel]:
     """Label every distinct (topic, passage) pair in the runs' top k,
     reading the label template once; the qrels come back in sorted
@@ -274,7 +268,7 @@ def label_topk(
     for record in runs:
         if record.rank > k:
             continue
-        topic_id = topic_of_query_id(record.query_id)
+        topic_id = query_cell(record.query_id)[0]
         if topic_id not in topic_by:
             raise ValidationError(f"run references unknown topic {topic_id!r}")
         if record.passage_id not in passage_by:
@@ -284,9 +278,7 @@ def label_topk(
         template = load_label_template()
     return run_in_order(
         provider,
-        lambda pair: label(
-            provider, topic_by[pair[0]], passage_by[pair[1]], store, template, max_retries
-        ),
+        lambda pair: label(provider, topic_by[pair[0]], passage_by[pair[1]], store, template),
         sorted(needed),
     )
 
@@ -338,29 +330,23 @@ def cohen_kappa(pairs: Iterable[tuple[int, int]], binary: bool = True) -> float:
     return (p_observed - p_expected) / (1 - p_expected)
 
 
-def krippendorff_alpha(
-    pairs: Iterable[tuple[int, int]],
-    metric: str = "ordinal",
-    levels: Sequence[int] = GRADES,
-) -> float:
-    """Two-rater Krippendorff's alpha via the coincidence matrix.
+def krippendorff_alpha(pairs: Iterable[tuple[int, int]]) -> float:
+    """Two-rater ordinal Krippendorff's alpha over GRADES, via the
+    coincidence matrix.
 
-    The ordinal squared difference between categories c and k is the
+    The ordinal squared difference between grades c and k is the
     squared sum of coincidence margins from c through k, minus half the
     two endpoint margins. Complete pairs only; there is no missing-data
     handling.
     """
-    if metric != "ordinal":
-        raise ValidationError(f"unsupported metric {metric!r}")
     checked = list(pairs)
     if len(checked) < 2:
         raise ValidationError("alpha needs at least 2 pairs")
-    level_order = {level: i for i, level in enumerate(levels)}
     coincidence: dict[tuple[int, int], int] = {}
     margins: dict[int, int] = {}
     for a, b in checked:
-        if a not in level_order or b not in level_order:
-            raise ValidationError(f"grade pair ({a}, {b}) outside levels {tuple(levels)}")
+        if a not in GRADES or b not in GRADES:
+            raise ValidationError(f"grade pair ({a}, {b}) outside levels {GRADES}")
         coincidence[(a, b)] = coincidence.get((a, b), 0) + 1
         coincidence[(b, a)] = coincidence.get((b, a), 0) + 1
         margins[a] = margins.get(a, 0) + 1
@@ -368,15 +354,13 @@ def krippendorff_alpha(
     n = 2 * len(checked)
 
     def delta_sq(c: int, k: int) -> float:
-        lo, hi = sorted((level_order[c], level_order[k]))
-        between = sum(
-            margins.get(level, 0) for level in levels if lo <= level_order[level] <= hi
-        )
+        lo, hi = sorted((c, k))
+        between = sum(margins.get(grade, 0) for grade in GRADES if lo <= grade <= hi)
         return (between - (margins.get(c, 0) + margins.get(k, 0)) / 2) ** 2
 
     observed = 0.0
     expected = 0.0
-    present = sorted(margins, key=level_order.get)
+    present = sorted(margins)
     for i, c in enumerate(present):
         for k in present[i + 1 :]:
             d2 = delta_sq(c, k)

@@ -14,6 +14,7 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    VARIANTS_PER_PAIR,
     Passage,
     Qrel,
     RunRecord,
@@ -265,14 +266,12 @@ def fixture_run_records(
     return records
 
 
-def all_query_ids(
-    topics: Sequence[Topic], profile_ids: Sequence[str], per_pair: int = 3
-) -> list[str]:
+def all_query_ids(topics: Sequence[Topic], profile_ids: Sequence[str]) -> list[str]:
     """Seed query ids plus every variant id the sweep will produce."""
     ids = [t.topic_id for t in topics]
     for t in topics:
         for p in profile_ids:
-            for i in range(1, per_pair + 1):
+            for i in range(1, VARIANTS_PER_PAIR + 1):
                 ids.append(variant_query_id(t.topic_id, p, i))
     return ids
 

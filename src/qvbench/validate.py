@@ -24,7 +24,7 @@ from .core import (
     Profile,
     Topic,
     ValidationError,
-    parse_variant_query_id,
+    query_cell,
 )
 from .textkit import tokenize
 
@@ -42,6 +42,7 @@ __all__ = [
     "alignment_accuracy",
     "SIMILARITY_ANSWERS",
     "EQUALLY_LIKELY",
+    "CHECKED_PROFILES",
 ]
 
 _DICT_RESOURCE = "data/words.txt"
@@ -51,7 +52,7 @@ EQUALLY_LIKELY = "equally likely"
 
 # Profiles whose variants are checked mechanically rather than by the
 # similarity task; matched on the profile name, case-insensitive.
-_CHECKED_PROFILES = {"order": "order", "misspelling": "misspelling"}
+CHECKED_PROFILES = frozenset({"order", "misspelling"})
 
 
 @dataclass(frozen=True)
@@ -194,8 +195,8 @@ def validate_variants(
         profile = profile_by.get(v.profile_id)
         if profile is None:
             raise ValidationError(f"variant references unknown profile {v.profile_id!r}")
-        check = _CHECKED_PROFILES.get(profile.name.lower())
-        if check is None:
+        check = profile.name.lower()
+        if check not in CHECKED_PROFILES:
             continue
         topic = topic_by.get(v.topic_id)
         if topic is None:
@@ -253,11 +254,6 @@ def _scored_pairs(
     return {p: r for p, r in grouped.items() if len(r) == 2}
 
 
-def _profile_of_pair(pair_id: str) -> Optional[str]:
-    parsed = parse_variant_query_id(pair_id)
-    return parsed[1] if parsed else None
-
-
 def similarity_accuracy(
     annotations: Sequence[AnnotationRecord], profile_id: str
 ) -> ConsensusReport:
@@ -273,7 +269,7 @@ def similarity_accuracy(
     n_agree = 0
     n_disagree = 0
     for pair_id, records in sorted(pairs.items()):
-        if _profile_of_pair(pair_id) != profile_id:
+        if query_cell(pair_id)[1] != profile_id:
             continue
         answers = []
         for record in records:
@@ -312,7 +308,7 @@ def alignment_accuracy(
     n_correct = 0
     n_disagree = 0
     for pair_id, records in sorted(pairs.items()):
-        if _profile_of_pair(pair_id) != profile_id:
+        if query_cell(pair_id)[1] != profile_id:
             continue
         mapped = []
         for record in records:

@@ -319,17 +319,6 @@ def test_zero_error_df_rejected():
         anova(m, ("topic",))
 
 
-def test_main_effects_only_pools_residual():
-    rng = random.Random(73)
-    cells = [[[rng.random() for _ in range(2)] for _ in range(3)] for _ in range(3)]
-    full = anova(matrix_from_two_way(cells), ("topic", "system"))
-    mains = anova(matrix_from_two_way(cells), ("topic", "system"), with_interactions=False)
-    assert [r.source for r in mains.rows] == ["topic", "system"]
-    want_err = full.error.ss + full.row("topic*system").ss
-    assert mains.error.ss == pytest.approx(want_err, abs=1e-9)
-    assert mains.error.df == full.error.df + full.row("topic*system").df
-
-
 def test_omega_examples():
     assert omega_squared_partial(10, 2, 1, 20) == pytest.approx(8 / 28, abs=1e-12)
     assert omega_squared_partial(5.0, 5, 1.0, 30) == 0.0
@@ -356,7 +345,7 @@ def test_marginal_means_constant_matrix():
                 for i in (1, 2):
                     m.set(t, s, p, i, 0.5)
     table = anova(m, ("topic", "system", "profile"))
-    means, tukey = marginal_means(m, table, axis="profile")
+    means, tukey = marginal_means(m, table)
     assert [mm.mean for mm in means] == [0.5, 0.5]
     for mm in means:
         assert mm.ci_low == pytest.approx(mm.mean, abs=1e-12)
@@ -378,7 +367,7 @@ def test_marginal_means_uniform_shift():
         m.set(t, s, "plain", i, v)
         m.set(t, s, "boost", i, v + delta)
     table = anova(m, ("topic", "system", "profile"))
-    means, _ = marginal_means(m, table, axis="profile")
+    means, _ = marginal_means(m, table)
     by_level = {mm.level: mm.mean for mm in means}
     assert by_level["boost"] - by_level["plain"] == pytest.approx(delta, abs=1e-12)
 

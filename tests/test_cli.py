@@ -88,6 +88,12 @@ class TestConfigFile:
         assert config.k == 25
         assert config.merge == "llm-only"
 
+    @pytest.mark.parametrize("flag", ["human", "llm", "human-only", "llm-only", "human-preferred"])
+    def test_merge_flag_takes_every_config_spelling(self, workspace, flag):
+        argv = ["evaluate", "--config", str(workspace), "--merge", flag]
+        args = cli._build_parser().parse_args(argv)
+        assert build_config(args).merge == (flag if "-" in flag else f"{flag}-only")
+
     def test_missing_required(self):
         with pytest.raises(ValidationError, match="missing required"):
             build_config(_args())
@@ -234,6 +240,17 @@ class TestImportRuns:
         runs.mkdir(parents=True)
         (runs / "fixture_a.run").write_text("t01 Q0 p001 1 5.0 fixture_a\n")
         assert main(["import-runs", "--config", str(config_path)]) == 2
+
+    @pytest.mark.parametrize("tag", ["../../escaped", "sub/escaped", "a\\b", ".hidden"])
+    def test_tag_that_is_not_a_file_name_rejected(self, tmp_path, capsys, tag):
+        config_path = write_toy_workspace(tmp_path / "ws")
+        # "-ok" sorts before every bad tag, and bad.run before the fixtures
+        bad = config_path.parent / "runs" / "bad.run"
+        bad.write_text(f"q1 Q0 p001 1 1.0 -ok\nq1 Q0 p001 1 1.0 {tag}\n")
+        assert main(["import-runs", "--config", str(config_path)]) == 2
+        assert f"error: {bad}: run tag {tag!r}" in capsys.readouterr().err
+        assert list((out_dir(config_path) / "runs").iterdir()) == []
+        assert [p for p in tmp_path.rglob("*.run") if p.parent.name != "runs"] == []
 
 
 class TestJudgeStage:
@@ -438,6 +455,15 @@ class TestExitCodes:
         topics.write_text('{"topic_id": "1", "seed_query": 5}\n', encoding="utf-8")
         assert main(["generate", "--config", str(config_path), "--topics", str(topics)]) == 2
         assert f"{topics}:1: seed_query must be a string" in capsys.readouterr().err
+
+    def test_seed_profile_id_reserved(self, tmp_path, capsys):
+        config_path = write_toy_workspace(tmp_path / "ws")
+        path = config_path.parent / "profiles.json"
+        profiles = json.loads(path.read_text(encoding="utf-8"))
+        profiles[0]["profile_id"] = "seed"
+        path.write_text(json.dumps(profiles), encoding="utf-8")
+        assert main(["generate", "--config", str(config_path)]) == 2
+        assert "'seed' is reserved" in capsys.readouterr().err
 
     def test_analyze_before_evaluate(self, tmp_path):
         config_path = write_toy_workspace(tmp_path / "ws")

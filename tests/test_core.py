@@ -26,11 +26,10 @@ from qvbench.core import (
     parse_topics,
     parse_trec_run,
     parse_variant_query_id,
-    profile_of_query_id,
+    query_cell,
     read_annotations,
     read_csv,
     read_variants,
-    topic_of_query_id,
     variant_query_id,
     verify_complete,
     write_csv,
@@ -384,14 +383,14 @@ def test_variant_index_bounds():
 
 
 def test_expected_variant_count_published_sizes():
-    assert expected_variant_count(53, 6, 3) == 954
-    assert expected_variant_count(76, 8, 3) == 1824
-    assert expected_variant_count(0, 8, 3) == 0
+    assert expected_variant_count(53, 6) == 954
+    assert expected_variant_count(76, 8) == 1824
+    assert expected_variant_count(0, 8) == 0
 
 
 def test_expected_variant_count_rejects_negative():
     with pytest.raises(ValueError):
-        expected_variant_count(-1, 6, 3)
+        expected_variant_count(-1, 6)
 
 
 def test_query_id_roundtrip():
@@ -399,10 +398,8 @@ def test_query_id_roundtrip():
     assert qid == "2001__child__2"
     assert parse_variant_query_id(qid) == ("2001", "child", 2)
     assert parse_variant_query_id("2001") is None
-    assert topic_of_query_id(qid) == "2001"
-    assert topic_of_query_id("2001") == "2001"
-    assert profile_of_query_id(qid) == "child"
-    assert profile_of_query_id("2001") == "seed"
+    assert query_cell(qid) == ("2001", "child", 2)
+    assert query_cell("2001") == ("2001", "seed", 0)
 
 
 def test_query_id_rejects_separator_in_components():

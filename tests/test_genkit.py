@@ -54,7 +54,6 @@ class TestPromptTemplate:
     def test_default_template_has_all_parts(self):
         template = default_template()
         assert set(template.parts) == {"1", "2", "3a", "3b"}
-        assert template.n_variants == 3
 
     def test_build_prompt_fills_slots(self):
         prompt = build_prompt(TOPIC, EMILY)
@@ -86,9 +85,9 @@ class TestPromptTemplate:
             "Transformation profile: {profile_name}\n{profile_description}\n"
             "[part 3a]\nReturn exactly {n_variants} items.\n[part 3b]\nStay in character.\n"
         )
-        template = PromptTemplate.load(path, n_variants=5)
+        template = PromptTemplate.load(path)
         prompt = build_prompt(TOPIC, EMILY, template)
-        assert "exactly 5 items" in prompt
+        assert "exactly 3 items" in prompt
         assert prompt.startswith("Seed query: asthma symptoms in children")
 
     def test_text_before_first_marker_rejected(self, tmp_path):
@@ -112,11 +111,6 @@ class TestPromptTemplate:
     def test_missing_part_rejected(self):
         with pytest.raises(ValidationError):
             PromptTemplate(parts={"1": "a", "2": "b", "3a": "c"})
-
-    def test_bad_n_variants_rejected(self):
-        parts = {"1": "a", "2": "b", "3a": "c", "3b": "d"}
-        with pytest.raises(ValidationError):
-            PromptTemplate(parts=parts, n_variants=0)
 
     def test_literal_braces_survive_substitution(self, tmp_path):
         path = tmp_path / "tpl.txt"
@@ -164,9 +158,6 @@ class TestResponseParsing:
         with pytest.raises(ParseError):
             parse_variant_response("I could not think of any queries today.")
 
-    def test_custom_count(self):
-        assert parse_variant_response('["a"]', n_variants=1) == ["a"]
-
 
 class TestGenerateVariants:
     def test_retries_then_succeeds(self):
@@ -183,9 +174,9 @@ class TestGenerateVariants:
     def test_persistent_failure_carries_raw_responses(self):
         provider = ScriptedProvider(['["only", "two"]'])
         with pytest.raises(GenerationError) as excinfo:
-            generate_variants(provider, TOPIC, EMILY, max_retries=2)
-        assert provider.calls == 3
-        assert len(excinfo.value.raw_responses) == 3
+            generate_variants(provider, TOPIC, EMILY)
+        assert provider.calls == 4
+        assert len(excinfo.value.raw_responses) == 4
         assert excinfo.value.raw_responses[0] == '["only", "two"]'
 
     def test_neutral_profile_uses_neutral_prompt(self):
@@ -256,8 +247,8 @@ class TestBackstories:
     def test_empty_responses_exhaust_retries(self):
         provider = ScriptedProvider(["", "   \n", ""])
         with pytest.raises(GenerationError) as excinfo:
-            generate_backstory(provider, TOPIC, max_retries=2)
-        assert len(excinfo.value.raw_responses) == 3
+            generate_backstory(provider, TOPIC)
+        assert len(excinfo.value.raw_responses) == 4
 
     def test_existing_backstories_pass_through(self):
         done = Topic("t1", "q one", backstory="already written")

@@ -135,3 +135,68 @@ def test_no_public_name_only_tests_reach():
     )
     assert [n for n in unreferenced if n not in UNREFERENCED_ALLOWED] == []
     assert sorted(UNREFERENCED_ALLOWED - set(unreferenced)) == []
+
+
+# Defaulted parameters that no call in the package passes, each with
+# the reason it stays a parameter rather than a constant.
+UNPASSED_DEFAULTS_ALLOWED = {
+    "main.argv": "tests drive the CLI in-process; the console script passes none",
+    "load_dictionary.path": "a word list other than the bundled one",
+    "load_label_template.path": "a label template file other than the bundled one",
+    "generate_backstories.template": "backstory prompt text other than the bundled one",
+    "generate_sweep.template": "a variant template other than the bundled one",
+    "label_topk.template": "label prompt text other than the bundled one",
+}
+
+
+def _defaulted_params(fn):
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    defaulted = positional[len(positional) - len(args.defaults) :]
+    keyword = [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return [(a.arg, positional.index(a) if a in positional else None) for a in defaulted + keyword]
+
+
+def test_every_default_is_passed_somewhere():
+    """Each parameter with a default, of every public top-level function
+    of `src/qvbench`, is passed by some call elsewhere there: by keyword,
+    by position, or through a `*` or `**` argument.
+
+    A default that only tests change is a constant with extra code
+    paths. Calls match by bare name, or as `module.name` for the module
+    that defines it; a call inside the function itself does not count.
+    """
+    functions = {}  # name -> (module stem, FunctionDef)
+    calls = []  # (top-level name the call sits in, Call)
+    for path in sorted(Path(qvbench.__file__).parent.rglob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                functions[node.name] = (path.stem, node)
+            owner = getattr(node, "name", None)
+            calls.extend((owner, sub) for sub in ast.walk(node) if isinstance(sub, ast.Call))
+
+    def callee(call):
+        func = call.func
+        if isinstance(func, ast.Name):
+            return func.id
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+            if functions.get(func.attr, ("",))[0] == func.value.id:
+                return func.attr
+        return None
+
+    unpassed = set()
+    for name, (_, fn) in functions.items():
+        if name in UNREFERENCED_ALLOWED:
+            continue
+        sites = [call for owner, call in calls if owner != name and callee(call) == name]
+        for param, position in _defaulted_params(fn):
+            passed = any(
+                any(isinstance(a, ast.Starred) for a in call.args)
+                or any(kw.arg in (None, param) for kw in call.keywords)
+                or (position is not None and position < len(call.args))
+                for call in sites
+            )
+            if not passed:
+                unpassed.add(f"{name}.{param}")
+    assert sorted(unpassed - set(UNPASSED_DEFAULTS_ALLOWED)) == []
+    assert sorted(set(UNPASSED_DEFAULTS_ALLOWED) - unpassed) == []
