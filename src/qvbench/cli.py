@@ -123,8 +123,16 @@ class PipelineConfig:
 _COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
+# Config-file keys, each also a flag: one per PipelineConfig field, with
+# runs for runs_dir.
+SETTINGS = tuple(
+    "runs" if f.name == "runs_dir" else f.name for f in dataclasses.fields(PipelineConfig)
+)
+_PATH_SETTINGS = ("topics", "corpus", "profiles", "runs", "qrels", "out", "annotations")
+
+
 def parse_config_file(path) -> dict:
-    """Plain `key = value` lines; later keys win.
+    """Plain `key = value` lines over the keys in SETTINGS; later keys win.
 
     '#' starts a comment at the start of a line or after whitespace, so
     `out = run#2` keeps its '#'.
@@ -138,7 +146,10 @@ def parse_config_file(path) -> dict:
             if "=" not in line:
                 raise ParseError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in SETTINGS:
+                raise ParseError(f"{path}:{lineno}: unknown setting {key!r}")
+            values[key] = value.strip()
     return values
 
 
@@ -148,32 +159,15 @@ def _resolve(base: Path, value: str) -> Path:
 
 
 def build_config(args) -> PipelineConfig:
-    """Defaults, overridden by the config file, overridden by flags."""
+    """PipelineConfig's defaults, overridden by the config file, overridden by flags."""
     raw = {}
     base = Path.cwd()
     if args.config:
         config_path = Path(args.config)
         raw.update(parse_config_file(config_path))
         base = config_path.resolve().parent
-    for key in (
-        "topics",
-        "corpus",
-        "profiles",
-        "runs",
-        "qrels",
-        "out",
-        "annotations",
-        "methods",
-        "k",
-        "alpha",
-        "gain",
-        "seed",
-        "provider",
-        "merge",
-        "endpoint",
-        "model",
-    ):
-        flag = getattr(args, key.replace("-", "_"), None)
+    for key in SETTINGS:
+        flag = getattr(args, key, None)
         if flag is not None:
             raw[key] = str(flag)
 
@@ -181,39 +175,24 @@ def build_config(args) -> PipelineConfig:
     if missing:
         raise ValidationError(f"missing required settings: {', '.join(missing)}")
 
-    def path_of(key):
-        return _resolve(base, raw[key]) if key in raw else None
-
-    methods = tuple(
-        m.strip() for m in raw.get("methods", ",".join(PROFILE_METHODS)).split(",") if m.strip()
-    )
-    merge = _MERGE_ALIASES.get(raw.get("merge", "human-preferred"))
-    if merge is None:
-        raise ValidationError(f"unknown merge policy {raw['merge']!r}")
-    try:
-        k = int(raw.get("k", "10"))
-        alpha = float(raw.get("alpha", "0.05"))
-        seed = int(raw.get("seed", "0"))
-    except ValueError as exc:
-        raise ValidationError(f"bad numeric setting: {exc}") from exc
-    return PipelineConfig(
-        topics=path_of("topics"),
-        corpus=path_of("corpus"),
-        profiles=path_of("profiles"),
-        out=path_of("out"),
-        runs_dir=path_of("runs"),
-        qrels=path_of("qrels"),
-        annotations=path_of("annotations"),
-        methods=methods,
-        k=k,
-        alpha=alpha,
-        gain=raw.get("gain", "linear"),
-        merge=merge,
-        seed=seed,
-        provider=raw.get("provider", "mock"),
-        endpoint=raw.get("endpoint", ""),
-        model=raw.get("model", ""),
-    )
+    fields = {}
+    for key, value in raw.items():
+        if key in _PATH_SETTINGS:
+            fields["runs_dir" if key == "runs" else key] = _resolve(base, value)
+        elif key == "methods":
+            fields[key] = tuple(m.strip() for m in value.split(",") if m.strip())
+        elif key == "merge":
+            if value not in _MERGE_ALIASES:
+                raise ValidationError(f"unknown merge policy {value!r}")
+            fields[key] = _MERGE_ALIASES[value]
+        elif key in ("k", "seed", "alpha"):
+            try:
+                fields[key] = (float if key == "alpha" else int)(value)
+            except ValueError as exc:
+                raise ValidationError(f"bad numeric setting: {exc}") from exc
+        else:
+            fields[key] = value
+    return PipelineConfig(**fields)
 
 
 def make_provider(config: PipelineConfig):
@@ -390,7 +369,10 @@ def cmd_import_runs(config: PipelineConfig) -> None:
         raise ValidationError(f"no run files in {config.runs_dir}")
     runs_dir = _runs_out(config)
     runs_dir.mkdir(parents=True, exist_ok=True)
+    # Every system of every file is rendered and checked before any is
+    # written, so a rejected import leaves runs/ as it was.
     imported = []
+    planned = {}  # target -> (rendered text, input file it came from)
     for path in files:
         records = parse_trec_run(path)
         by_system = {}
@@ -403,12 +385,20 @@ def cmd_import_runs(config: PipelineConfig) -> None:
         for system_id in sorted(by_system):
             target = runs_dir / f"{system_id}.run"
             rendered = format_trec_run(by_system[system_id])
-            if target.exists() and target.read_text(encoding="utf-8") != rendered:
+            if target in planned:
+                present, where = planned[target]
+            else:
+                present = target.read_text(encoding="utf-8") if target.exists() else None
+                where = target
+            if present is not None and present != rendered:
                 raise ValidationError(
-                    f"system {system_id!r} already present with different content"
+                    f"{path}: system {system_id!r} already present in {where}"
+                    " with different content"
                 )
-            target.write_text(rendered, encoding="utf-8")
+            planned[target] = (rendered, path)
             imported.append(system_id)
+    for target, (rendered, _) in planned.items():
+        target.write_text(rendered, encoding="utf-8")
     print(f"imported {len(imported)} systems: {', '.join(imported)}")
 
 

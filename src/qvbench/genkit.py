@@ -50,7 +50,6 @@ from .core import (
 from .validate import load_dictionary, spell_correct
 
 __all__ = [
-    "PromptTemplate",
     "ProviderConfig",
     "GenerationLog",
     "GenerationError",
@@ -84,6 +83,11 @@ PARSE_RETRIES = 3
 # A generated backstory keeps at most this many words.
 BACKSTORY_WORDS = 120
 
+# HttpProvider samples at this temperature and gives each request this
+# many seconds to answer.
+_TEMPERATURE = 1.0
+_TIMEOUT_S = 60.0
+
 # HttpProvider retries HTTP 429 and 5xx this many times; each wait is the
 # server's Retry-After (seconds form) or a full-jitter exponential
 # backoff, capped either way.
@@ -105,7 +109,7 @@ class TransportError(Exception):
 
 
 class _Timeout(TransportError):
-    """The endpoint did not answer within the configured timeout."""
+    """The endpoint did not answer within _TIMEOUT_S seconds."""
 
 
 class Provider(Protocol):
@@ -115,39 +119,12 @@ class Provider(Protocol):
     def complete(self, prompt: str) -> str: ...
 
 
-@dataclass(frozen=True)
-class PromptTemplate:
-    """Prompt text in four sections: task, profile slot, output format,
-    profile-adherence reminder. Sections 2 and 3b are omitted for
-    neutral prompts."""
-
-    parts: dict[str, str]
-
-    def __post_init__(self):
-        parts = dict(self.parts)
-        unknown = sorted(set(parts) - set(_PART_KEYS))
-        if unknown:
-            raise ValidationError(f"unknown template parts: {', '.join(unknown)}")
-        missing = [k for k in _PART_KEYS if not parts.get(k, "").strip()]
-        if missing:
-            raise ValidationError(f"template parts missing or empty: {', '.join(missing)}")
-        object.__setattr__(self, "parts", parts)
-
-    @classmethod
-    def load(cls, path=None) -> "PromptTemplate":
-        return cls(parts=_parse_parts(load_template("variant", path)))
-
-
-def load_template(name: str, path=None) -> str:
-    """Prompt template text: the file at path, else the bundled
-    ``data/templates/<name>_prompt.txt``, without its leading block of
-    ``#`` comment and blank lines."""
-    if path is None:
-        resource = f"data/templates/{name}_prompt.txt"
-        text = resources.files("qvbench").joinpath(resource).read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    lines = text.splitlines()
+@lru_cache(maxsize=None)
+def load_template(name: str) -> str:
+    """Bundled prompt template text, ``data/templates/<name>_prompt.txt``,
+    without its leading block of ``#`` comment and blank lines."""
+    resource = f"data/templates/{name}_prompt.txt"
+    lines = resources.files("qvbench").joinpath(resource).read_text("utf-8").splitlines()
     start = 0
     while start < len(lines) and (
         not lines[start].strip() or lines[start].lstrip().startswith("#")
@@ -160,7 +137,9 @@ def load_template(name: str, path=None) -> str:
 
 
 def _parse_parts(text: str) -> dict[str, str]:
-    """Split on [part N] marker lines."""
+    """Split on [part N] marker lines into the four variant-prompt
+    sections: task, profile slot, output format, profile-adherence
+    reminder. Each must appear once and be non-empty."""
     parts: dict[str, list[str]] = {}
     current: Optional[str] = None
     for line in text.splitlines():
@@ -177,12 +156,16 @@ def _parse_parts(text: str) -> dict[str, str]:
             parts[current].append(line)
         elif line.strip():
             raise ParseError("template text before the first [part] marker")
-    return {key: "\n".join(lines).strip() for key, lines in parts.items()}
+    joined = {key: "\n".join(lines).strip() for key, lines in parts.items()}
+    missing = [key for key in _PART_KEYS if not joined.get(key)]
+    if missing:
+        raise ParseError(f"template parts missing or empty: {', '.join(missing)}")
+    return joined
 
 
 @lru_cache(maxsize=1)
-def default_template() -> PromptTemplate:
-    return PromptTemplate.load()
+def _variant_parts() -> dict[str, str]:
+    return _parse_parts(load_template("variant"))
 
 
 def _substitute(text: str, mapping: dict[str, object]) -> str:
@@ -193,9 +176,8 @@ def _substitute(text: str, mapping: dict[str, object]) -> str:
     return text
 
 
-def build_prompt(topic: Topic, profile: Profile, template: Optional[PromptTemplate] = None) -> str:
+def build_prompt(topic: Topic, profile: Profile) -> str:
     """Full four-part prompt for a profile-conditioned generation call."""
-    template = template or default_template()
     if profile.method == "neutral":
         raise ValidationError("neutral profiles take build_neutral_prompt")
     if not profile.description.strip():
@@ -206,14 +188,15 @@ def build_prompt(topic: Topic, profile: Profile, template: Optional[PromptTempla
         "profile_description": profile.description,
         "n_variants": VARIANTS_PER_PAIR,
     }
-    return "\n\n".join(_substitute(template.parts[k], mapping) for k in _PART_KEYS)
+    parts = _variant_parts()
+    return "\n\n".join(_substitute(parts[k], mapping) for k in _PART_KEYS)
 
 
-def build_neutral_prompt(topic: Topic, template: Optional[PromptTemplate] = None) -> str:
+def build_neutral_prompt(topic: Topic) -> str:
     """Parts 1 and 3a only: no profile text at all."""
-    template = template or default_template()
+    parts = _variant_parts()
     mapping = {"seed_query": topic.seed_query, "n_variants": VARIANTS_PER_PAIR}
-    return "\n\n".join(_substitute(template.parts[k], mapping) for k in ("1", "3a"))
+    return "\n\n".join(_substitute(parts[k], mapping) for k in ("1", "3a"))
 
 
 _NUMBERED_LINE = re.compile(r"^\s*\d+\s*[.):]\s*(.+?)\s*$")
@@ -332,15 +315,13 @@ def generate_variants(
     provider: Provider,
     topic: Topic,
     profile: Profile,
-    template: Optional[PromptTemplate] = None,
     logs: Optional[list[GenerationLog]] = None,
 ) -> list[QueryVariant]:
     """One generation call, retried on parse failures with the same prompt."""
-    template = template or default_template()
     if profile.method == "neutral":
-        prompt = build_neutral_prompt(topic, template)
+        prompt = build_neutral_prompt(topic)
     else:
-        prompt = build_prompt(topic, profile, template)
+        prompt = build_prompt(topic, profile)
     parsed, raw, attempt = complete_parsed(
         provider,
         prompt,
@@ -355,11 +336,10 @@ def generate_variants(
     ]
 
 
-def generate_backstory(provider: Provider, topic: Topic, template: Optional[str] = None) -> str:
+def generate_backstory(provider: Provider, topic: Topic) -> str:
     """One-paragraph backstory, whitespace-collapsed, truncated to BACKSTORY_WORDS."""
-    prompt_text = template if template is not None else load_template("backstory")
     prompt = _substitute(
-        prompt_text, {"seed_query": topic.seed_query, "max_words": BACKSTORY_WORDS}
+        load_template("backstory"), {"seed_query": topic.seed_query, "max_words": BACKSTORY_WORDS}
     )
 
     def parse(text: str) -> str:
@@ -372,15 +352,13 @@ def generate_backstory(provider: Provider, topic: Topic, template: Optional[str]
     return story
 
 
-def generate_backstories(
-    provider: Provider, topics: Sequence[Topic], template: Optional[str] = None
-) -> list[Topic]:
+def generate_backstories(provider: Provider, topics: Sequence[Topic]) -> list[Topic]:
     """Fill in missing backstories; topics that already have one pass through."""
 
     def fill(topic: Topic) -> Topic:
         if topic.backstory:
             return topic
-        story = generate_backstory(provider, topic, template)
+        story = generate_backstory(provider, topic)
         return replace(topic, backstory=story)
 
     return run_in_order(provider, fill, topics)
@@ -390,15 +368,9 @@ def generate_backstories(
 class ProviderConfig:
     endpoint: str
     model_name: str
-    temperature: float = 1.0
-    timeout: float = 60.0
     api_key: Optional[str] = None
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValidationError("temperature must be >= 0")
-        if self.timeout <= 0:
-            raise ValidationError("timeout must be positive")
         if self.api_key is None:
             object.__setattr__(self, "api_key", os.environ.get(API_KEY_ENV))
 
@@ -428,7 +400,7 @@ class HttpProvider:
             headers["Authorization"] = f"Bearer {self.config.api_key}"
         payload = {
             "model": self.config.model_name,
-            "temperature": self.config.temperature,
+            "temperature": _TEMPERATURE,
             "messages": [{"role": "user", "content": prompt}],
         }
         data = json.dumps(payload).encode("utf-8")
@@ -466,7 +438,7 @@ class HttpProvider:
                 self.config.endpoint, data=data, headers=headers, method="POST"
             )
             try:
-                response = urllib.request.urlopen(request, timeout=self.config.timeout)
+                response = urllib.request.urlopen(request, timeout=_TIMEOUT_S)
             except urllib.error.HTTPError as exc:
                 response = exc  # an HTTPError is also the response
             with response:
@@ -566,9 +538,9 @@ class MockProvider:
     single grade drawn from a fixed distribution over 0..3.
     """
 
-    def __init__(self, seed_material: str = "", dictionary: Optional[frozenset] = None):
+    def __init__(self, seed_material: str = ""):
         self.seed_material = str(seed_material)
-        self._dictionary = dictionary if dictionary is not None else load_dictionary()
+        self._dictionary = load_dictionary()
 
     def complete(self, prompt: str) -> str:
         digest = hashlib.sha256(
@@ -671,7 +643,6 @@ def generate_sweep(
     provider: Provider,
     topics: Sequence[Topic],
     profiles: Sequence[Profile],
-    template: Optional[PromptTemplate] = None,
     existing: Iterable[QueryVariant] = (),
     logs: Optional[list[GenerationLog]] = None,
 ) -> list[QueryVariant]:
@@ -681,7 +652,6 @@ def generate_sweep(
     whole. Provider calls are submitted, and the output and logs are
     assembled, topics-major, profiles-minor, index-ascending.
     """
-    template = template or default_template()
     done: dict[tuple[str, str], list[QueryVariant]] = {}
     for pair, group in group_variants(existing).items():
         if len(group) == VARIANTS_PER_PAIR:
@@ -689,7 +659,7 @@ def generate_sweep(
 
     def generate(pair: tuple[Topic, Profile]) -> tuple[list[QueryVariant], list[GenerationLog]]:
         pair_logs: list[GenerationLog] = []
-        group = generate_variants(provider, *pair, template, pair_logs)
+        group = generate_variants(provider, *pair, pair_logs)
         return group, pair_logs
 
     missing = [

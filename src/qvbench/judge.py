@@ -137,23 +137,21 @@ def coverage(
     return reports
 
 
-def load_label_template(path=None) -> str:
-    return load_template("label", path)
+def load_label_template() -> str:
+    return load_template("label")
 
 
-def build_label_prompt(
-    backstory: str, passage_text: str, template: Optional[str] = None
-) -> str:
-    """Labeling prompt around the backstory, not the seed query."""
+def build_label_prompt(backstory: str, passage_text: str, template: str) -> str:
+    """Labeling prompt around the backstory, not the seed query, from the
+    text ``load_label_template`` returns."""
     if not backstory or not backstory.strip():
         raise ValidationError(
             "topic has no backstory; generate one with genkit.generate_backstory first"
         )
-    text = template if template is not None else load_label_template()
     # a placeholder inside an earlier value is filled by a later key, so
     # this order is part of the prompt bytes
     return _substitute(
-        text,
+        template,
         {"backstory": backstory, "passage": passage_text, "scale_description": SCALE_DESCRIPTION},
     )
 
@@ -234,9 +232,10 @@ def label(
     topic: Topic,
     passage: Passage,
     store: LabelStore,
-    template: Optional[str] = None,
+    template: str,
 ) -> Qrel:
-    """One LLM grade for (topic, passage), served from the store when known."""
+    """One LLM grade for (topic, passage), served from the store when known;
+    template is the text ``load_label_template`` returns."""
     cached = store.get(topic.topic_id, passage.passage_id)
     if cached is not None:
         return cached
@@ -257,7 +256,6 @@ def label_topk(
     passages: Sequence[Passage],
     store: LabelStore,
     k: int = 10,
-    template: Optional[str] = None,
 ) -> list[Qrel]:
     """Label every distinct (topic, passage) pair in the runs' top k,
     reading the label template once; the qrels come back in sorted
@@ -274,8 +272,7 @@ def label_topk(
         if record.passage_id not in passage_by:
             raise ValidationError(f"run references unknown passage {record.passage_id!r}")
         needed.add((topic_id, record.passage_id))
-    if template is None:
-        template = load_label_template()
+    template = load_label_template()
     return run_in_order(
         provider,
         lambda pair: label(provider, topic_by[pair[0]], passage_by[pair[1]], store, template),

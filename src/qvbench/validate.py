@@ -14,8 +14,8 @@ accuracy per profile for the similarity and alignment tasks.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
-from pathlib import Path
 from typing import Collection, Iterable, Optional, Sequence
 
 from .core import (
@@ -94,12 +94,10 @@ class ConsensusReport:
             )
 
 
-def load_dictionary(path=None) -> frozenset[str]:
-    """Newline-delimited word list, lowercased; bundled list by default."""
-    if path is None:
-        text = resources.files("qvbench").joinpath(_DICT_RESOURCE).read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
+@lru_cache(maxsize=1)
+def load_dictionary() -> frozenset[str]:
+    """The bundled newline-delimited word list, lowercased."""
+    text = resources.files("qvbench").joinpath(_DICT_RESOURCE).read_text("utf-8")
     words = frozenset(
         stripped.lower()
         for line in text.splitlines()

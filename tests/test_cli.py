@@ -98,6 +98,15 @@ class TestConfigFile:
         with pytest.raises(ValidationError, match="missing required"):
             build_config(_args())
 
+    def test_unknown_key_fails_before_any_stage_runs(self, tmp_path, capsys):
+        config_path = write_toy_workspace(tmp_path / "ws")
+        with open(config_path, "a", encoding="utf-8") as fh:
+            fh.write("seeed = 3\n")
+        lineno = len(config_path.read_text(encoding="utf-8").splitlines())
+        assert main(["index", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {config_path}:{lineno}: unknown setting 'seeed'\n"
+        assert not out_dir(config_path).exists()
+
 
 def _args(**kwargs):
     import argparse
@@ -240,6 +249,33 @@ class TestImportRuns:
         runs.mkdir(parents=True)
         (runs / "fixture_a.run").write_text("t01 Q0 p001 1 5.0 fixture_a\n")
         assert main(["import-runs", "--config", str(config_path)]) == 2
+
+    def test_conflict_writes_nothing(self, tmp_path, capsys):
+        config_path = write_toy_workspace(tmp_path / "ws")
+        assert main(["import-runs", "--config", str(config_path)]) == 0
+        runs = out_dir(config_path) / "runs"
+        before = {p.name: p.read_bytes() for p in runs.iterdir()}
+        multi = config_path.parent / "runs" / "a_multi.run"
+        multi.write_text("t01 Q0 p001 1 5.0 aaa\nt01 Q0 p001 1 5.0 fixture_a\n")
+        capsys.readouterr()
+        assert main(["import-runs", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {multi}: system 'fixture_a' already present in {runs / 'fixture_a.run'}"
+            " with different content\n"
+        )
+        assert {p.name: p.read_bytes() for p in runs.iterdir()} == before
+
+    def test_conflict_between_run_files_writes_nothing(self, tmp_path, capsys):
+        config_path = write_toy_workspace(tmp_path / "ws")
+        first = config_path.parent / "runs" / "a_first.run"
+        second = config_path.parent / "runs" / "a_second.run"
+        first.write_text("t01 Q0 p001 1 5.0 zzz\n")
+        second.write_text("t01 Q0 p002 1 5.0 zzz\n")
+        assert main(["import-runs", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {second}: system 'zzz' already present in {first} with different content\n"
+        )
+        assert list((out_dir(config_path) / "runs").iterdir()) == []
 
     @pytest.mark.parametrize("tag", ["../../escaped", "sub/escaped", "a\\b", ".hidden"])
     def test_tag_that_is_not_a_file_name_rejected(self, tmp_path, capsys, tag):

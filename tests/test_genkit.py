@@ -14,12 +14,10 @@ from qvbench.genkit import (
     GenerationError,
     HttpProvider,
     MockProvider,
-    PromptTemplate,
     ProviderConfig,
     TransportError,
     build_neutral_prompt,
     build_prompt,
-    default_template,
     generate_backstory,
     generate_backstories,
     generate_sweep,
@@ -50,10 +48,14 @@ class ScriptedProvider:
         return self.responses[min(self.calls - 1, len(self.responses) - 1)]
 
 
+PARTS = "[part 1]\nx\n[part 2]\ny\n[part 3a]\nz\n[part 3b]\nw\n"
+
+
 class TestPromptTemplate:
     def test_default_template_has_all_parts(self):
-        template = default_template()
-        assert set(template.parts) == {"1", "2", "3a", "3b"}
+        parts = genkit._variant_parts()
+        assert list(parts) == ["1", "2", "3a", "3b"]
+        assert all(text and text == text.strip() for text in parts.values())
 
     def test_build_prompt_fills_slots(self):
         prompt = build_prompt(TOPIC, EMILY)
@@ -78,50 +80,29 @@ class TestPromptTemplate:
         with pytest.raises(ValidationError):
             build_prompt(TOPIC, hollow)
 
-    def test_custom_file_roundtrip(self, tmp_path):
-        path = tmp_path / "tpl.txt"
-        path.write_text(
-            "# comment\n[part 1]\nSeed query: {seed_query}\n[part 2]\n"
-            "Transformation profile: {profile_name}\n{profile_description}\n"
-            "[part 3a]\nReturn exactly {n_variants} items.\n[part 3b]\nStay in character.\n"
-        )
-        template = PromptTemplate.load(path)
-        prompt = build_prompt(TOPIC, EMILY, template)
-        assert "exactly 3 items" in prompt
-        assert prompt.startswith("Seed query: asthma symptoms in children")
+    def test_text_before_first_marker_rejected(self):
+        with pytest.raises(ParseError, match="before the first"):
+            genkit._parse_parts("stray text\n" + PARTS)
 
-    def test_text_before_first_marker_rejected(self, tmp_path):
-        path = tmp_path / "tpl.txt"
-        path.write_text("stray text\n[part 1]\nx\n[part 2]\ny\n[part 3a]\nz\n[part 3b]\nw\n")
-        with pytest.raises(ParseError):
-            PromptTemplate.load(path)
+    def test_duplicate_marker_rejected(self):
+        with pytest.raises(ParseError, match="duplicate"):
+            genkit._parse_parts(PARTS + "[part 1]\nv\n")
 
-    def test_duplicate_marker_rejected(self, tmp_path):
-        path = tmp_path / "tpl.txt"
-        path.write_text("[part 1]\nx\n[part 1]\ny\n[part 3a]\nz\n[part 3b]\nw\n")
-        with pytest.raises(ParseError):
-            PromptTemplate.load(path)
-
-    def test_unknown_marker_rejected(self, tmp_path):
-        path = tmp_path / "tpl.txt"
-        path.write_text("[part 4]\nx\n")
-        with pytest.raises(ParseError):
-            PromptTemplate.load(path)
+    def test_unknown_marker_rejected(self):
+        with pytest.raises(ParseError, match="unknown"):
+            genkit._parse_parts(PARTS + "[part 4]\nv\n")
 
     def test_missing_part_rejected(self):
-        with pytest.raises(ValidationError):
-            PromptTemplate(parts={"1": "a", "2": "b", "3a": "c"})
+        with pytest.raises(ParseError, match="missing or empty: 3b"):
+            genkit._parse_parts(PARTS.replace("[part 3b]\nw\n", ""))
+        with pytest.raises(ParseError, match="missing or empty: 2"):
+            genkit._parse_parts(PARTS.replace("\ny\n", "\n \n"))
 
-    def test_literal_braces_survive_substitution(self, tmp_path):
-        path = tmp_path / "tpl.txt"
-        path.write_text(
-            '[part 1]\nSeed query: {seed_query}\n[part 2]\np\n[part 3a]\n'
-            'Like {"not": "a placeholder"}, exactly {n_variants}.\n[part 3b]\nq\n'
+    def test_literal_braces_survive_substitution(self):
+        text = 'Like {"not": "a placeholder"}, exactly {n_variants} for {seed_query}.'
+        assert genkit._substitute(text, {"seed_query": "q", "n_variants": 3}) == (
+            'Like {"not": "a placeholder"}, exactly 3 for q.'
         )
-        template = PromptTemplate.load(path)
-        prompt = build_neutral_prompt(TOPIC, template)
-        assert '{"not": "a placeholder"}' in prompt
-        assert "exactly 3" in prompt
 
 
 class TestResponseParsing:
@@ -315,9 +296,10 @@ class TestSweep:
 
 
 class TestProviderConfig:
-    def test_defaults(self):
+    def test_defaults(self, monkeypatch):
+        monkeypatch.delenv("QVBENCH_API_KEY", raising=False)
         config = ProviderConfig(endpoint="https://api.example/v1/chat", model_name="m")
-        assert config.temperature == 1.0
+        assert config.api_key is None
 
     def test_api_key_from_environment(self, monkeypatch):
         monkeypatch.setenv("QVBENCH_API_KEY", "sk-test")
@@ -328,12 +310,6 @@ class TestProviderConfig:
         monkeypatch.setenv("QVBENCH_API_KEY", "sk-env")
         config = ProviderConfig(endpoint="e", model_name="m", api_key="sk-given")
         assert config.api_key == "sk-given"
-
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ValidationError):
-            ProviderConfig(endpoint="e", model_name="m", temperature=-0.1)
-        with pytest.raises(ValidationError):
-            ProviderConfig(endpoint="e", model_name="m", timeout=0)
 
 
 class TestHttpProvider:
@@ -418,22 +394,24 @@ class TestHttpBackoff:
         for retry, delay in enumerate(sleeps):
             assert 0 <= delay <= genkit._BACKOFF_BASE_S * 2**retry
 
-    def test_timeout_retried_with_backoff(self, chat_server, sleeps):
+    def test_timeout_retried_with_backoff(self, chat_server, sleeps, monkeypatch):
         def reply(request):
             if len(chat_server.seen) == 1:
                 threading.Event().wait(0.5)  # time.sleep is patched out
             return "fine"
 
         chat_server.reply = reply
-        config = ProviderConfig(endpoint=chat_server.url, model_name="m", timeout=0.1)
+        monkeypatch.setattr(genkit, "_TIMEOUT_S", 0.1)
+        config = ProviderConfig(endpoint=chat_server.url, model_name="m")
         assert HttpProvider(config).complete("p") == "fine"
         assert len(chat_server.seen) == 2
         assert len(sleeps) == 1
         assert 0 <= sleeps[0] <= genkit._BACKOFF_BASE_S
 
-    def test_timeouts_share_the_retry_budget(self, chat_server, sleeps):
+    def test_timeouts_share_the_retry_budget(self, chat_server, sleeps, monkeypatch):
         chat_server.reply = lambda request: threading.Event().wait(0.3) and "late"
-        config = ProviderConfig(endpoint=chat_server.url, model_name="m", timeout=0.1)
+        monkeypatch.setattr(genkit, "_TIMEOUT_S", 0.1)
+        config = ProviderConfig(endpoint=chat_server.url, model_name="m")
         with pytest.raises(TransportError, match="timed out"):
             HttpProvider(config).complete("p")
         assert len(chat_server.seen) == 4

@@ -21,6 +21,7 @@ from qvbench.judge import (
     krippendorff_alpha,
     label,
     label_topk,
+    load_label_template,
     mae,
     merge_qrels,
     paired_grades,
@@ -28,6 +29,7 @@ from qvbench.judge import (
 
 TOPIC = Topic("t1", "asthma symptoms in children", backstory="You worry about a wheezing child.")
 PASSAGE = Passage("p1", "Asthma in children often shows up as wheezing and coughing at night.")
+TEMPLATE = load_label_template()
 
 
 def oracle_alpha_ordinal(pairs):
@@ -131,26 +133,26 @@ class TestCoverage:
 
 class TestLabelPrompt:
     def test_contains_both_texts_verbatim(self):
-        prompt = build_label_prompt(TOPIC.backstory, PASSAGE.text)
+        prompt = build_label_prompt(TOPIC.backstory, PASSAGE.text, TEMPLATE)
         assert TOPIC.backstory in prompt
         assert PASSAGE.text in prompt
         assert "integer" in prompt
 
     def test_deterministic(self):
-        a = build_label_prompt(TOPIC.backstory, PASSAGE.text)
-        b = build_label_prompt(TOPIC.backstory, PASSAGE.text)
+        a = build_label_prompt(TOPIC.backstory, PASSAGE.text, TEMPLATE)
+        b = build_label_prompt(TOPIC.backstory, PASSAGE.text, TEMPLATE)
         assert a == b
 
     def test_missing_backstory_points_at_generator(self):
         with pytest.raises(ValidationError, match="backstory"):
-            build_label_prompt("", PASSAGE.text)
+            build_label_prompt("", PASSAGE.text, TEMPLATE)
 
 
 class TestLabeling:
     def test_mock_grade_is_deterministic(self):
         store_a, store_b = LabelStore(), LabelStore()
-        first = label(MockProvider(seed_material="j"), TOPIC, PASSAGE, store_a)
-        second = label(MockProvider(seed_material="j"), TOPIC, PASSAGE, store_b)
+        first = label(MockProvider(seed_material="j"), TOPIC, PASSAGE, store_a, TEMPLATE)
+        second = label(MockProvider(seed_material="j"), TOPIC, PASSAGE, store_b, TEMPLATE)
         assert first == second
         assert first.source == "llm"
         assert first.grade in (0, 1, 2, 3)
@@ -159,28 +161,28 @@ class TestLabeling:
     def test_cache_prevents_second_call(self):
         provider = CountingProvider(MockProvider())
         store = LabelStore()
-        label(provider, TOPIC, PASSAGE, store)
-        label(provider, TOPIC, PASSAGE, store)
+        label(provider, TOPIC, PASSAGE, store, TEMPLATE)
+        label(provider, TOPIC, PASSAGE, store, TEMPLATE)
         assert provider.calls == 1
         assert len(store) == 1
 
     def test_textual_response_retries_then_fails(self):
         provider = ScriptedProvider(["relevant"])
         with pytest.raises(GenerationError) as excinfo:
-            label(provider, TOPIC, PASSAGE, LabelStore())
+            label(provider, TOPIC, PASSAGE, LabelStore(), TEMPLATE)
         assert provider.calls == 4
         assert excinfo.value.raw_responses == ("relevant",) * 4
 
     def test_out_of_range_integer_is_a_parse_failure(self):
         provider = ScriptedProvider(["7", "4", "2"])
-        qrel = label(provider, TOPIC, PASSAGE, LabelStore())
+        qrel = label(provider, TOPIC, PASSAGE, LabelStore(), TEMPLATE)
         assert qrel.grade == 2
         assert provider.calls == 3
 
     def test_topic_without_backstory_rejected(self):
         bare = Topic("t9", "some query")
         with pytest.raises(ValidationError, match="backstory"):
-            label(MockProvider(), bare, PASSAGE, LabelStore())
+            label(MockProvider(), bare, PASSAGE, LabelStore(), TEMPLATE)
 
 
 class TestLabelTopk:
@@ -275,12 +277,12 @@ class TestLabelStorePersistence:
 
     def test_loaded_store_serves_cache(self, tmp_path):
         store = LabelStore()
-        first = label(MockProvider(), TOPIC, PASSAGE, store)
+        first = label(MockProvider(), TOPIC, PASSAGE, store, TEMPLATE)
         path = tmp_path / "labels.txt"
         store.save(path, tmp_path / "labels_raw.jsonl")
         provider = CountingProvider(MockProvider())
         reloaded = LabelStore.load(path)
-        again = label(provider, TOPIC, PASSAGE, reloaded)
+        again = label(provider, TOPIC, PASSAGE, reloaded, TEMPLATE)
         assert provider.calls == 0
         assert again == first
 

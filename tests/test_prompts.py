@@ -11,7 +11,7 @@ import pytest
 import qvbench
 from qvbench.core import Passage, Profile, Topic
 from qvbench.genkit import build_neutral_prompt, build_prompt, generate_backstory
-from qvbench.judge import build_label_prompt
+from qvbench.judge import build_label_prompt, load_label_template
 
 # Placeholder-shaped text inside the inputs shows the substitution order:
 # a value is filled in first, then scanned for the placeholders after it.
@@ -54,7 +54,7 @@ GOLDEN = {
         "36d7378261181df02932e46b318026dc7ea395fca03ce2da10bfb100f94c63ff",
     ),
     "label": (
-        lambda: build_label_prompt(TOPIC.backstory, PASSAGE.text),
+        lambda: build_label_prompt(TOPIC.backstory, PASSAGE.text, load_label_template()),
         "a74b32dcdf8d77b43fde03f6f03e7453e15bd91166430a2cacbb614f0d406a93",
     ),
 }
@@ -137,66 +137,94 @@ def test_no_public_name_only_tests_reach():
     assert sorted(UNREFERENCED_ALLOWED - set(unreferenced)) == []
 
 
-# Defaulted parameters that no call in the package passes, each with
-# the reason it stays a parameter rather than a constant.
+# Defaulted parameters and fields that no call in the package passes,
+# each with the reason it stays settable rather than a constant.
 UNPASSED_DEFAULTS_ALLOWED = {
     "main.argv": "tests drive the CLI in-process; the console script passes none",
-    "load_dictionary.path": "a word list other than the bundled one",
-    "load_label_template.path": "a label template file other than the bundled one",
-    "generate_backstories.template": "backstory prompt text other than the bundled one",
-    "generate_sweep.template": "a variant template other than the bundled one",
-    "label_topk.template": "label prompt text other than the bundled one",
+    "ProviderConfig.api_key": "credential; the CLI reads `QVBENCH_API_KEY`",
 }
 
 
-def _defaulted_params(fn):
+def _defaulted_params(fn, skip=0):
+    """(name, call position or None) of fn's defaulted parameters, its
+    first `skip` positional parameters dropped."""
     args = fn.args
-    positional = args.posonlyargs + args.args
+    positional = (args.posonlyargs + args.args)[skip:]
     defaulted = positional[len(positional) - len(args.defaults) :]
     keyword = [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
     return [(a.arg, positional.index(a) if a in positional else None) for a in defaulted + keyword]
 
 
+def _class_defaults(cls):
+    """Defaulted `__init__` parameters, else defaulted dataclass fields."""
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+            return _defaulted_params(node, skip=1)
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+        return []
+    fields = [n for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+    return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
+
+
 def test_every_default_is_passed_somewhere():
-    """Each parameter with a default, of every public top-level function
-    of `src/qvbench`, is passed by some call elsewhere there: by keyword,
-    by position, or through a `*` or `**` argument.
+    """Each defaulted parameter of a public top-level function of
+    `src/qvbench`, and each defaulted `__init__` parameter or dataclass
+    field of a public top-level class there, is passed by some call
+    elsewhere there: by keyword, by position, or through a `*` or `**`
+    argument.
 
     A default that only tests change is a constant with extra code
     paths. Calls match by bare name, or as `module.name` for the module
-    that defines it; a call inside the function itself does not count.
+    that defines it; a call inside the function or class itself does not
+    count, except `cls(...)` in a classmethod. A keyword of a
+    `dataclasses.replace` call passes the field of that name.
     """
-    functions = {}  # name -> (module stem, FunctionDef)
+    defaults = {}  # name -> (module stem, [(param, call position or None)])
     calls = []  # (top-level name the call sits in, Call)
+    classes = set()
     for path in sorted(Path(qvbench.__file__).parent.rglob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                functions[node.name] = (path.stem, node)
+                defaults[node.name] = (path.stem, _defaulted_params(node))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                defaults[node.name] = (path.stem, _class_defaults(node))
+                classes.add(node.name)
             owner = getattr(node, "name", None)
             calls.extend((owner, sub) for sub in ast.walk(node) if isinstance(sub, ast.Call))
 
-    def callee(call):
+    def callee(owner, call):
         func = call.func
         if isinstance(func, ast.Name):
-            return func.id
+            if func.id == "cls":
+                return owner if owner in classes else None
+            return func.id if func.id != owner else None
         if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            if functions.get(func.attr, ("",))[0] == func.value.id:
+            if func.attr == "replace" and func.value.id == "dataclasses":
+                return "replace"
+            if defaults.get(func.attr, ("",))[0] == func.value.id and func.attr != owner:
                 return func.attr
         return None
 
+    def passes(call, param, position):
+        return (
+            any(isinstance(a, ast.Starred) for a in call.args)
+            or any(kw.arg in (None, param) for kw in call.keywords)
+            or (position is not None and position < len(call.args))
+        )
+
+    replaced = {
+        kw.arg for owner, call in calls if callee(owner, call) == "replace" for kw in call.keywords
+    }
     unpassed = set()
-    for name, (_, fn) in functions.items():
+    for name, (_, params) in defaults.items():
         if name in UNREFERENCED_ALLOWED:
             continue
-        sites = [call for owner, call in calls if owner != name and callee(call) == name]
-        for param, position in _defaulted_params(fn):
-            passed = any(
-                any(isinstance(a, ast.Starred) for a in call.args)
-                or any(kw.arg in (None, param) for kw in call.keywords)
-                or (position is not None and position < len(call.args))
-                for call in sites
-            )
-            if not passed:
+        sites = [call for owner, call in calls if callee(owner, call) == name]
+        for param, position in params:
+            if any(passes(call, param, position) for call in sites):
+                continue
+            if not (name in classes and param in replaced):
                 unpassed.add(f"{name}.{param}")
     assert sorted(unpassed - set(UNPASSED_DEFAULTS_ALLOWED)) == []
     assert sorted(set(UNPASSED_DEFAULTS_ALLOWED) - unpassed) == []
