@@ -455,10 +455,8 @@ def cmd_evaluate(config: PipelineConfig) -> None:
     expected = sorted(_query_texts(config))
     systems = sorted({r.system_id for r in runs})
     ranked = {}
-    for r in runs:
+    for r in runs:  # in rank order within each (system, query), as parsed
         ranked.setdefault((r.system_id, r.query_id), []).append(r)
-    for key in ranked:
-        ranked[key].sort(key=lambda r: r.rank)
 
     expected_ids = set(expected)
     skipped = sum(1 for key in ranked if key[1] not in expected_ids)
@@ -569,7 +567,7 @@ def cmd_analyze(config: PipelineConfig) -> None:
         agreement_rows,
     )
 
-    means, _ = marginal_means(matrix, table, alpha=config.alpha)
+    means = marginal_means(matrix, table, alpha=config.alpha)
     write_csv(
         config.out / "marginal_means.csv",
         ["profile", "mean", "ci_low", "ci_high"],
@@ -595,8 +593,20 @@ def cmd_analyze(config: PipelineConfig) -> None:
 # ---------------------------------------------------------------- report
 
 
-def _svg_bar_chart(title, labels, values, errors=None, width=940, height=430):
-    """Static bar chart; coordinates rounded so output is byte-stable."""
+_SVG_WIDTH, _SVG_HEIGHT = 940, 430
+
+
+def _svg_bar_chart(title, labels, values, errors=None):
+    """Static bar chart; coordinates rounded so output is byte-stable.
+
+    Title and labels are escaped, so a run tag such as `a&b` stays
+    well-formed XML.
+    """
+    # html.escape without quotes is xml.sax.saxutils.escape, whose
+    # import pulls in urllib.request.
+    from html import escape
+
+    width, height = _SVG_WIDTH, _SVG_HEIGHT
     left, right, top, bottom = 64, 16, 42, 110
     plot_w = width - left - right
     plot_h = height - top - bottom
@@ -615,7 +625,8 @@ def _svg_bar_chart(title, labels, values, errors=None, width=940, height=430):
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif">',
         f'<rect width="{width}" height="{height}" fill="#ffffff"/>',
-        f'<text x="{width / 2:.1f}" y="24" font-size="16" text-anchor="middle">{title}</text>',
+        f'<text x="{width / 2:.1f}" y="24" font-size="16" text-anchor="middle">'
+        f"{escape(title, quote=False)}</text>",
     ]
     for step in range(5):
         value = y_max * step / 4
@@ -651,7 +662,8 @@ def _svg_bar_chart(title, labels, values, errors=None, width=940, height=430):
                 )
         parts.append(
             f'<text x="{x:.2f}" y="{height - bottom + 14}" font-size="11" '
-            f'text-anchor="end" transform="rotate(-40 {x:.2f} {height - bottom + 14})">{label}</text>'
+            f'text-anchor="end" transform="rotate(-40 {x:.2f} {height - bottom + 14})">'
+            f"{escape(label, quote=False)}</text>"
         )
     parts.append(
         f'<line x1="{left}" y1="{y_of(0):.2f}" x2="{width - right}" y2="{y_of(0):.2f}" '

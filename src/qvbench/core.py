@@ -15,6 +15,7 @@ import json
 import unicodedata
 from collections import defaultdict
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 PROFILE_METHODS = ("persona", "group", "textual", "neutral")
@@ -280,7 +281,8 @@ def write_topics(topics: Iterable[Topic], path) -> None:
 
 
 def parse_trec_run(path) -> list[RunRecord]:
-    """6-column TREC run lines: qid Q0 docid rank score tag.
+    """6-column TREC run lines: qid Q0 docid rank score tag, returned
+    sorted by (tag, qid, rank).
 
     Validates per (tag, qid): ranks are exactly 1..n, scores do not
     increase with rank, and tied scores are ordered by ascending
@@ -304,31 +306,24 @@ def parse_trec_run(path) -> list[RunRecord]:
             records.append(RunRecord(tag, qid, docid, rank, score))
         except ValidationError as exc:
             raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    try:
-        validate_run_records(records)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    records.sort(key=lambda r: (r.system_id, r.query_id, r.rank))
+    records.sort(key=attrgetter("system_id", "query_id", "rank"))
+    # Once sorted, each record need only be checked against the one before.
+    for prev, cur in zip([None, *records], records):
+        new_query = (
+            prev is None or prev.query_id != cur.query_id or prev.system_id != cur.system_id
+        )
+        if cur.rank != (1 if new_query else prev.rank + 1):
+            fault = "ranks are not a gap-free 1..n sequence"
+        elif new_query:
+            continue
+        elif cur.score > prev.score:
+            fault = f"score increases at rank {cur.rank}"
+        elif cur.score == prev.score and cur.passage_id < prev.passage_id:
+            fault = f"tied scores out of passage_id order at rank {cur.rank}"
+        else:
+            continue
+        raise ValidationError(f"{path}: run {cur.system_id}, query {cur.query_id}: {fault}")
     return records
-
-
-def validate_run_records(records: Iterable[RunRecord]) -> None:
-    groups: dict[tuple[str, str], list[RunRecord]] = defaultdict(list)
-    for rec in records:
-        groups[(rec.system_id, rec.query_id)].append(rec)
-    for (system_id, query_id), group in groups.items():
-        where = f"run {system_id}, query {query_id}"
-        ranks = sorted(r.rank for r in group)
-        if ranks != list(range(1, len(group) + 1)):
-            raise ValidationError(f"{where}: ranks are not a gap-free 1..n sequence")
-        ordered = sorted(group, key=lambda r: r.rank)
-        for prev, cur in zip(ordered, ordered[1:]):
-            if cur.score > prev.score:
-                raise ValidationError(f"{where}: score increases at rank {cur.rank}")
-            if cur.score == prev.score and cur.passage_id < prev.passage_id:
-                raise ValidationError(
-                    f"{where}: tied scores out of passage_id order at rank {cur.rank}"
-                )
 
 
 def format_trec_run(records: Iterable[RunRecord]) -> str:

@@ -16,27 +16,19 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .anova import anova
 from .matrix import EffectivenessMatrix
-from .tukey import TukeyResult, tukey_hsd
+from .tukey import PairDiff, TukeyResult, tukey_hsd
 
 logger = logging.getLogger(__name__)
 
 AGREEMENT_CLASSES = ("AA", "AD", "MA", "MD", "PA", "PD")
 
 
-class PairVerdict(NamedTuple):
-    system_a: str
-    system_b: str
-    diff: float
-    significant: bool
-
-
 def system_verdicts(
     matrix: EffectivenessMatrix, profile: str, alpha: float = 0.05
-) -> tuple[dict[tuple[str, str], PairVerdict], TukeyResult]:
+) -> tuple[dict[tuple[str, str], PairDiff], TukeyResult]:
     """Significance verdicts for every system pair under one profile."""
     sub = matrix.subset(profiles=[profile])
     if len(sub) == 0:
@@ -45,10 +37,7 @@ def system_verdicts(
     means, _ = sub.group_means("system")
     n_per_group = len(sub) // len(means)
     tukey = tukey_hsd(means, n_per_group, table.ms_error, table.df_error, alpha)
-    verdicts = {
-        (p.group_a, p.group_b): PairVerdict(p.group_a, p.group_b, p.diff, p.significant)
-        for p in tukey.pairs
-    }
+    verdicts = {(p.group_a, p.group_b): p for p in tukey.pairs}
     return verdicts, tukey
 
 
@@ -60,21 +49,18 @@ class ProfilePairAgreement:
     fractions: dict
     total_pairs: int
 
-    def fraction(self, cls: str) -> Fraction:
-        return self.fractions[cls]
-
 
 def _sign(x: float) -> int:
     return (x > 0) - (x < 0)
 
 
-def _classify(va: PairVerdict, vb: PairVerdict) -> str:
+def _classify(va: PairDiff, vb: PairDiff) -> str:
     sign_a, sign_b = _sign(va.diff), _sign(vb.diff)
     if sign_a == 0 or sign_b == 0:
         logger.info(
             "equal means for pair (%s, %s): direction tie-broken as agreement",
-            va.system_a,
-            va.system_b,
+            va.group_a,
+            va.group_b,
         )
     same_direction = sign_a == sign_b or sign_a == 0 or sign_b == 0
     if va.significant and vb.significant:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .matrix import AXES, EffectivenessMatrix
 from .special import f_sf, t_quantile
-from .tukey import TukeyResult, tukey_hsd
 
 
 def _dense(matrix: EffectivenessMatrix, factors: Sequence[str]):
@@ -50,7 +49,6 @@ class AnovaTable:
     error: AnovaRow
     total: AnovaRow
     grand_mean: float
-    n_observations: int
 
     @property
     def ms_error(self) -> float:
@@ -164,7 +162,6 @@ def anova(matrix: EffectivenessMatrix, factors: Sequence[str]) -> AnovaTable:
         error=error_row,
         total=total_row,
         grand_mean=grand,
-        n_observations=n_total,
     )
 
 
@@ -203,8 +200,9 @@ class MarginalMean:
 
 def marginal_means(
     matrix: EffectivenessMatrix, table: AnovaTable, alpha: float = 0.05
-) -> tuple[list[MarginalMean], Optional[TukeyResult]]:
-    """Per-profile means with t-based intervals from `table`.
+) -> list[MarginalMean]:
+    """Per-profile means with t-based intervals from `table`:
+    mean +- t(1-alpha/2, df_error) * sqrt(MS_error/n).
 
     `table` is the ANOVA of `matrix` that the intervals take their error
     term from; the pipeline passes the (topic, system, profile) table it
@@ -217,16 +215,9 @@ def marginal_means(
     n_per_group = counts[levels[0]]
     if any(c != n_per_group for c in counts.values()):
         raise ValueError(f"unbalanced profile groups: {counts}")
-    if len(levels) >= 2:
-        tukey = tukey_hsd(group_means, n_per_group, table.ms_error, table.df_error, alpha)
-        cis = tukey.cis
-    else:
-        tukey = None
-        half = t_quantile(1 - alpha / 2, table.df_error) * math.sqrt(
-            table.ms_error / n_per_group
-        )
-        cis = {levels[0]: (group_means[levels[0]] - half, group_means[levels[0]] + half)}
-    result = [
-        MarginalMean(lv, group_means[lv], cis[lv][0], cis[lv][1]) for lv in levels
+    se = math.sqrt(table.ms_error / n_per_group)
+    half = t_quantile(1.0 - alpha / 2.0, table.df_error) * se
+    return [
+        MarginalMean(lv, group_means[lv], group_means[lv] - half, group_means[lv] + half)
+        for lv in levels
     ]
-    return result, tukey

@@ -21,8 +21,6 @@ from typing import Mapping, NamedTuple
 
 import numpy as np
 
-from .special import t_quantile
-
 _OUTER_NODES = 200
 _INNER_NODES = 240
 _INNER_HALFSPAN = 9.0
@@ -192,14 +190,8 @@ class PairDiff(NamedTuple):
 @dataclass(frozen=True)
 class TukeyResult:
     means: dict
-    n_per_group: int
-    ms_error: float
-    df_error: int
-    alpha: float
-    q_critical: float
     hsd: float
     pairs: tuple
-    cis: dict
 
 
 def tukey_hsd(
@@ -212,8 +204,7 @@ def tukey_hsd(
     """Tukey's honestly significant difference over equal-size groups.
 
     A pair differs significantly when |mean_i - mean_j| exceeds
-    HSD = q(1-alpha, k, df) * sqrt(MS_error/n). Per-group intervals are
-    t-based: mean +- t(1-alpha/2, df) * sqrt(MS_error/n).
+    HSD = q(1-alpha, k, df) * sqrt(MS_error/n).
     """
     if df_error < 1:
         raise ValueError(f"df_error={df_error} must be >= 1")
@@ -225,24 +216,11 @@ def tukey_hsd(
         raise ValueError("need at least two groups")
     k = len(group_means)
     q_crit = studentized_range_quantile(1.0 - alpha, k, df_error)
-    se = math.sqrt(ms_error / n_per_group)
-    hsd = q_crit * se
-    half = t_quantile(1.0 - alpha / 2.0, df_error) * se
+    hsd = q_crit * math.sqrt(ms_error / n_per_group)
     levels = sorted(group_means)
     pairs = []
     for i, a in enumerate(levels):
         for b in levels[i + 1 :]:
             diff = group_means[a] - group_means[b]
             pairs.append(PairDiff(a, b, diff, abs(diff) > hsd))
-    cis = {g: (group_means[g] - half, group_means[g] + half) for g in levels}
-    return TukeyResult(
-        means=dict(group_means),
-        n_per_group=n_per_group,
-        ms_error=ms_error,
-        df_error=df_error,
-        alpha=alpha,
-        q_critical=q_crit,
-        hsd=hsd,
-        pairs=tuple(pairs),
-        cis=cis,
-    )
+    return TukeyResult(means=dict(group_means), hsd=hsd, pairs=tuple(pairs))

@@ -32,7 +32,6 @@ import time
 from collections import deque
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from importlib import resources
 from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Optional, Protocol, Sequence, TypeVar
@@ -70,7 +69,7 @@ __all__ = [
     "generate_sweep",
 ]
 
-_PROFILES_RESOURCE = "data/profiles.json"
+_DATA = Path(__file__).parent / "data"
 
 _PART_KEYS = ("1", "2", "3a", "3b")
 _PART_MARKER = re.compile(r"^\[part (\w+)\]$")
@@ -123,8 +122,7 @@ class Provider(Protocol):
 def load_template(name: str) -> str:
     """Bundled prompt template text, ``data/templates/<name>_prompt.txt``,
     without its leading block of ``#`` comment and blank lines."""
-    resource = f"data/templates/{name}_prompt.txt"
-    lines = resources.files("qvbench").joinpath(resource).read_text("utf-8").splitlines()
+    lines = (_DATA / "templates" / f"{name}_prompt.txt").read_text("utf-8").splitlines()
     start = 0
     while start < len(lines) and (
         not lines[start].strip() or lines[start].lstrip().startswith("#")
@@ -685,9 +683,8 @@ def generate_sweep(
 def load_profiles(path=None) -> list[Profile]:
     """Bundled or user-supplied profile descriptions as Profile records."""
     if path is None:
-        text = resources.files("qvbench").joinpath(_PROFILES_RESOURCE).read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
+        path = _DATA / "profiles.json"
+    text = Path(path).read_text("utf-8")
     try:
         data = json.loads(text)
     except ValueError as exc:

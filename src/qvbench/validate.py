@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from importlib import resources
+from pathlib import Path
 from typing import Collection, Iterable, Optional, Sequence
 
 from .core import (
@@ -45,7 +45,7 @@ __all__ = [
     "CHECKED_PROFILES",
 ]
 
-_DICT_RESOURCE = "data/words.txt"
+_DICT_PATH = Path(__file__).parent / "data" / "words.txt"
 
 SIMILARITY_ANSWERS = ("similar", "dissimilar")
 EQUALLY_LIKELY = "equally likely"
@@ -97,7 +97,7 @@ class ConsensusReport:
 @lru_cache(maxsize=1)
 def load_dictionary() -> frozenset[str]:
     """The bundled newline-delimited word list, lowercased."""
-    text = resources.files("qvbench").joinpath(_DICT_RESOURCE).read_text("utf-8")
+    text = _DICT_PATH.read_text("utf-8")
     words = frozenset(
         stripped.lower()
         for line in text.splitlines()

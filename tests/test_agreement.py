@@ -7,12 +7,12 @@ import pytest
 
 from qvbench.evalstats.agreement import (
     AGREEMENT_CLASSES,
-    PairVerdict,
     _classify,
     agreement_from_verdicts,
     system_verdicts,
 )
 from qvbench.evalstats.anova import EffectivenessMatrix
+from qvbench.evalstats.tukey import PairDiff
 
 
 def build_matrix(system_offsets_by_profile, topics=4, reps=3, noise=0.01, seed=5):
@@ -107,11 +107,11 @@ def test_fractions_sum_exactly_one():
 
 
 def test_classification_rules_direct():
-    sig_up = PairVerdict("a", "b", 0.2, True)
-    sig_down = PairVerdict("a", "b", -0.2, True)
-    flat_up = PairVerdict("a", "b", 0.01, False)
-    flat_down = PairVerdict("a", "b", -0.01, False)
-    zero = PairVerdict("a", "b", 0.0, False)
+    sig_up = PairDiff("a", "b", 0.2, True)
+    sig_down = PairDiff("a", "b", -0.2, True)
+    flat_up = PairDiff("a", "b", 0.01, False)
+    flat_down = PairDiff("a", "b", -0.01, False)
+    zero = PairDiff("a", "b", 0.0, False)
     assert _classify(sig_up, sig_up) == "AA"
     assert _classify(sig_up, sig_down) == "AD"
     assert _classify(sig_up, flat_up) == "MA"

@@ -8,12 +8,15 @@ import mpmath
 import pytest
 
 from qvbench.evalstats.anova import (
+    AnovaRow,
+    AnovaTable,
     EffectivenessMatrix,
     anova,
     classify_omega,
     marginal_means,
     omega_squared_partial,
 )
+from qvbench.evalstats.special import t_quantile
 
 mpmath.mp.dps = 30
 
@@ -345,12 +348,28 @@ def test_marginal_means_constant_matrix():
                 for i in (1, 2):
                     m.set(t, s, p, i, 0.5)
     table = anova(m, ("topic", "system", "profile"))
-    means, tukey = marginal_means(m, table)
+    means = marginal_means(m, table)
     assert [mm.mean for mm in means] == [0.5, 0.5]
     for mm in means:
         assert mm.ci_low == pytest.approx(mm.mean, abs=1e-12)
         assert mm.ci_high == pytest.approx(mm.mean, abs=1e-12)
-    assert all(not pair.significant for pair in tukey.pairs)
+
+
+def test_marginal_means_t_intervals():
+    # mean +- t(1 - alpha/2, df_error) * sqrt(MS_error / n), n = 9 cells
+    # per profile, with the error term read from the table passed in.
+    m = EffectivenessMatrix()
+    for t in ("t0", "t1", "t2"):
+        for s in ("s0", "s1", "s2"):
+            m.set(t, s, "a", 1, 0.6)
+            m.set(t, s, "b", 1, 0.4)
+    error = AnovaRow("error", 0.144, 16, 0.009, None, None, None)
+    table = AnovaTable(rows=(), error=error, total=error, grand_mean=0.5)
+    half = t_quantile(0.975, 16) * math.sqrt(0.009 / 9)
+    means = {mm.level: mm for mm in marginal_means(m, table, alpha=0.05)}
+    assert means["a"].ci_low == pytest.approx(0.6 - half, abs=1e-9)
+    assert means["a"].ci_high == pytest.approx(0.6 + half, abs=1e-9)
+    assert means["b"].ci_high - means["b"].ci_low == pytest.approx(2 * half, abs=1e-12)
 
 
 def test_marginal_means_uniform_shift():
@@ -367,7 +386,7 @@ def test_marginal_means_uniform_shift():
         m.set(t, s, "plain", i, v)
         m.set(t, s, "boost", i, v + delta)
     table = anova(m, ("topic", "system", "profile"))
-    means, _ = marginal_means(m, table)
+    means = marginal_means(m, table)
     by_level = {mm.level: mm.mean for mm in means}
     assert by_level["boost"] - by_level["plain"] == pytest.approx(delta, abs=1e-12)
 

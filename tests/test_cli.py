@@ -431,6 +431,27 @@ class TestAnalyzeStage:
         for name in ("anova.csv", "marginal_means.csv"):
             assert (out / name).read_bytes() == (out_dir(workspace) / name).read_bytes()
 
+    def test_one_tukey_quantile_per_analyze(self, workspace, tmp_path, monkeypatch):
+        # Tukey tests compare systems within a profile; profile pairs get
+        # none, so every test asks for the same (p, k = systems, df).
+        from qvbench.evalstats import tukey
+
+        real = tukey.studentized_range_quantile
+        asked = set()
+
+        def counting(p, k, df):
+            asked.add((p, k, df))
+            return real(p, k, df)
+
+        monkeypatch.setattr(tukey, "studentized_range_quantile", counting)
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "ndcg.csv").write_bytes((out_dir(workspace) / "ndcg.csv").read_bytes())
+        assert main(["analyze", "--config", str(workspace), "--out", str(out)]) == 0
+        assert len(asked) == 1
+        for name in ("marginal_means.csv", "tukey_pairs.csv"):
+            assert (out / name).read_bytes() == (out_dir(workspace) / name).read_bytes()
+
     def test_imbalance_exits_4(self, workspace, tmp_path, capsys):
         out = tmp_path / "broken"
         out.mkdir()
@@ -455,6 +476,20 @@ class TestReportStage:
             text = (out_dir(workspace) / name).read_text()
             assert text.startswith("<svg")
             assert text.rstrip().endswith("</svg>")
+
+    def test_markup_in_run_tags_is_escaped(self, tmp_path):
+        import xml.etree.ElementTree as ET
+
+        config_path = write_toy_workspace(tmp_path / "ws", n_topics=2, n_passages=40)
+        (config_path.parent / "runs" / "markup.run").write_text(
+            "t01 Q0 p001 1 5.0 a&b\nt01 Q0 p001 1 5.0 c<d\n"
+        )
+        for command in STAGES:
+            assert main([command, "--config", str(config_path)]) == 0, command
+        for name in ("marginal_means.svg", "system_rankings.svg"):
+            ET.fromstring((out_dir(config_path) / name).read_text(encoding="utf-8"))
+        rankings = (out_dir(config_path) / "system_rankings.svg").read_text(encoding="utf-8")
+        assert ">a&amp;b</text>" in rankings and ">c&lt;d</text>" in rankings
 
     def test_rerun_is_byte_stable(self, workspace):
         path = out_dir(workspace) / "marginal_means.svg"

@@ -89,14 +89,6 @@ def test_tukey_two_group_matches_t_test():
     assert result.hsd == pytest.approx(hsd_from_t, abs=1e-6)
 
 
-def test_tukey_confidence_intervals_t_based():
-    result = tukey_hsd({"a": 0.6, "b": 0.4}, 9, 0.009, 16, alpha=0.05)
-    half = t_quantile(0.975, 16) * math.sqrt(0.009 / 9)
-    lo, hi = result.cis["a"]
-    assert lo == pytest.approx(0.6 - half, abs=1e-9)
-    assert hi == pytest.approx(0.6 + half, abs=1e-9)
-
-
 def test_tukey_input_validation():
     with pytest.raises(ValueError):
         tukey_hsd({"a": 0.5, "b": 0.6}, 5, 0.01, 0)
