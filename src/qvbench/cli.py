@@ -4,6 +4,11 @@ Every stage reads its inputs from disk and writes its outputs under the
 configured output directory, so stages can be re-run independently and
 a finished output directory is byte-reproducible given the same seed
 and the mock provider.
+
+Each stage runs in its own process, so each `cmd_*` imports the modules
+it runs and importing this module loads only `core`: `import-runs`
+needs nothing more, and no stage but `generate`, `validate` and `judge`
+loads `genkit`.
 """
 
 import argparse
@@ -17,10 +22,14 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .core import (
+    MERGE_POLICIES,
     PROFILE_METHODS,
     SEED_PROFILE,
+    GenerationError,
     ParseError,
+    TransportError,
     ValidationError,
+    atomic_write,
     format_trec_run,
     parse_passages,
     parse_qrels,
@@ -37,38 +46,15 @@ from .core import (
     write_trec_run,
     write_variants,
 )
-from .evalstats.matrix import EffectivenessMatrix
-from .evalstats.metrics import kendall_tau, ndcg_at_k
-from .genkit import (
-    GenerationError,
-    HttpProvider,
-    MockProvider,
-    ProviderConfig,
-    TransportError,
-    generate_backstories,
-    generate_sweep,
-    load_profiles,
-)
-from .judge import MERGE_POLICIES, CoverageReport, LabelStore, coverage, label_topk, merge_qrels
-from .retrieval import Bm25Params, build_index, run_queries
-from .textkit import VariantFeatureRecord, variant_features
-from .validate import (
-    CHECKED_PROFILES,
-    ConsensusReport,
-    ValidationVerdict,
-    alignment_accuracy,
-    load_dictionary,
-    similarity_accuracy,
-    validate_variants,
-)
 
 GAIN_MODES = ("linear", "exp")
 PROVIDERS = ("mock", "http")
 
+# (system id, (k1, b)): the retrieval.Bm25Params of each system `search` runs.
 BM25_SYSTEMS = (
-    ("bm25_k09_b04", Bm25Params(0.9, 0.4)),
-    ("bm25_k12_b075", Bm25Params(1.2, 0.75)),
-    ("bm25_k20_b075", Bm25Params(2.0, 0.75)),
+    ("bm25_k09_b04", (0.9, 0.4)),
+    ("bm25_k12_b075", (1.2, 0.75)),
+    ("bm25_k20_b075", (2.0, 0.75)),
 )
 
 _MERGE_ALIASES = {
@@ -196,6 +182,8 @@ def build_config(args) -> PipelineConfig:
 
 
 def make_provider(config: PipelineConfig):
+    from .genkit import HttpProvider, MockProvider, ProviderConfig
+
     if config.provider == "mock":
         return MockProvider(seed_material=str(config.seed))
     if not config.endpoint or not config.model:
@@ -226,6 +214,8 @@ def _read_all_runs(config: PipelineConfig) -> list:
 
 
 def cmd_generate(config: PipelineConfig) -> None:
+    from .genkit import generate_sweep, load_profiles
+
     topics = parse_topics(config.topics)
     profiles = load_profiles(config.profiles)
     selected = [p for p in profiles if p.method in config.methods]
@@ -273,6 +263,18 @@ def cmd_generate(config: PipelineConfig) -> None:
 
 
 def cmd_validate(config: PipelineConfig) -> None:
+    from .genkit import load_profiles
+    from .textkit import VariantFeatureRecord, variant_features
+    from .validate import (
+        CHECKED_PROFILES,
+        ConsensusReport,
+        ValidationVerdict,
+        alignment_accuracy,
+        load_dictionary,
+        similarity_accuracy,
+        validate_variants,
+    )
+
     topics = parse_topics(config.topics)
     profiles = load_profiles(config.profiles)
     variants = read_variants(_variants_path(config))
@@ -325,6 +327,8 @@ def cmd_validate(config: PipelineConfig) -> None:
 
 
 def cmd_index(config: PipelineConfig) -> None:
+    from .retrieval import build_index
+
     passages = parse_passages(config.corpus)
     index = build_index(passages)
     config.out.mkdir(parents=True, exist_ok=True)
@@ -334,7 +338,7 @@ def cmd_index(config: PipelineConfig) -> None:
         "vocabulary": len(index.postings),
         "postings": sum(len(plist) for plist in index.postings.values()),
     }
-    with open(config.out / "index_stats.json", "w", encoding="utf-8") as fh:
+    with atomic_write(config.out / "index_stats.json") as fh:
         json.dump(stats, fh, indent=2, sort_keys=True)
         fh.write("\n")
     print(f"indexed {stats['passages']} passages, {stats['vocabulary']} terms")
@@ -350,13 +354,15 @@ def _query_texts(config: PipelineConfig) -> dict:
 
 
 def cmd_search(config: PipelineConfig) -> None:
+    from .retrieval import Bm25Params, build_index, run_queries
+
     passages = parse_passages(config.corpus)
     index = build_index(passages)
     queries = _query_texts(config)
     runs_dir = _runs_out(config)
     runs_dir.mkdir(parents=True, exist_ok=True)
     for system_id, params in BM25_SYSTEMS:
-        records = run_queries(index, params, queries, system_id, k=config.k)
+        records = run_queries(index, Bm25Params(*params), queries, system_id, k=config.k)
         write_trec_run(records, runs_dir / f"{system_id}.run")
         print(f"{system_id}: {len(records)} results over {len(queries)} queries")
 
@@ -398,11 +404,15 @@ def cmd_import_runs(config: PipelineConfig) -> None:
             planned[target] = (rendered, path)
             imported.append(system_id)
     for target, (rendered, _) in planned.items():
-        target.write_text(rendered, encoding="utf-8")
+        with atomic_write(target) as fh:
+            fh.write(rendered)
     print(f"imported {len(imported)} systems: {', '.join(imported)}")
 
 
 def cmd_judge(config: PipelineConfig) -> None:
+    from .genkit import generate_backstories
+    from .judge import LabelStore, label_topk
+
     passages = parse_passages(config.corpus)
     runs = _read_all_runs(config)
     config.out.mkdir(parents=True, exist_ok=True)
@@ -426,6 +436,8 @@ def cmd_judge(config: PipelineConfig) -> None:
 
 
 def _merged_qrels(config: PipelineConfig) -> list:
+    from .judge import LabelStore, merge_qrels
+
     human = []
     if config.qrels is not None and Path(config.qrels).exists():
         human = parse_qrels(config.qrels)
@@ -435,6 +447,9 @@ def _merged_qrels(config: PipelineConfig) -> list:
 
 
 def cmd_evaluate(config: PipelineConfig) -> None:
+    from .evalstats.metrics import ndcg_at_k
+    from .judge import CoverageReport, coverage
+
     config.out.mkdir(parents=True, exist_ok=True)
     merged = _merged_qrels(config)
     write_qrels(merged, config.out / "merged_qrels.txt", with_source=True)
@@ -494,7 +509,10 @@ def cmd_evaluate(config: PipelineConfig) -> None:
     print(f"ndcg: {len(rows)} rows over {len(systems)} systems")
 
 
-def _read_matrix(config: PipelineConfig) -> EffectivenessMatrix:
+def _read_matrix(config: PipelineConfig):
+    """The variant cells of ndcg.csv as a balanced EffectivenessMatrix."""
+    from .evalstats.matrix import EffectivenessMatrix
+
     path = config.out / "ndcg.csv"
     if not path.exists():
         raise ValidationError(f"{path} missing; run evaluate first")
@@ -520,9 +538,9 @@ def _read_matrix(config: PipelineConfig) -> EffectivenessMatrix:
 
 
 def cmd_analyze(config: PipelineConfig) -> None:
-    # The one stage that loads numpy, so the only place these are imported.
     from .evalstats.agreement import AGREEMENT_CLASSES, agreement_from_verdicts, system_verdicts
     from .evalstats.anova import anova, marginal_means
+    from .evalstats.metrics import kendall_tau
 
     matrix = _read_matrix(config)
 
@@ -685,7 +703,8 @@ def cmd_report(config: PipelineConfig) -> None:
         values.append(float(row["mean"]))
         errors.append((float(row["ci_low"]), float(row["ci_high"])))
     svg = _svg_bar_chart("Marginal mean NDCG by profile", labels, values, errors)
-    (config.out / "marginal_means.svg").write_text(svg, encoding="utf-8")
+    with atomic_write(config.out / "marginal_means.svg") as fh:
+        fh.write(svg)
 
     systems = sorted(system_means, key=lambda s: (-system_means[s], s))
     svg = _svg_bar_chart(
@@ -693,7 +712,8 @@ def cmd_report(config: PipelineConfig) -> None:
         systems,
         [system_means[s] for s in systems],
     )
-    (config.out / "system_rankings.svg").write_text(svg, encoding="utf-8")
+    with atomic_write(config.out / "system_rankings.svg") as fh:
+        fh.write(svg)
     print(f"report: 2 charts written to {config.out}")
 
 

@@ -3,23 +3,32 @@
 Flat value objects plus parsers/writers for the on-disk formats: topics
 as TSV or JSONL, runs and qrels as TREC plain text, variants and
 annotations as JSONL, and every result table as CSV through `write_csv`
-and back through `read_csv`.
+and back through `read_csv`. Every writer goes through `atomic_write`,
+so a process that fails part-way never leaves a half-written file.
 All ingested text is normalized to Unicode NFC so downstream equality
 checks are stable.
+
+It also holds the provider-call contract that generation and labelling
+share: the error types, placeholder filling and the
+retry-until-parsed loop. A stage that only reads labels, or only
+reports provider failures, needs no more than this module.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import os
 import unicodedata
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Protocol, Sequence, TypeVar
 
 PROFILE_METHODS = ("persona", "group", "textual", "neutral")
 QREL_SOURCES = ("human", "llm")
+MERGE_POLICIES = ("human-only", "llm-only", "human-preferred")
 ANNOTATION_TASKS = ("similarity", "alignment")
 
 QUERY_ID_SEP = "__"
@@ -39,6 +48,18 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Parsed data violates a domain invariant."""
+
+
+class GenerationError(Exception):
+    """No parseable response after all retries; carries every raw response."""
+
+    def __init__(self, message: str, raw_responses: Sequence[str] = ()):
+        super().__init__(message)
+        self.raw_responses = tuple(raw_responses)
+
+
+class TransportError(Exception):
+    """The provider endpoint was unreachable or rejected the request."""
 
 
 def nfc(text: str) -> str:
@@ -195,6 +216,28 @@ def query_cell(query_id: str) -> tuple[str, str, int]:
     return parse_variant_query_id(query_id) or (query_id, SEED_PROFILE, 0)
 
 
+@contextmanager
+def atomic_write(path, newline=None):
+    """A UTF-8 text file to write that takes the place of `path` only when
+    the block completes.
+
+    The text goes to a temporary file beside `path`, which `os.replace`
+    moves over it on success and which is deleted when the block raises,
+    so a failed process leaves the old file or the new one, never part
+    of either. Nothing is fsynced: this guards against a process that
+    fails, not against power loss. `newline` is `open`'s.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def _lines(path):
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -335,7 +378,7 @@ def format_trec_run(records: Iterable[RunRecord]) -> str:
 
 
 def write_trec_run(records: Iterable[RunRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(format_trec_run(records))
 
 
@@ -366,7 +409,7 @@ def parse_qrels(path) -> list[Qrel]:
 
 
 def write_qrels(qrels: Iterable[Qrel], path, with_source: bool = False) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for q in sorted(qrels, key=lambda q: (q.query_id, q.passage_id, q.source)):
             line = f"{q.query_id} 0 {q.passage_id} {q.grade}"
             if with_source:
@@ -380,7 +423,7 @@ def parse_passages(path) -> list[Passage]:
 
 
 def write_passages(passages: Iterable[Passage], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for p in passages:
             fh.write(f"{p.passage_id}\t{p.text}\n")
 
@@ -433,7 +476,7 @@ def read_jsonl(path, required=()) -> list[dict]:
 
 
 def write_jsonl(objects: Iterable[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for obj in objects:
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
@@ -456,7 +499,7 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     Cells: None is empty, a bool is `true`/`false`, a float its repr
     (shortest round-trip digits), anything else its str.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_write(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for row in rows:
@@ -508,3 +551,51 @@ def verify_complete(
         shown = "; ".join(problems[:5])
         more = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
         raise ValidationError(f"incomplete variant set: {shown}{more}")
+
+
+# ---------------------------------------------------------- provider calls
+
+# A response that does not parse is asked for again with the same
+# prompt this many times before the call fails.
+PARSE_RETRIES = 3
+
+
+class Provider(Protocol):
+    """A completion source. An optional ``in_flight`` attribute (1 when
+    absent) is how many calls ``genkit.run_in_order`` may overlap."""
+
+    def complete(self, prompt: str) -> str: ...
+
+
+def _substitute(text: str, mapping: dict[str, object]) -> str:
+    # plain replacement, not str.format: template files may contain
+    # literal braces in their JSON examples
+    for key, value in mapping.items():
+        text = text.replace("{" + key + "}", str(value))
+    return text
+
+
+T = TypeVar("T")
+
+
+def complete_parsed(
+    provider: Provider, prompt: str, parse: Callable[[str], T], what: str
+) -> tuple[T, str, int]:
+    """Ask for a completion until parse accepts it: the parsed value, the
+    raw text that parsed, and the 1-based attempt number.
+
+    A ParseError from parse costs one retry with the same prompt; after
+    PARSE_RETRIES + 1 attempts, GenerationError names `what` and carries
+    every raw response.
+    """
+    raw_responses: list[str] = []
+    for attempt in range(1, PARSE_RETRIES + 2):
+        raw = provider.complete(prompt)
+        raw_responses.append(raw)
+        try:
+            return parse(raw), raw, attempt
+        except ParseError:
+            continue
+    raise GenerationError(
+        f"no parseable {what} after {len(raw_responses)} attempts", raw_responses
+    )

@@ -2,5 +2,7 @@
 
 Import from the submodules: `agreement`, `anova`, `matrix`, `metrics`,
 `special` and `tukey`. Only `anova` and `tukey`, and `agreement` through
-them, load numpy.
+them, load numpy. Stages load what they run: `evaluate` loads `metrics`
+and `special`, `report` loads `matrix`, and `analyze` is the one stage
+that loads all of them, and so numpy.
 """

@@ -2,8 +2,11 @@
 
 Every provider call, for variants, backstories and relevance labels,
 goes through one path: a template read by ``load_template``,
-placeholders filled by ``_substitute``, and ``complete_parsed`` asking
-the provider until a response parses. Every batch of calls goes
+placeholders filled by ``core._substitute``, and ``core.complete_parsed``
+asking the provider until a response parses. The provider contract
+(``Provider``, ``GenerationError``, ``TransportError``) lives in
+``core`` too, so stages that make no provider call never load this
+module; it is re-exported here. Every batch of calls goes
 through ``run_in_order``, which keeps the provider's ``in_flight``
 calls running at once and hands back results in submission order, so
 the artifacts do not depend on which call finished first. The variant
@@ -34,16 +37,21 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from .core import (
     SEED_PROFILE,
     VARIANTS_PER_PAIR,
+    GenerationError,
     ParseError,
     Profile,
+    Provider,
     QueryVariant,
     Topic,
+    TransportError,
     ValidationError,
+    _substitute,
+    complete_parsed,
     group_variants,
 )
 from .validate import load_dictionary, spell_correct
@@ -76,9 +84,6 @@ _PART_MARKER = re.compile(r"^\[part (\w+)\]$")
 
 API_KEY_ENV = "QVBENCH_API_KEY"
 
-# A response that does not parse is asked for again with the same
-# prompt this many times before the call fails.
-PARSE_RETRIES = 3
 # A generated backstory keeps at most this many words.
 BACKSTORY_WORDS = 120
 
@@ -95,27 +100,8 @@ _BACKOFF_BASE_S = 1.0
 _BACKOFF_CAP_S = 30.0
 
 
-class GenerationError(Exception):
-    """No parseable response after all retries; carries every raw response."""
-
-    def __init__(self, message: str, raw_responses: Sequence[str] = ()):
-        super().__init__(message)
-        self.raw_responses = tuple(raw_responses)
-
-
-class TransportError(Exception):
-    """The provider endpoint was unreachable or rejected the request."""
-
-
 class _Timeout(TransportError):
     """The endpoint did not answer within _TIMEOUT_S seconds."""
-
-
-class Provider(Protocol):
-    """A completion source. An optional ``in_flight`` attribute (1 when
-    absent) is how many calls ``run_in_order`` may overlap."""
-
-    def complete(self, prompt: str) -> str: ...
 
 
 @lru_cache(maxsize=None)
@@ -164,14 +150,6 @@ def _parse_parts(text: str) -> dict[str, str]:
 @lru_cache(maxsize=1)
 def _variant_parts() -> dict[str, str]:
     return _parse_parts(load_template("variant"))
-
-
-def _substitute(text: str, mapping: dict[str, object]) -> str:
-    # plain replacement, not str.format: template files may contain
-    # literal braces in their JSON examples
-    for key, value in mapping.items():
-        text = text.replace("{" + key + "}", str(value))
-    return text
 
 
 def build_prompt(topic: Topic, profile: Profile) -> str:
@@ -251,31 +229,6 @@ class GenerationLog:
 
 
 T = TypeVar("T")
-
-
-def complete_parsed(
-    provider: Provider, prompt: str, parse: Callable[[str], T], what: str
-) -> tuple[T, str, int]:
-    """Ask for a completion until parse accepts it: the parsed value, the
-    raw text that parsed, and the 1-based attempt number.
-
-    A ParseError from parse costs one retry with the same prompt; after
-    PARSE_RETRIES + 1 attempts, GenerationError names `what` and carries
-    every raw response.
-    """
-    raw_responses: list[str] = []
-    for attempt in range(1, PARSE_RETRIES + 2):
-        raw = provider.complete(prompt)
-        raw_responses.append(raw)
-        try:
-            return parse(raw), raw, attempt
-        except ParseError:
-            continue
-    raise GenerationError(
-        f"no parseable {what} after {len(raw_responses)} attempts", raw_responses
-    )
-
-
 Item = TypeVar("Item")
 
 

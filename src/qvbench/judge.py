@@ -3,15 +3,19 @@
 Labels live on the 4-point scale used by the human judgments. They come
 from the same provider path as query variants: the label template read
 once per ``label_topk`` through ``genkit.load_template``, filled by
-``genkit._substitute``, and asked through ``genkit.complete_parsed``
-until the response is a bare grade, with ``genkit.run_in_order``
-keeping the provider's calls in flight. A label store caches grades by
-(topic, passage) so a passage retrieved by many systems and variants
-costs one provider call, and persists them, sorted by key whatever
-order the calls finished in, as TREC-style qrels with a source column
-plus a JSONL sidecar of raw responses. Agreement metrics compare the
-two label sources: mean absolute error and Cohen's kappa after
-binarizing, Krippendorff's ordinal alpha on the full scale.
+``core._substitute``, and asked through ``core.complete_parsed`` until
+the response is a bare grade, with ``genkit.run_in_order`` keeping the
+provider's calls in flight. Only ``load_label_template`` and
+``label_topk``, each run once per labelling pass, import genkit, so
+reading labels, merging qrels and measuring coverage do not load it.
+
+A label store caches grades by (topic, passage) so a passage retrieved
+by many systems and variants costs one provider call, and persists
+them, sorted by key whatever order the calls finished in, as TREC-style
+qrels with a source column plus a JSONL sidecar of raw responses.
+Agreement metrics compare the two label sources: mean absolute error
+and Cohen's kappa after binarizing, Krippendorff's ordinal alpha on the
+full scale.
 """
 
 from __future__ import annotations
@@ -23,19 +27,22 @@ from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 from .core import (
+    MERGE_POLICIES,
     ParseError,
     Passage,
+    Provider,
     Qrel,
     RunRecord,
     Topic,
     ValidationError,
+    _substitute,
+    complete_parsed,
     parse_qrels,
     query_cell,
     read_jsonl,
     write_jsonl,
     write_qrels,
 )
-from .genkit import Provider, _substitute, complete_parsed, load_template, run_in_order
 
 __all__ = [
     "CoverageReport",
@@ -64,8 +71,6 @@ SCALE_DESCRIPTION = (
     "substantial part of the need. 1: the passage is on topic but does "
     "not answer the need. 0: the passage has nothing to do with the need."
 )
-
-MERGE_POLICIES = ("human-only", "llm-only", "human-preferred")
 
 
 @dataclass(frozen=True)
@@ -138,6 +143,8 @@ def coverage(
 
 
 def load_label_template() -> str:
+    from .genkit import load_template
+
     return load_template("label")
 
 
@@ -260,6 +267,8 @@ def label_topk(
     """Label every distinct (topic, passage) pair in the runs' top k,
     reading the label template once; the qrels come back in sorted
     pair order."""
+    from .genkit import run_in_order
+
     topic_by = {t.topic_id: t for t in topics}
     passage_by = {p.passage_id: p for p in passages}
     needed: set[tuple[str, str]] = set()

@@ -277,6 +277,67 @@ def test_location_invariance():
     assert moved.grand_mean == pytest.approx(base.grand_mean + 0.17, abs=1e-12)
 
 
+def _c2_designs():
+    """The first designs each c2 textbook-oracle test in test_acceptance.py
+    draws, with the factors it analyses."""
+    rng = random.Random(208)
+    for _ in range(10):
+        la, lb, r = rng.randint(2, 4), rng.randint(2, 4), rng.randint(1, 3)
+        cells = [
+            [[round(rng.random(), 6) for _ in range(r)] for _ in range(lb)]
+            for _ in range(la)
+        ]
+        yield matrix_from_two_way(cells), ("topic", "system")
+    rng = random.Random(209)
+    for _ in range(10):
+        la, lb, lc = rng.randint(2, 3), rng.randint(2, 3), rng.randint(2, 3)
+        r = rng.randint(2, 3)
+        cells = [
+            [
+                [[round(rng.random(), 6) for _ in range(r)] for _ in range(lc)]
+                for _ in range(lb)
+            ]
+            for _ in range(la)
+        ]
+        yield matrix_from_three_way(cells), ("topic", "system", "profile")
+
+
+def _remapped(matrix, value, relabel):
+    """matrix with every cell value mapped, and with each factor's levels
+    renamed so that they sort in reverse when relabel is set."""
+    names = [sorted({key[axis] for key, _ in matrix.items()}) for axis in range(3)]
+    rename = [
+        {name: f"x{len(levels) - k}" if relabel else name for k, name in enumerate(levels)}
+        for levels in names
+    ]
+    out = EffectivenessMatrix()
+    for (t, s, p, i), v in matrix.items():
+        out.set(rename[0][t], rename[1][s], rename[2][p], i, value(v))
+    return out
+
+
+# (cell value before, cell value after, relabel levels): both matrices
+# must give the same F and p. Every value stays inside [0, 1].
+INVARIANCES = {
+    "relabel": (lambda v: v, lambda v: v, True),
+    "shift": (lambda v: 0.6 * v, lambda v: 0.6 * v + 0.3, False),
+    "scale": (lambda v: v, lambda v: 0.7 * v, False),
+}
+
+
+@pytest.mark.parametrize("change", sorted(INVARIANCES))
+def test_f_and_p_invariant_under_relabelling_shift_and_scale(change):
+    before, after, relabel = INVARIANCES[change]
+    for matrix, factors in _c2_designs():
+        base = anova(_remapped(matrix, before, relabel=False), factors)
+        moved = {row.source: row for row in anova(_remapped(matrix, after, relabel), factors).rows}
+        assert sorted(moved) == sorted(row.source for row in base.rows)
+        for row in base.rows:
+            assert moved[row.source].df == row.df
+            assert moved[row.source].f == pytest.approx(row.f, rel=1e-9)
+            assert moved[row.source].p == pytest.approx(row.p, rel=1e-7, abs=1e-15)
+
+
 def test_null_effect_zero_ss():
     # Both topics have identical means; all variation is system + noise.
     cells = [[[0.2, 0.4], [0.6, 0.8]], [[0.4, 0.2], [0.8, 0.6]]]

@@ -639,33 +639,63 @@ class TestModuleEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["False", "pong"]
 
-    def test_stages_but_analyze_leave_numpy_unloaded(self, workspace, tmp_path):
+    # The qvbench modules, and numpy, that each stage's process holds
+    # once the stage has run; the package and core are left out.
+    STAGE_MODULES = {
+        "generate": {"cli", "genkit", "validate", "textkit", "porter"},
+        "validate": {"cli", "genkit", "validate", "textkit", "porter"},
+        "index": {"cli", "retrieval", "textkit", "porter"},
+        "search": {"cli", "retrieval", "textkit", "porter"},
+        "import-runs": {"cli"},
+        "judge": {"cli", "genkit", "judge", "validate", "textkit", "porter"},
+        "evaluate": {"cli", "judge", "evalstats", "evalstats.metrics", "evalstats.special"},
+        "analyze": {
+            "cli",
+            "evalstats",
+            "evalstats.agreement",
+            "evalstats.anova",
+            "evalstats.matrix",
+            "evalstats.metrics",
+            "evalstats.special",
+            "evalstats.tukey",
+            "numpy",
+        },
+        "report": {"cli", "evalstats", "evalstats.matrix"},
+    }
+
+    def test_each_stage_loads_only_the_modules_it_runs(self, workspace, tmp_path):
+        """Each stage in a fresh interpreter: importing cli loads only core,
+        the finished stage holds exactly its STAGE_MODULES, and the charts
+        keep their bytes."""
+        assert sorted(self.STAGE_MODULES) == sorted(STAGES)
         config = write_toy_workspace(tmp_path / "ws")
-        report_out = tmp_path / "report_out"
-        report_out.mkdir()
-        for name in ("ndcg.csv", "marginal_means.csv"):
-            (report_out / name).write_bytes((out_dir(workspace) / name).read_bytes())
         code = (
             "import sys\n"
-            "from qvbench.cli import main\n"
-            "config, report_out = sys.argv[1:3]\n"
-            "for stage in sys.argv[3:]:\n"
-            "    out = ['--out', report_out] if stage == 'report' else []\n"
-            "    code = main([stage, '--config', config, *out])\n"
-            "    print('stage', stage, code, 'numpy' in sys.modules)\n"
+            "def loaded():\n"
+            "    return sorted(m.removeprefix('qvbench.') for m in sys.modules\n"
+            "                  if m.startswith('qvbench.') and m != 'qvbench.core' or m == 'numpy')\n"
+            "import qvbench.cli\n"
+            "print(*loaded())\n"
+            "print(qvbench.cli.main([sys.argv[1], '--config', sys.argv[2]]))\n"
+            "print(*loaded())\n"
         )
-        stages = [s for s in STAGES if s != "analyze"]
-        result = subprocess.run(
-            [sys.executable, "-c", code, str(config), str(report_out), *stages],
-            capture_output=True,
-            text=True,
-            timeout=120,
-        )
-        assert result.returncode == 0, result.stderr
-        lines = [line for line in result.stdout.splitlines() if line.startswith("stage ")]
-        assert lines == [f"stage {stage} 0 False" for stage in stages]
+        for stage in STAGES:
+            result = subprocess.run(
+                [sys.executable, "-c", code, stage, str(config)],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            lines = result.stdout.splitlines()
+            on_import, exit_code, after = lines[0], lines[-2], lines[-1]
+            assert (stage, on_import.split()) == (stage, ["cli"])
+            assert (stage, exit_code) == (stage, "0")
+            assert (stage, set(after.split())) == (stage, self.STAGE_MODULES[stage])
         for name in ("marginal_means.svg", "system_rankings.svg"):
-            assert (report_out / name).read_bytes() == (out_dir(workspace) / name).read_bytes()
+            assert (out_dir(config) / name).read_bytes() == (
+                out_dir(workspace) / name
+            ).read_bytes()
 
     def test_python_dash_m(self, workspace):
         result = subprocess.run(

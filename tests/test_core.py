@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from qvbench.core import (
+    VARIANTS_PER_PAIR,
     AnnotationRecord,
     ParseError,
     Passage,
@@ -213,6 +214,66 @@ def test_passages_round_trip_with_combining_marks(tmp_path, ids, texts):
     path = tmp_path / "marked_passages.tsv"
     write_passages(passages, path)
     assert parse_passages(path) == passages
+
+
+# JSON-escaped characters too: quotes, backslashes, tabs and newlines.
+_json_texts = st.text(
+    st.sampled_from(_MARKED + ' ,.?"\\\t\n{}'), min_size=1, max_size=20
+).filter(str.strip)
+
+
+@_round_trip
+@given(
+    ids=st.lists(_ids, min_size=1, max_size=4, unique_by=nfc),
+    seeds=st.lists(_json_texts, min_size=4, max_size=4),
+    backstories=st.lists(st.none() | _json_texts, min_size=4, max_size=4),
+)
+def test_topics_round_trip_with_combining_marks(tmp_path, ids, seeds, backstories):
+    topics = [Topic(*fields) for fields in zip(ids, seeds, backstories)]
+    path = tmp_path / "marked_topics.jsonl"
+    write_topics(topics, path)
+    assert parse_topics(path) == topics
+
+
+@_round_trip
+@given(
+    cells=st.lists(
+        st.tuples(_ids, _ids, st.integers(1, VARIANTS_PER_PAIR), _json_texts), max_size=8
+    )
+)
+def test_variants_round_trip_with_combining_marks(tmp_path, cells):
+    variants = [QueryVariant(*cell) for cell in cells]
+    path = tmp_path / "marked_variants.jsonl"
+    write_variants(variants, path)
+    assert read_variants(path) == variants
+
+
+def _failing(rows):
+    """The rows, then an error, as a writer meets a fault part-way."""
+    yield from rows
+    raise RuntimeError("fault part-way through the rows")
+
+
+@pytest.mark.parametrize(
+    "write",
+    [
+        lambda rows, path: write_csv(path, ["a", "b"], rows),
+        lambda rows, path: write_jsonl(({"a": a, "b": b} for a, b in rows), path),
+        lambda rows, path: write_qrels((Qrel(a, b, 1) for a, b in rows), path),
+    ],
+    ids=["csv", "jsonl", "qrels"],
+)
+def test_failed_write_keeps_the_old_file(tmp_path, write):
+    path = tmp_path / "table"
+    write([("q1", "p1")], path)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="part-way"):
+        write(_failing([("q2", "p2"), ("q3", "p3")]), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table"]
+    with pytest.raises(RuntimeError, match="part-way"):
+        write(_failing([("q2", "p2")]), tmp_path / "new")
+    assert [p.name for p in tmp_path.iterdir()] == ["table"]
 
 
 def test_topic_empty_seed_rejected():

@@ -6,6 +6,8 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qvbench.evalstats.metrics import kendall_tau, mann_whitney_u, ndcg_at_k
 
@@ -32,6 +34,19 @@ def oracle_ndcg_bruteforce(ranked, pool, k, gain="linear"):
 
 def test_ndcg_ideal_order_is_one():
     assert ndcg_at_k([3, 2, 1, 0], [3, 2, 1, 0], k=4) == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    pool=st.lists(st.integers(0, 3), min_size=1, max_size=12).filter(any),
+    k=st.integers(1, 15),
+    gain=st.sampled_from(("linear", "exp")),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_ndcg_of_the_ideal_ordering_is_exactly_one(pool, k, gain, rnd):
+    judged = pool.copy()
+    rnd.shuffle(judged)
+    assert ndcg_at_k(sorted(pool, reverse=True), judged, k=k, gain=gain) == 1.0
 
 
 def test_ndcg_all_zero_grades():
