@@ -473,19 +473,18 @@ def cmd_evaluate(config: PipelineConfig) -> None:
     for r in runs:  # in rank order within each (system, query), as parsed
         ranked.setdefault((r.system_id, r.query_id), []).append(r)
 
-    expected_ids = set(expected)
-    skipped = sum(1 for key in ranked if key[1] not in expected_ids)
+    skipped = len({query_id for _, query_id in ranked}.difference(expected))
     if skipped:
         print(
             f"warning: {skipped} run query ids outside the variant sweep were ignored",
             file=sys.stderr,
         )
 
+    cells = [(query_id, query_cell(query_id)) for query_id in expected]
     rows = []
     unscored = []
     for system_id in systems:
-        for query_id in expected:
-            topic_id, profile_id, index = query_cell(query_id)
+        for query_id, (topic_id, profile_id, index) in cells:
             records = ranked.get((system_id, query_id))
             if not records:
                 unscored.append((system_id, query_id))

@@ -24,7 +24,7 @@ from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Optional, Protocol, Sequence, TypeVar
 
 PROFILE_METHODS = ("persona", "group", "textual", "neutral")
 QREL_SOURCES = ("human", "llm")
@@ -127,33 +127,71 @@ class QueryVariant:
         return variant_query_id(self.topic_id, self.profile_id, self.index)
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class _RunRecordFields(NamedTuple):
     system_id: str
     query_id: str
     passage_id: str
     rank: int
     score: float
 
-    def __post_init__(self):
-        _normalize(self)
-        if self.rank < 1:
-            raise ValidationError(f"rank {self.rank} must be >= 1")
+
+class RunRecord(_RunRecordFields):
+    """One ranked result of one system for one query.
+
+    Tuple-backed rather than a frozen dataclass because stages build them
+    by the ten thousand (every line of every run file, every hit of
+    `search`), and a record should cost no more than its fields: this
+    `__new__` is the only constructor, it checks the rank and NFCs only a
+    non-ASCII string. Being a tuple, a record is immutable and hashable,
+    compares equal to the plain tuple of its fields and orders like one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, system_id: str, query_id: str, passage_id: str, rank: int, score: float):
+        if rank < 1:
+            raise ValidationError(f"rank {rank} must be >= 1")
+        if not (system_id.isascii() and query_id.isascii() and passage_id.isascii()):
+            system_id, query_id, passage_id = nfc(system_id), nfc(query_id), nfc(passage_id)
+        return tuple.__new__(cls, (system_id, query_id, passage_id, rank, score))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Qrel:
+class _QrelFields(NamedTuple):
     query_id: str
     passage_id: str
     grade: int
-    source: str = "human"
+    source: str
 
-    def __post_init__(self):
-        _normalize(self)
-        if self.grade not in (0, 1, 2, 3):
-            raise ValidationError(f"grade {self.grade} outside 0..3")
-        if self.source not in QREL_SOURCES:
-            raise ValidationError(f"unknown qrel source {self.source!r}")
+
+class Qrel(_QrelFields):
+    """One relevance grade (0..3) for a (query, passage), from a human
+    judge or the LLM.
+
+    Tuple-backed like `RunRecord`, for the same reason: `evaluate` reads
+    and `judge` stores them by the thousand. This `__new__` is the only
+    constructor; it checks grade and source and NFCs only a non-ASCII
+    string. A qrel is immutable and hashable, compares equal to the
+    plain tuple of its fields and orders like one.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, query_id: str, passage_id: str, grade: int, source: str = "human"):
+        if grade not in (0, 1, 2, 3):
+            raise ValidationError(f"grade {grade} outside 0..3")
+        if source not in QREL_SOURCES:
+            raise ValidationError(f"unknown qrel source {source!r}")
+        if not (query_id.isascii() and passage_id.isascii()):
+            query_id, passage_id = nfc(query_id), nfc(passage_id)
+        return tuple.__new__(cls, (query_id, passage_id, grade, source))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)

@@ -54,7 +54,6 @@ from .core import (
     complete_parsed,
     group_variants,
 )
-from .validate import load_dictionary, spell_correct
 
 __all__ = [
     "ProviderConfig",
@@ -490,8 +489,12 @@ class MockProvider:
     """
 
     def __init__(self, seed_material: str = ""):
+        # only the mock spells, so only it loads validate (and textkit)
+        from .validate import load_dictionary, spell_correct
+
         self.seed_material = str(seed_material)
         self._dictionary = load_dictionary()
+        self._spell_correct = spell_correct
 
     def complete(self, prompt: str) -> str:
         digest = hashlib.sha256(
@@ -569,7 +572,7 @@ class MockProvider:
             if (
                 candidate
                 and candidate not in self._dictionary
-                and spell_correct(candidate, self._dictionary) == word
+                and self._spell_correct(candidate, self._dictionary) == word
             ):
                 return candidate
         return None

@@ -124,11 +124,11 @@ def coverage(
     if k < 1:
         raise ValidationError("k must be >= 1")
     human = {(q.query_id, q.passage_id) for q in qrels if q.source == "human"}
+    top = [record for record in runs if record.rank <= k]
+    cell_of = _query_cells(top)
     counts: dict[tuple[str, str], list[int]] = {}
-    for record in runs:
-        if record.rank > k:
-            continue
-        topic, profile, _ = query_cell(record.query_id)
+    for record in top:
+        topic, profile, _ = cell_of[record.query_id]
         judged = (topic, record.passage_id) in human
         for key in ((record.system_id, profile), ("all", "all")):
             bucket = counts.setdefault(key, [0, 0])
@@ -140,6 +140,12 @@ def coverage(
             CoverageReport(system_id, profile_id, k, judged, total, 1 - judged / total)
         )
     return reports
+
+
+def _query_cells(runs: Sequence[RunRecord]) -> dict[str, tuple[str, str, int]]:
+    """`query_cell` of each distinct query id in the runs, decoded once:
+    a run repeats each id once per system and rank."""
+    return {query_id: query_cell(query_id) for query_id in {r.query_id for r in runs}}
 
 
 def load_label_template() -> str:
@@ -213,7 +219,8 @@ class LabelStore:
         for qrel in parse_qrels(qrels_path):
             if qrel.source != "llm":
                 raise ValidationError(
-                    f"label store holds llm labels only, found source {qrel.source!r}"
+                    f"{qrels_path}: label store holds llm labels only, found source"
+                    f" {qrel.source!r} for ({qrel.query_id}, {qrel.passage_id})"
                 )
             store._labels[(qrel.query_id, qrel.passage_id)] = qrel
         if raw_path is not None and Path(raw_path).exists():
@@ -272,10 +279,10 @@ def label_topk(
     topic_by = {t.topic_id: t for t in topics}
     passage_by = {p.passage_id: p for p in passages}
     needed: set[tuple[str, str]] = set()
-    for record in runs:
-        if record.rank > k:
-            continue
-        topic_id = query_cell(record.query_id)[0]
+    top = [record for record in runs if record.rank <= k]
+    cell_of = _query_cells(top)
+    for record in top:
+        topic_id = cell_of[record.query_id][0]
         if topic_id not in topic_by:
             raise ValidationError(f"run references unknown topic {topic_id!r}")
         if record.passage_id not in passage_by:

@@ -337,12 +337,13 @@ class TestEvaluateStage:
 
 
     @staticmethod
-    def evaluate_with_edited_run(workspace, tmp_path, edit):
-        """Evaluate a copy of the toy out/ whose first run file went through edit."""
+    def evaluate_with_edited_run(workspace, tmp_path, edit, files=1):
+        """Evaluate a copy of the toy out/ whose first `files` run files
+        went through edit."""
         out = tmp_path / "out"
         shutil.copytree(out_dir(workspace), out)
-        run = sorted((out / "runs").glob("*.run"))[0]
-        run.write_text(edit(run.read_text().splitlines(keepends=True)))
+        for run in sorted((out / "runs").glob("*.run"))[:files]:
+            run.write_text(edit(run.read_text().splitlines(keepends=True)))
         assert main(["evaluate", "--config", str(workspace), "--out", str(out)]) == 0
 
     def test_ignored_run_query_ids_warned_on_stderr(self, workspace, tmp_path, capsys):
@@ -354,6 +355,27 @@ class TestEvaluateStage:
         captured = capsys.readouterr()
         assert "warning: 1 run query ids outside the variant sweep were ignored" in captured.err
         assert "warning" not in captured.out
+
+    def test_ignored_query_id_counted_once_across_run_files(self, workspace, tmp_path, capsys):
+        def add_query(lines):
+            tag = lines[0].split()[5]
+            return "".join(lines) + f"zz_extra Q0 p001 1 1.0 {tag}\n"
+
+        self.evaluate_with_edited_run(workspace, tmp_path, add_query, files=2)
+        err = capsys.readouterr().err
+        assert "warning: 1 run query ids outside the variant sweep were ignored" in err
+
+    def test_human_row_in_llm_labels_exits_2(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(out_dir(workspace), out)
+        labels = out / "llm_qrels.txt"
+        with open(labels, "a", encoding="utf-8") as fh:
+            fh.write("t01 0 p001 2 human\n")
+        assert main(["evaluate", "--config", str(workspace), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {labels}: label store holds llm labels only,"
+            " found source 'human' for (t01, p001)\n"
+        )
 
     def test_unscored_pairs_warned_on_stderr(self, workspace, tmp_path, capsys):
         def drop_first_query(lines):
@@ -663,12 +685,11 @@ class TestModuleEntryPoint:
         "report": {"cli", "evalstats", "evalstats.matrix"},
     }
 
-    def test_each_stage_loads_only_the_modules_it_runs(self, workspace, tmp_path):
-        """Each stage in a fresh interpreter: importing cli loads only core,
-        the finished stage holds exactly its STAGE_MODULES, and the charts
-        keep their bytes."""
-        assert sorted(self.STAGE_MODULES) == sorted(STAGES)
-        config = write_toy_workspace(tmp_path / "ws")
+    @staticmethod
+    def run_stage_process(stage, config, *flags):
+        """The stage's exit code in a fresh interpreter, with the qvbench
+        modules, and numpy, loaded by `import qvbench.cli` and held after
+        the stage; the package and core are left out."""
         code = (
             "import sys\n"
             "def loaded():\n"
@@ -676,26 +697,51 @@ class TestModuleEntryPoint:
             "                  if m.startswith('qvbench.') and m != 'qvbench.core' or m == 'numpy')\n"
             "import qvbench.cli\n"
             "print(*loaded())\n"
-            "print(qvbench.cli.main([sys.argv[1], '--config', sys.argv[2]]))\n"
+            "print(qvbench.cli.main(sys.argv[1:]))\n"
             "print(*loaded())\n"
         )
+        result = subprocess.run(
+            [sys.executable, "-c", code, stage, "--config", str(config), *flags],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        lines = result.stdout.splitlines()
+        on_import, exit_code, after = lines[0], lines[-2], lines[-1]
+        return on_import.split(), exit_code, set(after.split())
+
+    def test_each_stage_loads_only_the_modules_it_runs(self, workspace, tmp_path):
+        """Each stage in a fresh interpreter: importing cli loads only core,
+        the finished stage holds exactly its STAGE_MODULES, and the charts
+        keep their bytes."""
+        assert sorted(self.STAGE_MODULES) == sorted(STAGES)
+        config = write_toy_workspace(tmp_path / "ws")
         for stage in STAGES:
-            result = subprocess.run(
-                [sys.executable, "-c", code, stage, str(config)],
-                capture_output=True,
-                text=True,
-                timeout=120,
-            )
-            assert result.returncode == 0, result.stderr
-            lines = result.stdout.splitlines()
-            on_import, exit_code, after = lines[0], lines[-2], lines[-1]
-            assert (stage, on_import.split()) == (stage, ["cli"])
-            assert (stage, exit_code) == (stage, "0")
-            assert (stage, set(after.split())) == (stage, self.STAGE_MODULES[stage])
+            loaded = self.run_stage_process(stage, config)
+            assert (stage, loaded) == (stage, (["cli"], "0", self.STAGE_MODULES[stage]))
         for name in ("marginal_means.svg", "system_rankings.svg"):
             assert (out_dir(config) / name).read_bytes() == (
                 out_dir(workspace) / name
             ).read_bytes()
+
+    def test_http_provider_stages_skip_the_mock_spelling_modules(self, tmp_path, chat_server):
+        """Only the mock provider spells, so under the HTTP provider generate
+        and judge load neither validate nor textkit nor porter."""
+        config = write_toy_workspace(tmp_path / "ws")
+        mock = MockProvider(seed_material=str(build_config(_args(config=str(config))).seed))
+        chat_server.reply = lambda request: mock.complete(
+            json.loads(request.body)["messages"][0]["content"]
+        )
+        flags = ["--provider", "http", "--endpoint", chat_server.url, "--model", "m"]
+        assert self.run_stage_process("generate", config, *flags) == (
+            ["cli"], "0", {"cli", "genkit"}
+        )
+        for stage in ("index", "search"):
+            assert main([stage, "--config", str(config)]) == 0, stage
+        assert self.run_stage_process("judge", config, *flags) == (
+            ["cli"], "0", {"cli", "genkit", "judge"}
+        )
 
     def test_python_dash_m(self, workspace):
         result = subprocess.run(

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -134,7 +135,9 @@ COMPOSED = "caf\u00e9"
     ids=lambda record: type(record).__name__,
 )
 def test_record_stores_composed_text(record):
-    given_text = [v for v in vars(record).values() if isinstance(v, str) and v.startswith("caf")]
+    # each constructor parameter is an attribute of the record, however stored
+    fields = [getattr(record, name) for name in inspect.signature(type(record)).parameters]
+    given_text = [v for v in fields if isinstance(v, str) and v.startswith("caf")]
     assert given_text
     assert all(text == COMPOSED for text in given_text)
 
@@ -509,6 +512,72 @@ def test_profile_neutral_description_must_be_empty():
 def test_run_record_rank_positive():
     with pytest.raises(ValidationError):
         RunRecord("s", "q", "p", 0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RunRecord("s", "q", "p", 0, 1.0), "rank 0 must be >= 1"),
+        (lambda: Qrel("q", "p", 4), "grade 4 outside 0..3"),
+        (lambda: Qrel("q", "p", 2, "crowd"), "unknown qrel source 'crowd'"),
+    ],
+    ids=["rank-zero", "grade-four", "unknown-source"],
+)
+def test_record_checks_keep_their_messages(build, message):
+    with pytest.raises(ValidationError) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda: RunRecord("s", "q", "p", 1, 1.0), "rank"),
+        (lambda: RunRecord("s", "q", "p", 1, 1.0), "system_id"),
+        (lambda: Qrel("q", "p", 2), "grade"),
+        (lambda: Qrel("q", "p", 2), "source"),
+    ],
+    ids=["run-rank", "run-system", "qrel-grade", "qrel-source"],
+)
+def test_record_is_immutable(build, field):
+    record = build()
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert hash(record) == hash(build())
+
+
+def test_record_is_its_tuple_of_fields():
+    run = RunRecord("s", "q", "p", 1, 2.5)
+    assert run == ("s", "q", "p", 1, 2.5)
+    assert sorted([Qrel("q2", "p", 1), Qrel("q1", "p", 3)]) == [
+        Qrel("q1", "p", 3), Qrel("q2", "p", 1)
+    ]
+    assert Qrel("q", "p", 2).source == "human"
+
+
+def test_record_replace_is_checked():
+    with pytest.raises(ValidationError):
+        RunRecord("s", "q", "p", 1, 1.0)._replace(rank=0)
+    assert Qrel("q", "p", 2)._replace(passage_id=DECOMPOSED).passage_id == COMPOSED
+
+
+@pytest.mark.parametrize(
+    "reader, name, text",
+    [
+        (parse_trec_run, "sys.run", f"q1 Q0 p1 1 2.0 sys\nq1 Q0 {DECOMPOSED} 2 1.0 sys\n"),
+        (parse_qrels, "qrels.txt", f"q1 0 p1 2\n{DECOMPOSED} 0 p1 1 llm\n"),
+    ],
+    ids=["run", "qrels"],
+)
+def test_reader_composes_text_on_the_last_line(tmp_path, reader, name, text):
+    p = tmp_path / name
+    p.write_text(text, encoding="utf-8")
+    last = reader(p)[-1]
+    fields = [getattr(last, name) for name in inspect.signature(type(last)).parameters]
+    assert COMPOSED in fields
+    assert DECOMPOSED not in fields
 
 
 def test_annotations_roundtrip(tmp_path):

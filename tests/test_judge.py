@@ -131,6 +131,37 @@ class TestCoverage:
             coverage([], [], k=0)
 
 
+class TestQueryIdsDecodedOnce:
+    RUNS = [
+        run(system, query, f"p{i}", i)
+        for system in ("s1", "s2")
+        for query in ("t1", "t1__emily__1", "t2__emily__2")
+        for i in range(1, 4)
+    ]
+    TOPICS = [Topic(t, "q", backstory="Backstory.") for t in ("t1", "t2")]
+    PASSAGES = [Passage(f"p{i}", f"passage text {i}") for i in range(1, 4)]
+
+    @pytest.fixture
+    def decoded(self, monkeypatch):
+        ids = []
+        original = judge.query_cell
+
+        def counting(query_id):
+            ids.append(query_id)
+            return original(query_id)
+
+        monkeypatch.setattr(judge, "query_cell", counting)
+        return ids
+
+    def test_coverage(self, decoded):
+        coverage(self.RUNS, [], k=10)
+        assert sorted(decoded) == ["t1", "t1__emily__1", "t2__emily__2"]
+
+    def test_label_topk(self, decoded):
+        label_topk(MockProvider(), self.RUNS, self.TOPICS, self.PASSAGES, LabelStore(), k=10)
+        assert sorted(decoded) == ["t1", "t1__emily__1", "t2__emily__2"]
+
+
 class TestLabelPrompt:
     def test_contains_both_texts_verbatim(self):
         prompt = build_label_prompt(TOPIC.backstory, PASSAGE.text, TEMPLATE)
@@ -291,6 +322,15 @@ class TestLabelStorePersistence:
         path.write_text("t1 0 p1 2 human\n")
         with pytest.raises(ValidationError):
             LabelStore.load(path)
+
+    def test_human_row_error_names_file_and_pair(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_text("t1 0 p1 2 llm\nt1 0 p2 1 human\n")
+        with pytest.raises(ValidationError) as info:
+            LabelStore.load(path)
+        assert str(info.value) == (
+            f"{path}: label store holds llm labels only, found source 'human' for (t1, p2)"
+        )
 
     def test_sidecar_row_without_key_names_file_and_line(self, tmp_path):
         qrels_path = tmp_path / "llm_qrels.txt"

@@ -156,9 +156,10 @@ def _defaulted_params(fn, skip=0):
 
 
 def _class_defaults(cls):
-    """Defaulted `__init__` parameters, else defaulted dataclass fields."""
+    """Defaulted `__init__` or `__new__` parameters, else defaulted
+    dataclass fields."""
     for node in cls.body:
-        if isinstance(node, ast.FunctionDef) and node.name == "__init__":
+        if isinstance(node, ast.FunctionDef) and node.name in ("__init__", "__new__"):
             return _defaulted_params(node, skip=1)
     decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
     if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
@@ -169,8 +170,8 @@ def _class_defaults(cls):
 
 def test_every_default_is_passed_somewhere():
     """Each defaulted parameter of a public top-level function of
-    `src/qvbench`, and each defaulted `__init__` parameter or dataclass
-    field of a public top-level class there, is passed by some call
+    `src/qvbench`, and each defaulted `__init__` or `__new__` parameter or
+    dataclass field of a public top-level class there, is passed by some call
     elsewhere there: by keyword, by position, or through a `*` or `**`
     argument.
 
