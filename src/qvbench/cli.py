@@ -40,6 +40,7 @@ from .core import (
     read_csv,
     read_variants,
     variant_query_id,
+    verify_complete,
     write_csv,
     write_qrels,
     write_topics,
@@ -246,6 +247,11 @@ def cmd_generate(config: PipelineConfig) -> None:
     ordered = sorted(
         merged.values(), key=lambda v: (topic_pos[v.topic_id], profile_pos[v.profile_id], v.index)
     )
+    verify_complete(
+        [v for v in ordered if v.profile_id in selected_ids],
+        [t.topic_id for t in topics],
+        selected_ids,
+    )
     write_variants(ordered, variants_path)
 
     log_path = config.out / "genlog.jsonl"
@@ -289,6 +295,9 @@ def cmd_validate(config: PipelineConfig) -> None:
     )
     n_valid = sum(1 for v in verdicts if v.valid)
     print(f"verdicts: {n_valid}/{len(verdicts)} valid")
+    for check in CHECKED_PROFILES:
+        checked = [v.valid for v in verdicts if v.check == check]
+        print(f"  {check}: {sum(checked)}/{len(checked)} valid")
 
     seed_text = {t.topic_id: t.seed_query for t in topics}
     features = [

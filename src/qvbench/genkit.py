@@ -602,13 +602,16 @@ def generate_sweep(
 ) -> list[QueryVariant]:
     """Every (topic, profile) combination, reusing complete existing pairs.
 
-    Pairs holding fewer than VARIANTS_PER_PAIR stored variants are regenerated
-    whole. Provider calls are submitted, and the output and logs are
-    assembled, topics-major, profiles-minor, index-ascending.
+    A stored pair is complete when its indices are exactly
+    1..VARIANTS_PER_PAIR; any other pair (one missing, or one index held
+    twice) is regenerated whole. Provider calls are submitted, and the
+    output and logs are assembled, topics-major, profiles-minor,
+    index-ascending.
     """
+    complete = list(range(1, VARIANTS_PER_PAIR + 1))
     done: dict[tuple[str, str], list[QueryVariant]] = {}
     for pair, group in group_variants(existing).items():
-        if len(group) == VARIANTS_PER_PAIR:
+        if [v.index for v in group] == complete:
             done[pair] = group
 
     def generate(pair: tuple[Topic, Profile]) -> tuple[list[QueryVariant], list[GenerationLog]]:

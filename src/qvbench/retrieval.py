@@ -5,13 +5,19 @@ punctuation, Porter stem). Scores follow the Robertson BM25 form with
 the +1-smoothed IDF, which keeps every term weight positive. Scoring is
 term-at-a-time over the postings: each query token's posting list adds
 its weight to a per-passage accumulator.
+
+The index caches, per `Bm25Params`, each passage's length norm and each
+queried term's (passage_id, weight) list, so a term is weighted once
+per params however many queries hold it. `run_queries` searches each
+distinct query text once and reuses its hits for every query id that
+carries the same text; profile variants often collide on one string.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .core import Passage, RunRecord
@@ -43,6 +49,7 @@ class InvertedIndex:
         self.doc_count = len(doc_lengths)
         self.avg_doc_length = sum(doc_lengths.values()) / self.doc_count
         self._length_norms: dict[Bm25Params, dict[str, float]] = {}
+        self._term_weights: dict[Bm25Params, dict[str, tuple[tuple[str, float], ...]]] = {}
 
     def length_norms(self, params: Bm25Params) -> dict[str, float]:
         """k1 * (1 - b + b * length / avg) per passage, computed once per params."""
@@ -56,6 +63,25 @@ class InvertedIndex:
             }
             self._length_norms[params] = norms
         return norms
+
+    def term_weights(self, params: Bm25Params, term: str) -> tuple[tuple[str, float], ...]:
+        """(passage_id, BM25 weight) over term's postings, computed once per params."""
+        cache = self._term_weights.get(params)
+        if cache is None:
+            cache = self._term_weights[params] = {}
+        weights = cache.get(term)
+        if weights is None:
+            plist = self.postings.get(term, ())
+            df = len(plist)
+            n = self.doc_count
+            idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
+            norms = self.length_norms(params)
+            k1_plus_1 = params.k1 + 1.0
+            weights = tuple(
+                (pid, idf * tf * k1_plus_1 / (tf + norms[pid])) for pid, tf in plist
+            )
+            cache[term] = weights
+        return weights
 
 
 def index_tokens(text: str) -> list[str]:
@@ -95,19 +121,20 @@ def search(
     """
     if k < 1:
         raise ValueError(f"k={k} must be >= 1")
-    n = index.doc_count
-    norms = index.length_norms(params)
-    k1_plus_1 = params.k1 + 1.0
     scores: dict[str, float] = {}
+    get = scores.get
     for term in index_tokens(query):
-        plist = index.postings.get(term, ())
-        df = len(plist)
-        idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
-        for pid, tf in plist:
-            w = idf * tf * k1_plus_1 / (tf + norms[pid])
-            scores[pid] = scores.get(pid, 0.0) + w
-    # the same list as sorted(...)[:k], without sorting every candidate
-    return heapq.nsmallest(k, scores.items(), key=lambda hit: (-hit[1], hit[0]))
+        for pid, w in index.term_weights(params, term):
+            scores[pid] = get(pid, 0.0) + w
+    hits = list(scores.items())
+    if len(hits) > k:
+        # every candidate scoring at least the k-th best can reach the top k
+        kth = sorted(scores.values(), reverse=True)[k - 1]
+        hits = [hit for hit in hits if hit[1] >= kth]
+    # by passage_id, then stably by score descending: (-score, passage_id) order
+    hits.sort()
+    hits.sort(key=itemgetter(1), reverse=True)
+    return hits[:k]
 
 
 def run_queries(
@@ -117,8 +144,14 @@ def run_queries(
     system_id: str,
     k: int = 10,
 ) -> list[RunRecord]:
+    """Run records for every query id; each distinct text is searched once."""
+    hits_by_text: dict[str, list[tuple[str, float]]] = {}
     records = []
     for query_id in sorted(queries):
-        for rank, (pid, score) in enumerate(search(index, params, queries[query_id], k), 1):
+        text = queries[query_id]
+        hits = hits_by_text.get(text)
+        if hits is None:
+            hits = hits_by_text[text] = search(index, params, text, k)
+        for rank, (pid, score) in enumerate(hits, 1):
             records.append(RunRecord(system_id, query_id, pid, rank, score))
     return records

@@ -4,7 +4,10 @@ Two validators cover the lexical transformation profiles: word-order
 change (same token multiset, different sequence) and misspelling (an
 out-of-dictionary token whose correction is a seed token). Spell
 correction is hermetic: a bundled word list plus Damerau-Levenshtein
-distance in the optimal-string-alignment variant, capped at 2.
+distance in the optimal-string-alignment variant, capped at 2. Typos are
+mostly one edit away, so a word's single edits are looked up in the
+dictionary before any distance is computed (Norvig, "How to Write a
+Spelling Corrector", 2007).
 
 Annotation scoring drops any annotator who missed a gold question,
 excludes pairs left without two annotators, and computes consensus
@@ -51,8 +54,9 @@ SIMILARITY_ANSWERS = ("similar", "dissimilar")
 EQUALLY_LIKELY = "equally likely"
 
 # Profiles whose variants are checked mechanically rather than by the
-# similarity task; matched on the profile name, case-insensitive.
-CHECKED_PROFILES = frozenset({"order", "misspelling"})
+# similarity task, in the order `validate` reports them; matched on the
+# profile name, case-insensitive, and named by each verdict's check.
+CHECKED_PROFILES = ("order", "misspelling")
 
 
 @dataclass(frozen=True)
@@ -65,7 +69,7 @@ class ValidationVerdict:
     detail: str = ""
 
     def __post_init__(self):
-        if self.check not in ("order", "misspelling"):
+        if self.check not in CHECKED_PROFILES:
             raise ValidationError(f"unknown check {self.check!r}")
         if not self.valid and not self.detail:
             raise ValidationError("failed verdicts must carry a detail message")
@@ -133,27 +137,53 @@ def osa_distance(a: str, b: str) -> int:
     return prev[lb]
 
 
+def _dictionary_view(dictionary: Collection[str]) -> tuple[str, tuple[str, ...]]:
+    """The characters the dictionary's words use, and its words sorted."""
+    return "".join(sorted(set("".join(dictionary)))), tuple(sorted(dictionary))
+
+
+_frozen_dictionary_view = lru_cache(maxsize=8)(_dictionary_view)
+
+
+def _single_edits(word: str, alphabet: str) -> set[str]:
+    """Every string one OSA edit from word: a delete, an adjacent
+    transposition, or a substitution or insert of an alphabet character."""
+    splits = [(word[:i], word[i:]) for i in range(len(word) + 1)]
+    edits = {left + right[1:] for left, right in splits if right}
+    edits.update(
+        left + right[1] + right[0] + right[2:] for left, right in splits if len(right) > 1
+    )
+    edits.update(left + c + right[1:] for left, right in splits if right for c in alphabet)
+    edits.update(left + c + right for left, right in splits for c in alphabet)
+    return edits
+
+
 def spell_correct(word: str, dictionary: Collection[str]) -> Optional[str]:
     """Nearest dictionary word within distance 2, or None.
 
     A word already in the dictionary corrects to itself. Ties at the
     minimum distance break to the lexicographically smallest candidate.
+
+    Candidates come in two steps. The dictionary words at distance 1 are
+    exactly those among the word's single edits, with substitutions and
+    inserts drawn from the characters the dictionary uses, so the edits
+    are looked up first and the smallest hit wins. Only when none is a
+    word are the sorted words within two characters of its length
+    scanned with `osa_distance`, and the first within distance 2 wins.
+    The alphabet and the sorted words are cached per frozenset
+    dictionary; any other collection has them computed on each call.
     """
     if word in dictionary:
         return word
-    best: Optional[str] = None
-    best_dist = 3
-    for candidate in sorted(dictionary):
-        if abs(len(candidate) - len(word)) >= best_dist:
-            continue
-        dist = osa_distance(word, candidate)
-        if dist < best_dist:
-            best, best_dist = candidate, dist
-            if best_dist == 1:
-                # nothing below 1 exists for an out-of-dictionary word,
-                # and later candidates sort after this one
-                break
-    return best
+    view = _frozen_dictionary_view if isinstance(dictionary, frozenset) else _dictionary_view
+    alphabet, ordered = view(dictionary)
+    hits = _single_edits(word, alphabet).intersection(dictionary)
+    if hits:
+        return min(hits)
+    for candidate in ordered:
+        if abs(len(candidate) - len(word)) <= 2 and osa_distance(word, candidate) <= 2:
+            return candidate
+    return None
 
 
 def validate_order(seed: str, variant: str) -> bool:

@@ -21,7 +21,14 @@ from qvbench.cli import (
     main,
     parse_config_file,
 )
-from qvbench.core import ValidationError, parse_qrels, parse_topics, read_variants
+from qvbench.core import (
+    QueryVariant,
+    ValidationError,
+    parse_qrels,
+    parse_topics,
+    read_variants,
+    write_variants,
+)
 from qvbench.genkit import MockProvider, TransportError
 from qvbench.toydata import write_toy_workspace
 
@@ -176,12 +183,56 @@ class TestGenerate:
     def test_unknown_method(self, workspace):
         assert main(["generate", "--config", str(workspace), "--methods", "bogus"]) == 2
 
+    def test_pair_with_duplicate_index_regenerated(self, tmp_path, workspace, capsys):
+        complete = (out_dir(workspace) / "variants.jsonl").read_bytes()
+        variants = read_variants(out_dir(workspace) / "variants.jsonl")
+        second = variants[1]
+        assert (second.index, variants[0].index) == (2, 1)
+        # the first pair holds three variants, indices 1, 1, 3
+        variants[1] = QueryVariant(second.topic_id, second.profile_id, 1, second.text)
+        config_path = write_toy_workspace(tmp_path / "ws")
+        variants_path = out_dir(config_path) / "variants.jsonl"
+        variants_path.parent.mkdir()
+        write_variants(variants, variants_path)
+
+        assert main(["generate", "--config", str(config_path)]) == 0
+        assert "285 variants on file" in capsys.readouterr().out
+        assert variants_path.read_bytes() == complete
+
+    def test_incomplete_sweep_exits_2_before_writing(self, tmp_path, monkeypatch, capsys):
+        import qvbench.genkit as genkit
+
+        sweep = genkit.generate_sweep
+        monkeypatch.setattr(genkit, "generate_sweep", lambda *args, **kw: sweep(*args, **kw)[1:])
+        config_path = write_toy_workspace(tmp_path / "ws")
+        assert main(["generate", "--config", str(config_path), "--methods", "neutral"]) == 2
+        assert "incomplete variant set" in capsys.readouterr().err
+        assert not (out_dir(config_path) / "variants.jsonl").exists()
+
 
 class TestValidateStage:
     def test_verdicts_all_valid(self, workspace):
         rows = read_csv(out_dir(workspace) / "verdicts.csv")
         assert len(rows) == 30  # order + misspelling profiles, 5 topics x 3
         assert all(row["valid"] == "true" for row in rows)
+
+    def test_pass_rate_printed_per_check(self, tmp_path, workspace, capsys):
+        variants = read_variants(out_dir(workspace) / "variants.jsonl")
+        # one misspelling variant that repeats its seed fails its check
+        at = next(i for i, v in enumerate(variants) if v.profile_id == "textual_misspelling")
+        config_path = write_toy_workspace(tmp_path / "ws")
+        seed = {t.topic_id: t.seed_query for t in parse_topics(config_path.parent / "topics.tsv")}
+        bad = variants[at]
+        variants[at] = QueryVariant(bad.topic_id, bad.profile_id, bad.index, seed[bad.topic_id])
+        out_dir(config_path).mkdir()
+        write_variants(variants, out_dir(config_path) / "variants.jsonl")
+        assert main(["validate", "--config", str(config_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:3] == [
+            "verdicts: 29/30 valid",
+            "  order: 15/15 valid",
+            "  misspelling: 14/15 valid",
+        ]
 
     def test_feature_rows_match_variant_count(self, workspace):
         assert len(read_csv(out_dir(workspace) / "features.csv")) == 285

@@ -88,7 +88,6 @@ UNREFERENCED_ALLOWED = {
     "__version__",
     "write_toy_workspace",
     "expected_variant_count",
-    "verify_complete",
     "mann_whitney_u",
     "classify_omega",
     "agreement_report",

@@ -5,7 +5,8 @@ import random
 
 import pytest
 
-from qvbench.core import Passage, parse_trec_run, write_trec_run
+import qvbench.retrieval as retrieval
+from qvbench.core import Passage, RunRecord, parse_trec_run, write_trec_run
 from qvbench.retrieval import (
     Bm25Params,
     build_index,
@@ -190,10 +191,17 @@ def test_search_more_ties_than_k_keeps_lowest_passage_ids():
 def test_one_index_serves_several_params():
     index = build_index(CORPUS)
     settings = [Bm25Params(), Bm25Params(k1=1.2, b=0.75), Bm25Params(k1=0.4, b=0.0)]
-    query = "cheap budget bangkok food"
-    fresh = [search(build_index(CORPUS), params, query, k=3) for params in settings]
+    queries = ["cheap budget bangkok food", "bangkok dog", "food food budget"]
+    fresh = [
+        [search(build_index(CORPUS), params, query, k=3) for query in queries]
+        for params in settings
+    ]
+    # each params' cached term weights are read back after the others'
     for _ in range(2):
-        assert [search(index, params, query, k=3) for params in settings] == fresh
+        assert [[search(index, params, query, k=3) for query in queries] for params in settings] == fresh
+        assert [
+            [search(index, params, query, k=3) for params in settings] for query in queries
+        ] == [list(hits) for hits in zip(*fresh)]
 
 
 def test_search_descending_scores():
@@ -229,3 +237,47 @@ def test_run_queries_records(tmp_path):
     q1 = [r for r in parsed if r.query_id == "q1"]
     assert [r.rank for r in q1] == list(range(1, len(hits) + 1))
     assert [r.passage_id for r in q1] == [pid for pid, _ in hits]
+
+
+DUPLICATE_TEXT_QUERIES = {
+    "q3": "bangkok budget",
+    "q1": "bangkok budget",
+    "q2": "dog breeds",
+    "q4": "bangkok budget",
+    "q5": "Bangkok budget",
+    "q6": "dog breeds",
+}
+
+
+def test_run_queries_with_duplicate_texts_matches_one_search_per_id():
+    index = build_index(CORPUS)
+    params = Bm25Params()
+    want = [
+        RunRecord("sysX", query_id, pid, rank, score)
+        for query_id in sorted(DUPLICATE_TEXT_QUERIES)
+        for rank, (pid, score) in enumerate(
+            search(build_index(CORPUS), params, DUPLICATE_TEXT_QUERIES[query_id], k=2), 1
+        )
+    ]
+    assert run_queries(index, params, DUPLICATE_TEXT_QUERIES, "sysX", k=2) == want
+
+
+def test_run_queries_searches_each_distinct_text_once(monkeypatch):
+    texts = []
+
+    def counting_search(index, params, query, k):
+        texts.append(query)
+        return search(index, params, query, k)
+
+    monkeypatch.setattr(retrieval, "search", counting_search)
+    run_queries(build_index(CORPUS), Bm25Params(), DUPLICATE_TEXT_QUERIES, "sysX", k=2)
+    assert sorted(texts) == sorted(set(DUPLICATE_TEXT_QUERIES.values()))
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_rejected(k):
+    index = build_index(CORPUS)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        search(index, Bm25Params(), "bangkok", k=k)
+    with pytest.raises(ValueError, match="must be >= 1"):
+        run_queries(index, Bm25Params(), {"q1": "bangkok", "q2": "bangkok"}, "sysX", k=k)

@@ -2,8 +2,11 @@
 
 import random
 from functools import lru_cache
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qvbench.core import AnnotationRecord, QueryVariant, Profile, Topic, ValidationError
 from qvbench.validate import (
@@ -37,6 +40,54 @@ def oracle_osa(a, b):
         return best
 
     return d(len(a), len(b))
+
+
+def scan_spell_correct(word, dictionary):
+    """Spell correction as a scan of every dictionary word in sorted
+    order, keeping the nearest within distance 2: the reference."""
+    if word in dictionary:
+        return word
+    best = None
+    best_dist = 3
+    for candidate in sorted(dictionary):
+        if abs(len(candidate) - len(word)) >= best_dist:
+            continue
+        dist = osa_distance(word, candidate)
+        if dist < best_dist:
+            best, best_dist = candidate, dist
+            if best_dist == 1:
+                break
+    return best
+
+
+# the bundled words' letters, plus characters no bundled word uses
+TYPO_CHARACTERS = "abcdefghijklmnopqrstuvwxyz" + "éß-1"
+EDIT_KINDS = ("delete", "transpose", "substitute", "insert")
+
+
+@st.composite
+def typos(draw, edits=st.integers(0, 3)):
+    """A bundled word after random edits of the four OSA kinds."""
+    word = draw(st.sampled_from(sorted(load_dictionary())))
+    for _ in range(draw(edits)):
+        kind = draw(st.sampled_from(EDIT_KINDS))
+        if kind == "insert":
+            at = draw(st.integers(0, len(word)))
+            word = word[:at] + draw(st.sampled_from(TYPO_CHARACTERS)) + word[at:]
+        elif kind == "transpose" and len(word) > 1:
+            at = draw(st.integers(0, len(word) - 2))
+            word = word[:at] + word[at + 1] + word[at] + word[at + 2 :]
+        elif kind == "substitute" and word:
+            at = draw(st.integers(0, len(word) - 1))
+            word = word[:at] + draw(st.sampled_from(TYPO_CHARACTERS)) + word[at + 1 :]
+        elif kind == "delete" and word:
+            at = draw(st.integers(0, len(word) - 1))
+            word = word[:at] + word[at + 1 :]
+    return word
+
+
+# the collection types a dictionary may come as; a list is given sorted
+DICTIONARY_KINDS = (frozenset, set, sorted)
 
 
 class TestOsaDistance:
@@ -104,6 +155,45 @@ class TestSpellCorrect:
                 if dist <= 2 and (best is None or dist < best[0] or (dist == best[0] and cand < best[1])):
                     best = (dist, cand)
             assert got == (best[1] if best else None), (typo, got, best)
+
+
+    @settings(max_examples=300)
+    @given(word=typos(), kind=st.sampled_from(DICTIONARY_KINDS))
+    def test_matches_scan_on_bundled_dictionary(self, word, kind):
+        dictionary = load_dictionary()
+        assert spell_correct(word, kind(dictionary)) == scan_spell_correct(word, dictionary)
+
+    @given(
+        dictionary=st.frozensets(st.text("aäbßcé", min_size=1, max_size=5), min_size=1, max_size=12),
+        word=st.text("aäbßcéx", max_size=6),
+        kind=st.sampled_from(DICTIONARY_KINDS),
+    )
+    def test_matches_scan_on_non_ascii_dictionaries(self, dictionary, word, kind):
+        assert spell_correct(word, kind(dictionary)) == scan_spell_correct(word, dictionary)
+
+    @pytest.mark.parametrize(
+        "dictionary, want",
+        [
+            (load_dictionary(), scan_spell_correct("", load_dictionary())),
+            (frozenset({"cd", "b", "a"}), "a"),
+            (frozenset({"cd", "ab"}), "ab"),
+            (frozenset({"abc"}), None),
+            (frozenset({"", "a"}), ""),
+        ],
+    )
+    @pytest.mark.parametrize("kind", DICTIONARY_KINDS)
+    def test_empty_string(self, dictionary, want, kind):
+        assert spell_correct("", kind(dictionary)) == want == scan_spell_correct("", dictionary)
+
+    @given(word=typos(edits=st.just(1)))
+    def test_single_edit_typo_computes_no_distance(self, word):
+        dictionary = load_dictionary()
+        assume(word not in dictionary)
+        want = scan_spell_correct(word, dictionary)
+        with mock.patch(
+            "qvbench.validate.osa_distance", side_effect=AssertionError("dictionary scanned")
+        ):
+            assert spell_correct(word, dictionary) == want
 
 
 class TestValidateOrder:
