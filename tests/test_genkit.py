@@ -279,13 +279,20 @@ class TestSweep:
         assert [v.text for v in kept] == ["kept one", "kept two", "kept three"]
         assert len(calls) == 5  # six pairs minus the completed one
 
-    @pytest.mark.parametrize("indices", [(1,), (1, 1, 3), (2, 3, 3)])
-    def test_partial_pair_regenerated_whole(self, indices):
-        existing = [QueryVariant("t1", "persona_emily", i, "half done") for i in indices]
+    def test_partial_pair_regenerated_whole(self):
+        existing = [QueryVariant("t1", "persona_emily", 1, "half done")]
+        variants = generate_sweep(MockProvider(), self.TOPICS, self.PROFILES, existing=existing)
+        regenerated = [v for v in variants if v.topic_id == "t1" and v.profile_id == "persona_emily"]
+        assert len(regenerated) == 3
+        assert all(v.text != "half done" for v in regenerated)
+
+    @pytest.mark.parametrize("indices", [(1, 1, 3), (2, 3, 3)])
+    def test_pair_with_duplicate_index_regenerated_whole(self, indices):
+        existing = [QueryVariant("t1", "persona_emily", i, "stored") for i in indices]
         variants = generate_sweep(MockProvider(), self.TOPICS, self.PROFILES, existing=existing)
         regenerated = [v for v in variants if v.topic_id == "t1" and v.profile_id == "persona_emily"]
         assert [v.index for v in regenerated] == [1, 2, 3]
-        assert all(v.text != "half done" for v in regenerated)
+        assert all(v.text != "stored" for v in regenerated)
 
     def test_logs_cover_generated_pairs(self):
         logs = []

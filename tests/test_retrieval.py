@@ -198,7 +198,9 @@ def test_one_index_serves_several_params():
     ]
     # each params' cached term weights are read back after the others'
     for _ in range(2):
-        assert [[search(index, params, query, k=3) for query in queries] for params in settings] == fresh
+        assert [
+            [search(index, params, query, k=3) for query in queries] for params in settings
+        ] == fresh
         assert [
             [search(index, params, query, k=3) for params in settings] for query in queries
         ] == [list(hits) for hits in zip(*fresh)]

@@ -156,7 +156,6 @@ class TestSpellCorrect:
                     best = (dist, cand)
             assert got == (best[1] if best else None), (typo, got, best)
 
-
     @settings(max_examples=300)
     @given(word=typos(), kind=st.sampled_from(DICTIONARY_KINDS))
     def test_matches_scan_on_bundled_dictionary(self, word, kind):
@@ -164,7 +163,9 @@ class TestSpellCorrect:
         assert spell_correct(word, kind(dictionary)) == scan_spell_correct(word, dictionary)
 
     @given(
-        dictionary=st.frozensets(st.text("aäbßcé", min_size=1, max_size=5), min_size=1, max_size=12),
+        dictionary=st.frozensets(
+            st.text("aäbßcé", min_size=1, max_size=5), min_size=1, max_size=12
+        ),
         word=st.text("aäbßcéx", max_size=6),
         kind=st.sampled_from(DICTIONARY_KINDS),
     )
