@@ -196,6 +196,20 @@ def _variants_path(config: PipelineConfig) -> Path:
     return config.out / "variants.jsonl"
 
 
+def _swept_variants(config: PipelineConfig) -> list:
+    """The variants file `generate` wrote, rejected if two variants share
+    a (topic, profile, index) key."""
+    path = _variants_path(config)
+    variants = read_variants(path)
+    seen = set()
+    for v in variants:
+        key = (v.topic_id, v.profile_id, v.index)
+        if key in seen:
+            raise ValidationError(f"{path}: duplicate variant (topic, profile, index) {key}")
+        seen.add(key)
+    return variants
+
+
 def _runs_out(config: PipelineConfig) -> Path:
     return config.out / "runs"
 
@@ -275,15 +289,14 @@ def cmd_validate(config: PipelineConfig) -> None:
         CHECKED_PROFILES,
         ConsensusReport,
         ValidationVerdict,
-        alignment_accuracy,
+        consensus_reports,
         load_dictionary,
-        similarity_accuracy,
         validate_variants,
     )
 
     topics = parse_topics(config.topics)
     profiles = load_profiles(config.profiles)
-    variants = read_variants(_variants_path(config))
+    variants = _swept_variants(config)
     dictionary = load_dictionary()
     config.out.mkdir(parents=True, exist_ok=True)
 
@@ -314,21 +327,9 @@ def cmd_validate(config: PipelineConfig) -> None:
     if config.annotations is None or not Path(config.annotations).exists():
         print("consensus: skipped (no annotations file)")
         return
-    annotations = read_annotations(config.annotations)
-    profile_ids = {p.profile_id for p in profiles}
-    similarity_rows = []
-    alignment_rows = []
-    for profile in profiles:
-        if profile.name.lower() not in CHECKED_PROFILES:
-            report = similarity_accuracy(annotations, profile.profile_id)
-            if report.n_pairs:
-                similarity_rows.append(report)
-        if profile.method in ("persona", "group"):
-            report = alignment_accuracy(
-                annotations, profile.profile_id, profile.method, known_answers=profile_ids
-            )
-            if report.n_pairs:
-                alignment_rows.append(report)
+    similarity_rows, alignment_rows = consensus_reports(
+        read_annotations(config.annotations), profiles
+    )
     header = [f.name for f in dataclasses.fields(ConsensusReport)]
     for task, reports in (("similarity", similarity_rows), ("alignment", alignment_rows)):
         write_csv(config.out / f"consensus_{task}.csv", header, map(dataclasses.astuple, reports))
@@ -355,7 +356,7 @@ def cmd_index(config: PipelineConfig) -> None:
 
 def _query_texts(config: PipelineConfig) -> dict:
     topics = parse_topics(config.topics)
-    variants = read_variants(_variants_path(config))
+    variants = _swept_variants(config)
     queries = {t.topic_id: t.seed_query for t in topics}
     for v in variants:
         queries[variant_query_id(v.topic_id, v.profile_id, v.index)] = v.text
@@ -459,6 +460,7 @@ def cmd_evaluate(config: PipelineConfig) -> None:
     from .evalstats.metrics import ndcg_at_k
     from .judge import CoverageReport, coverage
 
+    expected = sorted(_query_texts(config))
     config.out.mkdir(parents=True, exist_ok=True)
     merged = _merged_qrels(config)
     write_qrels(merged, config.out / "merged_qrels.txt", with_source=True)
@@ -476,7 +478,6 @@ def cmd_evaluate(config: PipelineConfig) -> None:
         grades.setdefault(q.query_id, {})[q.passage_id] = q.grade
     pools = {topic: sorted(g.values(), reverse=True) for topic, g in grades.items()}
 
-    expected = sorted(_query_texts(config))
     systems = sorted({r.system_id for r in runs})
     ranked = {}
     for r in runs:  # in rank order within each (system, query), as parsed
@@ -538,7 +539,7 @@ def _read_matrix(config: PipelineConfig):
     if not cells:
         raise ValidationError("ndcg.csv holds no variant cells")
     try:
-        matrix = EffectivenessMatrix.from_scores(cells, k=config.k)
+        matrix = EffectivenessMatrix.from_scores(cells)
         matrix.balanced_cells(("topic", "system", "profile"))
     except ValueError as exc:
         raise ImbalanceError(str(exc)) from exc

@@ -522,9 +522,7 @@ def write_jsonl(objects: Iterable[dict], path) -> None:
 def _csv_cell(value) -> str:
     if value is None:
         return ""
-    # bool, numpy.bool (numpy 2) and numpy.bool_ (numpy 1, not a bool
-    # subclass), matched by type name so this module never loads numpy.
-    if type(value).__name__ in ("bool", "bool_"):
+    if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)

@@ -15,8 +15,7 @@ AXES = ("topic", "system", "profile")
 class EffectivenessMatrix:
     """NDCG@k cells keyed by (topic, system, profile, variant index)."""
 
-    def __init__(self, k: int = 10):
-        self.k = k
+    def __init__(self):
         self._cells: dict[tuple[str, str, str, int], float] = {}
 
     def set(self, topic: str, system: str, profile: str, index: int, value: float) -> None:
@@ -38,9 +37,9 @@ class EffectivenessMatrix:
 
     @classmethod
     def from_scores(
-        cls, scores: Iterable[tuple[str, str, str, int, float]], k: int = 10
+        cls, scores: Iterable[tuple[str, str, str, int, float]]
     ) -> "EffectivenessMatrix":
-        matrix = cls(k=k)
+        matrix = cls()
         for topic, system, profile, index, value in scores:
             matrix.set(topic, system, profile, index, value)
         return matrix
@@ -78,7 +77,7 @@ class EffectivenessMatrix:
     def subset(self, profiles: Iterable[str]) -> "EffectivenessMatrix":
         """The cells of the given profiles, in insertion order."""
         keep = set(profiles)
-        out = EffectivenessMatrix(k=self.k)
+        out = EffectivenessMatrix()
         out._cells = {key: v for key, v in self._cells.items() if key[2] in keep}
         return out
 

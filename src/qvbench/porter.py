@@ -61,7 +61,7 @@ def _ends_cvc(stem: str) -> bool:
     )
 
 
-def _replace_longest(word: str, rules, done_marker=None):
+def _replace_longest(word: str, rules):
     """Apply the longest-suffix rule whose suffix matches.
 
     `rules` is a list of (suffix, replacement, condition) with condition

@@ -10,8 +10,12 @@ dictionary before any distance is computed (Norvig, "How to Write a
 Spelling Corrector", 2007).
 
 Annotation scoring drops any annotator who missed a gold question,
-excludes pairs left without two annotators, and computes consensus
-accuracy per profile for the similarity and alignment tasks.
+rejects a pair with more than two annotators and leaves out one with
+fewer, and computes consensus accuracy per profile in one pass: for
+similarity, the share of pairs both annotators marked similar; for
+alignment, the share where both picked the pair's profile, with
+"equally likely" counting as that pick. A split verdict is one
+disagreement and never correct.
 """
 
 from __future__ import annotations
@@ -41,8 +45,7 @@ __all__ = [
     "validate_misspelling",
     "validate_variants",
     "filter_by_gold",
-    "similarity_accuracy",
-    "alignment_accuracy",
+    "consensus_reports",
     "SIMILARITY_ANSWERS",
     "EQUALLY_LIKELY",
     "CHECKED_PROFILES",
@@ -264,97 +267,57 @@ def filter_by_gold(
     return frozenset(kept - rejected), frozenset(rejected)
 
 
-def _scored_pairs(
-    annotations: Sequence[AnnotationRecord], task: str
-) -> dict[str, list[AnnotationRecord]]:
-    """Non-gold records of kept annotators, grouped by pair, two per pair."""
+def consensus_reports(
+    annotations: Sequence[AnnotationRecord], profiles: Sequence[Profile]
+) -> tuple[list[ConsensusReport], list[ConsensusReport]]:
+    """(similarity rows, alignment rows) of consensus accuracy per profile.
+
+    Similarity scores each profile not in CHECKED_PROFILES, alignment
+    each persona and group profile, whose answers must be a profile id
+    or "equally likely". Pair ids are variant query ids. A pair with
+    more than two annotators raises first (similarity pairs checked
+    first), then an unknown answer in row order. Rows keep the profiles'
+    order and skip a profile with no scored pair.
+    """
+    # task -> scored profile id -> [pairs, correct, disagreements]
+    tallies = {
+        "similarity": {p.profile_id: [0, 0, 0] for p in profiles
+                       if p.name.lower() not in CHECKED_PROFILES},
+        "alignment": {p.profile_id: [0, 0, 0] for p in profiles
+                      if p.method in ("persona", "group")},
+    }
     kept, _ = filter_by_gold(annotations)
-    grouped: dict[str, list[AnnotationRecord]] = {}
+    pairs: dict[str, dict[str, list[str]]] = {task: {} for task in tallies}
     for record in annotations:
-        if record.task != task or record.is_gold:
-            continue
-        if record.annotator_id not in kept:
-            continue
-        grouped.setdefault(record.pair_id, []).append(record)
-    for pair_id, records in grouped.items():
-        if len(records) > 2:
-            raise ValidationError(f"pair {pair_id} has more than two annotators")
-    return {p: r for p, r in grouped.items() if len(r) == 2}
-
-
-def similarity_accuracy(
-    annotations: Sequence[AnnotationRecord], profile_id: str
-) -> ConsensusReport:
-    """Fraction of a profile's pairs both annotators marked similar.
-
-    Pair ids are variant query ids, which is how records are matched to
-    the profile. A split verdict counts as dissimilar and as one
-    disagreement. Gold questions and incomplete pairs stay out of the
-    denominator.
-    """
-    pairs = _scored_pairs(annotations, "similarity")
-    n_pairs = 0
-    n_agree = 0
-    n_disagree = 0
-    for pair_id, records in sorted(pairs.items()):
-        if query_cell(pair_id)[1] != profile_id:
-            continue
-        answers = []
-        for record in records:
-            if record.answer not in SIMILARITY_ANSWERS:
-                raise ValidationError(
-                    f"pair {pair_id}: unknown similarity answer {record.answer!r}"
-                )
-            answers.append(record.answer)
-        n_pairs += 1
-        if answers[0] != answers[1]:
-            n_disagree += 1
-        elif answers[0] == "similar":
-            n_agree += 1
-    accuracy = n_agree / n_pairs if n_pairs else 0.0
-    return ConsensusReport("similarity", profile_id, n_pairs, n_agree, accuracy, n_disagree)
-
-
-def alignment_accuracy(
-    annotations: Sequence[AnnotationRecord],
-    profile_id: str,
-    method: str,
-    known_answers: Optional[Collection[str]] = None,
-) -> ConsensusReport:
-    """Fraction of pairs where both annotators identified the profile.
-
-    An "equally likely" answer maps to the correct profile before
-    comparison, so two such answers, or one plus the correct pick, both
-    count as correct. Any other combination is incorrect. When
-    known_answers is given, answers outside it (plus "equally likely")
-    raise; otherwise labels are taken at face value.
-    """
-    if method not in ("persona", "group"):
-        raise ValidationError(f"alignment method must be persona or group, got {method!r}")
-    pairs = _scored_pairs(annotations, "alignment")
-    n_pairs = 0
-    n_correct = 0
-    n_disagree = 0
-    for pair_id, records in sorted(pairs.items()):
-        if query_cell(pair_id)[1] != profile_id:
-            continue
-        mapped = []
-        for record in records:
-            answer = record.answer
-            if (
-                known_answers is not None
-                and answer != EQUALLY_LIKELY
-                and answer not in known_answers
-            ):
-                raise ValidationError(
-                    f"pair {pair_id}: unknown alignment answer {answer!r}"
-                )
-            mapped.append(profile_id if answer == EQUALLY_LIKELY else answer)
-        n_pairs += 1
-        if mapped[0] != mapped[1]:
-            n_disagree += 1
-        elif mapped[0] == profile_id:
-            n_correct += 1
-    accuracy = n_correct / n_pairs if n_pairs else 0.0
-    return ConsensusReport("alignment", profile_id, n_pairs, n_correct, accuracy, n_disagree)
-
+        if tallies[record.task] and not record.is_gold and record.annotator_id in kept:
+            pairs[record.task].setdefault(record.pair_id, []).append(record.answer)
+    position = {p.profile_id: i for i, p in enumerate(profiles)}
+    scored = []
+    for order, (task, grouped) in enumerate(pairs.items()):
+        for pair_id, answers in grouped.items():
+            if len(answers) > 2:
+                raise ValidationError(f"pair {pair_id} has more than two annotators")
+            profile_id = query_cell(pair_id)[1]
+            if len(answers) == 2 and profile_id in tallies[task]:
+                scored.append((position[profile_id], order, pair_id, task, profile_id, answers))
+    allowed = {
+        "similarity": SIMILARITY_ANSWERS,
+        "alignment": {p.profile_id for p in profiles} | {EQUALLY_LIKELY},
+    }
+    for _, _, pair_id, task, profile_id, answers in sorted(scored):
+        for answer in answers:
+            if answer not in allowed[task]:
+                raise ValidationError(f"pair {pair_id}: unknown {task} answer {answer!r}")
+        first, second = (profile_id if a == EQUALLY_LIKELY else a for a in answers)
+        correct = "similar" if task == "similarity" else profile_id
+        tally = tallies[task][profile_id]
+        tally[0] += 1
+        if first != second:
+            tally[2] += 1
+        elif first == correct:
+            tally[1] += 1
+    similarity, alignment = (
+        [ConsensusReport(task, pid, n, c, c / n, d) for pid, (n, c, d) in by_profile.items() if n]
+        for task, by_profile in tallies.items()
+    )
+    return similarity, alignment

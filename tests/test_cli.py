@@ -609,6 +609,27 @@ class TestExitCodes:
         assert main(["generate", "--config", str(config_path)]) == 2
         assert "'seed' is reserved" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stage", ("validate", "search", "evaluate"))
+    def test_duplicate_variant_key_rejected(self, stage, tmp_path, workspace, capsys):
+        config_path = write_toy_workspace(tmp_path / "ws")
+        shutil.copytree(out_dir(workspace), out_dir(config_path))
+        variants_path = out_dir(config_path) / "variants.jsonl"
+        variants = read_variants(variants_path)
+        at = next(
+            i for i, v in enumerate(variants) if v.profile_id == "textual_order" and v.index == 2
+        )
+        moved = variants[at]
+        variants[at] = QueryVariant(moved.topic_id, moved.profile_id, 1, moved.text)
+        write_variants(variants, variants_path)
+        before = out_files(out_dir(config_path))
+
+        assert main([stage, "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {variants_path}: duplicate variant (topic, profile, index)"
+            f" ('{moved.topic_id}', 'textual_order', 1)\n"
+        )
+        assert out_files(out_dir(config_path)) == before
+
     def test_analyze_before_evaluate(self, tmp_path):
         config_path = write_toy_workspace(tmp_path / "ws")
         assert main(["analyze", "--config", str(config_path)]) == 2

@@ -4,7 +4,6 @@ import csv
 import dataclasses
 import inspect
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -678,7 +677,7 @@ def test_write_csv_cells_and_bytes(tmp_path):
         ["a", "b"],
         [
             (None, True),
-            (np.bool_(False), 0.1 + 0.2),
+            (False, 0.1 + 0.2),
             (7, 'say "hi", ünï'),
         ],
     )

@@ -1,4 +1,5 @@
-"""Prompt bytes pinned by digest, and the public names each module exports."""
+"""Prompt bytes pinned by digest, the public names each module exports,
+and guards against names, defaults and parameters nothing uses."""
 
 import ast
 import hashlib
@@ -228,3 +229,44 @@ def test_every_default_is_passed_somewhere():
                 unpassed.add(f"{name}.{param}")
     assert sorted(unpassed - set(UNPASSED_DEFAULTS_ALLOWED)) == []
     assert sorted(set(UNPASSED_DEFAULTS_ALLOWED) - unpassed) == []
+
+
+def _only_ellipsis(body):
+    """True for a body of `...`, after an optional docstring."""
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        if isinstance(body[0].value.value, str):
+            body = body[1:]
+    return bool(body) and all(
+        isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant) and s.value.value is ...
+        for s in body
+    )
+
+
+def test_every_parameter_is_read():
+    """Each parameter of each function, method and lambda of `src/qvbench`
+    is read in its body, nested functions included. `self` and `cls`
+    are exempt, and so is a body of only `...`, as in a Protocol."""
+    unread = []
+    for path in sorted(Path(qvbench.__file__).parent.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            if _only_ellipsis(body):
+                continue
+            args = fn.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                node.id
+                for stmt in body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            name = getattr(fn, "name", "<lambda>")
+            unread += [
+                f"{path.stem}.{name}:{fn.lineno} {p}"
+                for p in params
+                if p not in ("self", "cls") and p not in read
+            ]
+    assert unread == []

@@ -8,15 +8,24 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qvbench.core import AnnotationRecord, QueryVariant, Profile, Topic, ValidationError
+from qvbench.core import (
+    AnnotationRecord,
+    Profile,
+    QueryVariant,
+    Topic,
+    ValidationError,
+    query_cell,
+)
 from qvbench.validate import (
     ConsensusReport,
+    CHECKED_PROFILES,
+    EQUALLY_LIKELY,
+    SIMILARITY_ANSWERS,
     ValidationVerdict,
-    alignment_accuracy,
+    consensus_reports,
     filter_by_gold,
     load_dictionary,
     osa_distance,
-    similarity_accuracy,
     spell_correct,
     validate_misspelling,
     validate_order,
@@ -348,13 +357,28 @@ class TestGoldFiltering:
 
 
 
+NEUTRAL = Profile("p", "neutral", "Plain")
+EMILY = Profile("emily", "persona", "Emily", "An 8-year-old.")
+NOAH = Profile("noah", "persona", "Noah", "A 19-year-old.")
+
+
+def only_row(rows, profile_id):
+    (row,) = [r for r in rows if r.profile_id == profile_id]
+    return row
+
+
 class TestSimilarityAccuracy:
+    @staticmethod
+    def report(records, profiles=(NEUTRAL,)):
+        similarity, _ = consensus_reports(records, list(profiles))
+        return only_row(similarity, "p")
+
     def test_unanimous_similar_pairs(self):
         records = []
         for i in range(1, 11):
             records.append(ann(f"t{i}__p__1", "a1", "similar"))
             records.append(ann(f"t{i}__p__1", "a2", "similar"))
-        report = similarity_accuracy(records, "p")
+        report = self.report(records)
         assert report.n_pairs == 10
         assert report.accuracy == 1.0
         assert report.n_disagreements == 0
@@ -366,7 +390,7 @@ class TestSimilarityAccuracy:
             records.append(ann(f"t{i}__p__1", "a2", "similar"))
         records.append(ann("t4__p__1", "a1", "similar"))
         records.append(ann("t4__p__1", "a2", "dissimilar"))
-        report = similarity_accuracy(records, "p")
+        report = self.report(records)
         assert report.n_pairs == 4
         assert report.n_agree_correct == 3
         assert report.accuracy == 0.75
@@ -380,7 +404,7 @@ class TestSimilarityAccuracy:
             ann("gold1", "a1", "similar", gold="similar"),
             ann("gold1", "a2", "similar", gold="similar"),
         ]
-        report = similarity_accuracy(records, "p")
+        report = self.report(records)
         assert report.n_pairs == 1
         assert report.accuracy == 1.0
 
@@ -391,15 +415,15 @@ class TestSimilarityAccuracy:
             ann("t1__q__1", "a1", "dissimilar"),
             ann("t1__q__1", "a2", "dissimilar"),
         ]
-        assert similarity_accuracy(records, "p").n_pairs == 1
+        assert self.report(records).n_pairs == 1
 
     def test_unknown_answer_raises(self):
         records = [
             ann("t1__p__1", "a1", "kinda"),
             ann("t1__p__1", "a2", "similar"),
         ]
-        with pytest.raises(ValidationError):
-            similarity_accuracy(records, "p")
+        with pytest.raises(ValidationError, match="pair t1__p__1: unknown similarity answer 'kinda'"):
+            consensus_reports(records, [NEUTRAL])
 
     def test_three_annotators_on_a_pair_raises(self):
         records = [
@@ -407,52 +431,225 @@ class TestSimilarityAccuracy:
             ann("t1__p__1", "a2", "similar"),
             ann("t1__p__1", "a3", "similar"),
         ]
-        with pytest.raises(ValidationError):
-            similarity_accuracy(records, "p")
+        with pytest.raises(ValidationError, match="pair t1__p__1 has more than two annotators"):
+            consensus_reports(records, [NEUTRAL])
 
 
 class TestAlignmentAccuracy:
     @staticmethod
-    def records(answers_by_pair):
-        out = []
+    def report(answers_by_pair):
+        records = []
         for i, (first, second) in enumerate(answers_by_pair, start=1):
-            out.append(ann(f"t{i}__emily__1", "a1", first, task="alignment"))
-            out.append(ann(f"t{i}__emily__1", "a2", second, task="alignment"))
-        return out
+            records.append(ann(f"t{i}__emily__1", "a1", first, task="alignment"))
+            records.append(ann(f"t{i}__emily__1", "a2", second, task="alignment"))
+        _, alignment = consensus_reports(records, [EMILY, NOAH])
+        return only_row(alignment, "emily")
 
     def test_both_correct_counts(self):
-        report = alignment_accuracy(self.records([("emily", "emily")]), "emily", "persona")
+        report = self.report([("emily", "emily")])
         assert report.n_pairs == 1 and report.n_agree_correct == 1
         assert report.accuracy == 1.0
 
     def test_split_between_correct_and_candidate_is_incorrect(self):
-        report = alignment_accuracy(self.records([("emily", "noah")]), "emily", "persona")
+        report = self.report([("emily", "noah")])
         assert report.n_agree_correct == 0
         assert report.n_disagreements == 1
 
     def test_equally_likely_maps_to_correct(self):
-        rows = [("equally likely", "emily"), ("equally likely", "equally likely")]
-        report = alignment_accuracy(self.records(rows), "emily", "persona")
+        report = self.report([("equally likely", "emily"), ("equally likely", "equally likely")])
         assert report.n_pairs == 2
         assert report.n_agree_correct == 2
         assert report.n_disagreements == 0
 
     def test_agreeing_on_wrong_persona_is_incorrect_without_disagreement(self):
-        report = alignment_accuracy(self.records([("noah", "noah")]), "emily", "persona")
+        report = self.report([("noah", "noah")])
         assert report.n_agree_correct == 0
         assert report.n_disagreements == 0
 
     def test_unknown_label_with_known_answers(self):
-        records = self.records([("emily", "zorp")])
-        with pytest.raises(ValidationError):
-            alignment_accuracy(records, "emily", "persona", known_answers={"emily", "noah"})
-        # without the allow-list the label passes through as a wrong pick
-        report = alignment_accuracy(records, "emily", "persona")
-        assert report.n_agree_correct == 0
+        with pytest.raises(ValidationError, match="pair t1__emily__1: unknown alignment answer"):
+            self.report([("emily", "zorp")])
 
-    def test_bad_method_raises(self):
-        with pytest.raises(ValidationError):
-            alignment_accuracy([], "emily", "typo")
+
+def test_unknown_answers_raise_in_row_order():
+    records = [
+        ann("t1__emily__1", "a1", "zorp", task="alignment"),
+        ann("t1__emily__1", "a2", "emily", task="alignment"),
+        ann("t2__noah__1", "a1", "kinda"),
+        ann("t2__noah__1", "a2", "similar"),
+    ]
+    # noah comes first in the profiles file although t1 sorts before t2
+    with pytest.raises(ValidationError, match="pair t2__noah__1: unknown similarity answer"):
+        consensus_reports(records, [NOAH, EMILY])
+    with pytest.raises(ValidationError, match="pair t1__emily__1: unknown alignment answer"):
+        consensus_reports(records, [EMILY, NOAH])
+
+
+# Consensus scoring as it stood before `consensus_reports`: one call per
+# profile and task, each filtering and regrouping every record; the
+# reference for the property test below.
+
+
+def oracle_scored_pairs(annotations, task):
+    kept, _ = filter_by_gold(annotations)
+    grouped = {}
+    for record in annotations:
+        if record.task != task or record.is_gold:
+            continue
+        if record.annotator_id not in kept:
+            continue
+        grouped.setdefault(record.pair_id, []).append(record)
+    for pair_id, records in grouped.items():
+        if len(records) > 2:
+            raise ValidationError(f"pair {pair_id} has more than two annotators")
+    return {p: r for p, r in grouped.items() if len(r) == 2}
+
+
+def oracle_similarity_accuracy(annotations, profile_id):
+    pairs = oracle_scored_pairs(annotations, "similarity")
+    n_pairs = n_agree = n_disagree = 0
+    for pair_id, records in sorted(pairs.items()):
+        if query_cell(pair_id)[1] != profile_id:
+            continue
+        answers = []
+        for record in records:
+            if record.answer not in SIMILARITY_ANSWERS:
+                raise ValidationError(
+                    f"pair {pair_id}: unknown similarity answer {record.answer!r}"
+                )
+            answers.append(record.answer)
+        n_pairs += 1
+        if answers[0] != answers[1]:
+            n_disagree += 1
+        elif answers[0] == "similar":
+            n_agree += 1
+    accuracy = n_agree / n_pairs if n_pairs else 0.0
+    return ConsensusReport("similarity", profile_id, n_pairs, n_agree, accuracy, n_disagree)
+
+
+def oracle_alignment_accuracy(annotations, profile_id, known_answers):
+    pairs = oracle_scored_pairs(annotations, "alignment")
+    n_pairs = n_correct = n_disagree = 0
+    for pair_id, records in sorted(pairs.items()):
+        if query_cell(pair_id)[1] != profile_id:
+            continue
+        mapped = []
+        for record in records:
+            answer = record.answer
+            if answer != EQUALLY_LIKELY and answer not in known_answers:
+                raise ValidationError(f"pair {pair_id}: unknown alignment answer {answer!r}")
+            mapped.append(profile_id if answer == EQUALLY_LIKELY else answer)
+        n_pairs += 1
+        if mapped[0] != mapped[1]:
+            n_disagree += 1
+        elif mapped[0] == profile_id:
+            n_correct += 1
+    accuracy = n_correct / n_pairs if n_pairs else 0.0
+    return ConsensusReport("alignment", profile_id, n_pairs, n_correct, accuracy, n_disagree)
+
+
+def oracle_consensus(annotations, profiles):
+    """The per-profile loop `validate` ran, with one change of order: a
+    pair with more than two annotators in a scored task is reported
+    before any unknown answer (similarity pairs first), where the loop
+    reported it only when it reached the first profile scored on that
+    task."""
+    scores_similarity = [p for p in profiles if p.name.lower() not in CHECKED_PROFILES]
+    scores_alignment = [p for p in profiles if p.method in ("persona", "group")]
+    for task, scored in (("similarity", scores_similarity), ("alignment", scores_alignment)):
+        if scored:
+            oracle_scored_pairs(annotations, task)
+    profile_ids = {p.profile_id for p in profiles}
+    similarity_rows = []
+    alignment_rows = []
+    for profile in profiles:
+        if profile in scores_similarity:
+            report = oracle_similarity_accuracy(annotations, profile.profile_id)
+            if report.n_pairs:
+                similarity_rows.append(report)
+        if profile in scores_alignment:
+            report = oracle_alignment_accuracy(annotations, profile.profile_id, profile_ids)
+            if report.n_pairs:
+                alignment_rows.append(report)
+    return similarity_rows, alignment_rows
+
+
+# (profile id, method, name); "ghost" is an id no profiles file holds
+PROFILE_POOL = (
+    ("emily", "persona", "Emily"),
+    ("group_child", "group", "Child"),
+    ("neutral", "neutral", "Neutral"),
+    ("textual_order", "textual", "Order"),
+    ("textual_misspelling", "textual", "Misspelling"),
+    ("textual_paraphrase", "textual", "Paraphrase"),
+)
+PAIR_PROFILES = [pid for pid, _, _ in PROFILE_POOL] + ["ghost"]
+
+
+@st.composite
+def annotation_sets(draw):
+    """Profiles drawn from the pool in random order, and annotations
+    mixing gold records (some answered wrong), one to three annotators
+    a pair, unknown answers and pairs of profiles outside the file;
+    most pairs name a profile in the file and have two annotators."""
+    pool = draw(st.permutations(PROFILE_POOL))
+    profiles = [
+        Profile(pid, method, name, "" if method == "neutral" else f"{name}.")
+        for pid, method, name in pool[: draw(st.integers(1, len(pool)))]
+    ]
+    alignment_answers = tuple(PAIR_PROFILES) + (EQUALLY_LIKELY, "zorp")
+    records = []
+    for _ in range(draw(st.integers(0, 10))):
+        task = draw(st.sampled_from(("similarity", "alignment")))
+        if draw(st.integers(0, 5)) == 0:
+            pair_id = f"gold{draw(st.integers(1, 2))}"
+            answer = draw(st.sampled_from(SIMILARITY_ANSWERS))
+            for who in draw(st.sets(st.sampled_from("abcd"), min_size=1, max_size=3)):
+                given_answer = draw(st.sampled_from((answer, answer, "dissimilar")))
+                records.append(ann(pair_id, who, given_answer, task=task, gold=answer))
+            continue
+        topic = draw(st.sampled_from(("t1", "t2")))
+        profile_id = draw(st.sampled_from([p.profile_id for p in profiles] * 3 + PAIR_PROFILES))
+        pair_id = f"{topic}__{profile_id}__{draw(st.integers(1, 2))}"
+        choices = SIMILARITY_ANSWERS + ("kinda",) if task == "similarity" else alignment_answers
+        answer = st.sampled_from(choices[:-1] * 8 + choices[-1:])  # the unknown answer is rare
+        annotators = draw(st.permutations("abcd"))[: draw(st.sampled_from((1, 2, 2, 2, 2, 2, 2, 3)))]
+        for who in annotators:
+            records.append(ann(pair_id, who, draw(answer), task=task))
+    draw(st.randoms()).shuffle(records)
+    return records, profiles
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return ("ValidationError", str(exc))
+
+
+@given(annotation_sets())
+@settings(max_examples=400, deadline=None)
+def test_consensus_reports_match_the_per_profile_oracle(case):
+    records, profiles = case
+    assert outcome(consensus_reports, records, profiles) == outcome(
+        oracle_consensus, records, profiles
+    )
+
+
+def test_consensus_reports_filter_gold_once():
+    records = [
+        ann("g1", "a1", "similar", gold="dissimilar"),
+        ann("t1__emily__1", "a1", "similar"),
+        ann("t1__emily__1", "a2", "similar"),
+        ann("t1__emily__1", "a3", "dissimilar"),
+        ann("t1__emily__1", "a2", "emily", task="alignment"),
+        ann("t1__emily__1", "a3", EQUALLY_LIKELY, task="alignment"),
+    ]
+    with mock.patch("qvbench.validate.filter_by_gold", wraps=filter_by_gold) as spy:
+        similarity, alignment = consensus_reports(records, [EMILY, NOAH])
+    assert spy.call_count == 1
+    assert similarity == [ConsensusReport("similarity", "emily", 1, 0, 0.0, 1)]
+    assert alignment == [ConsensusReport("alignment", "emily", 1, 1, 1.0, 0)]
 
 
 class TestReportsAndCsv:
