@@ -12,14 +12,12 @@ loads `genkit`.
 """
 
 import argparse
-import dataclasses
 import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .core import (
     MERGE_POLICIES,
@@ -29,6 +27,7 @@ from .core import (
     ParseError,
     TransportError,
     ValidationError,
+    _Validated,
     atomic_write,
     format_trec_run,
     parse_passages,
@@ -70,41 +69,52 @@ class ImbalanceError(Exception):
     """Effectiveness matrix cannot enter the balanced analysis."""
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
+class _PipelineConfigFields(NamedTuple):
     topics: Path
     corpus: Path
     profiles: Path
     out: Path
-    runs_dir: Optional[Path] = None
-    qrels: Optional[Path] = None
-    annotations: Optional[Path] = None
-    methods: tuple = PROFILE_METHODS
-    k: int = 10
-    alpha: float = 0.05
-    gain: str = "linear"
-    merge: str = "human-preferred"
-    seed: int = 0
-    provider: str = "mock"
-    endpoint: str = ""
-    model: str = ""
+    runs_dir: Optional[Path]
+    qrels: Optional[Path]
+    annotations: Optional[Path]
+    methods: tuple
+    k: int
+    alpha: float
+    gain: str
+    merge: str
+    seed: int
+    provider: str
+    endpoint: str
+    model: str
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValidationError(f"k={self.k} must be >= 1")
-        if not 0.0 < self.alpha < 0.5:
-            raise ValidationError(f"alpha={self.alpha} outside (0, 0.5)")
-        if self.gain not in GAIN_MODES:
-            raise ValidationError(f"unknown gain {self.gain!r}")
-        if self.provider not in PROVIDERS:
-            raise ValidationError(f"unknown provider {self.provider!r}")
-        if self.merge not in MERGE_POLICIES:
-            raise ValidationError(f"unknown merge policy {self.merge!r}")
-        bad = [m for m in self.methods if m not in PROFILE_METHODS]
+
+class PipelineConfig(_Validated, _PipelineConfigFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, topics, corpus, profiles, out, runs_dir=None, qrels=None, annotations=None,
+        methods=PROFILE_METHODS, k=10, alpha=0.05, gain="linear", merge="human-preferred",
+        seed=0, provider="mock", endpoint="", model="",
+    ):
+        if k < 1:
+            raise ValidationError(f"k={k} must be >= 1")
+        if not 0.0 < alpha < 0.5:
+            raise ValidationError(f"alpha={alpha} outside (0, 0.5)")
+        if gain not in GAIN_MODES:
+            raise ValidationError(f"unknown gain {gain!r}")
+        if provider not in PROVIDERS:
+            raise ValidationError(f"unknown provider {provider!r}")
+        if merge not in MERGE_POLICIES:
+            raise ValidationError(f"unknown merge policy {merge!r}")
+        bad = [m for m in methods if m not in PROFILE_METHODS]
         if bad:
             raise ValidationError(f"unknown methods {bad}")
-        if not self.methods:
+        if not methods:
             raise ValidationError("methods must not be empty")
+        return tuple.__new__(cls, (
+            topics, corpus, profiles, out, runs_dir, qrels, annotations, methods,
+            k, alpha, gain, merge, seed, provider, endpoint, model,
+        ))
 
 
 _COMMENT = re.compile(r"(?:^|\s)#.*")
@@ -112,9 +122,7 @@ _COMMENT = re.compile(r"(?:^|\s)#.*")
 
 # Config-file keys, each also a flag: one per PipelineConfig field, with
 # runs for runs_dir.
-SETTINGS = tuple(
-    "runs" if f.name == "runs_dir" else f.name for f in dataclasses.fields(PipelineConfig)
-)
+SETTINGS = tuple("runs" if name == "runs_dir" else name for name in PipelineConfig._fields)
 _PATH_SETTINGS = ("topics", "corpus", "profiles", "runs", "qrels", "out", "annotations")
 
 
@@ -271,7 +279,7 @@ def cmd_generate(config: PipelineConfig) -> None:
     log_path = config.out / "genlog.jsonl"
     with open(log_path, "a", encoding="utf-8") as fh:
         for log in logs:
-            fh.write(json.dumps(dataclasses.asdict(log), ensure_ascii=False) + "\n")
+            fh.write(json.dumps(log._asdict(), ensure_ascii=False) + "\n")
 
     by_method = {}
     method_of = {p.profile_id: p.method for p in profiles}
@@ -301,11 +309,7 @@ def cmd_validate(config: PipelineConfig) -> None:
     config.out.mkdir(parents=True, exist_ok=True)
 
     verdicts = validate_variants(topics, variants, profiles, dictionary)
-    write_csv(
-        config.out / "verdicts.csv",
-        [f.name for f in dataclasses.fields(ValidationVerdict)],
-        map(dataclasses.astuple, verdicts),
-    )
+    write_csv(config.out / "verdicts.csv", ValidationVerdict._fields, verdicts)
     n_valid = sum(1 for v in verdicts if v.valid)
     print(f"verdicts: {n_valid}/{len(verdicts)} valid")
     for check in CHECKED_PROFILES:
@@ -317,11 +321,7 @@ def cmd_validate(config: PipelineConfig) -> None:
         variant_features(v.topic_id, v.profile_id, v.index, seed_text[v.topic_id], v.text)
         for v in variants
     ]
-    write_csv(
-        config.out / "features.csv",
-        [f.name for f in dataclasses.fields(VariantFeatureRecord)],
-        map(dataclasses.astuple, features),
-    )
+    write_csv(config.out / "features.csv", VariantFeatureRecord._fields, features)
     print(f"features: {len(features)} rows")
 
     if config.annotations is None or not Path(config.annotations).exists():
@@ -330,9 +330,8 @@ def cmd_validate(config: PipelineConfig) -> None:
     similarity_rows, alignment_rows = consensus_reports(
         read_annotations(config.annotations), profiles
     )
-    header = [f.name for f in dataclasses.fields(ConsensusReport)]
     for task, reports in (("similarity", similarity_rows), ("alignment", alignment_rows)):
-        write_csv(config.out / f"consensus_{task}.csv", header, map(dataclasses.astuple, reports))
+        write_csv(config.out / f"consensus_{task}.csv", ConsensusReport._fields, reports)
     print(f"consensus: {len(similarity_rows)} similarity rows, {len(alignment_rows)} alignment rows")
 
 
@@ -467,11 +466,7 @@ def cmd_evaluate(config: PipelineConfig) -> None:
     runs = _read_all_runs(config)
 
     reports = coverage(runs, merged, k=config.k)
-    write_csv(
-        config.out / "coverage.csv",
-        [f.name for f in dataclasses.fields(CoverageReport)],
-        map(dataclasses.astuple, reports),
-    )
+    write_csv(config.out / "coverage.csv", CoverageReport._fields, reports)
 
     grades = {}
     for q in merged:
@@ -557,10 +552,7 @@ def cmd_analyze(config: PipelineConfig) -> None:
     write_csv(
         config.out / "anova.csv",
         ["source", "ss", "df", "ms", "f", "p", "omega_sq_p"],
-        (
-            (row.source, row.ss, row.df, row.ms, row.f, row.p, row.omega_sq_partial)
-            for row in table.all_rows()
-        ),
+        table.all_rows(),
     )
 
     profiles = matrix.profiles
@@ -595,11 +587,7 @@ def cmd_analyze(config: PipelineConfig) -> None:
     )
 
     means = marginal_means(matrix, table, alpha=config.alpha)
-    write_csv(
-        config.out / "marginal_means.csv",
-        ["profile", "mean", "ci_low", "ci_high"],
-        ((m.level, m.mean, m.ci_low, m.ci_high) for m in means),
-    )
+    write_csv(config.out / "marginal_means.csv", ["profile", "mean", "ci_low", "ci_high"], means)
 
     write_csv(
         config.out / "tukey_pairs.csv",

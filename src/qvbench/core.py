@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import unicodedata
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Protocol, Sequence, TypeVar
 
@@ -67,52 +67,77 @@ def nfc(text: str) -> str:
     return text if text.isascii() else unicodedata.normalize("NFC", text)
 
 
-def _normalize(record) -> None:
-    """NFC every non-ASCII str field of a frozen dataclass record, in place."""
-    for name in record.__dataclass_fields__:
-        value = getattr(record, name)
-        if isinstance(value, str) and not value.isascii():
-            object.__setattr__(record, name, nfc(value))
+class _Validated:
+    """First base of a checked record, `class X(_Validated, _XFields)`:
+    `_XFields` is the NamedTuple of X's fields, and X's `__new__` checks
+    them and builds the tuple. A namedtuple's own `_make`, and so its
+    `_replace`, would skip that `__new__`; this `_make` calls X. Being a
+    tuple, a record costs little to build and its class little to
+    define; it is immutable and hashable, equals the plain tuple of its
+    fields and orders like one.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class Topic:
+def _nfc_fields(cls, values):
+    """A cls tuple of values, each non-ASCII str among them NFC'd."""
+    return tuple.__new__(cls, [nfc(v) if isinstance(v, str) else v for v in values])
+
+
+class _TopicFields(NamedTuple):
     topic_id: str
     seed_query: str
-    backstory: Optional[str] = None
+    backstory: Optional[str]
 
-    def __post_init__(self):
-        _normalize(self)
+
+class Topic(_Validated, _TopicFields):
+    __slots__ = ()
+
+    def __new__(cls, topic_id, seed_query, backstory=None):
+        self = _nfc_fields(cls, (topic_id, seed_query, backstory))
         if not self.topic_id:
             raise ValidationError("topic_id must be non-empty")
         if not self.seed_query.strip():
             raise ValidationError(f"topic {self.topic_id}: empty seed query")
+        return self
 
 
-@dataclass(frozen=True)
-class Profile:
+class _ProfileFields(NamedTuple):
     profile_id: str
     method: str
     name: str
-    description: str = ""
+    description: str
 
-    def __post_init__(self):
-        _normalize(self)
+
+class Profile(_Validated, _ProfileFields):
+    __slots__ = ()
+
+    def __new__(cls, profile_id, method, name, description=""):
+        self = _nfc_fields(cls, (profile_id, method, name, description))
         if self.method not in PROFILE_METHODS:
             raise ValidationError(f"unknown profile method {self.method!r}")
         if self.method == "neutral" and self.description:
             raise ValidationError("neutral profile must have empty description")
+        return self
 
 
-@dataclass(frozen=True)
-class QueryVariant:
+class _QueryVariantFields(NamedTuple):
     topic_id: str
     profile_id: str
     index: int
     text: str
 
-    def __post_init__(self):
-        _normalize(self)
+
+class QueryVariant(_Validated, _QueryVariantFields):
+    __slots__ = ()
+
+    def __new__(cls, topic_id, profile_id, index, text):
+        self = _nfc_fields(cls, (topic_id, profile_id, index, text))
         if not isinstance(self.index, int) or isinstance(self.index, bool):
             raise ValidationError("variant index must be an integer")
         if not 1 <= self.index <= VARIANTS_PER_PAIR:
@@ -121,6 +146,7 @@ class QueryVariant:
             raise ValidationError(
                 f"variant ({self.topic_id}, {self.profile_id}, {self.index}): empty text"
             )
+        return self
 
     @property
     def query_id(self) -> str:
@@ -135,15 +161,11 @@ class _RunRecordFields(NamedTuple):
     score: float
 
 
-class RunRecord(_RunRecordFields):
+class RunRecord(_Validated, _RunRecordFields):
     """One ranked result of one system for one query.
 
-    Tuple-backed rather than a frozen dataclass because stages build them
-    by the ten thousand (every line of every run file, every hit of
-    `search`), and a record should cost no more than its fields: this
-    `__new__` is the only constructor, it checks the rank and NFCs only a
-    non-ASCII string. Being a tuple, a record is immutable and hashable,
-    compares equal to the plain tuple of its fields and orders like one.
+    Stages build these by the ten thousand, so this `__new__` calls
+    `nfc` only when an id is not ASCII, and never on the other fields.
     """
 
     __slots__ = ()
@@ -155,10 +177,6 @@ class RunRecord(_RunRecordFields):
             system_id, query_id, passage_id = nfc(system_id), nfc(query_id), nfc(passage_id)
         return tuple.__new__(cls, (system_id, query_id, passage_id, rank, score))
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
-
 
 class _QrelFields(NamedTuple):
     query_id: str
@@ -167,16 +185,11 @@ class _QrelFields(NamedTuple):
     source: str
 
 
-class Qrel(_QrelFields):
+class Qrel(_Validated, _QrelFields):
     """One relevance grade (0..3) for a (query, passage), from a human
-    judge or the LLM.
-
-    Tuple-backed like `RunRecord`, for the same reason: `evaluate` reads
-    and `judge` stores them by the thousand. This `__new__` is the only
-    constructor; it checks grade and source and NFCs only a non-ASCII
-    string. A qrel is immutable and hashable, compares equal to the
-    plain tuple of its fields and orders like one.
-    """
+    judge or the LLM. `evaluate` reads and `judge` stores them by the
+    thousand, so, as in `RunRecord`, only a non-ASCII id costs an `nfc`
+    call."""
 
     __slots__ = ()
 
@@ -189,41 +202,50 @@ class Qrel(_QrelFields):
             query_id, passage_id = nfc(query_id), nfc(passage_id)
         return tuple.__new__(cls, (query_id, passage_id, grade, source))
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
 
-
-@dataclass(frozen=True)
-class AnnotationRecord:
+class _AnnotationRecordFields(NamedTuple):
     pair_id: str
     annotator_id: str
     task: str
     seed_query: str
     variant: str
     answer: str
-    is_gold: bool = False
-    gold_answer: Optional[str] = None
+    is_gold: bool
+    gold_answer: Optional[str]
 
-    def __post_init__(self):
-        _normalize(self)
+
+class AnnotationRecord(_Validated, _AnnotationRecordFields):
+    __slots__ = ()
+
+    def __new__(
+        cls, pair_id, annotator_id, task, seed_query, variant, answer, is_gold=False,
+        gold_answer=None,
+    ):
+        self = _nfc_fields(
+            cls, (pair_id, annotator_id, task, seed_query, variant, answer, is_gold, gold_answer)
+        )
         if self.task not in ANNOTATION_TASKS:
             raise ValidationError(f"unknown annotation task {self.task!r}")
         if self.is_gold and self.gold_answer is None:
             raise ValidationError(f"gold pair {self.pair_id} lacks gold_answer")
+        return self
 
 
-@dataclass(frozen=True)
-class Passage:
+class _PassageFields(NamedTuple):
     passage_id: str
     text: str
 
-    def __post_init__(self):
-        _normalize(self)
+
+class Passage(_Validated, _PassageFields):
+    __slots__ = ()
+
+    def __new__(cls, passage_id, text):
+        self = _nfc_fields(cls, (passage_id, text))
         if not self.passage_id:
             raise ValidationError("passage_id must be non-empty")
         if not self.text.strip():
             raise ValidationError(f"passage {self.passage_id}: empty text")
+        return self
 
 
 def variant_query_id(topic_id: str, profile_id: str, index: int) -> str:
@@ -350,24 +372,18 @@ def parse_topics(path) -> list[Topic]:
     return _read_id_text(path, Topic, "topic_id", "seed_query", optional=("backstory",))
 
 
-def _topic_dict(t: Topic) -> dict:
-    obj = {"topic_id": t.topic_id, "seed_query": t.seed_query}
-    if t.backstory is not None:
-        obj["backstory"] = t.backstory
-    return obj
-
-
 def write_topics(topics: Iterable[Topic], path) -> None:
-    write_jsonl(map(_topic_dict, topics), path)
+    """JSONL; a topic without a backstory is written without the key."""
+    write_jsonl(({k: v for k, v in t._asdict().items() if v is not None} for t in topics), path)
 
 
 def parse_trec_run(path) -> list[RunRecord]:
     """6-column TREC run lines: qid Q0 docid rank score tag, returned
     sorted by (tag, qid, rank).
 
-    Validates per (tag, qid): ranks are exactly 1..n, scores do not
-    increase with rank, and tied scores are ordered by ascending
-    passage_id.
+    Every score must be finite. Validates per (tag, qid): ranks are
+    exactly 1..n, scores do not increase with rank, and tied scores are
+    ordered by ascending passage_id.
     """
     records: list[RunRecord] = []
     for lineno, line in _lines(path):
@@ -383,6 +399,9 @@ def parse_trec_run(path) -> list[RunRecord]:
             score = float(score_text)
         except ValueError as exc:
             raise ParseError(f"{path}:{lineno}: non-numeric score {score_text!r}") from exc
+        if not math.isfinite(score):
+            # NaN would pass every ordering check below: its comparisons are all false
+            raise ParseError(f"{path}:{lineno}: non-finite score {score_text!r}")
         try:
             records.append(RunRecord(tag, qid, docid, rank, score))
         except ValidationError as exc:
@@ -478,16 +497,13 @@ def read_variants(path) -> list[QueryVariant]:
 
 
 def write_variants(variants: Iterable[QueryVariant], path) -> None:
-    write_jsonl(
-        (
-            {"topic_id": v.topic_id, "profile_id": v.profile_id, "index": v.index, "text": v.text}
-            for v in variants
-        ),
-        path,
-    )
+    write_jsonl((v._asdict() for v in variants), path)
 
 
 def _annotation(obj: dict) -> AnnotationRecord:
+    is_gold = obj.get("is_gold", False)
+    if not isinstance(is_gold, bool):
+        raise ParseError("is_gold must be a boolean")
     return AnnotationRecord(
         pair_id=str(obj["pair_id"]),
         annotator_id=str(obj["annotator_id"]),
@@ -495,7 +511,7 @@ def _annotation(obj: dict) -> AnnotationRecord:
         seed_query=obj["seed_query"],
         variant=obj["variant"],
         answer=str(obj["answer"]),
-        is_gold=bool(obj.get("is_gold", False)),
+        is_gold=is_gold,
         gold_answer=obj.get("gold_answer"),
     )
 

@@ -14,8 +14,8 @@ Fractions are exact rationals over n*(n-1)/2 system pairs.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .anova import anova
 from .matrix import EffectivenessMatrix
@@ -41,8 +41,7 @@ def system_verdicts(
     return verdicts, tukey
 
 
-@dataclass(frozen=True)
-class ProfilePairAgreement:
+class ProfilePairAgreement(NamedTuple):
     profile_a: str
     profile_b: str
     counts: dict

@@ -10,9 +10,8 @@ pooled into the error term.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,8 +31,7 @@ def _dense(matrix: EffectivenessMatrix, factors: Sequence[str]):
     return array, dict(zip(factors, levels))
 
 
-@dataclass(frozen=True)
-class AnovaRow:
+class AnovaRow(NamedTuple):
     source: str
     ss: float
     df: int
@@ -43,8 +41,7 @@ class AnovaRow:
     omega_sq_partial: Optional[float]
 
 
-@dataclass(frozen=True)
-class AnovaTable:
+class AnovaTable(NamedTuple):
     rows: tuple
     error: AnovaRow
     total: AnovaRow
@@ -190,8 +187,7 @@ def classify_omega(omega: float) -> str:
     return "medium"
 
 
-@dataclass(frozen=True)
-class MarginalMean:
+class MarginalMean(NamedTuple):
     level: str
     mean: float
     ci_low: float

@@ -15,7 +15,6 @@ returns the same float from about a third of the CDF evaluations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, NamedTuple
 
@@ -187,8 +186,7 @@ class PairDiff(NamedTuple):
     significant: bool
 
 
-@dataclass(frozen=True)
-class TukeyResult:
+class TukeyResult(NamedTuple):
     means: dict
     hsd: float
     pairs: tuple

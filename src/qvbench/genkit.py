@@ -33,11 +33,10 @@ import random
 import re
 import time
 from collections import deque
-from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 from .core import (
     SEED_PROFILE,
@@ -50,6 +49,7 @@ from .core import (
     Topic,
     TransportError,
     ValidationError,
+    _Validated,
     _substitute,
     complete_parsed,
     group_variants,
@@ -218,8 +218,7 @@ def parse_variant_response(text: str) -> list[str]:
     return cleaned
 
 
-@dataclass(frozen=True)
-class GenerationLog:
+class GenerationLog(NamedTuple):
     topic_id: str
     profile_id: str
     raw_response: str
@@ -309,20 +308,24 @@ def generate_backstories(provider: Provider, topics: Sequence[Topic]) -> list[To
         if topic.backstory:
             return topic
         story = generate_backstory(provider, topic)
-        return replace(topic, backstory=story)
+        return topic._replace(backstory=story)
 
     return run_in_order(provider, fill, topics)
 
 
-@dataclass(frozen=True)
-class ProviderConfig:
+class _ProviderConfigFields(NamedTuple):
     endpoint: str
     model_name: str
-    api_key: Optional[str] = None
+    api_key: Optional[str]
 
-    def __post_init__(self):
-        if self.api_key is None:
-            object.__setattr__(self, "api_key", os.environ.get(API_KEY_ENV))
+
+class ProviderConfig(_Validated, _ProviderConfigFields):
+    __slots__ = ()
+
+    def __new__(cls, endpoint, model_name, api_key=None):
+        if api_key is None:
+            api_key = os.environ.get(API_KEY_ENV)
+        return tuple.__new__(cls, (endpoint, model_name, api_key))
 
 
 class HttpProvider:
@@ -501,14 +504,14 @@ class MockProvider:
             (self.seed_material + "\x00" + prompt).encode("utf-8")
         ).digest()
         rng = random.Random(digest)
-        if _prompt_field(prompt, "Passage") is not None and "integer" in prompt.lower():
+        if _prompt_field(prompt, _PASSAGE_FIELD) is not None and "integer" in prompt.lower():
             return str(rng.choices((0, 1, 2, 3), weights=(35, 25, 22, 18))[0])
-        seed_query = _prompt_field(prompt, "Seed query")
+        seed_query = _prompt_field(prompt, _SEED_QUERY_FIELD)
         if seed_query is None:
             raise ValidationError("mock provider needs a 'Seed query:' line in the prompt")
         if "backstory" in prompt.lower():
             return self._backstory(seed_query, rng)
-        profile_name = _prompt_field(prompt, "Transformation profile")
+        profile_name = _prompt_field(prompt, _PROFILE_FIELD)
         return json.dumps(self._variants(seed_query, profile_name, rng))
 
     def _backstory(self, seed_query: str, rng: random.Random) -> str:
@@ -588,8 +591,16 @@ class MockProvider:
         return frame.replace("{q}", " ".join(words))
 
 
-def _prompt_field(prompt: str, label: str) -> Optional[str]:
-    match = re.search(rf"^{re.escape(label)}:\s*(.+?)\s*$", prompt, re.MULTILINE)
+# The prompt lines the mock reads back, compiled once rather than looked
+# up in re's cache on every call.
+_PASSAGE_FIELD, _SEED_QUERY_FIELD, _PROFILE_FIELD = (
+    re.compile(rf"^{re.escape(label)}:\s*(.+?)\s*$", re.MULTILINE)
+    for label in ("Passage", "Seed query", "Transformation profile")
+)
+
+
+def _prompt_field(prompt: str, pattern: re.Pattern) -> Optional[str]:
+    match = pattern.search(prompt)
     return match.group(1) if match else None
 
 

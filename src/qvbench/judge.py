@@ -22,9 +22,8 @@ from __future__ import annotations
 
 import re
 import threading
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     MERGE_POLICIES,
@@ -35,6 +34,7 @@ from .core import (
     RunRecord,
     Topic,
     ValidationError,
+    _Validated,
     _substitute,
     complete_parsed,
     parse_qrels,
@@ -73,8 +73,7 @@ SCALE_DESCRIPTION = (
 )
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class _CoverageReportFields(NamedTuple):
     system_id: str
     profile_id: str
     k: int
@@ -82,34 +81,41 @@ class CoverageReport:
     total: int
     missing_fraction: float
 
-    def __post_init__(self):
-        if self.k < 1:
+
+class CoverageReport(_Validated, _CoverageReportFields):
+    __slots__ = ()
+
+    def __new__(cls, system_id, profile_id, k, judged, total, missing_fraction):
+        if k < 1:
             raise ValidationError("k must be >= 1")
-        if not 0 <= self.judged <= self.total:
+        if not 0 <= judged <= total:
             raise ValidationError("judged count outside 0..total")
-        if self.total < 1:
+        if total < 1:
             raise ValidationError("coverage over zero pairs")
-        if self.missing_fraction != 1 - self.judged / self.total:
-            raise ValidationError(
-                f"missing_fraction {self.missing_fraction} != 1 - {self.judged}/{self.total}"
-            )
+        if missing_fraction != 1 - judged / total:
+            raise ValidationError(f"missing_fraction {missing_fraction} != 1 - {judged}/{total}")
+        return tuple.__new__(cls, (system_id, profile_id, k, judged, total, missing_fraction))
 
 
-@dataclass(frozen=True)
-class AgreementReport:
+class _AgreementReportFields(NamedTuple):
     n: int
     mae_binary: float
     kappa_binary: float
     mae_graded: float
     alpha_graded: float
 
-    def __post_init__(self):
-        if self.n < 1:
+
+class AgreementReport(_Validated, _AgreementReportFields):
+    __slots__ = ()
+
+    def __new__(cls, n, mae_binary, kappa_binary, mae_graded, alpha_graded):
+        if n < 1:
             raise ValidationError("agreement over zero pairs")
-        if self.kappa_binary > 1 or self.alpha_graded > 1:
+        if kappa_binary > 1 or alpha_graded > 1:
             raise ValidationError("kappa and alpha cannot exceed 1")
-        if self.mae_binary < 0 or self.mae_graded < 0:
+        if mae_binary < 0 or mae_graded < 0:
             raise ValidationError("MAE cannot be negative")
+        return tuple.__new__(cls, (n, mae_binary, kappa_binary, mae_graded, alpha_graded))
 
 
 def coverage(

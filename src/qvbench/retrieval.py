@@ -16,24 +16,27 @@ carries the same text; profile variants often collide on one string.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
-from .core import Passage, RunRecord
+from .core import Passage, RunRecord, _Validated
 from .textkit import porter_stem, tokenize
 
 
-@dataclass(frozen=True)
-class Bm25Params:
-    k1: float = 0.9
-    b: float = 0.4
+class _Bm25ParamsFields(NamedTuple):
+    k1: float
+    b: float
 
-    def __post_init__(self):
-        if self.k1 <= 0:
-            raise ValueError(f"k1={self.k1} must be > 0")
-        if not 0.0 <= self.b <= 1.0:
-            raise ValueError(f"b={self.b} outside [0, 1]")
+
+class Bm25Params(_Validated, _Bm25ParamsFields):
+    __slots__ = ()
+
+    def __new__(cls, k1=0.9, b=0.4):
+        if k1 <= 0:
+            raise ValueError(f"k1={k1} must be > 0")
+        if not 0.0 <= b <= 1.0:
+            raise ValueError(f"b={b} outside [0, 1]")
+        return tuple.__new__(cls, (k1, b))
 
 
 class InvertedIndex:

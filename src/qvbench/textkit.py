@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .porter import porter_stem
 
@@ -105,8 +104,7 @@ def flesch_kincaid_grade(text: str) -> float:
     return 0.39 * (len(words) / sentences) + 11.8 * (syllables / len(words)) - 15.59
 
 
-@dataclass(frozen=True)
-class VariantFeatureRecord:
+class VariantFeatureRecord(NamedTuple):
     """Per-variant lexical features relative to its seed query."""
 
     topic_id: str

@@ -20,10 +20,9 @@ disagreement and never correct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Collection, Iterable, Optional, Sequence
+from typing import Collection, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     AnnotationRecord,
@@ -31,6 +30,7 @@ from .core import (
     Profile,
     Topic,
     ValidationError,
+    _Validated,
     query_cell,
 )
 from .textkit import tokenize
@@ -62,24 +62,27 @@ EQUALLY_LIKELY = "equally likely"
 CHECKED_PROFILES = ("order", "misspelling")
 
 
-@dataclass(frozen=True)
-class ValidationVerdict:
+class _ValidationVerdictFields(NamedTuple):
     topic_id: str
     profile_id: str
     index: int
     check: str
     valid: bool
-    detail: str = ""
+    detail: str
 
-    def __post_init__(self):
-        if self.check not in CHECKED_PROFILES:
-            raise ValidationError(f"unknown check {self.check!r}")
-        if not self.valid and not self.detail:
+
+class ValidationVerdict(_Validated, _ValidationVerdictFields):
+    __slots__ = ()
+
+    def __new__(cls, topic_id, profile_id, index, check, valid, detail=""):
+        if check not in CHECKED_PROFILES:
+            raise ValidationError(f"unknown check {check!r}")
+        if not valid and not detail:
             raise ValidationError("failed verdicts must carry a detail message")
+        return tuple.__new__(cls, (topic_id, profile_id, index, check, valid, detail))
 
 
-@dataclass(frozen=True)
-class ConsensusReport:
+class _ConsensusReportFields(NamedTuple):
     task: str
     profile_id: str
     n_pairs: int
@@ -87,18 +90,23 @@ class ConsensusReport:
     accuracy: float
     n_disagreements: int
 
-    def __post_init__(self):
-        if self.task not in ("similarity", "alignment"):
-            raise ValidationError(f"unknown task {self.task!r}")
-        if not 0 <= self.n_agree_correct <= self.n_pairs:
+
+class ConsensusReport(_Validated, _ConsensusReportFields):
+    __slots__ = ()
+
+    def __new__(cls, task, profile_id, n_pairs, n_agree_correct, accuracy, n_disagreements):
+        if task not in ("similarity", "alignment"):
+            raise ValidationError(f"unknown task {task!r}")
+        if not 0 <= n_agree_correct <= n_pairs:
             raise ValidationError("agreement count outside 0..n_pairs")
-        if not 0 <= self.n_disagreements <= self.n_pairs:
+        if not 0 <= n_disagreements <= n_pairs:
             raise ValidationError("disagreement count outside 0..n_pairs")
-        expected = self.n_agree_correct / self.n_pairs if self.n_pairs else 0.0
-        if self.accuracy != expected:
-            raise ValidationError(
-                f"accuracy {self.accuracy} != {self.n_agree_correct}/{self.n_pairs}"
-            )
+        expected = n_agree_correct / n_pairs if n_pairs else 0.0
+        if accuracy != expected:
+            raise ValidationError(f"accuracy {accuracy} != {n_agree_correct}/{n_pairs}")
+        return tuple.__new__(
+            cls, (task, profile_id, n_pairs, n_agree_correct, accuracy, n_disagreements)
+        )
 
 
 @lru_cache(maxsize=1)

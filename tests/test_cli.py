@@ -272,6 +272,16 @@ class TestValidateStage:
         assert main(["validate", "--config", str(workspace), "--annotations", str(path)]) == 2
         assert "unknown alignment answer" in capsys.readouterr().err
 
+    def test_gold_flag_that_is_not_a_boolean_rejected(self, workspace, tmp_path, capsys):
+        from qvbench.core import write_jsonl
+
+        record = {"pair_id": "p", "annotator_id": "a1", "task": "similarity", "seed_query": "q",
+                  "variant": "v", "answer": "similar", "gold_answer": "similar"}
+        path = tmp_path / "ann.jsonl"
+        write_jsonl([record, {**record, "is_gold": "false"}], path)
+        assert main(["validate", "--config", str(workspace), "--annotations", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}:2: is_gold must be a boolean\n"
+
 
 class TestIndexAndSearch:
     def test_index_stats(self, workspace):
@@ -326,6 +336,15 @@ class TestImportRuns:
         assert capsys.readouterr().err == (
             f"error: {second}: system 'zzz' already present in {first} with different content\n"
         )
+        assert list((out_dir(config_path) / "runs").iterdir()) == []
+
+    @pytest.mark.parametrize("score", ["nan", "inf"])
+    def test_non_finite_score_rejected(self, tmp_path, capsys, score):
+        config_path = write_toy_workspace(tmp_path / "ws")
+        bad = config_path.parent / "runs" / "a_bad.run"
+        bad.write_text(f"t01 Q0 p001 1 1.0 zzz\nt01 Q0 p002 2 {score} zzz\nt01 Q0 p003 3 7.0 zzz\n")
+        assert main(["import-runs", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:2: non-finite score {score!r}\n"
         assert list((out_dir(config_path) / "runs").iterdir()) == []
 
     @pytest.mark.parametrize("tag", ["../../escaped", "sub/escaped", "a\\b", ".hidden"])
@@ -734,7 +753,8 @@ class TestModuleEntryPoint:
         assert result.stdout.split() == ["False", "pong"]
 
     # The qvbench modules, and numpy, that each stage's process holds
-    # once the stage has run; the package and core are left out.
+    # once the stage has run; the package and core are left out. No
+    # stage holds dataclasses.
     STAGE_MODULES = {
         "generate": {"cli", "genkit", "validate", "textkit", "porter"},
         "validate": {"cli", "genkit", "validate", "textkit", "porter"},
@@ -760,13 +780,14 @@ class TestModuleEntryPoint:
     @staticmethod
     def run_stage_process(stage, config, *flags):
         """The stage's exit code in a fresh interpreter, with the qvbench
-        modules, and numpy, loaded by `import qvbench.cli` and held after
-        the stage; the package and core are left out."""
+        modules, numpy and dataclasses loaded by `import qvbench.cli` and
+        held after the stage; the package and core are left out."""
         code = (
             "import sys\n"
             "def loaded():\n"
             "    return sorted(m.removeprefix('qvbench.') for m in sys.modules\n"
-            "                  if m.startswith('qvbench.') and m != 'qvbench.core' or m == 'numpy')\n"
+            "                  if m.startswith('qvbench.') and m != 'qvbench.core'\n"
+            "                  or m in ('numpy', 'dataclasses'))\n"
             "import qvbench.cli\n"
             "print(*loaded())\n"
             "print(qvbench.cli.main(sys.argv[1:]))\n"
@@ -785,8 +806,8 @@ class TestModuleEntryPoint:
 
     def test_each_stage_loads_only_the_modules_it_runs(self, workspace, tmp_path):
         """Each stage in a fresh interpreter: importing cli loads only core,
-        the finished stage holds exactly its STAGE_MODULES, and the charts
-        keep their bytes."""
+        the finished stage holds exactly its STAGE_MODULES, and so never
+        `dataclasses`, and the charts keep their bytes."""
         assert sorted(self.STAGE_MODULES) == sorted(STAGES)
         config = write_toy_workspace(tmp_path / "ws")
         for stage in STAGES:

@@ -1,8 +1,8 @@
 """Domain types, parsers, writers, and round-trips."""
 
 import csv
-import dataclasses
 import inspect
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -41,7 +41,9 @@ from qvbench.core import (
     write_trec_run,
     write_variants,
 )
+from qvbench.cli import PipelineConfig
 from qvbench.judge import AgreementReport, CoverageReport
+from qvbench.retrieval import Bm25Params
 from qvbench.textkit import VariantFeatureRecord
 from qvbench.validate import ConsensusReport, ValidationVerdict
 
@@ -328,6 +330,16 @@ def test_parse_trec_run_bad_score(tmp_path):
         parse_trec_run(p)
 
 
+@pytest.mark.parametrize("score", ["nan", "NaN", "inf", "-inf", "-Infinity"])
+def test_parse_trec_run_rejects_non_finite_score(tmp_path, score):
+    # NaN compares false with everything, so the ordering checks cannot see it
+    p = tmp_path / "run.txt"
+    p.write_text(f"q1 Q0 p7 1 1.0 bm25\nq1 Q0 p8 2 {score} bm25\nq1 Q0 p9 3 7.0 bm25\n")
+    with pytest.raises(ParseError) as info:
+        parse_trec_run(p)
+    assert str(info.value) == f"{p}:2: non-finite score {score!r}"
+
+
 def test_parse_trec_run_increasing_score(tmp_path):
     p = tmp_path / "run.txt"
     p.write_text("q1 Q0 p7 1 1.0 bm25\nq1 Q0 p8 2 2.0 bm25\n", encoding="utf-8")
@@ -556,6 +568,81 @@ def test_record_is_its_tuple_of_fields():
     assert Qrel("q", "p", 2).source == "human"
 
 
+_TOPIC = Topic("t", "q")
+_PROFILE = Profile("p", "persona", "P", "d")
+_VARIANT = QueryVariant("t", "p", 1, "v")
+_ANNOTATION = AnnotationRecord("g", "a", "similarity", "s", "v", "yes")
+_PASSAGE = Passage("p", "text")
+_CONFIG = PipelineConfig(Path("t"), Path("c"), Path("p"), Path("o"))
+_VERDICT = ValidationVerdict("t", "p", 1, "order", True)
+_CONSENSUS = ConsensusReport("alignment", "p", 8, 6, 0.75, 2)
+_COVERAGE = CoverageReport("s", "p", 10, 7, 10, 1 - 7 / 10)
+_AGREEMENT = AgreementReport(4, 0.25, 0.5, 0.75, 0.6)
+
+
+# A valid record of each checked type, one field to set, a value that
+# breaks a check, and the check's message.
+BROKEN_FIELDS = [
+    (_TOPIC, "topic_id", "", "topic_id must be non-empty"),
+    (_TOPIC, "seed_query", " ", "topic t: empty seed query"),
+    (_PROFILE, "method", "crowd", "unknown profile method 'crowd'"),
+    (Profile("n", "neutral", "N"), "description", "d",
+     "neutral profile must have empty description"),
+    (_VARIANT, "index", True, "variant index must be an integer"),
+    (_VARIANT, "index", 4, "variant index 4 outside 1..3"),
+    (_VARIANT, "text", " ", "variant (t, p, 1): empty text"),
+    (RunRecord("s", "q", "p", 1, 1.0), "rank", 0, "rank 0 must be >= 1"),
+    (Qrel("q", "p", 2), "grade", 4, "grade 4 outside 0..3"),
+    (Qrel("q", "p", 2), "source", "crowd", "unknown qrel source 'crowd'"),
+    (_ANNOTATION, "task", "rank", "unknown annotation task 'rank'"),
+    (_ANNOTATION, "is_gold", True, "gold pair g lacks gold_answer"),
+    (_PASSAGE, "passage_id", "", "passage_id must be non-empty"),
+    (_PASSAGE, "text", " ", "passage p: empty text"),
+    (_CONFIG, "k", 0, "k=0 must be >= 1"),
+    (_CONFIG, "alpha", 0.5, "alpha=0.5 outside (0, 0.5)"),
+    (_CONFIG, "gain", "log", "unknown gain 'log'"),
+    (_CONFIG, "provider", "file", "unknown provider 'file'"),
+    (_CONFIG, "merge", "human", "unknown merge policy 'human'"),
+    (_CONFIG, "methods", ("crowd",), "unknown methods ['crowd']"),
+    (_CONFIG, "methods", (), "methods must not be empty"),
+    (_VERDICT, "check", "typo", "unknown check 'typo'"),
+    (_VERDICT, "valid", False, "failed verdicts must carry a detail message"),
+    (_CONSENSUS, "task", "rank", "unknown task 'rank'"),
+    (_CONSENSUS, "n_agree_correct", 9, "agreement count outside 0..n_pairs"),
+    (_CONSENSUS, "n_disagreements", -1, "disagreement count outside 0..n_pairs"),
+    (_CONSENSUS, "accuracy", 0.5, "accuracy 0.5 != 6/8"),
+    (_COVERAGE, "k", 0, "k must be >= 1"),
+    (_COVERAGE, "judged", 11, "judged count outside 0..total"),
+    (_COVERAGE, "missing_fraction", 0.5, "missing_fraction 0.5 != 1 - 7/10"),
+    (_AGREEMENT, "n", 0, "agreement over zero pairs"),
+    (_AGREEMENT, "alpha_graded", 1.5, "kappa and alpha cannot exceed 1"),
+    (_AGREEMENT, "mae_graded", -0.1, "MAE cannot be negative"),
+    (Bm25Params(), "k1", 0, "k1=0 must be > 0"),
+    (Bm25Params(), "b", 1.5, "b=1.5 outside [0, 1]"),
+]
+
+
+@pytest.mark.parametrize(
+    "record, field, value, message",
+    BROKEN_FIELDS,
+    ids=[f"{type(r).__name__}.{f}={v!r}" for r, f, v, _ in BROKEN_FIELDS],
+)
+@pytest.mark.parametrize("build", ["constructor", "_make", "_replace"])
+def test_every_way_to_build_a_record_checks_it(record, field, value, message, build):
+    cls = type(record)
+    values = list(record)
+    values[cls._fields.index(field)] = value
+    error = ValueError if cls is Bm25Params else ValidationError
+    with pytest.raises(error) as info:
+        if build == "constructor":
+            cls(*values)
+        elif build == "_make":
+            cls._make(values)
+        else:
+            record._replace(**{field: value})
+    assert (type(info.value), str(info.value)) == (error, message)
+
+
 def test_record_replace_is_checked():
     with pytest.raises(ValidationError):
         RunRecord("s", "q", "p", 1, 1.0)._replace(rank=0)
@@ -594,8 +681,21 @@ def test_annotations_roundtrip(tmp_path):
         ),
     ]
     p = tmp_path / "annotations.jsonl"
-    write_jsonl(map(dataclasses.asdict, records), p)
+    write_jsonl((r._asdict() for r in records), p)
     assert read_annotations(p) == records
+
+
+@pytest.mark.parametrize("is_gold", ['"false"', '"true"', "0", "1", "null"])
+def test_annotation_is_gold_must_be_a_json_boolean(tmp_path, is_gold):
+    line = '{"pair_id": "p", "annotator_id": "a", "task": "similarity", "seed_query": "s", ' \
+        '"variant": "v", "answer": "similar", "gold_answer": "similar"'
+    p = tmp_path / "annotations.jsonl"
+    p.write_text(f'{line}, "is_gold": true}}\n{line}}}\n{line}, "is_gold": {is_gold}}}\n')
+    with pytest.raises(ParseError) as info:
+        read_annotations(p)
+    assert str(info.value) == f"{p}:3: is_gold must be a boolean"
+    p.write_text(f'{line}, "is_gold": true}}\n{line}}}\n{line}, "is_gold": false}}\n')
+    assert [r.is_gold for r in read_annotations(p)] == [True, False, False]
 
 
 def test_annotation_gold_requires_gold_answer():
@@ -618,7 +718,7 @@ def test_parse_passages_duplicate(tmp_path):
 
 
 # One case per record type the pipeline writes as a CSV table; the
-# header is the dataclass's field names, in order.
+# header is the record's field names, in order.
 @pytest.mark.parametrize(
     "records, header, rows",
     [
@@ -662,8 +762,7 @@ def test_parse_passages_duplicate(tmp_path):
 )
 def test_write_csv_dataclass_rows(tmp_path, records, header, rows):
     path = tmp_path / "table.csv"
-    fields = [f.name for f in dataclasses.fields(records[0])]
-    write_csv(path, fields, map(dataclasses.astuple, records))
+    write_csv(path, type(records[0])._fields, records)
     text = path.read_bytes().decode("utf-8")
     assert text.split("\r\n")[0] == header
     with open(path, encoding="utf-8", newline="") as fh:

@@ -319,6 +319,12 @@ class TestProviderConfig:
         config = ProviderConfig(endpoint="e", model_name="m", api_key="sk-given")
         assert config.api_key == "sk-given"
 
+    def test_make_and_replace_read_the_environment(self, monkeypatch):
+        monkeypatch.setenv("QVBENCH_API_KEY", "sk-env")
+        config = ProviderConfig("e", "m", "sk-given")
+        assert config._replace(api_key=None) == ("e", "m", "sk-env")
+        assert ProviderConfig._make(["e", "m", None]) == ("e", "m", "sk-env")
+
 
 class TestHttpProvider:
     @staticmethod

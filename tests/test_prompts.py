@@ -157,12 +157,11 @@ def _defaulted_params(fn, skip=0):
 
 def _class_defaults(cls):
     """Defaulted `__init__` or `__new__` parameters, else defaulted
-    dataclass fields."""
+    fields of a NamedTuple class."""
     for node in cls.body:
         if isinstance(node, ast.FunctionDef) and node.name in ("__init__", "__new__"):
             return _defaulted_params(node, skip=1)
-    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
-    if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+    if not any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases):
         return []
     fields = [n for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
     return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
@@ -171,7 +170,7 @@ def _class_defaults(cls):
 def test_every_default_is_passed_somewhere():
     """Each defaulted parameter of a public top-level function of
     `src/qvbench`, and each defaulted `__init__` or `__new__` parameter or
-    dataclass field of a public top-level class there, is passed by some call
+    NamedTuple field of a public top-level class there, is passed by some call
     elsewhere there: by keyword, by position, or through a `*` or `**`
     argument.
 
@@ -179,7 +178,7 @@ def test_every_default_is_passed_somewhere():
     paths. Calls match by bare name, or as `module.name` for the module
     that defines it; a call inside the function or class itself does not
     count, except `cls(...)` in a classmethod. A keyword of a
-    `dataclasses.replace` call passes the field of that name.
+    `_replace` call passes the field of that name.
     """
     defaults = {}  # name -> (module stem, [(param, call position or None)])
     calls = []  # (top-level name the call sits in, Call)
@@ -200,9 +199,9 @@ def test_every_default_is_passed_somewhere():
             if func.id == "cls":
                 return owner if owner in classes else None
             return func.id if func.id != owner else None
+        if isinstance(func, ast.Attribute) and func.attr == "_replace":
+            return "_replace"
         if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-            if func.attr == "replace" and func.value.id == "dataclasses":
-                return "replace"
             if defaults.get(func.attr, ("",))[0] == func.value.id and func.attr != owner:
                 return func.attr
         return None
@@ -215,7 +214,7 @@ def test_every_default_is_passed_somewhere():
         )
 
     replaced = {
-        kw.arg for owner, call in calls if callee(owner, call) == "replace" for kw in call.keywords
+        kw.arg for owner, call in calls if callee(owner, call) == "_replace" for kw in call.keywords
     }
     unpassed = set()
     for name, (_, params) in defaults.items():
@@ -229,6 +228,23 @@ def test_every_default_is_passed_somewhere():
                 unpassed.add(f"{name}.{param}")
     assert sorted(unpassed - set(UNPASSED_DEFAULTS_ALLOWED)) == []
     assert sorted(set(UNPASSED_DEFAULTS_ALLOWED) - unpassed) == []
+
+
+def test_no_module_imports_dataclasses():
+    """Records are NamedTuples: importing `dataclasses` also loads
+    inspect, ast, dis and tokenize, a cost every stage process paid."""
+    importers = []
+    for path in sorted(Path(qvbench.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.partition(".")[0] == "dataclasses" for m in modules):
+                importers.append(f"{path.stem}:{node.lineno}")
+    assert importers == []
 
 
 def _only_ellipsis(body):
