@@ -27,6 +27,7 @@ from .core import (
     ParseError,
     TransportError,
     ValidationError,
+    _JSON_LINE,
     _Validated,
     atomic_write,
     format_trec_run,
@@ -279,7 +280,7 @@ def cmd_generate(config: PipelineConfig) -> None:
     log_path = config.out / "genlog.jsonl"
     with open(log_path, "a", encoding="utf-8") as fh:
         for log in logs:
-            fh.write(json.dumps(log._asdict(), ensure_ascii=False) + "\n")
+            fh.write(_JSON_LINE.encode(log._asdict()) + "\n")
 
     by_method = {}
     method_of = {p.profile_id: p.method for p in profiles}

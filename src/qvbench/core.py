@@ -23,7 +23,7 @@ import os
 import unicodedata
 from collections import defaultdict
 from contextlib import contextmanager
-from operator import attrgetter
+from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Protocol, Sequence, TypeVar
 
 PROFILE_METHODS = ("persona", "group", "textual", "neutral")
@@ -166,6 +166,8 @@ class RunRecord(_Validated, _RunRecordFields):
 
     Stages build these by the ten thousand, so this `__new__` calls
     `nfc` only when an id is not ASCII, and never on the other fields.
+    `parse_trec_run` makes both checks itself and builds the tuple of an
+    all-ASCII line with rank >= 1; other lines come here.
     """
 
     __slots__ = ()
@@ -386,43 +388,48 @@ def parse_trec_run(path) -> list[RunRecord]:
     ordered by ascending passage_id.
     """
     records: list[RunRecord] = []
-    for lineno, line in _lines(path):
-        cols = line.split()
-        if len(cols) != 6:
-            raise ParseError(f"{path}:{lineno}: expected 6 columns, got {len(cols)}")
-        qid, _, docid, rank_text, score_text, tag = cols
-        try:
-            rank = int(rank_text)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-integer rank {rank_text!r}") from exc
-        try:
-            score = float(score_text)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-numeric score {score_text!r}") from exc
-        if not math.isfinite(score):
-            # NaN would pass every ordering check below: its comparisons are all false
-            raise ParseError(f"{path}:{lineno}: non-finite score {score_text!r}")
-        try:
-            records.append(RunRecord(tag, qid, docid, rank, score))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    records.sort(key=attrgetter("system_id", "query_id", "rank"))
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            cols = line.split()
+            if not cols:
+                continue
+            if len(cols) != 6:
+                raise ParseError(f"{path}:{lineno}: expected 6 columns, got {len(cols)}")
+            qid, _, docid, rank_text, score_text, tag = cols
+            try:
+                rank = int(rank_text)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-integer rank {rank_text!r}") from exc
+            try:
+                score = float(score_text)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-numeric score {score_text!r}") from exc
+            if not -math.inf < score < math.inf:
+                # NaN would pass every ordering check below: its comparisons are all false
+                raise ParseError(f"{path}:{lineno}: non-finite score {score_text!r}")
+            if rank >= 1 and line.isascii():  # RunRecord would neither reject nor nfc it
+                records.append(tuple.__new__(RunRecord, (tag, qid, docid, rank, score)))
+                continue
+            try:
+                records.append(RunRecord(tag, qid, docid, rank, score))
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    records.sort(key=itemgetter(0, 1, 3))
     # Once sorted, each record need only be checked against the one before.
-    for prev, cur in zip([None, *records], records):
-        new_query = (
-            prev is None or prev.query_id != cur.query_id or prev.system_id != cur.system_id
-        )
-        if cur.rank != (1 if new_query else prev.rank + 1):
+    for prev, cur in zip([(None,) * 5, *records], records):
+        system_id, query_id, passage_id, rank, score = cur
+        new_query = query_id != prev[1] or system_id != prev[0]
+        if rank != (1 if new_query else prev[3] + 1):
             fault = "ranks are not a gap-free 1..n sequence"
         elif new_query:
             continue
-        elif cur.score > prev.score:
-            fault = f"score increases at rank {cur.rank}"
-        elif cur.score == prev.score and cur.passage_id < prev.passage_id:
-            fault = f"tied scores out of passage_id order at rank {cur.rank}"
+        elif score > prev[4]:
+            fault = f"score increases at rank {rank}"
+        elif score == prev[4] and passage_id < prev[2]:
+            fault = f"tied scores out of passage_id order at rank {rank}"
         else:
             continue
-        raise ValidationError(f"{path}: run {cur.system_id}, query {cur.query_id}: {fault}")
+        raise ValidationError(f"{path}: run {system_id}, query {query_id}: {fault}")
     return records
 
 
@@ -529,10 +536,13 @@ def read_jsonl(path, required=()) -> list[dict]:
     return _read_records(path, dict, required)
 
 
+_JSON_LINE = json.JSONEncoder(ensure_ascii=False)  # json.dumps would build one per line
+
+
 def write_jsonl(objects: Iterable[dict], path) -> None:
     with atomic_write(path) as fh:
         for obj in objects:
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(_JSON_LINE.encode(obj) + "\n")
 
 
 def _csv_cell(value) -> str:

@@ -486,26 +486,24 @@ class MockProvider:
     keep the token multiset, the Misspelling profile gets injected typos
     whose spell correction recovers the original word, and every other
     profile gets synonym swaps inside templated rephrasings, so the
-    downstream validators see realistic signal. Relevance-labeling
-    prompts (a "Passage:" line plus an integer-answer instruction) get a
-    single grade drawn from a fixed distribution over 0..3.
+    downstream validators see realistic signal. Only misspelling variants
+    spell, so only they load `validate` (and `textkit`, `porter`).
+    Relevance-labeling prompts (a "Passage:" line plus an integer-answer
+    instruction) get a single grade drawn from a fixed distribution over 0..3.
     """
 
     def __init__(self, seed_material: str = ""):
-        # only the mock spells, so only it loads validate (and textkit)
-        from .validate import load_dictionary, spell_correct
-
         self.seed_material = str(seed_material)
-        self._dictionary = load_dictionary()
-        self._spell_correct = spell_correct
+        self._dictionary = None  # loaded by the first misspelling variant
 
     def complete(self, prompt: str) -> str:
         digest = hashlib.sha256(
             (self.seed_material + "\x00" + prompt).encode("utf-8")
         ).digest()
         rng = random.Random(digest)
-        if _prompt_field(prompt, _PASSAGE_FIELD) is not None and "integer" in prompt.lower():
-            return str(rng.choices((0, 1, 2, 3), weights=(35, 25, 22, 18))[0])
+        if "integer" in prompt.lower() and _PASSAGE_LINE.search(prompt):
+            # weights 35, 25, 22, 18; `choices` draws the same from their sums
+            return str(rng.choices((0, 1, 2, 3), cum_weights=(35, 60, 82, 100))[0])
         seed_query = _prompt_field(prompt, _SEED_QUERY_FIELD)
         if seed_query is None:
             raise ValidationError("mock provider needs a 'Seed query:' line in the prompt")
@@ -543,6 +541,9 @@ class MockProvider:
         return " ".join(shuffled)
 
     def _misspelled(self, seed_query: str, rng: random.Random) -> str:
+        if self._dictionary is None:
+            from .validate import load_dictionary, spell_correct
+            self._dictionary, self._spell_correct = load_dictionary(), spell_correct
         tokens = seed_query.split()
         order = sorted(range(len(tokens)), key=lambda i: (-len(tokens[i]), i))
         for i in order:
@@ -593,10 +594,12 @@ class MockProvider:
 
 # The prompt lines the mock reads back, compiled once rather than looked
 # up in re's cache on every call.
-_PASSAGE_FIELD, _SEED_QUERY_FIELD, _PROFILE_FIELD = (
+_SEED_QUERY_FIELD, _PROFILE_FIELD = (
     re.compile(rf"^{re.escape(label)}:\s*(.+?)\s*$", re.MULTILINE)
-    for label in ("Passage", "Seed query", "Transformation profile")
+    for label in ("Seed query", "Transformation profile")
 )
+# A label prompt's "Passage:" line, of which only the presence is read.
+_PASSAGE_LINE = re.compile(r"^Passage:\s*.", re.MULTILINE)
 
 
 def _prompt_field(prompt: str, pattern: re.Pattern) -> Optional[str]:
@@ -667,14 +670,14 @@ def load_profiles(path=None) -> list[Profile]:
         if not isinstance(entry, dict):
             raise ParseError(f"profiles entry {i} is not an object")
         try:
-            profile = Profile(
-                profile_id=entry["profile_id"],
-                method=entry["method"],
-                name=entry["name"],
-                description=entry.get("description", ""),
-            )
+            fields = {key: entry[key] for key in ("profile_id", "method", "name")}
         except KeyError as exc:
             raise ParseError(f"profiles entry {i} lacks key {exc}") from exc
+        fields["description"] = entry.get("description", "")
+        for key, value in fields.items():
+            if not isinstance(value, str):
+                raise ParseError(f"profiles entry {i}: {key} must be a string")
+        profile = Profile(**fields)
         if profile.profile_id == SEED_PROFILE:
             raise ParseError(f"profile_id {SEED_PROFILE!r} is reserved for seed queries")
         if profile.profile_id in seen:

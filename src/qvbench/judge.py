@@ -20,7 +20,6 @@ full scale.
 
 from __future__ import annotations
 
-import re
 import threading
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -131,7 +130,8 @@ def coverage(
         raise ValidationError("k must be >= 1")
     human = {(q.query_id, q.passage_id) for q in qrels if q.source == "human"}
     top = [record for record in runs if record.rank <= k]
-    cell_of = _query_cells(top)
+    # each distinct id decoded once: a run repeats it per system and rank
+    cell_of = {query_id: query_cell(query_id) for query_id in {r.query_id for r in top}}
     counts: dict[tuple[str, str], list[int]] = {}
     for record in top:
         topic, profile, _ = cell_of[record.query_id]
@@ -146,12 +146,6 @@ def coverage(
             CoverageReport(system_id, profile_id, k, judged, total, 1 - judged / total)
         )
     return reports
-
-
-def _query_cells(runs: Sequence[RunRecord]) -> dict[str, tuple[str, str, int]]:
-    """`query_cell` of each distinct query id in the runs, decoded once:
-    a run repeats each id once per system and rank."""
-    return {query_id: query_cell(query_id) for query_id in {r.query_id for r in runs}}
 
 
 def load_label_template() -> str:
@@ -206,17 +200,19 @@ class LabelStore:
             return [self._labels[key] for key in sorted(self._labels)]
 
     def save(self, qrels_path, raw_path) -> None:
-        write_qrels(self.qrels(), qrels_path, with_source=True)
         with self._lock:
+            keys = sorted(self._labels)
+            qrels = [self._labels[key] for key in keys]
             rows = [
                 {
                     "topic_id": key[0],
                     "passage_id": key[1],
-                    "grade": self._labels[key].grade,
+                    "grade": qrel.grade,
                     "raw_response": self._raw.get(key, ""),
                 }
-                for key in sorted(self._labels)
+                for key, qrel in zip(keys, qrels)
             ]
+        write_qrels(qrels, qrels_path, with_source=True)
         write_jsonl(rows, raw_path)
 
     @classmethod
@@ -239,7 +235,8 @@ class LabelStore:
 
 def _parse_grade(text: str) -> int:
     stripped = text.strip()
-    if not re.fullmatch(r"\d+", stripped):
+    # one or more Unicode decimal digits (category Nd), which int() reads
+    if not stripped.isdecimal():
         raise ParseError(f"expected a bare integer, got {text!r}")
     grade = int(stripped)
     if grade not in GRADES:
@@ -284,16 +281,23 @@ def label_topk(
 
     topic_by = {t.topic_id: t for t in topics}
     passage_by = {p.passage_id: p for p in passages}
+    # Checking a topic at its query id's first record, and a passage at
+    # its pair's, still fails at the first bad record.
+    topic_of: dict[str, str] = {}
     needed: set[tuple[str, str]] = set()
-    top = [record for record in runs if record.rank <= k]
-    cell_of = _query_cells(top)
-    for record in top:
-        topic_id = cell_of[record.query_id][0]
-        if topic_id not in topic_by:
-            raise ValidationError(f"run references unknown topic {topic_id!r}")
-        if record.passage_id not in passage_by:
-            raise ValidationError(f"run references unknown passage {record.passage_id!r}")
-        needed.add((topic_id, record.passage_id))
+    for _, query_id, passage_id, rank, _ in runs:
+        if rank > k:
+            continue
+        topic_id = topic_of.get(query_id)
+        if topic_id is None:
+            topic_id = topic_of[query_id] = query_cell(query_id)[0]
+            if topic_id not in topic_by:
+                raise ValidationError(f"run references unknown topic {topic_id!r}")
+        pair = (topic_id, passage_id)
+        if pair not in needed:
+            if passage_id not in passage_by:
+                raise ValidationError(f"run references unknown passage {passage_id!r}")
+            needed.add(pair)
     template = load_label_template()
     return run_in_order(
         provider,

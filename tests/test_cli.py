@@ -628,6 +628,25 @@ class TestExitCodes:
         assert main(["generate", "--config", str(config_path)]) == 2
         assert "'seed' is reserved" in capsys.readouterr().err
 
+    def test_non_string_profile_field_exits_2_before_any_call(self, tmp_path, monkeypatch, capsys):
+        config_path = write_toy_workspace(tmp_path / "ws")
+        path = config_path.parent / "profiles.json"
+        profiles = json.loads(path.read_text(encoding="utf-8"))
+        profiles[2]["profile_id"] = 5
+        path.write_text(json.dumps(profiles), encoding="utf-8")
+        calls = []
+
+        class Unpaid:
+            def complete(self, prompt):
+                calls.append(prompt)
+                pytest.fail("generate called the provider")
+
+        monkeypatch.setattr(cli, "make_provider", lambda config: Unpaid())
+        assert main(["generate", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == "error: profiles entry 2: profile_id must be a string\n"
+        assert calls == []
+        assert not (out_dir(config_path) / "variants.jsonl").exists()
+
     @pytest.mark.parametrize("stage", ("validate", "search", "evaluate"))
     def test_duplicate_variant_key_rejected(self, stage, tmp_path, workspace, capsys):
         config_path = write_toy_workspace(tmp_path / "ws")
@@ -761,7 +780,7 @@ class TestModuleEntryPoint:
         "index": {"cli", "retrieval", "textkit", "porter"},
         "search": {"cli", "retrieval", "textkit", "porter"},
         "import-runs": {"cli"},
-        "judge": {"cli", "genkit", "judge", "validate", "textkit", "porter"},
+        "judge": {"cli", "genkit", "judge"},
         "evaluate": {"cli", "judge", "evalstats", "evalstats.metrics", "evalstats.special"},
         "analyze": {
             "cli",

@@ -2,10 +2,12 @@
 
 import csv
 import inspect
+import math
+from operator import attrgetter
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from qvbench.core import (
@@ -380,6 +382,134 @@ def test_trec_run_roundtrip(tmp_path):
     p = tmp_path / "run.txt"
     write_trec_run(records, p)
     assert parse_trec_run(p) == records
+
+
+def _parse_trec_run_per_line(path):
+    """`parse_trec_run` as it was before its one-loop rewrite, kept as its
+    oracle: lines from text-mode file iteration, blank ones skipped by
+    `strip`, every record built by `RunRecord`, checks by attribute."""
+    records = []
+    with open(path, encoding="utf-8") as fh:
+        lines = [(n, raw.rstrip("\n")) for n, raw in enumerate(fh, start=1)]
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        cols = line.split()
+        if len(cols) != 6:
+            raise ParseError(f"{path}:{lineno}: expected 6 columns, got {len(cols)}")
+        qid, _, docid, rank_text, score_text, tag = cols
+        try:
+            rank = int(rank_text)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-integer rank {rank_text!r}") from exc
+        try:
+            score = float(score_text)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-numeric score {score_text!r}") from exc
+        if not math.isfinite(score):
+            raise ParseError(f"{path}:{lineno}: non-finite score {score_text!r}")
+        try:
+            records.append(RunRecord(tag, qid, docid, rank, score))
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+    records.sort(key=attrgetter("system_id", "query_id", "rank"))
+    for prev, cur in zip([None, *records], records):
+        new_query = (
+            prev is None or prev.query_id != cur.query_id or prev.system_id != cur.system_id
+        )
+        if cur.rank != (1 if new_query else prev.rank + 1):
+            fault = "ranks are not a gap-free 1..n sequence"
+        elif new_query:
+            continue
+        elif cur.score > prev.score:
+            fault = f"score increases at rank {cur.rank}"
+        elif cur.score == prev.score and cur.passage_id < prev.passage_id:
+            fault = f"tied scores out of passage_id order at rank {cur.rank}"
+        else:
+            continue
+        raise ValidationError(f"{path}: run {cur.system_id}, query {cur.query_id}: {fault}")
+    return records
+
+
+# Run-file tokens: ids with decomposed (e + U+0301) and precomposed
+# non-ASCII letters, and rank and score texts each check rejects.
+_RUN_TAGS = ("bm25", "sys")
+_RUN_QIDS = ("q1", "q2", "t1__p__1")
+_RUN_PIDS = ("p1", "p2", "p3")
+_NON_ASCII_IDS = ("cafe\u0301", "caf\u00e9")
+_RUN_SCORES = (9.5, 3.0, 2.5, 1.0, 0.0, -0.5)
+_BAD_RANKS = ("0", "-1", "x", "7")
+_BAD_SCORES = ("nan", "inf", "-inf", "1e999", "high") + ("99.0",) * 4  # 99.0 rises, but not at rank 1
+_BLANKS = ("", " ", "\t", "  \t ")
+
+
+@st.composite
+def _run_file_texts(draw):
+    """Run-file text that is mostly valid: per (tag, qid), ranks 1..n over
+    scores that do not rise, with passage ids drawn freely, so tied
+    scores come in and out of order. Draws then break a rank or a score,
+    change a line's column count, shuffle lines, add blank and
+    whitespace-only lines, and pick LF or CRLF line ends. About one file
+    in three has non-ASCII ids."""
+    extra = _NON_ASCII_IDS if draw(st.integers(0, 2)) == 0 else ()
+    rows = []
+    tags = st.sampled_from(_RUN_TAGS + extra)
+    for tag in draw(st.lists(tags, min_size=1, max_size=2, unique=True)):
+        for qid in draw(st.lists(st.sampled_from(_RUN_QIDS), min_size=1, max_size=2, unique=True)):
+            n = draw(st.integers(1, 4))
+            scores = sorted(draw(st.lists(st.sampled_from(_RUN_SCORES), min_size=n, max_size=n)))
+            pids = draw(st.lists(st.sampled_from(_RUN_PIDS + extra), min_size=n, max_size=n))
+            for rank, (pid, score) in enumerate(zip(pids, reversed(scores)), 1):
+                rows.append([qid, "Q0", pid, str(rank), repr(score), tag])
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        column, bad = draw(st.sampled_from(
+            [(3, text) for text in _BAD_RANKS] + [(4, text) for text in _BAD_SCORES]
+        ))
+        row[column] = bad
+    lines = [" ".join(row) for row in rows]
+    if draw(st.integers(0, 4)) == 0:
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = draw(st.sampled_from([lines[at].rsplit(" ", 1)[0], lines[at] + " extra"]))
+    lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BLANKS)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+def _parse_outcome(parse, path):
+    """What parse does with path: the records, each as its repr (class
+    name, field values and their types), or the exception type and message."""
+    try:
+        return [repr(record) for record in parse(path)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(text=_run_file_texts())
+@example(text="q1 Q0 p1 1 2.0 s\r\n \r\n\r\nq1 Q0 p2 2 1.0 s\r\n\t\r\n")
+@example(text="q1 Q0 p1 1 2.0\n")
+@example(text="q1 Q0 p1 1 2.0 s x\n")
+@example(text="q1 Q0 p1 0 2.0 s\n")
+@example(text="q1 Q0 p1 -1 2.0 s\n")
+@example(text="q1 Q0 p1 x 2.0 s\n")
+@example(text="q1 Q0 p1 1 high s\n")
+@example(text="q1 Q0 p1 1 nan s\n")
+@example(text="q1 Q0 p1 1 inf s\n")
+@example(text="q1 Q0 p1 1 1e999 s\n")
+@example(text="q1 Q0 cafe\u0301 1 2.0 s\u0301\nq1 Q0 caf\u00e9 2 1.0 s\u0301\n")
+@example(text="q1 Q0 p1 1 2.0\u00a0s\rq1\u2003Q0 p2 2 1.0 s\r")
+@example(text="q1 Q0 p1 1 2.0 s\nq1 Q0 p2 3 1.0 s\n")
+@example(text="q1 Q0 p1 1 1.0 s\nq1 Q0 p2 2 2.0 s\n")
+@example(text="q1 Q0 p2 1 1.0 s\nq1 Q0 p1 2 1.0 s\n")
+def test_parse_trec_run_matches_per_line_oracle(tmp_path, text):
+    path = tmp_path / "oracle.run"
+    path.write_bytes(text.encode("utf-8"))
+    assert _parse_outcome(parse_trec_run, path) == _parse_outcome(_parse_trec_run_per_line, path)
 
 
 def test_parse_qrels(tmp_path):

@@ -1,12 +1,17 @@
 """Prompt assembly, response parsing, providers, and sweep behavior."""
 
+import hashlib
 import json
+import random
+import re
 import socket
 import threading
 import time
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import qvbench.genkit as genkit
 from qvbench.core import ParseError, Passage, Profile, QueryVariant, RunRecord, Topic, ValidationError
@@ -26,7 +31,7 @@ from qvbench.genkit import (
     parse_variant_response,
     run_in_order,
 )
-from qvbench.judge import LabelStore, label_topk
+from qvbench.judge import LabelStore, build_label_prompt, label_topk, load_label_template
 from qvbench.validate import load_dictionary, validate_misspelling, validate_order
 
 TOPIC = Topic("t1", "asthma symptoms in children")
@@ -216,6 +221,50 @@ class TestMockProvider:
     def test_prompt_without_seed_marker_rejected(self):
         with pytest.raises(ValidationError):
             MockProvider().complete("tell me a joke")
+
+    def test_grades_are_the_weighted_draw(self):
+        """A label prompt's grade is `choices` with the 35/25/22/18 weights
+        from a Random seeded by the prompt's digest."""
+        template = load_label_template()
+        prompts = [
+            build_label_prompt(f"Backstory {b}.", f"passage text {p}", template)
+            for b in range(4)
+            for p in range(50)
+        ]
+        grades = []
+        for seed in ("", "1", "j"):
+            mock = MockProvider(seed_material=seed)
+            for prompt in prompts:
+                digest = hashlib.sha256((seed + "\x00" + prompt).encode("utf-8")).digest()
+                draw = random.Random(digest).choices((0, 1, 2, 3), weights=(35, 25, 22, 18))
+                grades.append(mock.complete(prompt))
+                assert grades[-1] == str(draw[0])
+        assert set(grades) == {"0", "1", "2", "3"}
+        assert mock._dictionary is None  # labelling loads no spelling dictionary
+
+
+# The capturing pattern the mock once searched for a label prompt's
+# "Passage:" line; `_PASSAGE_LINE` must find a line exactly when it does.
+_PASSAGE_FIELD = re.compile(r"^Passage:\s*(.+?)\s*$", re.MULTILINE)
+
+
+def _passage_line_agrees(prompt):
+    old = genkit._prompt_field(prompt, _PASSAGE_FIELD) is not None
+    return (genkit._PASSAGE_LINE.search(prompt) is not None) == old
+
+
+@pytest.mark.parametrize(
+    "prompt",
+    ["Passage: x", "Passage:", "a\nPassage:\n", "Passage:   ", "Passage:\n\nx", " Passage: x",
+     "Passage:\t\r\n", "x\nPassage:\ty\n"],
+)
+def test_passage_line_matches_where_the_field_pattern_did(prompt):
+    assert _passage_line_agrees(prompt)
+
+
+@given(st.lists(st.sampled_from(["Passage:", "Passage", " ", "\t", "\n", "\r", "x"]), max_size=8))
+def test_passage_line_agrees_on_generated_prompts(pieces):
+    assert _passage_line_agrees("".join(pieces))
 
 
 class TestBackstories:
@@ -517,6 +566,16 @@ class TestProfilesFile:
         path.write_text("{not json")
         with pytest.raises(ParseError):
             load_profiles(path)
+
+    @pytest.mark.parametrize("key", ["profile_id", "method", "name", "description"])
+    @pytest.mark.parametrize("value", [5, None, ["x"]])
+    def test_non_string_field_rejected(self, tmp_path, key, value):
+        entry = {"profile_id": "p", "method": "persona", "name": "P", "description": "d"}
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps([entry, {**entry, "profile_id": "q", key: value}]))
+        with pytest.raises(ParseError) as info:
+            load_profiles(path)
+        assert str(info.value) == f"profiles entry 1: {key} must be a string"
 
     def test_duplicate_id_rejected(self, tmp_path):
         entry = {"profile_id": "p", "method": "persona", "name": "P", "description": "d"}

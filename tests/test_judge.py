@@ -1,10 +1,13 @@
 """Coverage, labeling, and human/LLM agreement metrics."""
 
 import random
+import re
 import sys
 from collections import Counter
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import qvbench.judge as judge
 from qvbench.core import ParseError, Passage, Qrel, RunRecord, Topic, ValidationError
@@ -290,6 +293,101 @@ class TestLabelTopk:
         runs = [run("s1", "t1", "ghost", 1)]
         with pytest.raises(ValidationError):
             label_topk(MockProvider(), runs, self.TOPICS, self.PASSAGES, LabelStore())
+
+    @pytest.mark.parametrize(
+        "runs, message",
+        [
+            # an unknown topic whose record also holds an unknown passage
+            ([run("s1", "t1", "p1", 1), run("s1", "t9__emily__1", "ghost", 1),
+              run("s1", "t1", "ghost", 2)], "run references unknown topic 't9'"),
+            # the pair (t1, ghost) after a known pair of the same query id
+            ([run("s1", "t1", "p1", 1), run("s1", "t1", "ghost", 2),
+              run("s1", "t9", "p1", 1)], "run references unknown passage 'ghost'"),
+            # beyond k, neither is looked at
+            ([run("s1", "t9", "ghost", 11), run("s1", "t1", "p1", 1),
+              run("s1", "t1", "spook", 2)], "run references unknown passage 'spook'"),
+        ],
+        ids=["topic", "passage", "beyond-k"],
+    )
+    def test_first_bad_record_names_its_fault(self, runs, message):
+        provider = CountingProvider(MockProvider())
+        with pytest.raises(ValidationError) as info:
+            label_topk(provider, runs, self.TOPICS, self.PASSAGES, LabelStore())
+        assert str(info.value) == message
+        assert provider.calls == 0
+
+
+def _parse_grade_by_pattern(text):
+    """`judge._parse_grade` as it was, with `re.fullmatch`, kept as its oracle."""
+    stripped = text.strip()
+    if not re.fullmatch(r"\d+", stripped):
+        raise ParseError(f"expected a bare integer, got {text!r}")
+    grade = int(stripped)
+    if grade not in (0, 1, 2, 3):
+        raise ParseError(f"grade {grade} outside 0..3")
+    return grade
+
+
+def _grade_outcome(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+# Arabic-Indic three (Nd, a decimal digit) and superscript two (No, a
+# digit that is not decimal) among ASCII digits, signs and whitespace.
+@given(st.text(st.sampled_from("0123457 \t\n+-_x\u0663\u00b2\u0661\u06f2"), max_size=4))
+@example("\u0663")
+@example("\u00b2")
+@example(" 2 ")
+@example("")
+def test_parse_grade_accepts_what_the_digit_pattern_did(text):
+    assert _grade_outcome(judge._parse_grade, text) == _grade_outcome(
+        _parse_grade_by_pattern, text
+    )
+
+
+def _needed_pairs_per_record(runs, topic_ids, passage_ids, k):
+    """`label_topk`'s old loop, kept as its oracle: each top-k record's
+    topic, then passage, checked in run order; the sorted pairs to label."""
+    needed = set()
+    for record in runs:
+        if record.rank > k:
+            continue
+        topic_id = record.query_id.split("__")[0]
+        if topic_id not in topic_ids:
+            raise ValidationError(f"run references unknown topic {topic_id!r}")
+        if record.passage_id not in passage_ids:
+            raise ValidationError(f"run references unknown passage {record.passage_id!r}")
+        needed.add((topic_id, record.passage_id))
+    return sorted(needed)
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.sampled_from(["t1", "t2", "t9", "t1__emily__1", "t9__emily__2"]),
+            st.sampled_from(["p1", "p2", "ghost"]),
+            st.integers(1, 3),
+        ),
+        max_size=8,
+    )
+)
+def test_label_topk_checks_and_pairs_match_the_per_record_loop(rows):
+    runs = [run("s1", query_id, pid, rank) for query_id, pid, rank in rows]
+    topics = [Topic(t, "q", backstory="Backstory.") for t in ("t1", "t2")]
+    passages = [Passage(p, f"text {p}") for p in ("p1", "p2")]
+    try:
+        expected = _needed_pairs_per_record(runs, {"t1", "t2"}, {"p1", "p2"}, k=2)
+    except ValidationError as exc:
+        expected = str(exc)
+    try:
+        qrels = label_topk(MockProvider(), runs, topics, passages, LabelStore(), k=2)
+        got = [(q.query_id, q.passage_id) for q in qrels]
+    except ValidationError as exc:
+        got = str(exc)
+    assert got == expected
 
 
 class TestLabelStorePersistence:
