@@ -16,6 +16,7 @@ import json
 import math
 import re
 import sys
+from collections import defaultdict
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
@@ -29,6 +30,7 @@ from .core import (
     ValidationError,
     _JSON_LINE,
     _Validated,
+    _decoding,
     atomic_write,
     format_trec_run,
     parse_passages,
@@ -134,7 +136,7 @@ def parse_config_file(path) -> dict:
     `out = run#2` keeps its '#'.
     """
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, _decoding(path):
         for lineno, raw in enumerate(fh, 1):
             line = _COMMENT.sub("", raw, count=1).strip()
             if not line:
@@ -472,12 +474,12 @@ def cmd_evaluate(config: PipelineConfig) -> None:
     grades = {}
     for q in merged:
         grades.setdefault(q.query_id, {})[q.passage_id] = q.grade
-    pools = {topic: sorted(g.values(), reverse=True) for topic, g in grades.items()}
+    ideal = {topic: sorted(g.values(), reverse=True)[: config.k] for topic, g in grades.items()}
 
-    systems = sorted({r.system_id for r in runs})
-    ranked = {}
-    for r in runs:  # in rank order within each (system, query), as parsed
-        ranked.setdefault((r.system_id, r.query_id), []).append(r)
+    ranked = defaultdict(list)
+    for system_id, query_id, passage_id, _, _ in runs:  # in rank order, as parsed
+        ranked[system_id, query_id].append(passage_id)
+    systems = sorted({system_id for system_id, _ in ranked})
 
     skipped = len({query_id for _, query_id in ranked}.difference(expected))
     if skipped:
@@ -491,14 +493,14 @@ def cmd_evaluate(config: PipelineConfig) -> None:
     unscored = []
     for system_id in systems:
         for query_id, (topic_id, profile_id, index) in cells:
-            records = ranked.get((system_id, query_id))
-            if not records:
+            passages = ranked.get((system_id, query_id))
+            if not passages:
                 unscored.append((system_id, query_id))
                 value = 0.0
             else:
                 grade_of = grades.get(topic_id, {})
-                observed = [grade_of.get(r.passage_id, 0) for r in records]
-                value = ndcg_at_k(observed, pools.get(topic_id, []), k=config.k, gain=config.gain)
+                observed = [grade_of.get(p, 0) for p in passages[: config.k]]
+                value = ndcg_at_k(observed, ideal.get(topic_id, []), k=config.k, gain=config.gain)
             rows.append((topic_id, system_id, profile_id, index, value))
     if unscored:
         shown = ", ".join(f"{s}:{q}" for s, q in unscored[:5])

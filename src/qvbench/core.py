@@ -189,9 +189,9 @@ class _QrelFields(NamedTuple):
 
 class Qrel(_Validated, _QrelFields):
     """One relevance grade (0..3) for a (query, passage), from a human
-    judge or the LLM. `evaluate` reads and `judge` stores them by the
-    thousand, so, as in `RunRecord`, only a non-ASCII id costs an `nfc`
-    call."""
+    judge or the LLM. Built by the thousand, so, as in `RunRecord`, only a
+    non-ASCII id costs an `nfc` call; `parse_qrels` checks an all-ASCII
+    line itself and builds its tuple."""
 
     __slots__ = ()
 
@@ -300,12 +300,20 @@ def atomic_write(path, newline=None):
         raise
 
 
-def _lines(path):
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if line.strip():
-                yield lineno, line
+@contextmanager
+def _decoding(path):
+    """Turns a UnicodeDecodeError from reading `path` into a ParseError naming its line."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:  # the reader decoded in chunks, so find the byte in the file
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as found:  # bytes.splitlines splits where text reading does
+            line = len(data[: found.start + 1].splitlines())
+            raise ParseError(f"{path}:{line}: not valid UTF-8 ({found.reason})") from exc
+        raise
 
 
 def _read_records(path, build, required=(), text=(), columns=None) -> list:
@@ -320,33 +328,37 @@ def _read_records(path, build, required=(), text=(), columns=None) -> list:
     """
     jsonl = columns is None or str(path).endswith(".jsonl")
     records = []
-    for lineno, line in _lines(path):
-        where = f"{path}:{lineno}"
-        if jsonl:
+    with open(path, encoding="utf-8") as fh, _decoding(path):
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            if jsonl:
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
+                if not isinstance(obj, dict):
+                    raise ParseError(f"{where}: expected a JSON object")
+            else:
+                cols = line.split("\t")
+                if len(cols) != len(columns):
+                    raise ParseError(
+                        f"{where}: expected {len(columns)} tab-separated fields, got {len(cols)}"
+                    )
+                obj = dict(zip(columns, [cols[0].strip(), *cols[1:]]))
+            for key in required:
+                if key not in obj:
+                    raise ParseError(f"{where}: missing key {key!r}")
+            for key in text:
+                value = obj.get(key)
+                if not isinstance(value, str) and (value is not None or key in required):
+                    raise ParseError(f"{where}: {key} must be a string, got {type(value).__name__}")
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise ParseError(f"{where}: expected a JSON object")
-        else:
-            cols = line.split("\t")
-            if len(cols) != len(columns):
-                raise ParseError(
-                    f"{where}: expected {len(columns)} tab-separated fields, got {len(cols)}"
-                )
-            obj = dict(zip(columns, [cols[0].strip(), *cols[1:]]))
-        for key in required:
-            if key not in obj:
-                raise ParseError(f"{where}: missing key {key!r}")
-        for key in text:
-            value = obj.get(key)
-            if not isinstance(value, str) and (value is not None or key in required):
-                raise ParseError(f"{where}: {key} must be a string, got {type(value).__name__}")
-        try:
-            records.append(build(obj))
-        except (ParseError, ValidationError) as exc:
-            raise type(exc)(f"{where}: {exc}") from exc
+                records.append(build(obj))
+            except (ParseError, ValidationError) as exc:
+                raise type(exc)(f"{where}: {exc}") from exc
     return records
 
 
@@ -388,7 +400,7 @@ def parse_trec_run(path) -> list[RunRecord]:
     ordered by ascending passage_id.
     """
     records: list[RunRecord] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, _decoding(path):
         for lineno, line in enumerate(fh, start=1):
             cols = line.split()
             if not cols:
@@ -450,25 +462,30 @@ def parse_qrels(path) -> list[Qrel]:
     """TREC qrels: qid 0 docid grade, with an optional 5th source column."""
     qrels: list[Qrel] = []
     seen: set[tuple[str, str, str]] = set()
-    for lineno, line in _lines(path):
-        cols = line.split()
-        if len(cols) not in (4, 5):
-            raise ParseError(f"{path}:{lineno}: expected 4 or 5 columns, got {len(cols)}")
-        qid, _, docid, grade_text = cols[:4]
-        source = cols[4] if len(cols) == 5 else "human"
-        try:
-            grade = int(grade_text)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-integer grade {grade_text!r}") from exc
-        try:
-            qrel = Qrel(qid, docid, grade, source)
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-        key = (qrel.query_id, qrel.passage_id, qrel.source)
-        if key in seen:
-            raise ValidationError(f"{path}:{lineno}: duplicate qrel for {key}")
-        seen.add(key)
-        qrels.append(qrel)
+    with open(path, encoding="utf-8") as fh, _decoding(path):
+        for lineno, line in enumerate(fh, start=1):
+            cols = line.split()
+            if not cols:
+                continue
+            if len(cols) not in (4, 5):
+                raise ParseError(f"{path}:{lineno}: expected 4 or 5 columns, got {len(cols)}")
+            qid, _, docid, grade_text = cols[:4]
+            source = cols[4] if len(cols) == 5 else "human"
+            try:
+                grade = int(grade_text)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-integer grade {grade_text!r}") from exc
+            if 0 <= grade <= 3 and source in QREL_SOURCES and line.isascii():
+                qrel = tuple.__new__(Qrel, (qid, docid, grade, source))  # Qrel would pass it as is
+            else:
+                try:
+                    qrel = Qrel(qid, docid, grade, source)
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            if (key := (qrel[0], qrel[1], source)) in seen:
+                raise ValidationError(f"{path}:{lineno}: duplicate qrel for {key}")
+            seen.add(key)
+            qrels.append(qrel)
     return qrels
 
 

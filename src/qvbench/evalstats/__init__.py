@@ -2,7 +2,7 @@
 
 Import from the submodules: `agreement`, `anova`, `matrix`, `metrics`,
 `special` and `tukey`. Only `anova` and `tukey`, and `agreement` through
-them, load numpy. Stages load what they run: `evaluate` loads `metrics`
-and `special`, `report` loads `matrix`, and `analyze` is the one stage
-that loads all of them, and so numpy.
+them, load numpy. Stages load what they run: `evaluate` loads `metrics`,
+`report` loads `matrix`, and `analyze` is the one stage that loads all
+of them, and so numpy.
 """

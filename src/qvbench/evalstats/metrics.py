@@ -5,23 +5,22 @@ from __future__ import annotations
 import math
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .special import norm_sf
-
 VALID_GRADES = (0, 1, 2, 3)
 
-
-def _gain(grade: int, gain: str) -> float:
-    if gain == "linear":
-        return float(grade)
-    if gain == "exp":
-        return float(2**grade - 1)
-    raise ValueError(f"unknown gain {gain!r}")
+# Each gain mode's gain of grades 0..3: the grade itself, or 2**grade - 1.
+_GAINS = {"linear": {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}, "exp": {0: 0.0, 1: 1.0, 2: 3.0, 3: 7.0}}
+# log2(rank + 1) of ranks 1..100; a deeper cut computes its own
+_DISCOUNTS = tuple(math.log2(rank + 1) for rank in range(1, 101))
 
 
-def _dcg(grades: Sequence[int], k: int, gain: str) -> float:
+def _dcg(grades: Sequence[int], k: int, gains: Mapping[int, float]) -> float:
+    grades = grades[:k]
+    discounts = _DISCOUNTS
+    if len(grades) > len(discounts):
+        discounts = [math.log2(rank + 1) for rank in range(1, len(grades) + 1)]
     total = 0.0
-    for rank, grade in enumerate(grades[:k], start=1):
-        total += _gain(grade, gain) / math.log2(rank + 1)
+    for grade, discount in zip(grades, discounts):
+        total += gains[grade] / discount
     return total
 
 
@@ -34,19 +33,21 @@ def ndcg_at_k(
     """NDCG@k with 1/log2(rank+1) discount; 0.0 when the ideal gain is zero.
 
     `ranked_grades` are the grades of the retrieved passages in rank
-    order; `ideal_grades` is the grade multiset of the query's full
-    judgment pool, from which the ideal ranking is formed.
+    order; `ideal_grades` is the grade multiset of the query's judgment
+    pool, or of its k best grades, from which the ideal ranking is formed.
     """
     if k < 1:
         raise ValueError(f"k={k} must be >= 1")
+    if gain not in _GAINS:
+        raise ValueError(f"unknown gain {gain!r}")
     ideal = sorted(ideal_grades, reverse=True)
     for grade in list(ranked_grades[:k]) + ideal[:k]:
         if grade not in VALID_GRADES:
             raise ValueError(f"grade {grade!r} outside 0..3")
-    idcg = _dcg(ideal, k, gain)
+    idcg = _dcg(ideal, k, _GAINS[gain])
     if idcg == 0.0:
         return 0.0
-    return _dcg(ranked_grades, k, gain) / idcg
+    return _dcg(ranked_grades, k, _GAINS[gain]) / idcg
 
 
 def kendall_tau(ranking_a: Mapping[str, float], ranking_b: Mapping[str, float]) -> float:
@@ -115,6 +116,8 @@ def mann_whitney_u(
     correction; the z statistic uses a 0.5 continuity correction. When
     every value is identical the test degenerates to p = 1.
     """
+    from .special import norm_sf  # here, so that evaluate, which needs only NDCG, loads no more
+
     n1, n2 = len(sample_a), len(sample_b)
     if n1 == 0 or n2 == 0:
         raise ValueError("both samples must be non-empty")

@@ -21,6 +21,7 @@ full scale.
 from __future__ import annotations
 
 import threading
+from collections import defaultdict
 from pathlib import Path
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -128,24 +129,27 @@ def coverage(
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
-    human = {(q.query_id, q.passage_id) for q in qrels if q.source == "human"}
-    top = [record for record in runs if record.rank <= k]
-    # each distinct id decoded once: a run repeats it per system and rank
-    cell_of = {query_id: query_cell(query_id) for query_id in {r.query_id for r in top}}
+    human: dict[str, set[str]] = defaultdict(set)  # topic -> its human-judged passages
+    for q in qrels:
+        if q.source == "human":
+            human[q.query_id].add(q.passage_id)
+    top: dict[tuple[str, str], list[str]] = defaultdict(list)
+    for system_id, query_id, passage_id, rank, _ in runs:
+        if rank <= k:
+            top[system_id, query_id].append(passage_id)
+    cell_of = {q: query_cell(q) for q in {q for _, q in top}}  # each id decoded once
     counts: dict[tuple[str, str], list[int]] = {}
-    for record in top:
-        topic, profile, _ = cell_of[record.query_id]
-        judged = (topic, record.passage_id) in human
-        for key in ((record.system_id, profile), ("all", "all")):
+    for (system_id, query_id), passages in top.items():
+        topic, profile, _ = cell_of[query_id]
+        judged = sum(map(human[topic].__contains__, passages))
+        for key in ((system_id, profile), ("all", "all")):
             bucket = counts.setdefault(key, [0, 0])
             bucket[0] += judged
-            bucket[1] += 1
-    reports = []
-    for (system_id, profile_id), (judged, total) in sorted(counts.items()):
-        reports.append(
-            CoverageReport(system_id, profile_id, k, judged, total, 1 - judged / total)
-        )
-    return reports
+            bucket[1] += len(passages)
+    return [
+        CoverageReport(system_id, profile_id, k, judged, total, 1 - judged / total)
+        for (system_id, profile_id), (judged, total) in sorted(counts.items())
+    ]
 
 
 def load_label_template() -> str:

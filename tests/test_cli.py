@@ -347,6 +347,14 @@ class TestImportRuns:
         assert capsys.readouterr().err == f"error: {bad}:2: non-finite score {score!r}\n"
         assert list((out_dir(config_path) / "runs").iterdir()) == []
 
+    def test_undecodable_run_file_named_with_its_line(self, tmp_path, capsys):
+        config_path = write_toy_workspace(tmp_path / "ws")
+        bad = config_path.parent / "runs" / "zz_bad.run"
+        bad.write_bytes(b"t01 Q0 p\xff01 1 5.0 zzz\n")
+        assert main(["import-runs", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:1: not valid UTF-8 (invalid start byte)\n"
+        assert list((out_dir(config_path) / "runs").iterdir()) == []
+
     @pytest.mark.parametrize("tag", ["../../escaped", "sub/escaped", "a\\b", ".hidden"])
     def test_tag_that_is_not_a_file_name_rejected(self, tmp_path, capsys, tag):
         config_path = write_toy_workspace(tmp_path / "ws")
@@ -405,6 +413,34 @@ class TestEvaluateStage:
         assert len(overall) == 1
         assert 0.0 <= float(overall[0]["missing_fraction"]) <= 1.0
 
+
+    # sha256 of what evaluate writes from the toy out/ under settings
+    # other than c5's, recorded when each NDCG call sorted the whole pool
+    # and computed every gain and discount, so they pin the gain tables
+    # and the top-k pool cut
+    NON_DEFAULT_DIGESTS = {
+        ("--gain", "exp", "--k", "5"): {
+            "ndcg.csv": "b6c32b643f08e9de5b5d5ea34791f458ec22bec848958b229940303bcffa56fd",
+            "coverage.csv": "82510a58134d351949886c847d2264f9e45695801374ae0dedc7943fad4d889d",
+            "merged_qrels.txt": "de75d3b43737848dec5fc02eca69a07ee3ab70f860815549fb225752aff1acd3",
+        },
+        ("--merge", "llm"): {
+            "ndcg.csv": "a534cff3b23c529a1f4d161a7490bc2a25502ef60c9764f2b1b5b0f9cd17c8ef",
+            "coverage.csv": "455a0d05322163345241ff25fd3955b44da7c81c6868fc9030a93833dd660dc1",
+            "merged_qrels.txt": "9c2c752898b6081c9a4a425980e118f54e949e69629a986a7cef5ecd80fb090d",
+        },
+    }
+
+    @pytest.mark.parametrize("flags", sorted(NON_DEFAULT_DIGESTS))
+    def test_bytes_under_non_default_settings(self, workspace, tmp_path, flags):
+        out = tmp_path / "out"
+        shutil.copytree(out_dir(workspace), out)
+        assert main(["evaluate", "--config", str(workspace), "--out", str(out), *flags]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in self.NON_DEFAULT_DIGESTS[flags]
+        }
+        assert digests == self.NON_DEFAULT_DIGESTS[flags]
 
     @staticmethod
     def evaluate_with_edited_run(workspace, tmp_path, edit, files=1):
@@ -781,7 +817,7 @@ class TestModuleEntryPoint:
         "search": {"cli", "retrieval", "textkit", "porter"},
         "import-runs": {"cli"},
         "judge": {"cli", "genkit", "judge"},
-        "evaluate": {"cli", "judge", "evalstats", "evalstats.metrics", "evalstats.special"},
+        "evaluate": {"cli", "judge", "evalstats", "evalstats.metrics"},
         "analyze": {
             "cli",
             "evalstats",

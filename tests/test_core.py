@@ -43,7 +43,7 @@ from qvbench.core import (
     write_trec_run,
     write_variants,
 )
-from qvbench.cli import PipelineConfig
+from qvbench.cli import PipelineConfig, parse_config_file
 from qvbench.judge import AgreementReport, CoverageReport
 from qvbench.retrieval import Bm25Params
 from qvbench.textkit import VariantFeatureRecord
@@ -512,6 +512,104 @@ def test_parse_trec_run_matches_per_line_oracle(tmp_path, text):
     assert _parse_outcome(parse_trec_run, path) == _parse_outcome(_parse_trec_run_per_line, path)
 
 
+def _parse_qrels_per_line(path):
+    """`parse_qrels` as it was before its one-loop rewrite, kept as its
+    oracle: lines from `rstrip`, blank ones skipped by `strip`, every
+    record built by `Qrel`, duplicates keyed by attribute."""
+    qrels = []
+    seen = set()
+    with open(path, encoding="utf-8") as fh:
+        lines = [(n, raw.rstrip("\n")) for n, raw in enumerate(fh, start=1)]
+    for lineno, line in lines:
+        if not line.strip():
+            continue
+        cols = line.split()
+        if len(cols) not in (4, 5):
+            raise ParseError(f"{path}:{lineno}: expected 4 or 5 columns, got {len(cols)}")
+        qid, _, docid, grade_text = cols[:4]
+        source = cols[4] if len(cols) == 5 else "human"
+        try:
+            grade = int(grade_text)
+        except ValueError as exc:
+            raise ParseError(f"{path}:{lineno}: non-integer grade {grade_text!r}") from exc
+        try:
+            qrel = Qrel(qid, docid, grade, source)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+        key = (qrel.query_id, qrel.passage_id, qrel.source)
+        if key in seen:
+            raise ValidationError(f"{path}:{lineno}: duplicate qrel for {key}")
+        seen.add(key)
+        qrels.append(qrel)
+    return qrels
+
+
+_QREL_GRADES = ("0", "1", "2", "3")
+_BAD_GRADES = ("x", "4", "-1", "+3", "\u0663")  # U+0663 is an Arabic-Indic 3, which int() reads
+_QREL_SOURCES = (None, "human", "llm")
+
+
+@st.composite
+def _qrels_file_texts(draw):
+    """Qrels text that is mostly valid: distinct (qid, docid, source)
+    rows, with a 5th source column or not, whose keys may still clash:
+    a row without a source is human's, an id may be the NFD of another,
+    and about one file in four repeats a row.
+    Draws then break a grade or a source, change a line's column count
+    to 3 or 6, join columns with non-ASCII spaces, add blank and
+    whitespace-only lines, and pick LF or CRLF line ends."""
+    extra = _NON_ASCII_IDS if draw(st.integers(0, 2)) == 0 else ()
+    keys = st.tuples(
+        st.sampled_from(_RUN_QIDS + extra),
+        st.sampled_from(_RUN_PIDS + extra),
+        st.sampled_from(_QREL_SOURCES),
+    )
+    rows = []
+    for qid, pid, source in draw(st.lists(keys, min_size=1, max_size=8, unique=True)):
+        row = [qid, "0", pid, draw(st.sampled_from(_QREL_GRADES))]
+        rows.append(row if source is None else [*row, source])
+    if draw(st.integers(0, 3)) == 0:
+        rows.append(list(draw(st.sampled_from(rows))))
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        kind = draw(st.sampled_from(["grade", "source", "short", "long"]))
+        if kind == "grade":
+            row[3:4] = [draw(st.sampled_from(_BAD_GRADES))]
+        elif kind == "source":
+            row[4:] = ["bogus"]
+        elif kind == "short":
+            del row[3:]
+        else:
+            row[4:] = ["llm", "extra"]
+    seps = draw(st.lists(st.sampled_from([" ", "\t", " \u2003"]), min_size=1, max_size=2))
+    lines = [draw(st.sampled_from(seps)).join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BLANKS)))
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + draw(st.sampled_from(["", eol]))
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(text=_qrels_file_texts())
+@example(text="q1 0 p1 2\r\n \r\n\r\nq1 0 p2 1 llm\r\n\t\r\n")
+@example(text="q1 0 p1\n")
+@example(text="q1 0 p1 2 llm x\n")
+@example(text="q1 0 p1 x\n")
+@example(text="q1 0 p1 4\n")
+@example(text="q1 0 p1 -1\n")
+@example(text="q1 0 p1 2 bogus\n")
+@example(text="q1 0 p1 2\nq1 0 p1 3 human\n")
+@example(text="q1 0 p1 2 llm\nq1 0 p1 3 human\n")
+@example(text="q1 0 cafe\u0301 2\nq1 0 caf\u00e9 1\n")
+@example(text="q1\u00a00 p1 2\u2003llm\n")
+def test_parse_qrels_matches_per_line_oracle(tmp_path, text):
+    path = tmp_path / "oracle.qrels"
+    path.write_bytes(text.encode("utf-8"))
+    assert _parse_outcome(parse_qrels, path) == _parse_outcome(_parse_qrels_per_line, path)
+
+
 def test_parse_qrels(tmp_path):
     p = tmp_path / "qrels.txt"
     p.write_text("q1 0 p7 3\n", encoding="utf-8")
@@ -576,8 +674,47 @@ def test_read_variants_missing_key(tmp_path):
 def test_read_variants_non_utf8(tmp_path):
     p = tmp_path / "variants.jsonl"
     p.write_bytes(b'{"topic_id": "1"\xff}\n')
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(ParseError, match=":1:"):
         read_variants(p)
+
+
+_RUN_LINES = [b"q1 Q0 p1 1 2.0 s", b"q1 Q0 p2 2 1.0 s", b"q1 Q0 p\xff 3 0.5 s"]
+
+
+@pytest.mark.parametrize(
+    "reader, name, data, reason",
+    [
+        (parse_trec_run, "bad.run", b"\n".join(_RUN_LINES) + b"\n", "invalid start byte"),
+        (parse_trec_run, "crlf.run", b"\r\n".join(_RUN_LINES), "invalid start byte"),
+        (parse_trec_run, "cr.run", b"\r".join(_RUN_LINES) + b"\r", "invalid start byte"),
+        (parse_qrels, "qrels.txt", b"q1 0 p1 1\n\nq1 0 p\xff 3\n", "invalid start byte"),
+        # Latin-1: the e-acute byte is followed by an ASCII letter
+        (parse_topics, "topics.tsv", b"t1\tone\nt2\ttwo\nt3\tthr\xe9e\n",
+         "invalid continuation byte"),
+        (read_variants, "variants.jsonl", b"{}\n{}\n{\"text\": \"\xc3\"}\n",
+         "invalid continuation byte"),
+        (parse_config_file, "bad.cfg", b"# toy\nk = 10\nout = \xff\n", "invalid start byte"),
+    ],
+    ids=["run-lf", "run-crlf", "run-cr", "qrels", "topics-tsv", "variants", "config"],
+)
+def test_undecodable_byte_names_file_and_line(tmp_path, reader, name, data, reason):
+    p = tmp_path / name
+    p.write_bytes(data)
+    with pytest.raises(ParseError) as info:
+        reader(p)
+    assert str(info.value) == f"{p}:3: not valid UTF-8 ({reason})"
+
+
+def test_undecodable_byte_past_the_first_decoded_chunk(tmp_path):
+    """The text reader decodes the file in chunks of a few kilobytes; the
+    line named is the file's, not one counted within a chunk."""
+    p = tmp_path / "long.run"
+    lines = [f"q1 Q0 p{rank} {rank} {2000.0 - rank!r} s\n".encode() for rank in range(1, 1201)]
+    lines[1000] = lines[1000].replace(b"p1001", b"p\x80")
+    p.write_bytes(b"".join(lines))
+    with pytest.raises(ParseError) as info:
+        parse_trec_run(p)
+    assert str(info.value) == f"{p}:1001: not valid UTF-8 (invalid start byte)"
 
 
 def test_variant_index_bounds():

@@ -10,7 +10,15 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 import qvbench.judge as judge
-from qvbench.core import ParseError, Passage, Qrel, RunRecord, Topic, ValidationError
+from qvbench.core import (
+    ParseError,
+    Passage,
+    Qrel,
+    RunRecord,
+    Topic,
+    ValidationError,
+    query_cell,
+)
 from qvbench.genkit import GenerationError, MockProvider
 from qvbench.judge import (
     AgreementReport,
@@ -132,6 +140,65 @@ class TestCoverage:
             CoverageReport("s", "p", 10, 7, 10, 0.5)
         with pytest.raises(ValidationError):
             coverage([], [], k=0)
+
+
+def _coverage_per_record(runs, qrels, k=10):
+    """`coverage` as it was before it counted per query, kept as its
+    oracle: one (topic, passage) lookup and two bucket updates per
+    top-k record."""
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    human = {(q.query_id, q.passage_id) for q in qrels if q.source == "human"}
+    top = [record for record in runs if record.rank <= k]
+    cell_of = {query_id: query_cell(query_id) for query_id in {r.query_id for r in top}}
+    counts = {}
+    for record in top:
+        topic, profile, _ = cell_of[record.query_id]
+        judged = (topic, record.passage_id) in human
+        for key in ((record.system_id, profile), ("all", "all")):
+            bucket = counts.setdefault(key, [0, 0])
+            bucket[0] += judged
+            bucket[1] += 1
+    return [
+        CoverageReport(system_id, profile_id, k, judged, total, 1 - judged / total)
+        for (system_id, profile_id), (judged, total) in sorted(counts.items())
+    ]
+
+
+_COVERAGE_QUERIES = ("t1", "t2", "t1__emily__1", "t1__emily__3", "t2__bob__2", "t3__emily__1")
+
+
+@given(
+    records=st.lists(
+        st.tuples(
+            st.sampled_from(("s1", "s2", "s3")),
+            st.sampled_from(_COVERAGE_QUERIES),
+            st.sampled_from(("p1", "p2", "p3", "p4")),
+            st.integers(1, 14),
+        ),
+        max_size=40,
+    ),
+    qrels=st.lists(
+        st.tuples(
+            st.sampled_from(("t1", "t2", "t3", "t1__emily__1")),
+            st.sampled_from(("p1", "p2", "p3", "p4")),
+            st.integers(0, 3),
+            st.sampled_from(("human", "llm")),
+        ),
+        max_size=12,
+    ),
+    k=st.integers(1, 12),
+    rnd=st.randoms(use_true_random=False),
+)
+def test_coverage_matches_the_per_record_count(records, qrels, k, rnd):
+    """Shuffled records, so a (system, query)'s results are not together
+    and a passage may repeat; ranks beyond k; seed and variant ids; human
+    and LLM labels, and a label keyed by a variant id, which no run
+    record's topic matches."""
+    runs = [run(system, query, pid, rank) for system, query, pid, rank in records]
+    rnd.shuffle(runs)
+    labels = [Qrel(*fields) for fields in qrels]
+    assert coverage(runs, labels, k) == _coverage_per_record(runs, labels, k)
 
 
 class TestQueryIdsDecodedOnce:

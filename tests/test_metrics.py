@@ -90,6 +90,81 @@ def test_ndcg_matches_permutation_oracle():
         assert ndcg_at_k(ranked, pool, k, gain) == pytest.approx(want, abs=1e-9)
 
 
+def _gain_per_call(grade, gain):
+    if gain == "linear":
+        return float(grade)
+    if gain == "exp":
+        return float(2**grade - 1)
+    raise ValueError(f"unknown gain {gain!r}")
+
+
+def _dcg_per_call(grades, k, gain):
+    total = 0.0
+    for rank, grade in enumerate(grades[:k], start=1):
+        total += _gain_per_call(grade, gain) / math.log2(rank + 1)
+    return total
+
+
+def ndcg_sorting_the_whole_pool(ranked_grades, ideal_grades, k=10, gain="linear"):
+    """`ndcg_at_k` as it was before its gain and discount tables, kept as
+    its oracle: the whole pool sorted per call, each gain and discount
+    computed per rank."""
+    if k < 1:
+        raise ValueError(f"k={k} must be >= 1")
+    ideal = sorted(ideal_grades, reverse=True)
+    for grade in list(ranked_grades[:k]) + ideal[:k]:
+        if grade not in (0, 1, 2, 3):
+            raise ValueError(f"grade {grade!r} outside 0..3")
+    idcg = _dcg_per_call(ideal, k, gain)
+    if idcg == 0.0:
+        return 0.0
+    return _dcg_per_call(ranked_grades, k, gain) / idcg
+
+
+_POOLS = st.one_of(
+    st.just([]),
+    st.lists(st.just(0), min_size=1, max_size=20),
+    st.lists(st.integers(0, 3), max_size=40),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    ranked=st.lists(st.integers(0, 3), max_size=20),
+    pool=_POOLS,
+    k=st.integers(1, 12),
+    gain=st.sampled_from(("linear", "exp")),
+)
+def test_ndcg_equals_the_whole_pool_oracle_bit_for_bit(ranked, pool, k, gain):
+    """Exactly equal, not approximately: the same gains and discounts
+    summed in the same order, whether the pool comes whole or as the
+    top k that `evaluate` passes."""
+    want = ndcg_sorting_the_whole_pool(ranked, pool, k, gain)
+    assert ndcg_at_k(ranked, pool, k, gain) == want
+    assert ndcg_at_k(ranked, sorted(pool, reverse=True)[:k], k, gain) == want
+    assert ndcg_at_k(tuple(ranked), iter(pool), k, gain) == want
+
+
+@pytest.mark.parametrize("ranked", [[], [2]])
+def test_ndcg_unknown_gain_rejected_with_an_empty_pool(ranked):
+    with pytest.raises(ValueError, match="unknown gain 'bogus'"):
+        ndcg_at_k(ranked, [], gain="bogus")
+
+
+@pytest.mark.parametrize("depth", [99, 100, 101, 150])
+def test_ndcg_at_depths_around_the_end_of_the_discount_table(depth):
+    """Ranks 1..100 take their discounts from a table; a deeper cut
+    computes its own, and both match the per-rank log2."""
+    ranked = [3] + [0] * (depth - 2) + [2]
+    pool = [3, 2] + [0] * depth
+    want = ndcg_sorting_the_whole_pool(ranked, pool, depth)
+    assert want < 1.0
+    assert ndcg_at_k(ranked, pool, depth) == want
+    assert ndcg_at_k(ranked + [1], pool, depth + 1) == ndcg_sorting_the_whole_pool(
+        ranked + [1], pool, depth + 1
+    )
+
+
 def oracle_tau_b(a, b):
     """Tie-group route: (C-D)/sqrt((n0-n1)(n0-n2))."""
     keys = sorted(a)
