@@ -189,9 +189,9 @@ class _QrelFields(NamedTuple):
 
 class Qrel(_Validated, _QrelFields):
     """One relevance grade (0..3) for a (query, passage), from a human
-    judge or the LLM. Built by the thousand, so, as in `RunRecord`, only a
-    non-ASCII id costs an `nfc` call; `parse_qrels` checks an all-ASCII
-    line itself and builds its tuple."""
+    judge or the LLM. `evaluate` reads and `judge` stores them by the
+    thousand, so, as in `RunRecord`, only a non-ASCII id costs an `nfc`
+    call."""
 
     __slots__ = ()
 
@@ -475,13 +475,10 @@ def parse_qrels(path) -> list[Qrel]:
                 grade = int(grade_text)
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: non-integer grade {grade_text!r}") from exc
-            if 0 <= grade <= 3 and source in QREL_SOURCES and line.isascii():
-                qrel = tuple.__new__(Qrel, (qid, docid, grade, source))  # Qrel would pass it as is
-            else:
-                try:
-                    qrel = Qrel(qid, docid, grade, source)
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            try:
+                qrel = Qrel(qid, docid, grade, source)
+            except ValidationError as exc:
+                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
             if (key := (qrel[0], qrel[1], source)) in seen:
                 raise ValidationError(f"{path}:{lineno}: duplicate qrel for {key}")
             seen.add(key)

@@ -9,18 +9,12 @@ VALID_GRADES = (0, 1, 2, 3)
 
 # Each gain mode's gain of grades 0..3: the grade itself, or 2**grade - 1.
 _GAINS = {"linear": {0: 0.0, 1: 1.0, 2: 2.0, 3: 3.0}, "exp": {0: 0.0, 1: 1.0, 2: 3.0, 3: 7.0}}
-# log2(rank + 1) of ranks 1..100; a deeper cut computes its own
-_DISCOUNTS = tuple(math.log2(rank + 1) for rank in range(1, 101))
 
 
 def _dcg(grades: Sequence[int], k: int, gains: Mapping[int, float]) -> float:
-    grades = grades[:k]
-    discounts = _DISCOUNTS
-    if len(grades) > len(discounts):
-        discounts = [math.log2(rank + 1) for rank in range(1, len(grades) + 1)]
     total = 0.0
-    for grade, discount in zip(grades, discounts):
-        total += gains[grade] / discount
+    for rank, grade in enumerate(grades[:k], start=1):
+        total += gains[grade] / math.log2(rank + 1)
     return total
 
 

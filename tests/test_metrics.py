@@ -106,9 +106,8 @@ def _dcg_per_call(grades, k, gain):
 
 
 def ndcg_sorting_the_whole_pool(ranked_grades, ideal_grades, k=10, gain="linear"):
-    """`ndcg_at_k` as it was before its gain and discount tables, kept as
-    its oracle: the whole pool sorted per call, each gain and discount
-    computed per rank."""
+    """`ndcg_at_k` as it was before its gain table, kept as its oracle:
+    the whole pool sorted per call, each gain computed per rank."""
     if k < 1:
         raise ValueError(f"k={k} must be >= 1")
     ideal = sorted(ideal_grades, reverse=True)
@@ -152,9 +151,8 @@ def test_ndcg_unknown_gain_rejected_with_an_empty_pool(ranked):
 
 
 @pytest.mark.parametrize("depth", [99, 100, 101, 150])
-def test_ndcg_at_depths_around_the_end_of_the_discount_table(depth):
-    """Ranks 1..100 take their discounts from a table; a deeper cut
-    computes its own, and both match the per-rank log2."""
+def test_ndcg_at_deep_cuts_matches_the_oracle(depth):
+    """Cuts far past the usual k = 10 match the per-rank oracle too."""
     ranked = [3] + [0] * (depth - 2) + [2]
     pool = [3, 2] + [0] * depth
     want = ndcg_sorting_the_whole_pool(ranked, pool, depth)
