@@ -68,6 +68,12 @@ _MERGE_ALIASES = {
     "human-preferred": "human-preferred",
 }
 
+# The columns of ndcg.csv, which evaluate writes and analyze and report
+# read, and of marginal_means.csv, which analyze writes and report reads.
+_NDCG_COLUMNS = ("topic_id", "system_id", "profile_id", "variant_index", "ndcg")
+_MEANS_COLUMNS = ("profile", "mean", "ci_low", "ci_high")
+
+
 class ImbalanceError(Exception):
     """Effectiveness matrix cannot enter the balanced analysis."""
 
@@ -207,18 +213,23 @@ def _variants_path(config: PipelineConfig) -> Path:
     return config.out / "variants.jsonl"
 
 
-def _swept_variants(config: PipelineConfig) -> list:
-    """The variants file `generate` wrote, rejected if two variants share
-    a (topic, profile, index) key."""
-    path = _variants_path(config)
-    variants = read_variants(path)
-    seen = set()
+def _keyed_variants(path, variants) -> dict:
+    """Variants read from `path` by (topic, profile, index) key, rejected
+    if two share a key."""
+    keyed = {}
     for v in variants:
         key = (v.topic_id, v.profile_id, v.index)
-        if key in seen:
+        if key in keyed:
             raise ValidationError(f"{path}: duplicate variant (topic, profile, index) {key}")
-        seen.add(key)
-    return variants
+        keyed[key] = v
+    return keyed
+
+
+def _swept_variants(config: PipelineConfig) -> list:
+    """The variants file `generate` wrote, rejected if two variants share
+    a key."""
+    path = _variants_path(config)
+    return list(_keyed_variants(path, read_variants(path)).values())
 
 
 def _runs_out(config: PipelineConfig) -> Path:
@@ -251,17 +262,19 @@ def cmd_generate(config: PipelineConfig) -> None:
 
     variants_path = _variants_path(config)
     existing = read_variants(variants_path) if variants_path.exists() else []
+    # Keep previously generated variants for profiles outside this
+    # invocation's method selection, which generate_sweep does not
+    # regenerate, so a duplicate among them fails before any provider
+    # call; order everything canonically.
+    selected_ids = {p.profile_id for p in selected}
+    merged = _keyed_variants(
+        variants_path, (v for v in existing if v.profile_id not in selected_ids)
+    )
     provider = make_provider(config)
     logs = []
     produced = generate_sweep(
         provider, topics, selected, existing=existing, logs=logs
     )
-
-    # Keep previously generated variants for profiles outside this
-    # invocation's method selection; order everything canonically.
-    selected_ids = {p.profile_id for p in selected}
-    merged = {(v.topic_id, v.profile_id, v.index): v for v in existing
-              if v.profile_id not in selected_ids}
     for v in produced:
         merged[(v.topic_id, v.profile_id, v.index)] = v
     topic_pos = {t.topic_id: i for i, t in enumerate(topics)}
@@ -430,11 +443,16 @@ def cmd_judge(config: PipelineConfig) -> None:
     config.out.mkdir(parents=True, exist_ok=True)
     provider = make_provider(config)
 
+    # A stored backstory is reused only for the topic and seed query it
+    # was written for.
     backstories_path = config.out / "backstories.jsonl"
+    stored = {}
     if backstories_path.exists():
-        topics = parse_topics(backstories_path)
-    else:
-        topics = parse_topics(config.topics)
+        stored = {(t.topic_id, t.seed_query): t.backstory for t in parse_topics(backstories_path)}
+    topics = [
+        t if t.backstory else t._replace(backstory=stored.get((t.topic_id, t.seed_query)))
+        for t in parse_topics(config.topics)
+    ]
     topics = generate_backstories(provider, topics)
     write_topics(topics, backstories_path)
 
@@ -511,8 +529,7 @@ def cmd_evaluate(config: PipelineConfig) -> None:
         )
 
     rows.sort()
-    header = ["topic_id", "system_id", "profile_id", "variant_index", "ndcg"]
-    write_csv(config.out / "ndcg.csv", header, rows)
+    write_csv(config.out / "ndcg.csv", _NDCG_COLUMNS, rows)
     print(f"ndcg: {len(rows)} rows over {len(systems)} systems")
 
 
@@ -523,17 +540,18 @@ def _read_matrix(config: PipelineConfig):
     path = config.out / "ndcg.csv"
     if not path.exists():
         raise ValidationError(f"{path} missing; run evaluate first")
-    cells = [
-        (
+    rows = read_csv(
+        path,
+        lambda row: (
             row["topic_id"],
             row["system_id"],
             row["profile_id"],
             int(row["variant_index"]),
             float(row["ndcg"]),
-        )
-        for row in read_csv(path)
-        if row["profile_id"] != SEED_PROFILE
-    ]
+        ),
+        _NDCG_COLUMNS,
+    )
+    cells = [row for row in rows if row[2] != SEED_PROFILE]
     if not cells:
         raise ValidationError("ndcg.csv holds no variant cells")
     try:
@@ -590,7 +608,7 @@ def cmd_analyze(config: PipelineConfig) -> None:
     )
 
     means = marginal_means(matrix, table, alpha=config.alpha)
-    write_csv(config.out / "marginal_means.csv", ["profile", "mean", "ci_low", "ci_high"], means)
+    write_csv(config.out / "marginal_means.csv", _MEANS_COLUMNS, means)
 
     write_csv(
         config.out / "tukey_pairs.csv",
@@ -697,12 +715,20 @@ def cmd_report(config: PipelineConfig) -> None:
     if not means_path.exists():
         raise ValidationError(f"{means_path} missing; run analyze first")
 
-    labels, values, errors = [], [], []
-    for row in read_csv(means_path):
-        labels.append(row["profile"])
-        values.append(float(row["mean"]))
-        errors.append((float(row["ci_low"]), float(row["ci_high"])))
-    svg = _svg_bar_chart("Marginal mean NDCG by profile", labels, values, errors)
+    rows = read_csv(
+        means_path,
+        lambda row: (row["profile"], float(row["mean"]), float(row["ci_low"]),
+                     float(row["ci_high"])),
+        _MEANS_COLUMNS,
+    )
+    if not rows:
+        raise ValidationError(f"{means_path} holds no profile rows")
+    svg = _svg_bar_chart(
+        "Marginal mean NDCG by profile",
+        [r[0] for r in rows],
+        [r[1] for r in rows],
+        [(r[2], r[3]) for r in rows],
+    )
     with atomic_write(config.out / "marginal_means.svg") as fh:
         fh.write(svg)
 

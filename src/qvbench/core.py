@@ -68,13 +68,15 @@ def nfc(text: str) -> str:
 
 
 class _Validated:
-    """First base of a checked record, `class X(_Validated, _XFields)`:
-    `_XFields` is the NamedTuple of X's fields, and X's `__new__` checks
-    them and builds the tuple. A namedtuple's own `_make`, and so its
-    `_replace`, would skip that `__new__`; this `_make` calls X. Being a
-    tuple, a record costs little to build and its class little to
-    define; it is immutable and hashable, equals the plain tuple of its
-    fields and orders like one.
+    """First base of a record built from a file, a flag or a library
+    argument, `class X(_Validated, _XFields)`: `_XFields` is the
+    NamedTuple of X's fields, and X's `__new__` checks them and builds
+    the tuple. A namedtuple's own `_make`, and so its `_replace`, would
+    skip that `__new__`; this `_make` calls X. A record that one function
+    of the package computes and builds is a plain NamedTuple: its values
+    are checked where they enter, not again. Being a tuple, a record is
+    cheap to build, immutable and hashable, and equals and orders like
+    the plain tuple of its fields.
     """
 
     __slots__ = ()
@@ -507,10 +509,7 @@ def write_passages(passages: Iterable[Passage], path) -> None:
 
 
 def _variant(obj: dict) -> QueryVariant:
-    index = obj["index"]
-    if not isinstance(index, int) or isinstance(index, bool):
-        raise ParseError("index must be an integer")
-    return QueryVariant(str(obj["topic_id"]), str(obj["profile_id"]), index, obj["text"])
+    return QueryVariant(str(obj["topic_id"]), str(obj["profile_id"]), obj["index"], obj["text"])
 
 
 def read_variants(path) -> list[QueryVariant]:
@@ -582,10 +581,32 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
             writer.writerow([_csv_cell(value) for value in row])
 
 
-def read_csv(path) -> list[dict]:
-    """The rows of a CSV table as dicts of header name to cell text."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+def read_csv(path, build=dict, required=()) -> list:
+    """The records of a CSV table, one per non-blank row.
+
+    The header must name every `required` column and each row must have
+    one cell per column; `build` turns the row's dict of header name to
+    cell text into a record. Every error, and a ValueError from `build`,
+    names the file and line.
+    """
+    records = []
+    with open(path, encoding="utf-8", newline="") as fh, _decoding(path):
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        for column in required:
+            if column not in header:
+                raise ParseError(f"{path}:1: missing column {column!r}")
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}:{reader.line_num}"
+            if len(row) != len(header):
+                raise ParseError(f"{where}: expected {len(header)} cells, got {len(row)}")
+            try:
+                records.append(build(dict(zip(header, row))))
+            except ValueError as exc:
+                raise ParseError(f"{where}: {exc}") from exc
+    return records
 
 
 def expected_variant_count(num_seeds: int, num_profiles: int) -> int:

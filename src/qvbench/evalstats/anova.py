@@ -55,12 +55,6 @@ class AnovaTable(NamedTuple):
     def df_error(self) -> int:
         return self.error.df
 
-    def row(self, source: str) -> AnovaRow:
-        for row in self.rows:
-            if row.source == source:
-                return row
-        raise KeyError(source)
-
     def all_rows(self) -> list[AnovaRow]:
         return list(self.rows) + [self.error, self.total]
 

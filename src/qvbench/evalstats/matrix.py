@@ -26,9 +26,6 @@ class EffectivenessMatrix:
             raise ValueError(f"duplicate cell {key}")
         self._cells[key] = value
 
-    def get(self, topic: str, system: str, profile: str, index: int) -> float:
-        return self._cells[(topic, system, profile, index)]
-
     def __len__(self) -> int:
         return len(self._cells)
 

@@ -50,6 +50,7 @@ from .core import (
     TransportError,
     ValidationError,
     _Validated,
+    _decoding,
     _substitute,
     complete_parsed,
     group_variants,
@@ -657,13 +658,14 @@ def load_profiles(path=None) -> list[Profile]:
     """Bundled or user-supplied profile descriptions as Profile records."""
     if path is None:
         path = _DATA / "profiles.json"
-    text = Path(path).read_text("utf-8")
+    with open(path, encoding="utf-8") as fh, _decoding(path):
+        text = fh.read()
     try:
         data = json.loads(text)
-    except ValueError as exc:
-        raise ParseError(f"profiles file is not valid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
     if not isinstance(data, list):
-        raise ParseError("profiles file must hold a JSON array")
+        raise ParseError(f"{path}: expected a JSON array of profiles")
     profiles = []
     seen = set()
     for i, entry in enumerate(data):

@@ -34,7 +34,6 @@ from .core import (
     RunRecord,
     Topic,
     ValidationError,
-    _Validated,
     _substitute,
     complete_parsed,
     parse_qrels,
@@ -73,7 +72,8 @@ SCALE_DESCRIPTION = (
 )
 
 
-class _CoverageReportFields(NamedTuple):
+class CoverageReport(NamedTuple):
+    """Built only by `coverage`, which computes every field."""
     system_id: str
     profile_id: str
     k: int
@@ -82,40 +82,13 @@ class _CoverageReportFields(NamedTuple):
     missing_fraction: float
 
 
-class CoverageReport(_Validated, _CoverageReportFields):
-    __slots__ = ()
-
-    def __new__(cls, system_id, profile_id, k, judged, total, missing_fraction):
-        if k < 1:
-            raise ValidationError("k must be >= 1")
-        if not 0 <= judged <= total:
-            raise ValidationError("judged count outside 0..total")
-        if total < 1:
-            raise ValidationError("coverage over zero pairs")
-        if missing_fraction != 1 - judged / total:
-            raise ValidationError(f"missing_fraction {missing_fraction} != 1 - {judged}/{total}")
-        return tuple.__new__(cls, (system_id, profile_id, k, judged, total, missing_fraction))
-
-
-class _AgreementReportFields(NamedTuple):
+class AgreementReport(NamedTuple):
+    """Built only by `agreement_report`, which computes every field."""
     n: int
     mae_binary: float
     kappa_binary: float
     mae_graded: float
     alpha_graded: float
-
-
-class AgreementReport(_Validated, _AgreementReportFields):
-    __slots__ = ()
-
-    def __new__(cls, n, mae_binary, kappa_binary, mae_graded, alpha_graded):
-        if n < 1:
-            raise ValidationError("agreement over zero pairs")
-        if kappa_binary > 1 or alpha_graded > 1:
-            raise ValidationError("kappa and alpha cannot exceed 1")
-        if mae_binary < 0 or mae_graded < 0:
-            raise ValidationError("MAE cannot be negative")
-        return tuple.__new__(cls, (n, mae_binary, kappa_binary, mae_graded, alpha_graded))
 
 
 def coverage(

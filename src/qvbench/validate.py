@@ -30,7 +30,6 @@ from .core import (
     Profile,
     Topic,
     ValidationError,
-    _Validated,
     query_cell,
 )
 from .textkit import tokenize
@@ -62,51 +61,24 @@ EQUALLY_LIKELY = "equally likely"
 CHECKED_PROFILES = ("order", "misspelling")
 
 
-class _ValidationVerdictFields(NamedTuple):
+class ValidationVerdict(NamedTuple):
+    """Built only by `validate_variants`, which details every failure."""
     topic_id: str
     profile_id: str
     index: int
     check: str
     valid: bool
-    detail: str
+    detail: str = ""
 
 
-class ValidationVerdict(_Validated, _ValidationVerdictFields):
-    __slots__ = ()
-
-    def __new__(cls, topic_id, profile_id, index, check, valid, detail=""):
-        if check not in CHECKED_PROFILES:
-            raise ValidationError(f"unknown check {check!r}")
-        if not valid and not detail:
-            raise ValidationError("failed verdicts must carry a detail message")
-        return tuple.__new__(cls, (topic_id, profile_id, index, check, valid, detail))
-
-
-class _ConsensusReportFields(NamedTuple):
+class ConsensusReport(NamedTuple):
+    """Built only by `consensus_reports`, which computes every field."""
     task: str
     profile_id: str
     n_pairs: int
     n_agree_correct: int
     accuracy: float
     n_disagreements: int
-
-
-class ConsensusReport(_Validated, _ConsensusReportFields):
-    __slots__ = ()
-
-    def __new__(cls, task, profile_id, n_pairs, n_agree_correct, accuracy, n_disagreements):
-        if task not in ("similarity", "alignment"):
-            raise ValidationError(f"unknown task {task!r}")
-        if not 0 <= n_agree_correct <= n_pairs:
-            raise ValidationError("agreement count outside 0..n_pairs")
-        if not 0 <= n_disagreements <= n_pairs:
-            raise ValidationError("disagreement count outside 0..n_pairs")
-        expected = n_agree_correct / n_pairs if n_pairs else 0.0
-        if accuracy != expected:
-            raise ValidationError(f"accuracy {accuracy} != {n_agree_correct}/{n_pairs}")
-        return tuple.__new__(
-            cls, (task, profile_id, n_pairs, n_agree_correct, accuracy, n_disagreements)
-        )
 
 
 @lru_cache(maxsize=1)

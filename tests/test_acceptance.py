@@ -19,6 +19,7 @@ from test_anova import (
     mp_f_sf,
     oracle_three_way,
     oracle_two_way,
+    source_row,
 )
 from test_judge import oracle_alpha_ordinal
 from test_metrics import (
@@ -180,7 +181,7 @@ def test_c2_two_way_anova_matches_textbook_oracle():
         rows, (err_ss, err_df), ss_total, n = oracle_two_way(cells)
         table = anova(matrix_from_two_way(cells), ("topic", "system"))
         for source, (ss, df) in rows.items():
-            row = table.row(source)
+            row = source_row(table, source)
             assert row.ss == pytest.approx(ss, abs=1e-9)
             assert row.df == df
             want_f = (ss / df) / (err_ss / err_df)
@@ -205,7 +206,7 @@ def test_c2_three_way_anova_matches_textbook_oracle():
         rows, (err_ss, err_df), ss_total, _ = oracle_three_way(cells)
         table = anova(matrix_from_three_way(cells), ("topic", "system", "profile"))
         for source, (ss, df) in rows.items():
-            row = table.row(source)
+            row = source_row(table, source)
             assert row.ss == pytest.approx(ss, abs=1e-9)
             assert row.df == df
         assert table.error.ss == pytest.approx(err_ss, abs=1e-9)

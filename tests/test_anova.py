@@ -160,6 +160,11 @@ def matrix_from_two_way(cells, profile="p"):
     return m
 
 
+def source_row(table, source):
+    """The row of one model source (not error or total) in an AnovaTable."""
+    return {row.source: row for row in table.rows}[source]
+
+
 def matrix_from_three_way(cells):
     m = EffectivenessMatrix()
     for i, x in enumerate(cells):
@@ -173,13 +178,13 @@ def matrix_from_three_way(cells):
 def test_two_way_hand_fixture():
     cells = [[[0.10, 0.20], [0.30, 0.40]], [[0.50, 0.60], [0.70, 0.80]]]
     table = anova(matrix_from_two_way(cells), ("topic", "system"))
-    assert table.row("topic").ss == pytest.approx(0.32, abs=1e-12)
-    assert table.row("system").ss == pytest.approx(0.08, abs=1e-12)
-    assert table.row("topic*system").ss == pytest.approx(0.0, abs=1e-12)
+    assert source_row(table, "topic").ss == pytest.approx(0.32, abs=1e-12)
+    assert source_row(table, "system").ss == pytest.approx(0.08, abs=1e-12)
+    assert source_row(table, "topic*system").ss == pytest.approx(0.0, abs=1e-12)
     assert table.error.ss == pytest.approx(0.02, abs=1e-12)
     assert table.error.df == 4
-    assert table.row("topic").f == pytest.approx(64.0, abs=1e-9)
-    assert table.row("topic").p == pytest.approx(mp_f_sf(64.0, 1, 4), abs=1e-10)
+    assert source_row(table, "topic").f == pytest.approx(64.0, abs=1e-9)
+    assert source_row(table, "topic").p == pytest.approx(mp_f_sf(64.0, 1, 4), abs=1e-10)
 
 
 def test_two_way_randomized_oracle():
@@ -194,7 +199,7 @@ def test_two_way_randomized_oracle():
         rows, (err_ss, err_df), ss_total, n = oracle_two_way(cells)
         table = anova(matrix_from_two_way(cells), ("topic", "system"))
         for source, (ss, df) in rows.items():
-            row = table.row(source)
+            row = source_row(table, source)
             assert row.ss == pytest.approx(ss, abs=1e-9)
             assert row.df == df
             want_f = (ss / df) / (err_ss / err_df)
@@ -222,7 +227,7 @@ def test_three_way_randomized_oracle():
         rows, (err_ss, err_df), ss_total, n = oracle_three_way(cells)
         table = anova(matrix_from_three_way(cells), ("topic", "system", "profile"))
         for source, (ss, df) in rows.items():
-            row = table.row(source)
+            row = source_row(table, source)
             assert row.ss == pytest.approx(ss, abs=1e-9)
             assert row.df == df
         assert table.error.ss == pytest.approx(err_ss, abs=1e-9)
@@ -342,8 +347,8 @@ def test_null_effect_zero_ss():
     # Both topics have identical means; all variation is system + noise.
     cells = [[[0.2, 0.4], [0.6, 0.8]], [[0.4, 0.2], [0.8, 0.6]]]
     table = anova(matrix_from_two_way(cells), ("topic", "system"))
-    assert table.row("topic").ss == pytest.approx(0.0, abs=1e-12)
-    assert table.row("topic").omega_sq_partial <= 0.0
+    assert source_row(table, "topic").ss == pytest.approx(0.0, abs=1e-12)
+    assert source_row(table, "topic").omega_sq_partial <= 0.0
 
 
 def test_missing_cell_rejected():

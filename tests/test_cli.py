@@ -385,6 +385,26 @@ class TestJudgeStage:
         assert labels
         assert all(q.source == "llm" for q in labels)
 
+    def test_topics_come_from_the_topics_file(self, tmp_path):
+        config_path = write_toy_workspace(tmp_path / "ws", n_topics=3, n_passages=40)
+        for command in STAGES[:6]:
+            assert main([command, "--config", str(config_path)]) == 0, command
+        backstories = out_dir(config_path) / "backstories.jsonl"
+        before = {t.topic_id: t for t in parse_topics(backstories)}
+        topics_path = config_path.parent / "topics.tsv"
+        lines = topics_path.read_text(encoding="utf-8").splitlines()
+        lines[0] = "t01\tasthma inhaler side effects in toddlers"
+        topics_path.write_text("\n".join(lines + ["t04\tbest hiking boots for wet weather"]) + "\n")
+        for command in ("generate", "validate", "search", "judge"):
+            assert main([command, "--config", str(config_path)]) == 0, command
+
+        after = {t.topic_id: t for t in parse_topics(backstories)}
+        assert list(after) == ["t01", "t02", "t03", "t04"]
+        assert after["t01"].seed_query == "asthma inhaler side effects in toddlers"
+        assert after["t01"].backstory != before["t01"].backstory
+        assert after["t04"].backstory
+        assert (after["t02"], after["t03"]) == (before["t02"], before["t03"])
+
 
 class TestEvaluateStage:
     def test_ndcg_grid_is_complete(self, workspace):
@@ -598,6 +618,50 @@ class TestAnalyzeStage:
         assert "unbalanced" in capsys.readouterr().err
 
 
+# (stage, table it reads back, line to break, what to do to it, message)
+BAD_TABLES = [
+    ("analyze", "ndcg.csv", 1, lambda cells: cells[:-1], "missing column 'ndcg'"),
+    ("analyze", "ndcg.csv", 3, lambda cells: cells[:-1], "expected 5 cells, got 4"),
+    ("analyze", "ndcg.csv", 3, lambda cells: cells[:3] + [b"x"] + cells[4:],
+     "invalid literal for int() with base 10: 'x'"),
+    ("analyze", "ndcg.csv", 4, lambda cells: cells[:-1] + [b"\xff"],
+     "not valid UTF-8 (invalid start byte)"),
+    ("report", "marginal_means.csv", 1, lambda cells: cells[1:], "missing column 'profile'"),
+    ("report", "marginal_means.csv", 2, lambda cells: cells + [b"1"], "expected 4 cells, got 5"),
+    ("report", "marginal_means.csv", 3, lambda cells: cells[:1] + [b"high"] + cells[2:],
+     "could not convert string to float: 'high'"),
+    ("report", "marginal_means.csv", 2, lambda cells: [cells[0] + b"\xe9"] + cells[1:],
+     "not valid UTF-8 (invalid continuation byte)"),
+]
+
+
+@pytest.mark.parametrize(
+    "stage, name, line, damage, message",
+    BAD_TABLES,
+    ids=[f"{name}:{line}:{message.split()[0]}" for _, name, line, _, message in BAD_TABLES],
+)
+def test_table_read_back_names_file_and_line(
+    stage, name, line, damage, message, tmp_path, workspace, capsys
+):
+    config_path = write_toy_workspace(tmp_path / "ws")
+    shutil.copytree(out_dir(workspace), out_dir(config_path))
+    path = out_dir(config_path) / name
+    rows = path.read_bytes().split(b"\r\n")
+    rows[line - 1] = b",".join(damage(rows[line - 1].split(b",")))
+    path.write_bytes(b"\r\n".join(rows))
+    assert main([stage, "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:{line}: {message}\n"
+
+
+def test_report_without_profile_rows_exits_2(tmp_path, workspace, capsys):
+    config_path = write_toy_workspace(tmp_path / "ws")
+    shutil.copytree(out_dir(workspace), out_dir(config_path))
+    path = out_dir(config_path) / "marginal_means.csv"
+    path.write_bytes(path.read_bytes().split(b"\r\n")[0] + b"\r\n")
+    assert main(["report", "--config", str(config_path)]) == 2
+    assert capsys.readouterr().err == f"error: {path} holds no profile rows\n"
+
+
 class TestReportStage:
     def test_svg_charts(self, workspace):
         for name in ("marginal_means.svg", "system_rankings.svg"):
@@ -701,6 +765,31 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {variants_path}: duplicate variant (topic, profile, index)"
             f" ('{moved.topic_id}', 'textual_order', 1)\n"
+        )
+        assert out_files(out_dir(config_path)) == before
+
+    def test_duplicate_outside_methods_rejected_before_any_call(
+        self, tmp_path, workspace, monkeypatch, capsys
+    ):
+        config_path = write_toy_workspace(tmp_path / "ws")
+        shutil.copytree(out_dir(workspace), out_dir(config_path))
+        variants_path = out_dir(config_path) / "variants.jsonl"
+        # one persona pair left to generate, and a textual pair holding indices 1, 1, 3
+        variants = [v for v in read_variants(variants_path) if v[:2] != ("t01", "persona_emily")]
+        at = next(
+            i for i, v in enumerate(variants)
+            if v.profile_id == "textual_paraphrasing" and v.index == 2
+        )
+        moved = variants[at]
+        variants[at] = moved._replace(index=1)
+        write_variants(variants, variants_path)
+        before = out_files(out_dir(config_path))
+        monkeypatch.setattr(cli, "make_provider", lambda config: pytest.fail("provider made"))
+
+        assert main(["generate", "--config", str(config_path), "--methods", "persona"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {variants_path}: duplicate variant (topic, profile, index)"
+            f" ('{moved.topic_id}', 'textual_paraphrasing', 1)\n"
         )
         assert out_files(out_dir(config_path)) == before
 

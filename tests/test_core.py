@@ -841,10 +841,6 @@ _VARIANT = QueryVariant("t", "p", 1, "v")
 _ANNOTATION = AnnotationRecord("g", "a", "similarity", "s", "v", "yes")
 _PASSAGE = Passage("p", "text")
 _CONFIG = PipelineConfig(Path("t"), Path("c"), Path("p"), Path("o"))
-_VERDICT = ValidationVerdict("t", "p", 1, "order", True)
-_CONSENSUS = ConsensusReport("alignment", "p", 8, 6, 0.75, 2)
-_COVERAGE = CoverageReport("s", "p", 10, 7, 10, 1 - 7 / 10)
-_AGREEMENT = AgreementReport(4, 0.25, 0.5, 0.75, 0.6)
 
 
 # A valid record of each checked type, one field to set, a value that
@@ -872,18 +868,6 @@ BROKEN_FIELDS = [
     (_CONFIG, "merge", "human", "unknown merge policy 'human'"),
     (_CONFIG, "methods", ("crowd",), "unknown methods ['crowd']"),
     (_CONFIG, "methods", (), "methods must not be empty"),
-    (_VERDICT, "check", "typo", "unknown check 'typo'"),
-    (_VERDICT, "valid", False, "failed verdicts must carry a detail message"),
-    (_CONSENSUS, "task", "rank", "unknown task 'rank'"),
-    (_CONSENSUS, "n_agree_correct", 9, "agreement count outside 0..n_pairs"),
-    (_CONSENSUS, "n_disagreements", -1, "disagreement count outside 0..n_pairs"),
-    (_CONSENSUS, "accuracy", 0.5, "accuracy 0.5 != 6/8"),
-    (_COVERAGE, "k", 0, "k must be >= 1"),
-    (_COVERAGE, "judged", 11, "judged count outside 0..total"),
-    (_COVERAGE, "missing_fraction", 0.5, "missing_fraction 0.5 != 1 - 7/10"),
-    (_AGREEMENT, "n", 0, "agreement over zero pairs"),
-    (_AGREEMENT, "alpha_graded", 1.5, "kappa and alpha cannot exceed 1"),
-    (_AGREEMENT, "mae_graded", -0.1, "MAE cannot be negative"),
     (Bm25Params(), "k1", 0, "k1=0 must be > 0"),
     (Bm25Params(), "b", 1.5, "b=1.5 outside [0, 1]"),
 ]

@@ -567,6 +567,22 @@ class TestProfilesFile:
         with pytest.raises(ParseError):
             load_profiles(path)
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b'[\n{"profile_id": "p\xe9"}]', "2: not valid UTF-8 (invalid continuation byte)"),
+            (b'[\n{"a" 1}', "2: invalid JSON (Expecting ':' delimiter)"),
+            (b'{"profile_id": "p"}', " expected a JSON array of profiles"),
+        ],
+        ids=["bytes", "json", "object"],
+    )
+    def test_bad_file_named_with_its_line(self, tmp_path, data, message):
+        path = tmp_path / "profiles.json"
+        path.write_bytes(data)
+        with pytest.raises(ParseError) as info:
+            load_profiles(path)
+        assert str(info.value) == f"{path}:{message}"
+
     @pytest.mark.parametrize("key", ["profile_id", "method", "name", "description"])
     @pytest.mark.parametrize("value", [5, None, ["x"]])
     def test_non_string_field_rejected(self, tmp_path, key, value):

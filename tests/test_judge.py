@@ -21,7 +21,6 @@ from qvbench.core import (
 )
 from qvbench.genkit import GenerationError, MockProvider
 from qvbench.judge import (
-    AgreementReport,
     CoverageReport,
     LabelStore,
     agreement_report,
@@ -135,10 +134,8 @@ class TestCoverage:
         assert overall.total == 1
         assert overall.missing_fraction == 1.0
 
-    def test_invariant_enforced(self):
-        with pytest.raises(ValidationError):
-            CoverageReport("s", "p", 10, 7, 10, 0.5)
-        with pytest.raises(ValidationError):
+    def test_k_below_one_rejected(self):
+        with pytest.raises(ValidationError, match="k must be >= 1"):
             coverage([], [], k=0)
 
 
@@ -633,13 +630,19 @@ class TestAgreementReport:
         assert report.kappa_binary == pytest.approx(cohen_kappa(pairs, binary=True))
         assert report.alpha_graded == pytest.approx(krippendorff_alpha(pairs))
 
-    def test_invariants(self):
-        with pytest.raises(ValidationError):
-            AgreementReport(0, 0.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ValidationError):
-            AgreementReport(4, -0.1, 0.0, 0.0, 0.0)
-        with pytest.raises(ValidationError):
-            AgreementReport(4, 0.0, 1.2, 0.0, 0.0)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=30))
+    def test_bounds_hold_on_every_report(self, pairs):
+        """AgreementReport is a plain tuple: `agreement_report` rejects
+        fewer than two pairs or one grade throughout, and otherwise
+        yields kappa, alpha <= 1 and MAE >= 0."""
+        if len(pairs) < 2 or len({g for pair in pairs for g in pair}) < 2:
+            with pytest.raises(ValidationError):
+                agreement_report(pairs)
+            return
+        report = agreement_report(pairs)
+        assert report.n == len(pairs)
+        assert report.kappa_binary <= 1 and report.alpha_graded <= 1
+        assert report.mae_binary >= 0 and report.mae_graded >= 0
 
 
 class TestMergePolicies:

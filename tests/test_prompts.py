@@ -105,15 +105,32 @@ def _top_level_names(node):
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
+def _members(node):
+    """(name, node) of each public method and property of a public class."""
+    if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
+        return []
+    return [
+        (item.name, item)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    ]
+
+
 def test_no_public_name_only_tests_reach():
-    """Every public top-level name of `src/qvbench` is referenced by other code there.
+    """Every public top-level name of `src/qvbench`, and every public
+    method and property of a public class there, is referenced by other
+    code there.
 
     A reference is a name or attribute use outside the definition
     itself; imports and `__all__` lists do not count, so a name kept
-    alive only by tests or re-exports shows up here.
+    alive only by tests or re-exports shows up here. A member is
+    reached only as an attribute, and matches by name alone: a method
+    shares its uses with every other member of its name.
     """
-    defined = set()
+    defined = set()  # (name, module, top-level name, member name or None)
     used = set()  # (name, module, top-level name the use sits in)
+    attrs = set()  # (name, module, top-level name, member name or None) of attribute uses
     for path in sorted(Path(qvbench.__file__).parent.rglob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             names = _top_level_names(node)
@@ -121,17 +138,26 @@ def test_no_public_name_only_tests_reach():
                 continue
             for name in names:
                 if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
-                    defined.add((name, path))
+                    defined.add((name, path, name, None))
             owner = names[0] if len(names) == 1 else None
+            member_of = {}
+            for member, item in _members(node):
+                defined.add((member, path, owner, member))
+                member_of.update((id(sub), member) for sub in ast.walk(item))
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                     used.add((sub.id, path, owner))
                 elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
                     used.add((sub.attr, path, owner))
+                    attrs.add((sub.attr, path, owner, member_of.get(id(sub))))
     unreferenced = sorted(
-        name
-        for name, path in defined
-        if not any(u == name and (p, owner) != (path, name) for u, p, owner in used)
+        f"{owner}.{name}" if member else name
+        for name, path, owner, member in defined
+        if not (
+            any(u == name and (p, o) != (path, name) for u, p, o in used)
+            if member is None
+            else any(u == name and (p, o, m) != (path, owner, member) for u, p, o, m in attrs)
+        )
     )
     assert [n for n in unreferenced if n not in UNREFERENCED_ALLOWED] == []
     assert sorted(UNREFERENCED_ALLOWED - set(unreferenced)) == []

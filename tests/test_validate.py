@@ -21,7 +21,6 @@ from qvbench.validate import (
     CHECKED_PROFILES,
     EQUALLY_LIKELY,
     SIMILARITY_ANSWERS,
-    ValidationVerdict,
     consensus_reports,
     filter_by_gold,
     load_dictionary,
@@ -300,11 +299,23 @@ class TestValidateVariants:
         with pytest.raises(ValidationError):
             validate_variants(topics, [orphan], profiles, frozenset({"a"}))
 
-    def test_invalid_verdict_requires_detail(self):
-        with pytest.raises(ValidationError):
-            ValidationVerdict("t", "p", 1, "order", False, "")
-        with pytest.raises(ValidationError):
-            ValidationVerdict("t", "p", 1, "sentiment", True)
+    def test_every_failed_verdict_carries_a_detail(self):
+        topics = [Topic("t1", "blue red green")]
+        profiles = [
+            Profile("textual_order", "textual", "Order", "shuffle"),
+            Profile("textual_misspelling", "textual", "Misspelling", "typos"),
+        ]
+        variants = [
+            QueryVariant("t1", "textual_order", 1, "blue red green"),
+            QueryVariant("t1", "textual_order", 2, "blue red"),
+            QueryVariant("t1", "textual_misspelling", 1, "blue red green"),
+        ]
+        verdicts = validate_variants(topics, variants, profiles, frozenset({"blue", "red"}))
+        assert [(v.check, v.valid, v.detail) for v in verdicts] == [
+            ("order", False, "variant repeats the seed token sequence"),
+            ("order", False, "token multisets differ"),
+            ("misspelling", False, "no out-of-dictionary token corrects to a seed token"),
+        ]
 
 
 def ann(pair, who, answer, task="similarity", gold=None):
@@ -652,10 +663,16 @@ def test_consensus_reports_filter_gold_once():
     assert alignment == [ConsensusReport("alignment", "emily", 1, 1, 1.0, 0)]
 
 
-class TestReportsAndCsv:
-    def test_consensus_report_invariant(self):
-        ConsensusReport("similarity", "p", 4, 3, 0.75, 1)
-        with pytest.raises(ValidationError):
-            ConsensusReport("similarity", "p", 4, 3, 0.9, 1)
-        with pytest.raises(ValidationError):
-            ConsensusReport("similarity", "p", 4, 5, 1.25, 0)
+@given(annotation_sets())
+@settings(max_examples=200, deadline=None)
+def test_every_consensus_row_holds_consistent_counts(case):
+    """ConsensusReport is a plain tuple: its counts are right because
+    `consensus_reports` computes them, as this checks."""
+    records, profiles = case
+    rows = outcome(consensus_reports, records, profiles)
+    assume(not isinstance(rows[0], str))
+    for task, reports in zip(("similarity", "alignment"), rows):
+        for r in reports:
+            assert r.task == task
+            assert 0 <= r.n_agree_correct <= r.n_pairs and 0 <= r.n_disagreements <= r.n_pairs
+            assert r.n_pairs > 0 and r.accuracy == r.n_agree_correct / r.n_pairs
