@@ -10,25 +10,75 @@ pooled into the error term.
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from functools import reduce
+from itertools import combinations, product
+from operator import add
 from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
 
 from .matrix import AXES, EffectivenessMatrix
 from .special import f_sf, t_quantile
 
+# Every sum below adds in the order numpy's reductions add, as the
+# array code this module replaced did, so anova.csv and tukey_pairs.csv
+# keep their recorded bytes. The order is fixed here, not by numpy's
+# version, BLAS, or the compensated builtin sum of Python 3.12.
 
-def _dense(matrix: EffectivenessMatrix, factors: Sequence[str]):
-    """Dense (levels..., replicates) array of a balanced design."""
+
+def _pairwise_sum(values: list, start: int, n: int) -> float:
+    """Sum of values[start:start + n] in numpy's pairwise order (Higham,
+    SIAM J. Sci. Comput. 1993): under 8 values a plain loop from 0.0; up
+    to 128, eight strided accumulators combined as a tree, then the
+    leftovers; above that, two halves split at a multiple of 8."""
+    if n < 8:
+        return reduce(add, values[start : start + n], 0.0)
+    if n <= 128:
+        end = start + n - n % 8
+        r = [reduce(add, values[start + j : end : 8]) for j in range(8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        return reduce(add, values[end : start + n], total)
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, n - half)
+
+
+def _projection(dims: Sequence[int], axes: Sequence[int], keep: Sequence[int]) -> list[int]:
+    """For each cell over `axes` in C order, the C-order position of its
+    projection onto `keep`, a subset of `axes`."""
+    strides = {}
+    stride = 1
+    for a in reversed(keep):
+        strides[a] = stride
+        stride *= dims[a]
+    positions = [0]
+    for a in axes:
+        step = strides.get(a, 0)
+        positions = [p + i * step for p in positions for i in range(dims[a])]
+    return positions
+
+
+def _mean_over(y: list, dims: Sequence[int], keep: tuple[int, ...]) -> list[float]:
+    """Mean of the C-order values `y` of shape `dims` over every axis not
+    in `keep`, as a C-order list over `keep`'s axes. The trailing block
+    of reduced axes is one pairwise run; the outer indices add their run
+    sums into each output cell in C order."""
+    last = keep[-1] if keep else -1
+    run = math.prod(dims[last + 1 :])
+    cells = _projection(dims, range(last + 1), keep)
+    sums = [0.0] * math.prod(dims[a] for a in keep)
+    for outer, cell in enumerate(cells):
+        sums[cell] += _pairwise_sum(y, outer * run, run)
+    count = len(y) // len(sums)
+    return [s / count for s in sums]
+
+
+def _dense(matrix: EffectivenessMatrix, factors: Sequence[str]) -> tuple[list, list[int]]:
+    """The values of a balanced design as a C-order list over (factor
+    levels..., replicate), and that shape."""
     levels, buckets = matrix.balanced_cells(factors)
-    positions = [{lv: i for i, lv in enumerate(level)} for level in levels]
-    r = len(next(iter(buckets.values())))
-    array = np.empty([len(level) for level in levels] + [r], dtype=float)
-    for combo, values in buckets.items():
-        idx = tuple(positions[i][combo[i]] for i in range(len(combo)))
-        array[idx] = [v for _, v in values]
-    return array, dict(zip(factors, levels))
+    y = []
+    for combo in product(*levels):
+        y.extend(v for _, v in buckets[combo])
+    return y, [len(level) for level in levels] + [len(y) // len(buckets)]
 
 
 class AnovaRow(NamedTuple):
@@ -77,27 +127,22 @@ def anova(matrix: EffectivenessMatrix, factors: Sequence[str]) -> AnovaTable:
     single replicate the highest-order interaction is pooled into error.
     """
     names = _normalize_factors(factors)
-    y, levels = _dense(matrix, names)
-    n_total = y.size
-    r = y.shape[-1]
+    y, dims = _dense(matrix, names)
+    n_total = len(y)
+    r = dims[-1]
     m = len(names)
-    sizes = [len(levels[f]) for f in names]
-    for f, size in zip(names, sizes):
+    for f, size in zip(names, dims):
         if size < 2:
             raise ValueError(f"factor {f!r} has a single level")
-    grand = float(y.mean())
-    rep_axis = m
 
-    def marginal(subset: tuple[int, ...]) -> np.ndarray:
-        drop = tuple(a for a in range(m) if a not in subset) + (rep_axis,)
-        return y.mean(axis=drop, keepdims=True)
-
-    means = {(): np.full([1] * (m + 1), grand)}
+    means = {}
     model_subsets: list[tuple[int, ...]] = []
-    for size in range(1, m + 1):
+    for size in range(m + 1):
         for subset in combinations(range(m), size):
             model_subsets.append(subset)
-            means[subset] = marginal(subset)
+            means[subset] = _mean_over(y, dims, subset)
+    grand = means[()][0]
+    model_subsets.pop(0)  # the grand mean
 
     if r == 1 and m > 1:
         model_subsets.pop()  # the top interaction, pooled into error
@@ -105,20 +150,25 @@ def anova(matrix: EffectivenessMatrix, factors: Sequence[str]) -> AnovaTable:
     ss: dict[tuple[int, ...], float] = {}
     df: dict[tuple[int, ...], int] = {}
     for subset in model_subsets:
-        effect = np.zeros([1] * (m + 1))
+        effect = [0.0] * math.prod(dims[a] for a in subset)
         for size in range(len(subset) + 1):
             for sub in combinations(subset, size):
                 sign = (-1) ** (len(subset) - len(sub))
-                effect = effect + sign * means[sub]
-        ss[subset] = float((effect**2).sum()) * (n_total / effect.size)
+                mean = means[sub]
+                effect = [
+                    e + sign * mean[i] for e, i in zip(effect, _projection(dims, subset, sub))
+                ]
+        squares = [e * e for e in effect]
+        ss[subset] = _pairwise_sum(squares, 0, len(squares)) * (n_total / len(squares))
         d = 1
         for a in subset:
-            d *= sizes[a] - 1
+            d *= dims[a] - 1
         df[subset] = d
 
-    ss_total = float(((y - grand) ** 2).sum())
+    deviations = [(v - grand) * (v - grand) for v in y]
+    ss_total = _pairwise_sum(deviations, 0, n_total)
     df_total = n_total - 1
-    ss_model = sum(ss.values())
+    ss_model = reduce(add, ss.values(), 0.0)
     df_model = sum(df.values())
     ss_error = max(ss_total - ss_model, 0.0)
     df_error = df_total - df_model

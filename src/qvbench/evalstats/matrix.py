@@ -1,7 +1,4 @@
-"""The effectiveness matrix and the balance check the analysis needs.
-
-Free of numpy, so a stage that only reads the matrix does not load it.
-"""
+"""The effectiveness matrix and the balance check the analysis needs."""
 
 from __future__ import annotations
 

@@ -1,5 +1,6 @@
 """Pipeline subcommands: config handling, artifacts, exit codes."""
 
+import ast
 import csv
 import hashlib
 import json
@@ -743,7 +744,9 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "make_provider", lambda config: Unpaid())
         assert main(["generate", "--config", str(config_path)]) == 2
-        assert capsys.readouterr().err == "error: profiles entry 2: profile_id must be a string\n"
+        assert capsys.readouterr().err == (
+            f"error: {path}: profiles entry 2: profile_id must be a string\n"
+        )
         assert calls == []
         assert not (out_dir(config_path) / "variants.jsonl").exists()
 
@@ -896,9 +899,9 @@ class TestModuleEntryPoint:
         assert result.returncode == 0, result.stderr
         assert result.stdout.split() == ["False", "pong"]
 
-    # The qvbench modules, and numpy, that each stage's process holds
-    # once the stage has run; the package and core are left out. No
-    # stage holds dataclasses.
+    # The qvbench modules that each stage's process holds once the stage
+    # has run; the package and core are left out. No stage holds numpy
+    # or dataclasses.
     STAGE_MODULES = {
         "generate": {"cli", "genkit", "validate", "textkit", "porter"},
         "validate": {"cli", "genkit", "validate", "textkit", "porter"},
@@ -916,7 +919,6 @@ class TestModuleEntryPoint:
             "evalstats.metrics",
             "evalstats.special",
             "evalstats.tukey",
-            "numpy",
         },
         "report": {"cli", "evalstats", "evalstats.matrix"},
     }
@@ -951,16 +953,38 @@ class TestModuleEntryPoint:
     def test_each_stage_loads_only_the_modules_it_runs(self, workspace, tmp_path):
         """Each stage in a fresh interpreter: importing cli loads only core,
         the finished stage holds exactly its STAGE_MODULES, and so never
-        `dataclasses`, and the charts keep their bytes."""
+        numpy or `dataclasses`, and the charts keep their bytes."""
         assert sorted(self.STAGE_MODULES) == sorted(STAGES)
         config = write_toy_workspace(tmp_path / "ws")
         for stage in STAGES:
             loaded = self.run_stage_process(stage, config)
+            assert "numpy" not in loaded[2], stage
             assert (stage, loaded) == (stage, (["cli"], "0", self.STAGE_MODULES[stage]))
         for name in ("marginal_means.svg", "system_rankings.svg"):
             assert (out_dir(config) / name).read_bytes() == (
                 out_dir(workspace) / name
             ).read_bytes()
+
+    def test_package_has_no_runtime_dependency(self):
+        """No module under src/qvbench imports numpy, and pyproject.toml
+        declares no runtime dependency."""
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(cli.__file__).resolve().parents[2]
+        importers = []
+        for path in sorted((root / "src" / "qvbench").rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                if any(name.split(".")[0] == "numpy" for name in names):
+                    importers.append(path.name)
+        assert importers == []
+        with open(root / "pyproject.toml", "rb") as handle:
+            project = tomllib.load(handle)["project"]
+        assert project["dependencies"] == []
 
     def test_http_provider_stages_skip_the_mock_spelling_modules(self, tmp_path, chat_server):
         """Only the mock provider spells, so under the HTTP provider generate

@@ -591,7 +591,15 @@ class TestProfilesFile:
         path.write_text(json.dumps([entry, {**entry, "profile_id": "q", key: value}]))
         with pytest.raises(ParseError) as info:
             load_profiles(path)
-        assert str(info.value) == f"profiles entry 1: {key} must be a string"
+        assert str(info.value) == f"{path}: profiles entry 1: {key} must be a string"
+
+    def test_rejected_profile_named_with_file_and_entry(self, tmp_path):
+        entry = {"profile_id": "p", "method": "persona", "name": "P", "description": "d"}
+        path = tmp_path / "profiles.json"
+        path.write_text(json.dumps([entry, {**entry, "profile_id": "q", "method": "crowd"}]))
+        with pytest.raises(ParseError) as info:
+            load_profiles(path)
+        assert str(info.value) == f"{path}: profiles entry 1: unknown profile method 'crowd'"
 
     def test_duplicate_id_rejected(self, tmp_path):
         entry = {"profile_id": "p", "method": "persona", "name": "P", "description": "d"}
