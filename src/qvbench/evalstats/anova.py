@@ -135,14 +135,13 @@ def anova(matrix: EffectivenessMatrix, factors: Sequence[str]) -> AnovaTable:
         if size < 2:
             raise ValueError(f"factor {f!r} has a single level")
 
-    means = {}
+    means = {(): _mean_over(y, dims, ())}
+    grand = means[()][0]
     model_subsets: list[tuple[int, ...]] = []
-    for size in range(m + 1):
+    for size in range(1, m + 1):
         for subset in combinations(range(m), size):
             model_subsets.append(subset)
             means[subset] = _mean_over(y, dims, subset)
-    grand = means[()][0]
-    model_subsets.pop(0)  # the grand mean
 
     if r == 1 and m > 1:
         model_subsets.pop()  # the top interaction, pooled into error

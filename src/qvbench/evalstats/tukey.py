@@ -38,7 +38,7 @@ _NEGLIGIBLE = 1e-17
 
 
 @lru_cache(maxsize=None)
-def _leggauss(n: int) -> tuple[list[float], list[float]]:
+def _leggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Gauss-Legendre nodes (ascending) and weights on [-1, 1], n even.
 
     Each positive root starts from Tricomi's asymptotic expansion
@@ -69,7 +69,7 @@ def _leggauss(n: int) -> tuple[list[float], list[float]]:
                 break
         nodes.append(x)
         weights.append(2.0 / ((1.0 - x * x) * dp * dp))
-    return [-x for x in nodes] + nodes[::-1], weights + weights[::-1]
+    return tuple([-x for x in nodes] + nodes[::-1]), tuple(weights + weights[::-1])
 
 
 def _scaled_nodes(n: int, lo: float, hi: float) -> list[tuple[float, float]]:
@@ -81,7 +81,7 @@ def _scaled_nodes(n: int, lo: float, hi: float) -> list[tuple[float, float]]:
 
 
 @lru_cache(maxsize=None)
-def _inner_rule() -> list[tuple[float, float, float]]:
+def _inner_rule() -> tuple[tuple[float, float, float], ...]:
     """(u/sqrt 2, w*phi(u), erf(u/sqrt 2)) at the inner nodes u on
     [-9, 9] where w*phi(u) is not negligible."""
     rule = []
@@ -90,7 +90,7 @@ def _inner_rule() -> list[tuple[float, float, float]]:
         if w_phi >= _NEGLIGIBLE:
             a = u / math.sqrt(2.0)
             rule.append((a, w_phi, math.erf(a)))
-    return rule
+    return tuple(rule)
 
 
 def _range_cdf(r: float, k: int) -> float:

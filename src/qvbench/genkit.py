@@ -13,7 +13,7 @@ the artifacts do not depend on which call finished first. The variant
 template has four numbered sections; neutral variants drop the two
 profile sections. Providers expose a ``complete(prompt) -> text``
 method. The HTTP provider speaks a chat-completion API over the
-standard library, with eight calls in flight. The mock provider has no
+standard library, with six calls in flight. The mock provider has no
 ``in_flight`` and so runs inline, one call at a time; it derives every
 response from a hash of the prompt and a fixed seed string, so sweeps
 are bit-reproducible and need no network.
@@ -344,7 +344,11 @@ class HttpProvider:
     # ms with eight in flight against 2.1 ms with four, yet eight complete
     # 8 / 3.4 = 2.35 calls a ms against 4 / 2.1 = 1.9: the extra calls
     # wait in the server's accept queue, which hides connection set-up.
-    in_flight = 8
+    # That queue is bounded: a Python server's default listen backlog of
+    # 5 holds 6 connections on Linux, and at eight in flight it overflowed
+    # and each dropped connect waited out a 1 s SYN retransmission. Six
+    # calls never overflow it and were as fast as eight.
+    in_flight = 6
 
     def __init__(self, config: ProviderConfig):
         self.config = config

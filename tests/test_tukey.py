@@ -180,7 +180,7 @@ def test_leggauss_matches_mpmath(n):
     from it, and each weight within 5e-16 of 2 / ((1 - x^2) P_n'(x)^2)
     there; the rule is symmetric."""
     nodes, weights = tukey._leggauss(n)
-    assert nodes == [-x for x in reversed(nodes)]
+    assert nodes == tuple(-x for x in reversed(nodes))
     assert weights == weights[::-1]
     with mpmath.workdps(30):
         for x, w in zip(nodes[n // 2 :], weights[n // 2 :]):
