@@ -12,8 +12,9 @@ calls running at once and hands back results in submission order, so
 the artifacts do not depend on which call finished first. The variant
 template has four numbered sections; neutral variants drop the two
 profile sections. Providers expose a ``complete(prompt) -> text``
-method. The HTTP provider speaks a chat-completion API over the
-standard library, with six calls in flight. The mock provider has no
+method. The HTTP provider speaks a chat-completion API in HTTP/1.1
+messages it frames itself over ``socket`` (and ``ssl`` for https), one
+connection per call and six calls in flight. The mock provider has no
 ``in_flight`` and so runs inline, one call at a time; it derives every
 response from a hash of the prompt and a fixed seed string, so sweeps
 are bit-reproducible and need no network.
@@ -98,6 +99,18 @@ _TIMEOUT_S = 60.0
 _HTTP_RETRIES = 3
 _BACKOFF_BASE_S = 1.0
 _BACKOFF_CAP_S = 30.0
+
+# HttpProvider reads a response this many bytes at a time, and refuses an
+# endpoint or API key holding a space, a control or a non-ASCII
+# character, any of which would break the request head.
+_RECV_BYTES = 65536
+_UNSAFE_IN_HEAD = re.compile(r"[^\x21-\x7e]")
+
+# HTTP/1.x response framing: the blank line that ends a head, the status
+# line, and the size line of a chunk with any extension.
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+_STATUS_LINE = re.compile(rb"HTTP/1\.[0-9] ([0-9]{3})(?: .*)?")
+_CHUNK_HEAD = re.compile(rb"([0-9A-Fa-f]+)[ \t]*(?:;[^\r\n]*)?\r?\n")
 
 
 class _Timeout(TransportError):
@@ -332,11 +345,16 @@ class ProviderConfig(_Validated, _ProviderConfigFields):
 class HttpProvider:
     """Chat-completion client: one user message in, first choice text out.
 
-    Each call is one POST on a fresh connection through ``urllib``,
-    which sends ``Connection: close``. HTTP 429 and 5xx answers and
-    timeouts are retried up to ``_HTTP_RETRIES`` times; any other status
-    but 200, and any other transport error, fails at once.
-    ``run_in_order`` keeps ``in_flight`` calls overlapping.
+    Each call is one HTTP/1.1 POST on a connection of its own, framed
+    here over ``socket``: the request head, built once, says
+    ``Connection: close``, and the client reads until the server closes
+    the connection, so every byte of the answer is in hand before it is
+    parsed. An ``https`` endpoint is verified against the system trust
+    store, or the file ``SSL_CERT_FILE`` names; no proxy variable is
+    read. HTTP 429 and 5xx answers and timeouts are retried up to
+    ``_HTTP_RETRIES`` times; any other status but 200, and any other
+    transport error, fails at once. ``run_in_order`` keeps
+    ``in_flight`` calls overlapping.
     """
 
     # A fixed overlap, chosen on throughput. Against a localhost endpoint
@@ -351,12 +369,49 @@ class HttpProvider:
     in_flight = 6
 
     def __init__(self, config: ProviderConfig):
+        """Split the endpoint and build the request head once; a
+        malformed endpoint or API key is a ValidationError."""
+        from urllib.parse import urlsplit
+
         self.config = config
+        endpoint = config.endpoint
+        try:
+            parts = urlsplit(endpoint)
+            port = parts.port
+        except ValueError as exc:
+            raise ValidationError(f"bad endpoint {endpoint!r}: {exc}") from None
+        if (
+            parts.scheme not in ("http", "https")
+            or not parts.hostname
+            or "@" in parts.netloc
+            or _UNSAFE_IN_HEAD.search(endpoint)
+        ):
+            raise ValidationError(
+                f"bad endpoint {endpoint!r}: need http:// or https:// and a host,"
+                " with no user info or spaces"
+            )
+        self._tls = None
+        if parts.scheme == "https":
+            import ssl  # here, so plain-http runs never load it
+
+            self._tls = ssl.create_default_context()
+        self._address = (parts.hostname, port or (443 if self._tls else 80))
+        target = parts.path or "/"
+        if parts.query:
+            target += "?" + parts.query
+        lines = [
+            f"POST {target} HTTP/1.1",
+            f"Host: {parts.netloc}",
+            "Content-Type: application/json",
+        ]
+        if config.api_key:
+            if _UNSAFE_IN_HEAD.search(config.api_key):
+                raise ValidationError(f"{API_KEY_ENV} must be printable ASCII without spaces")
+            lines.append(f"Authorization: Bearer {config.api_key}")
+        lines += ["User-Agent: qvbench", "Accept-Encoding: identity", "Connection: close", ""]
+        self._head = "\r\n".join(lines).encode("ascii")
 
     def complete(self, prompt: str) -> str:
-        headers = {"Content-Type": "application/json"}
-        if self.config.api_key:
-            headers["Authorization"] = f"Bearer {self.config.api_key}"
         payload = {
             "model": self.config.model_name,
             "temperature": _TEMPERATURE,
@@ -365,7 +420,7 @@ class HttpProvider:
         data = json.dumps(payload).encode("utf-8")
         for retry in range(_HTTP_RETRIES + 1):
             try:
-                status, retry_after, body = self._post(data, headers)
+                status, retry_after, body = self._post(data)
             except _Timeout:
                 if retry == _HTTP_RETRIES:
                     raise
@@ -385,30 +440,80 @@ class HttpProvider:
             raise TransportError("provider message content is not text")
         return text
 
-    def _post(self, data: bytes, headers: dict[str, str]) -> tuple[int, Optional[str], bytes]:
-        """One POST: status, Retry-After header and body, error statuses included."""
-        # here, so stages on the mock provider never load them
-        import http.client
-        import urllib.error
-        import urllib.request
+    def _post(self, data: bytes) -> tuple[int, Optional[str], bytes]:
+        """One POST, read to the server's close: status, Retry-After
+        header and body, error statuses included."""
+        import socket  # here, so stages on the mock provider never load it
 
         try:
-            request = urllib.request.Request(
-                self.config.endpoint, data=data, headers=headers, method="POST"
-            )
+            sock = socket.create_connection(self._address, timeout=_TIMEOUT_S)
             try:
-                response = urllib.request.urlopen(request, timeout=_TIMEOUT_S)
-            except urllib.error.HTTPError as exc:
-                response = exc  # an HTTPError is also the response
-            with response:
-                return response.status, response.headers.get("Retry-After"), response.read()
-        except (OSError, ValueError, http.client.HTTPException) as exc:
-            # a timeout while connecting arrives wrapped in a URLError
-            timed_out = isinstance(exc, TimeoutError) or isinstance(
-                getattr(exc, "reason", None), TimeoutError
-            )
-            error = _Timeout if timed_out else TransportError
+                if self._tls is not None:
+                    sock = self._tls.wrap_socket(sock, server_hostname=self._address[0])
+                sock.sendall(b"%sContent-Length: %d\r\n\r\n%s" % (self._head, len(data), data))
+                chunks = []
+                while chunk := sock.recv(_RECV_BYTES):
+                    chunks.append(chunk)
+            finally:
+                sock.close()
+            return _parse_response(b"".join(chunks))
+        except (OSError, ValueError) as exc:
+            error = _Timeout if isinstance(exc, TimeoutError) else TransportError
             raise error(f"request to {self.config.endpoint} failed: {exc}") from exc
+
+
+def _parse_response(raw: bytes) -> tuple[int, Optional[str], bytes]:
+    """Status, Retry-After and body of one HTTP/1.x response that ran to
+    the connection's close, after any 1xx interim responses. The body is
+    decoded when chunked, cut to Content-Length when that is given, and
+    a ValueError when it is shorter than either says."""
+    status = 100
+    while status < 200:
+        end = _HEAD_END.search(raw)
+        if end is None:
+            raise ValueError("connection closed before the response headers ended")
+        status_line, _, fields = raw[: end.start()].partition(b"\n")
+        status_line = status_line.rstrip(b"\r")
+        match = _STATUS_LINE.fullmatch(status_line)
+        if match is None:
+            raise ValueError(f"bad status line {status_line[:80]!r}")
+        status = int(match[1])
+        raw = raw[end.end() :]
+    headers = {}
+    for field in fields.splitlines():
+        name, colon, value = field.partition(b":")
+        if not colon:
+            raise ValueError(f"bad header line {field[:80]!r}")
+        headers[name.strip().lower()] = value.strip()
+    if headers.get(b"transfer-encoding", b"").lower().endswith(b"chunked"):
+        body = _dechunk(raw)
+    elif b"content-length" in headers:
+        length = headers[b"content-length"]
+        if not length.isdigit():
+            raise ValueError(f"bad Content-Length {length[:80]!r}")
+        if len(raw) < int(length):
+            raise ValueError(f"response body ended after {len(raw)} of {int(length)} bytes")
+        body = raw[: int(length)]
+    else:
+        body = raw
+    return status, headers.get(b"retry-after", b"").decode("latin-1") or None, body
+
+
+def _dechunk(data: bytes) -> bytes:
+    """The payload of a chunked transfer coding; extensions and trailers
+    are dropped."""
+    chunks = []
+    pos = 0
+    while match := _CHUNK_HEAD.match(data, pos):
+        size = int(match[1], 16)
+        if size == 0:
+            return b"".join(chunks)
+        pos = match.end() + size
+        if not data.startswith(b"\r\n", pos):
+            break
+        chunks.append(data[match.end() : pos])
+        pos += 2
+    raise ValueError("chunked response body is malformed or ended early")
 
 
 def _retry_delay(retry_after: Optional[str], retry: int) -> float:

@@ -4,6 +4,9 @@ import ast
 import csv
 import hashlib
 import json
+import os
+import platform
+import re
 import shutil
 import subprocess
 import sys
@@ -713,6 +716,14 @@ class TestExitCodes:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("endpoint", ["localhost:8000/v1", "ftp://example.org/v1"])
+    def test_malformed_endpoint(self, tmp_path, capsys, endpoint):
+        config_path = write_toy_workspace(tmp_path / "ws")
+        flags = ["--provider", "http", "--endpoint", endpoint, "--model", "m"]
+        assert main(["generate", "--config", str(config_path), *flags]) == 2
+        assert f"error: bad endpoint {endpoint!r}" in capsys.readouterr().err
+        assert not out_dir(config_path).joinpath("genlog.jsonl").exists()
+
     def test_non_string_topic_field(self, tmp_path, capsys):
         config_path = write_toy_workspace(tmp_path / "ws")
         topics = tmp_path / "topics.jsonl"
@@ -879,25 +890,75 @@ class TestOverlappedProviderCalls:
         assert len(chat_server.seen) > 1000
 
 
+def other_interpreters() -> list:
+    """The pyenv CPython 3.10 or later interpreters other than this one."""
+    versions = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    found = []
+    for folder in sorted(versions.glob("3.*")):
+        version = re.fullmatch(r"3\.(\d+)\.\d+", folder.name)
+        python = folder / "bin" / "python3"
+        if version and int(version[1]) >= 10 and folder.name != platform.python_version():
+            if python.exists():
+                found.append(python)
+    return found
+
+
 class TestModuleEntryPoint:
+    # Imports cli and makes one http call: prints whether requests was
+    # loaded by the import, the answer, and whether urllib.request,
+    # http.client and email.parser are loaded after the call.
+    HTTP_SNIPPET = (
+        "import sys, qvbench.cli\n"
+        "print('requests' in sys.modules)\n"
+        "sys.modules['requests'] = None\n"
+        "from qvbench.genkit import HttpProvider, ProviderConfig\n"
+        "config = ProviderConfig(endpoint=sys.argv[1], model_name='m', api_key='')\n"
+        "print(HttpProvider(config).complete('ping'))\n"
+        "print(*(m in sys.modules for m in ('urllib.request', 'http.client', 'email.parser')))\n"
+    )
+
     def test_import_leaves_requests_unloaded(self, chat_server):
         chat_server.reply = lambda request: "pong"
-        code = (
-            "import sys, qvbench.cli\n"
-            "print('requests' in sys.modules)\n"
-            "sys.modules['requests'] = None\n"
-            "from qvbench.genkit import HttpProvider, ProviderConfig\n"
-            "config = ProviderConfig(endpoint=sys.argv[1], model_name='m', api_key='')\n"
-            "print(HttpProvider(config).complete('ping'))\n"
-        )
         result = subprocess.run(
-            [sys.executable, "-c", code, chat_server.url],
+            [sys.executable, "-c", self.HTTP_SNIPPET, chat_server.url],
             capture_output=True,
             text=True,
             timeout=60,
         )
         assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["False", "pong"]
+        assert result.stdout.split() == ["False", "pong", "False", "False", "False"]
+
+    @pytest.fixture(scope="class")
+    def toy_tree(self, tmp_path_factory):
+        """Every file of a toy workspace after this interpreter ran its
+        nine stages."""
+        config_path = write_toy_workspace(tmp_path_factory.mktemp("toy") / "ws")
+        for stage in STAGES:
+            assert main([stage, "--config", str(config_path)]) == 0, stage
+        return out_files(config_path.parent)
+
+    @pytest.mark.parametrize("python", other_interpreters(), ids=lambda path: path.parents[1].name)
+    def test_other_interpreter_writes_the_same_bytes(self, toy_tree, tmp_path, chat_server, python):
+        """The toy workspace and pipeline written by another CPython are
+        byte-identical to this one's, and its http call loads no urllib."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+
+        def run(*argv):
+            result = subprocess.run(
+                [str(python), *argv], capture_output=True, text=True, timeout=120, env=env
+            )
+            assert result.returncode == 0, (argv, result.stderr)
+            return result.stdout
+
+        write = "import sys, qvbench.toydata as t; t.write_toy_workspace(sys.argv[1])"
+        run("-c", write, str(tmp_path / "ws"))
+        for stage in STAGES:
+            run("-m", "qvbench", stage, "--config", str(tmp_path / "ws" / "toy.cfg"))
+        assert out_files(tmp_path / "ws") == toy_tree
+        chat_server.reply = lambda request: "pong"
+        assert run("-c", self.HTTP_SNIPPET, chat_server.url).split() == [
+            "False", "pong", "False", "False", "False"
+        ]
 
     # The qvbench modules that each stage's process holds once the stage
     # has run; the package and core are left out. No stage holds numpy

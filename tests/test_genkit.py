@@ -4,7 +4,9 @@ import hashlib
 import json
 import random
 import re
+import shutil
 import socket
+import subprocess
 import threading
 import time
 from types import SimpleNamespace
@@ -419,13 +421,14 @@ class TestHttpProvider:
             self.provider(chat_server.url).complete("p")
 
 
-class TestHttpBackoff:
-    @pytest.fixture
-    def sleeps(self, monkeypatch):
-        slept = []
-        monkeypatch.setattr(genkit.time, "sleep", slept.append)
-        return slept
+@pytest.fixture
+def sleeps(monkeypatch):
+    slept = []
+    monkeypatch.setattr(genkit.time, "sleep", slept.append)
+    return slept
 
+
+class TestHttpBackoff:
     @staticmethod
     def script(server, answers):
         """Answer the n-th request with answers[n], the last one thereafter."""
@@ -495,6 +498,203 @@ class TestHttpBackoff:
             TestHttpProvider.provider(chat_server.url).complete("p")
         assert len(chat_server.seen) == 1
         assert sleeps == []
+
+
+
+def _chat_body(content) -> bytes:
+    return json.dumps({"choices": [{"message": {"content": content}}]}).encode("utf-8")
+
+
+class CannedServer:
+    """Localhost server that answers the n-th connection with
+    ``answers[n]``, the last one thereafter: a list of byte pieces sent
+    one send at a time, 5 ms apart, before the connection is closed.
+    Every request read, head and body, is kept in ``seen``. With a
+    server-side SSLContext it speaks TLS."""
+
+    def __init__(self, answers, tls=None):
+        self.answers = answers
+        self.tls = tls
+        self.seen = []
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.listener.settimeout(0.02)
+        scheme = "https" if tls else "http"
+        self.url = f"{scheme}://127.0.0.1:{self.listener.getsockname()[1]}/v1/chat/completions"
+        self.stop = threading.Event()
+        self.thread = threading.Thread(target=self._serve, daemon=True)
+        self.thread.start()
+
+    def _serve(self):
+        while not self.stop.is_set():
+            try:
+                conn, _ = self.listener.accept()
+            except TimeoutError:
+                continue
+            conn.settimeout(5)
+            try:
+                if self.tls is not None:
+                    conn = self.tls.wrap_socket(conn, server_side=True)
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    request += conn.recv(4096)
+                head = request.partition(b"\r\n\r\n")[0].decode("latin-1")
+                length = int(re.search(r"Content-Length: (\d+)", head)[1])
+                while len(request) - len(head) - 4 < length:
+                    request += conn.recv(4096)
+                self.seen.append(request)
+                for piece in self.answers[min(len(self.seen), len(self.answers)) - 1]:
+                    conn.sendall(piece)
+                    self.stop.wait(0.005)  # time.sleep may be patched out
+            except OSError:
+                pass  # a client that gave up, or failed the TLS handshake
+            finally:
+                conn.close()
+
+    def close(self):
+        self.stop.set()
+        self.thread.join(timeout=10)
+        self.listener.close()
+
+
+@pytest.fixture
+def canned():
+    """canned(*answers, tls=None) starts a CannedServer; all are closed
+    after the test."""
+    servers = []
+
+    def start(*answers, tls=None):
+        servers.append(CannedServer(list(answers), tls))
+        return servers[-1]
+
+    yield start
+    for server in servers:
+        server.close()
+
+
+def _ok(body: bytes) -> list:
+    return [b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % len(body), body]
+
+
+class TestHttpFraming:
+    def test_request_head_and_chunked_body_split_across_sends(self, canned):
+        body = _chat_body("hello")
+        server = canned(
+            [
+                b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+                b"a;name=value\r\n" + body[:5],
+                body[5:10] + b"\r\n%x\r\n" % (len(body) - 10),
+                body[10:] + b"\r\n0\r\n",
+                b"Trailer-Field: x\r\n\r\n",
+            ]
+        )
+        assert TestHttpProvider.provider(server.url).complete("prompt text") == "hello"
+        (request,) = server.seen
+        head, _, data = request.partition(b"\r\n\r\n")
+        port = server.url.split(":")[2].split("/")[0]
+        assert head.split(b"\r\n") == [
+            b"POST /v1/chat/completions HTTP/1.1",
+            b"Host: 127.0.0.1:" + port.encode(),
+            b"Content-Type: application/json",
+            b"Authorization: Bearer sk-1",
+            b"User-Agent: qvbench",
+            b"Accept-Encoding: identity",
+            b"Connection: close",
+            b"Content-Length: %d" % len(data),
+        ]
+        assert json.loads(data)["messages"] == [{"role": "user", "content": "prompt text"}]
+
+    def test_interim_100_continue_skipped(self, canned):
+        server = canned([b"HTTP/1.1 100 Continue\r\n\r\n", *_ok(_chat_body("after"))])
+        assert TestHttpProvider.provider(server.url).complete("p") == "after"
+
+    def test_body_without_content_length_runs_to_the_close(self, canned):
+        server = canned([b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n", _chat_body("all")])
+        assert TestHttpProvider.provider(server.url).complete("p") == "all"
+
+    def test_short_body_fails_unretried(self, canned, sleeps):
+        body = _chat_body("cut")
+        server = canned([b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n" % (len(body) + 1), body])
+        with pytest.raises(TransportError, match=f"ended after {len(body)} of {len(body) + 1} bytes"):
+            TestHttpProvider.provider(server.url).complete("p")
+        assert len(server.seen) == 1
+        assert sleeps == []
+
+    def test_lower_case_retry_after_honoured(self, canned, sleeps):
+        server = canned(
+            [b"HTTP/1.1 429 Too Many Requests\r\nretry-after: 7\r\ncontent-length: 0\r\n\r\n"],
+            _ok(_chat_body("fine")),
+        )
+        assert TestHttpProvider.provider(server.url).complete("p") == "fine"
+        assert len(server.seen) == 2
+        assert sleeps == [7.0]
+
+    @pytest.mark.parametrize(
+        "answer, message",
+        [
+            ([b"ICY 200 OK\r\n\r\n", _chat_body("x")], "bad status line b'ICY 200 OK'"),
+            ([b"HTTP/1.1 200 OK\r\nContent-Le"], "connection closed before the response headers ended"),
+        ],
+    )
+    def test_malformed_response_fails_unretried(self, canned, sleeps, answer, message):
+        server = canned(answer)
+        with pytest.raises(TransportError, match=re.escape(f"request to {server.url} failed: {message}")):
+            TestHttpProvider.provider(server.url).complete("p")
+        assert len(server.seen) == 1
+        assert sleeps == []
+
+
+@pytest.fixture(scope="module")
+def certificate(tmp_path_factory):
+    """A self-signed certificate for IP 127.0.0.1 and its key, made by
+    the openssl command line."""
+    if shutil.which("openssl") is None:
+        pytest.skip("no openssl command to make a certificate with")
+    folder = tmp_path_factory.mktemp("tls")
+    cert, key = folder / "cert.pem", folder / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1",
+         "-nodes", "-keyout", str(key), "-out", str(cert), "-days", "2",
+         "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1"],
+        check=True,
+        capture_output=True,
+        timeout=60,
+    )
+    return cert, key
+
+
+class TestHttps:
+    @staticmethod
+    def tls_server(canned, certificate):
+        import ssl
+
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(*certificate)
+        return canned(_ok(_chat_body("secret")), tls=context)
+
+    def test_untrusted_certificate_fails_unretried(self, canned, certificate, sleeps, monkeypatch):
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+        server = self.tls_server(canned, certificate)
+        with pytest.raises(TransportError, match="certificate verify failed"):
+            TestHttpProvider.provider(server.url).complete("p")
+        assert server.seen == []
+        assert sleeps == []
+
+    def test_trusted_certificate_answers_as_http(self, canned, certificate, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(certificate[0]))
+        server = self.tls_server(canned, certificate)
+        plain = canned(_ok(_chat_body("secret")))
+        answers = [TestHttpProvider.provider(s.url).complete("p") for s in (server, plain)]
+        assert answers == ["secret", "secret"]
+        bodies = [request.partition(b"\r\n\r\n")[2] for request in server.seen + plain.seen]
+        assert len(bodies) == 2 and bodies[0] == bodies[1]
+
+    @pytest.mark.parametrize(
+        "endpoint",
+        ["localhost:8000/v1", "ftp://example.org/v1", "http:///v1", "http://h/a b", "http://h:x/v1"],
+    )
+    def test_malformed_endpoint_rejected_before_any_call(self, endpoint):
+        with pytest.raises(ValidationError, match=re.escape(f"bad endpoint {endpoint!r}")):
+            TestHttpProvider.provider(endpoint)
 
 
 class TestRunInOrder:
