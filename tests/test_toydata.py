@@ -1,13 +1,17 @@
 """Bundled toy collection: shape, determinism, and dictionary coverage."""
 
+import hashlib
+
 import pytest
 
 from qvbench.core import (
     ValidationError,
+    format_trec_run,
     parse_passages,
     parse_qrels,
     parse_topics,
     parse_trec_run,
+    variant_query_id,
 )
 from qvbench.genkit import load_profiles
 from qvbench.retrieval import Bm25Params, build_index, search
@@ -140,6 +144,21 @@ class TestFixtureRuns:
         write_trec_run(records, path)
         assert parse_trec_run(path) == sorted(records, key=lambda r: (r.query_id, r.rank))
 
+    def test_mid_size_run_bytes_pinned(self):
+        # 30 variant ids over the mid workspace's 1,000 passages: any change
+        # to how the fixture systems rank must leave these bytes as they are.
+        query_ids = [
+            variant_query_id(f"t{t:02d}", "persona_emily", i)
+            for t in range(1, 11)
+            for i in range(1, 4)
+        ]
+        passage_ids = [f"p{i:03d}" for i in range(1, 1001)]
+        text = format_trec_run(fixture_run_records("fixture_a", query_ids, passage_ids, k=10))
+        assert len(text.splitlines()) == 300
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "68320d1dbf1bb1ab8bd70ef43e100b95a1acc420bb010f367789782fe83cd2aa"
+        )
+
     def test_query_id_grid(self):
         ids = all_query_ids(toy_topics(), [f"pr{i}" for i in range(19)])
         assert len(ids) == 5 * (1 + 19 * 3)
@@ -170,7 +189,41 @@ class TestWorkspace:
         assert values["topics"] == "topics.tsv"
 
     def test_reproducible(self, tmp_path):
-        a = write_toy_workspace(tmp_path / "a").parent
-        b = write_toy_workspace(tmp_path / "b").parent
-        for name in ("topics.tsv", "passages.tsv", "qrels.txt", "runs/fixture_a.run"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
+        def tree(root):
+            return {
+                p.relative_to(root).as_posix(): p.read_bytes()
+                for p in sorted(root.rglob("*"))
+                if p.is_file()
+            }
+
+        a = tree(write_toy_workspace(tmp_path / "a").parent)
+        b = tree(write_toy_workspace(tmp_path / "b").parent)
+        assert sorted(a) == [
+            "passages.tsv",
+            "profiles.json",
+            "qrels.txt",
+            "runs/fixture_a.run",
+            "runs/fixture_b.run",
+            "topics.tsv",
+            "toy.cfg",
+        ]
+        assert a == b
+
+    def test_default_workspace_bytes_pinned(self, tmp_path):
+        # The default toy workspace (5 topics, 200 passages, seed 0): every
+        # reference output downstream is computed from these exact inputs.
+        root = write_toy_workspace(tmp_path / "ws").parent
+        digests = {
+            name: hashlib.sha256((root / name).read_bytes()).hexdigest()
+            for name in PINNED_WORKSPACE_SHA256
+        }
+        assert digests == PINNED_WORKSPACE_SHA256
+
+
+PINNED_WORKSPACE_SHA256 = {
+    "topics.tsv": "00182985137447889b8cc3ef44dfc3c0a468e17b316a2bf9dcc208d7a37c4c6c",
+    "passages.tsv": "d4f92ae7719de2f2e2af4a1a1d3cb9558f737811ca49e40b126ee80d0e8bd056",
+    "qrels.txt": "9028075d5e50921ce94adbaa0aeec00f2a06911fda150d5ac75822fa0c5d9e99",
+    "runs/fixture_a.run": "055a9988e939215b46b3a360f6a5b5da7e60a4c81ce6638a5914061c22e11f49",
+    "runs/fixture_b.run": "823cf59f458dfe166a95d36c9350bd24a570bc59cfb215674b8490ceff9ed0b5",
+}
