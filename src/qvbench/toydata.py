@@ -236,11 +236,6 @@ def toy_qrels(
     return qrels
 
 
-def _hash_score(system_id: str, query_id: str, passage_id: str) -> int:
-    digest = hashlib.sha256(f"{system_id}|{query_id}|{passage_id}".encode()).digest()
-    return int.from_bytes(digest[:8], "big")
-
-
 def fixture_run_records(
     system_id: str,
     query_ids: Iterable[str],
@@ -249,19 +244,28 @@ def fixture_run_records(
 ) -> list[RunRecord]:
     """Pseudo-system results: passages ranked by a keyed content hash.
 
+    A passage's score for a query is the first 8 bytes of
+    sha256(f"{system_id}|{query_id}|{passage_id}"), compared as bytes, which
+    orders them as the big-endian integers they encode. Each distinct query
+    gets the k highest scores, ties broken by passage id ascending.
     Deterministic across runs and platforms, and distinct per system, so
     imported-run plumbing gets exercised with non-degenerate rankings.
     """
     if k < 1:
         raise ValidationError(f"k={k} must be >= 1")
+    sha256 = hashlib.sha256
+    raw_ids = [pid.encode() for pid in passage_ids]
     records = []
     for query_id in sorted(set(query_ids)):
-        top = heapq.nsmallest(
-            k,
-            passage_ids,
-            key=lambda pid: (-_hash_score(system_id, query_id, pid), pid),
-        )
-        for rank, pid in enumerate(top, 1):
+        prefix = f"{system_id}|{query_id}|".encode()
+        scores = [sha256(prefix + raw).digest()[:8] for raw in raw_ids]
+        if not scores:
+            break
+        floor = heapq.nlargest(k, scores)[-1]
+        # The k-th largest score is a floor every true top-k passage meets.
+        top = sorted((pid, s) for s, pid in zip(scores, passage_ids) if s >= floor)
+        top.sort(key=lambda c: c[1], reverse=True)
+        for rank, (pid, _) in enumerate(top[:k], 1):
             records.append(RunRecord(system_id, query_id, pid, rank, float(k - rank + 1)))
     return records
 

@@ -256,9 +256,11 @@ class TestValidateStage:
         ]
         path = tmp_path / "ann.jsonl"
         write_jsonl(records, path)
-        assert main(["validate", "--config", str(workspace), "--annotations", str(path)]) == 0
+        # a copy, so the shared workspace's out/ gains no consensus tables
+        config = shutil.copytree(workspace.parent, tmp_path / "ws") / workspace.name
+        assert main(["validate", "--config", str(config), "--annotations", str(path)]) == 0
         assert "1 similarity rows" in capsys.readouterr().out
-        rows = read_csv(out_dir(workspace) / "consensus_similarity.csv")
+        rows = read_csv(out_dir(config) / "consensus_similarity.csv")
         assert rows[0]["profile_id"] == "persona_emily"
         assert rows[0]["accuracy"] == "1.0"
 

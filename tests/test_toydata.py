@@ -1,10 +1,13 @@
 """Bundled toy collection: shape, determinism, and dictionary coverage."""
 
 import hashlib
+import heapq
+import random
 
 import pytest
 
 from qvbench.core import (
+    RunRecord,
     ValidationError,
     format_trec_run,
     parse_passages,
@@ -124,6 +127,57 @@ class TestQrels:
         assert all(q.query_id in ids for q in toy_qrels(100, topics))
 
 
+def oracle_fixture_run_records(system_id, query_ids, passage_ids, k=10):
+    """The reference ranking: an integer hash key per passage, top k by
+    `heapq.nsmallest` on (-score, passage id)."""
+
+    def score(query_id, passage_id):
+        digest = hashlib.sha256(f"{system_id}|{query_id}|{passage_id}".encode()).digest()
+        return int.from_bytes(digest[:8], "big")
+
+    records = []
+    for query_id in sorted(set(query_ids)):
+        top = heapq.nsmallest(
+            k, passage_ids, key=lambda pid: (-score(query_id, pid), pid)
+        )
+        for rank, pid in enumerate(top, 1):
+            records.append(RunRecord(system_id, query_id, pid, rank, float(k - rank + 1)))
+    return records
+
+
+def _tied_sha256(buckets):
+    """A stand-in for hashlib.sha256 whose digests share their first 8
+    bytes across passages: only `buckets` distinct score prefixes exist."""
+    real = hashlib.sha256
+
+    class Tied:
+        def __init__(self, data=b""):
+            self._digest = real(data).digest()
+
+        def digest(self):
+            return bytes([self._digest[0] % buckets]) * 8 + self._digest[8:]
+
+    return Tied
+
+
+def _random_case(rng):
+    alphabet = [f"p{i}" for i in range(rng.randint(1, 40))] + ["p\u00e9", "P1", "p01"]
+    passage_ids = [rng.choice(alphabet) for _ in range(rng.randint(1, 60))]
+    query_ids = [rng.choice(["t01", "t02", "t01__emily__1", "t\u00e9"]) for _ in range(rng.randint(0, 6))]
+    k = rng.choice([1, 2, 5, 10, len(passage_ids), len(passage_ids) + 3])
+    return rng.choice(FIXTURE_SYSTEMS), query_ids, passage_ids, k
+
+
+# duplicate passage ids, k above the passage count, repeated query ids,
+# no query ids, no passages
+EDGE_CASES = [
+    ("fixture_b", ["t01", "t01", "t02"], ["p3", "p1", "p3", "p2", "p1"], 4),
+    ("fixture_b", ["t01"], ["p1", "p2"], 10),
+    ("fixture_b", [], ["p1", "p2"], 2),
+    ("fixture_b", ["t01", "t02"], [], 3),
+]
+
+
 class TestFixtureRuns:
     def test_shape_and_determinism(self):
         records = fixture_run_records("fixture_a", ["t01", "t02"], ["p1", "p2", "p3"], k=2)
@@ -159,10 +213,45 @@ class TestFixtureRuns:
             "68320d1dbf1bb1ab8bd70ef43e100b95a1acc420bb010f367789782fe83cd2aa"
         )
 
+    @pytest.mark.parametrize("buckets", [None, 4, 1])
+    def test_matches_oracle_on_random_cases(self, monkeypatch, buckets):
+        # buckets=None hashes for real; 4 and 1 force ties on the 8-byte
+        # score, which only the passage id can then order.
+        if buckets is not None:
+            monkeypatch.setattr(hashlib, "sha256", _tied_sha256(buckets))
+        rng = random.Random(f"fixture-oracle|{buckets}")
+        for case in [*EDGE_CASES, *(_random_case(rng) for _ in range(200))]:
+            assert fixture_run_records(*case) == oracle_fixture_run_records(*case), case
+
+    def test_one_digest_per_query_and_passage(self, monkeypatch):
+        calls = []
+        real = hashlib.sha256
+
+        def counting(data=b""):
+            calls.append(data)
+            return real(data)
+
+        monkeypatch.setattr(hashlib, "sha256", counting)
+        query_ids = ["t01", "t02", "t01", "t03__emily__2"]
+        passage_ids = [f"p{i:03d}" for i in range(1, 51)]
+        for _ in range(2):  # a second identical call pays again: no memo
+            calls.clear()
+            fixture_run_records("fixture_a", query_ids, passage_ids, k=5)
+            assert len(calls) == len(set(query_ids)) * len(passage_ids)
+
     def test_query_id_grid(self):
         ids = all_query_ids(toy_topics(), [f"pr{i}" for i in range(19)])
         assert len(ids) == 5 * (1 + 19 * 3)
         assert len(set(ids)) == len(ids)
+
+
+PINNED_WORKSPACE_SHA256 = {
+    "topics.tsv": "00182985137447889b8cc3ef44dfc3c0a468e17b316a2bf9dcc208d7a37c4c6c",
+    "passages.tsv": "d4f92ae7719de2f2e2af4a1a1d3cb9558f737811ca49e40b126ee80d0e8bd056",
+    "qrels.txt": "9028075d5e50921ce94adbaa0aeec00f2a06911fda150d5ac75822fa0c5d9e99",
+    "runs/fixture_a.run": "055a9988e939215b46b3a360f6a5b5da7e60a4c81ce6638a5914061c22e11f49",
+    "runs/fixture_b.run": "823cf59f458dfe166a95d36c9350bd24a570bc59cfb215674b8490ceff9ed0b5",
+}
 
 
 class TestWorkspace:
@@ -219,11 +308,3 @@ class TestWorkspace:
         }
         assert digests == PINNED_WORKSPACE_SHA256
 
-
-PINNED_WORKSPACE_SHA256 = {
-    "topics.tsv": "00182985137447889b8cc3ef44dfc3c0a468e17b316a2bf9dcc208d7a37c4c6c",
-    "passages.tsv": "d4f92ae7719de2f2e2af4a1a1d3cb9558f737811ca49e40b126ee80d0e8bd056",
-    "qrels.txt": "9028075d5e50921ce94adbaa0aeec00f2a06911fda150d5ac75822fa0c5d9e99",
-    "runs/fixture_a.run": "055a9988e939215b46b3a360f6a5b5da7e60a4c81ce6638a5914061c22e11f49",
-    "runs/fixture_b.run": "823cf59f458dfe166a95d36c9350bd24a570bc59cfb215674b8490ceff9ed0b5",
-}
