@@ -337,8 +337,9 @@ def test_c5_toy_pipeline_byte_reproducible(tmp_path):
 
     # Pinned so a change in how inputs are read, BM25 scores are summed,
     # means are summed or artifacts are written shows up (run files hold
-    # the repr of every score); none of these goes through numpy, so BLAS
-    # cannot move them.
+    # the repr of every score, the analysis tables the repr of every
+    # statistic); none of these goes through numpy, so BLAS cannot move
+    # them.
     pinned = {
         "index_stats.json": "824c5bb43cc6a67f3f45f9af99f0fa4909cd9300fb6e31b8d5502f43d4737e4a",
         "runs/bm25_k09_b04.run": "8a53d4b987548321ad506333ec2768a8c6edd327d9e4449bba416ed158b3bb97",
@@ -356,6 +357,11 @@ def test_c5_toy_pipeline_byte_reproducible(tmp_path):
         "llm_raw.jsonl": "8ed6312be1531145493fa11b1a1b6d50497cc4f64772f686683f2f0fbd96bc8a",
         "merged_qrels.txt": "de75d3b43737848dec5fc02eca69a07ee3ab70f860815549fb225752aff1acd3",
         "genlog.jsonl": "8b152775fc2e8c1cda34cfb104b24a58916fe49ce4b4c933f7f23d1bf57375cb",
+        "anova.csv": "7b5837242b03fe282bd0566f761fd9470c7573f2a5a6d28acb87e5719c20c56e",
+        "agreement.csv": "4e1ff5b2a5d96627dd450ecdf9466bc2f32c9290b9899449ff0fafa7e1c7884b",
+        "marginal_means.csv": "f4b38bf1c4cd278ad9c90d9f90a74e69a621dd27e5711ccb29abf0de29368485",
+        "tukey_pairs.csv": "3e15b44d451a6a48197d9a3574b94c09e1a2c7291f27ad89f03f2297760b026a",
+        "marginal_means.svg": "856afb22c0663b576446ee5a9dd9274f680798f027f71716098b8e35d9aba957",
     }
     for name, digest in pinned.items():
         assert hashlib.sha256(tree_a[name]).hexdigest() == digest, name

@@ -624,6 +624,49 @@ class TestAnalyzeStage:
         assert "unbalanced" in capsys.readouterr().err
 
 
+def _faulty_ndcg_rows(fault):
+    """2 topics x 2 systems x 2 profiles x 3 variants of 0.5, in sorted
+    order, with one fault."""
+    rows = []
+    for t in ("t01", "t02"):
+        for s in ("s1", "s2"):
+            for p in ("pa", "pb"):
+                if fault == "missing" and (t, s, p) == ("t02", "s1", "pb"):
+                    continue
+                for i in (1, 2, 3):
+                    bad = fault == "range" and (t, s, p, i) == ("t01", "s1", "pb", 2)
+                    rows.append([t, s, p, i, "1.5" if bad else "0.5"])
+                    if fault == "duplicate" and (t, s, p, i) == ("t02", "s2", "pb", 2):
+                        rows.append([t, s, p, i, "0.5"])
+                if fault == "extra" and (t, s, p) == ("t01", "s2", "pa"):
+                    rows.append([t, s, p, 4, "0.5"])
+    return rows
+
+
+# The one balance check over ndcg.csv's variant cells: fault -> message.
+IMBALANCE_MESSAGES = {
+    "missing": "missing cell {'topic': 't02', 'system': 's1', 'profile': 'pb'}",
+    "extra": "unbalanced design: cell {'topic': 't01', 'system': 's1', 'profile': 'pa'} "
+    "has 3 observations, others differ",
+    "duplicate": "duplicate cell ('t02', 's2', 'pb', 2)",
+    "range": "cell value 1.5 outside [0, 1]",
+}
+
+
+@pytest.mark.parametrize("stage", ["analyze", "report"])
+@pytest.mark.parametrize("fault", sorted(IMBALANCE_MESSAGES))
+def test_imbalanced_ndcg_exits_4_with_its_message(fault, stage, workspace, tmp_path, capsys):
+    out = tmp_path / "broken"
+    out.mkdir()
+    with open(out / "ndcg.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["topic_id", "system_id", "profile_id", "variant_index", "ndcg"])
+        writer.writerows(_faulty_ndcg_rows(fault))
+    assert main([stage, "--config", str(workspace), "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err == f"error: unbalanced design: {IMBALANCE_MESSAGES[fault]}\n"
+
+
 # (stage, table it reads back, line to break, what to do to it, message)
 BAD_TABLES = [
     ("analyze", "ndcg.csv", 1, lambda cells: cells[:-1], "missing column 'ndcg'"),
