@@ -555,11 +555,9 @@ def _read_matrix(config: PipelineConfig):
     if not cells:
         raise ValidationError("ndcg.csv holds no variant cells")
     try:
-        matrix = EffectivenessMatrix.from_scores(cells)
-        matrix.balanced_cells(("topic", "system", "profile"))
+        return EffectivenessMatrix.from_scores(cells)
     except ValueError as exc:
         raise ImbalanceError(str(exc)) from exc
-    return matrix
 
 
 def cmd_analyze(config: PipelineConfig) -> None:
@@ -710,7 +708,7 @@ def _svg_bar_chart(title, labels, values, errors=None):
 
 
 def cmd_report(config: PipelineConfig) -> None:
-    system_means, _ = _read_matrix(config).group_means("system")
+    system_means = _read_matrix(config).group_means("system")
     means_path = config.out / "marginal_means.csv"
     if not means_path.exists():
         raise ValidationError(f"{means_path} missing; run analyze first")

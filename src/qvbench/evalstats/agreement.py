@@ -30,13 +30,10 @@ def system_verdicts(
     matrix: EffectivenessMatrix, profile: str, alpha: float = 0.05
 ) -> tuple[dict[tuple[str, str], PairDiff], TukeyResult]:
     """Significance verdicts for every system pair under one profile."""
-    sub = matrix.subset(profiles=[profile])
-    if len(sub) == 0:
-        raise ValueError(f"no cells for profile {profile!r}")
+    sub = matrix.for_profile(profile)
     table = anova(sub, ("topic", "system"))
-    means, _ = sub.group_means("system")
-    n_per_group = len(sub) // len(means)
-    tukey = tukey_hsd(means, n_per_group, table.ms_error, table.df_error, alpha)
+    means = sub.group_means("system")
+    tukey = tukey_hsd(means, len(sub) // len(means), table.ms_error, table.df_error, alpha)
     verdicts = {(p.group_a, p.group_b): p for p in tukey.pairs}
     return verdicts, tukey
 

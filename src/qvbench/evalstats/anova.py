@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from functools import reduce
-from itertools import combinations, product
+from itertools import combinations
 from operator import add
 from typing import NamedTuple, Optional, Sequence
 
-from .matrix import AXES, EffectivenessMatrix
+from .matrix import AXES, EffectivenessMatrix, offsets
 from .special import f_sf, t_quantile
 
 # Every sum below adds in the order numpy's reductions add, as the
@@ -49,11 +49,7 @@ def _projection(dims: Sequence[int], axes: Sequence[int], keep: Sequence[int]) -
     for a in reversed(keep):
         strides[a] = stride
         stride *= dims[a]
-    positions = [0]
-    for a in axes:
-        step = strides.get(a, 0)
-        positions = [p + i * step for p in positions for i in range(dims[a])]
-    return positions
+    return offsets([dims[a] for a in axes], [strides.get(a, 0) for a in axes])
 
 
 def _mean_over(y: list, dims: Sequence[int], keep: tuple[int, ...]) -> list[float]:
@@ -69,16 +65,6 @@ def _mean_over(y: list, dims: Sequence[int], keep: tuple[int, ...]) -> list[floa
         sums[cell] += _pairwise_sum(y, outer * run, run)
     count = len(y) // len(sums)
     return [s / count for s in sums]
-
-
-def _dense(matrix: EffectivenessMatrix, factors: Sequence[str]) -> tuple[list, list[int]]:
-    """The values of a balanced design as a C-order list over (factor
-    levels..., replicate), and that shape."""
-    levels, buckets = matrix.balanced_cells(factors)
-    y = []
-    for combo in product(*levels):
-        y.extend(v for _, v in buckets[combo])
-    return y, [len(level) for level in levels] + [len(y) // len(buckets)]
 
 
 class AnovaRow(NamedTuple):
@@ -127,7 +113,7 @@ def anova(matrix: EffectivenessMatrix, factors: Sequence[str]) -> AnovaTable:
     single replicate the highest-order interaction is pooled into error.
     """
     names = _normalize_factors(factors)
-    y, dims = _dense(matrix, names)
+    y, dims = matrix.arranged([AXES.index(f) for f in names])
     n_total = len(y)
     r = dims[-1]
     m = len(names)
@@ -247,16 +233,7 @@ def marginal_means(
     term from; the pipeline passes the (topic, system, profile) table it
     writes to anova.csv.
     """
-    levels = matrix.profiles
-    if not levels:
-        raise ValueError("matrix has no profile levels")
-    group_means, counts = matrix.group_means("profile")
-    n_per_group = counts[levels[0]]
-    if any(c != n_per_group for c in counts.values()):
-        raise ValueError(f"unbalanced profile groups: {counts}")
-    se = math.sqrt(table.ms_error / n_per_group)
+    group_means = matrix.group_means("profile")
+    se = math.sqrt(table.ms_error / (len(matrix) // len(group_means)))
     half = t_quantile(1.0 - alpha / 2.0, table.df_error) * se
-    return [
-        MarginalMean(lv, group_means[lv], group_means[lv] - half, group_means[lv] + half)
-        for lv in levels
-    ]
+    return [MarginalMean(lv, mean, mean - half, mean + half) for lv, mean in group_means.items()]

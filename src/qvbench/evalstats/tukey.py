@@ -3,18 +3,25 @@
 The CDF is evaluated by direct numerical integration in pure Python: an
 outer 200-node Gauss-Legendre rule over the scaled chi distribution of
 the pooled standard deviation and an inner 240-node rule over the range
-distribution of k standard normals. The nodes come from Newton's method
-on the Legendre recurrence, and the inner rule's x/sqrt(2), w*phi(x) and
-erf(x/sqrt(2)) are computed once per process. Outer nodes whose
-w*density, and inner nodes whose w*phi, fall below 1e-17 are skipped:
-each would move the CDF by less than k * 1e-17. Accuracy is well inside
-the 1e-4 contract (spot checks sit at ~1e-9 against high-precision
-reference values).
+distribution of k standard normals. The nodes and weights are read from
+the bundled table data/legendre.txt, which the tests check bit for bit
+against Newton's method on the Legendre recurrence; the inner rule's
+x/sqrt(2), w*phi(x) and erf(x/sqrt(2)) are computed once per process.
+Outer nodes whose w*density, and inner nodes whose w*phi, fall below
+1e-17 are skipped: each would move the CDF by less than k * 1e-17.
+Accuracy is well inside the 1e-4 contract (spot checks sit at ~1e-9
+against high-precision reference values).
 
 A quantile is defined as the result of a bisection on the CDF from
-[1e-9, hi] down to a bracket 1e-10 wide. It is computed by replaying
-that bisection over a bracket first narrowed by regula falsi, which
-returns the same float from about a third of the CDF evaluations.
+[1e-9, hi] down to a bracket 1e-10 wide, which takes about 38 CDF
+evaluations. It is computed by replaying that bisection with each side
+it asks for taken from the evaluated CDF points where they settle it,
+and predicted from a root estimate elsewhere. A coarse 40 x 48-node rule
+gives the first estimate; each full evaluation, at the predicted point
+nearest the root, refines it by a secant step, until no side is left to
+prediction. That returns the same float from 2-6 full evaluations; the
+toy and mid pipelines' quantiles take 4 and 3.
+
 The bisection only sees on which side of p the CDF lies at each
 midpoint, so a CDF that moves by about 1e-14, as this one did from the
 numpy grid it replaced, returns the same bits unless a midpoint falls
@@ -27,7 +34,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Mapping, NamedTuple
+from pathlib import Path
+from typing import Mapping, NamedTuple, Optional
 
 _OUTER_NODES = 200
 _INNER_NODES = 240
@@ -35,41 +43,27 @@ _INNER_HALFSPAN = 9.0
 # An outer node whose w*density, or an inner node whose w*phi, falls
 # below this is skipped.
 _NEGLIGIBLE = 1e-17
+# The coarse rule that predicts a quantile's root.
+_COARSE_OUTER = 40
+_COARSE_INNER = 48
+_NODES_PATH = Path(__file__).resolve().parent.parent / "data" / "legendre.txt"
 
 
 @lru_cache(maxsize=None)
 def _leggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], n even.
-
-    Each positive root starts from Tricomi's asymptotic expansion
-    (Tricomi 1950, to O(n**-4)) and takes Newton steps on P_n from the
-    three-term recurrence until the next step would move it by less
-    than 1e-18; a step also updates P_n' through Legendre's equation, so
-    most roots need one pass of the recurrence. The negative roots
-    mirror the positive ones.
-    """
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1] for an n
+    in the bundled table, whose lines hold n, a positive node and its
+    weight; the negative nodes mirror the positive ones."""
     nodes, weights = [], []
-    nn = n * (n + 1)
-    for i in range(n // 2):
-        theta = math.pi * (i + 0.75) / (n + 0.5)
-        sin2 = math.sin(theta) ** 2
-        x = (1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / sin2) / (384.0 * n**4)) * math.cos(
-            theta
-        )
-        for _ in range(20):
-            p0, p1 = 1.0, x
-            for j in range(2, n + 1):
-                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
-            dp = n * (x * p1 - p0) / (x * x - 1.0)
-            ddp = (2.0 * x * dp - nn * p1) / (1.0 - x * x)
-            dx = p1 / dp
-            x -= dx
-            dp -= dx * ddp
-            if abs(ddp / dp) * dx * dx < 2e-18:
-                break
-        nodes.append(x)
-        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
-    return tuple([-x for x in nodes] + nodes[::-1]), tuple(weights + weights[::-1])
+    with open(_NODES_PATH, encoding="ascii") as fh:
+        for line in fh:
+            size, x, w = line.split()
+            if int(size) == n:
+                nodes.append(float(x))
+                weights.append(float(w))
+    if not nodes:
+        raise ValueError(f"no {n}-node rule in {_NODES_PATH}")
+    return tuple([-x for x in reversed(nodes)] + nodes), tuple(weights[::-1] + weights)
 
 
 def _scaled_nodes(n: int, lo: float, hi: float) -> list[tuple[float, float]]:
@@ -81,11 +75,11 @@ def _scaled_nodes(n: int, lo: float, hi: float) -> list[tuple[float, float]]:
 
 
 @lru_cache(maxsize=None)
-def _inner_rule() -> tuple[tuple[float, float, float], ...]:
-    """(u/sqrt 2, w*phi(u), erf(u/sqrt 2)) at the inner nodes u on
+def _inner_rule(n: int) -> tuple[tuple[float, float, float], ...]:
+    """(u/sqrt 2, w*phi(u), erf(u/sqrt 2)) at the n inner nodes u on
     [-9, 9] where w*phi(u) is not negligible."""
     rule = []
-    for u, w in _scaled_nodes(_INNER_NODES, -_INNER_HALFSPAN, _INNER_HALFSPAN):
+    for u, w in _scaled_nodes(n, -_INNER_HALFSPAN, _INNER_HALFSPAN):
         w_phi = w * math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
         if w_phi >= _NEGLIGIBLE:
             a = u / math.sqrt(2.0)
@@ -93,7 +87,7 @@ def _inner_rule() -> tuple[tuple[float, float, float], ...]:
     return tuple(rule)
 
 
-def _range_cdf(r: float, k: int) -> float:
+def _range_cdf(r: float, k: int, inner: int) -> float:
     """CDF of the range of k iid standard normals:
     k * integral of phi(u) * (Phi(u) - Phi(u - r))**(k-1) du, with
     Phi(u) - Phi(u - r) = (erf(u/sqrt 2) - erf((u - r)/sqrt 2)) / 2."""
@@ -101,19 +95,13 @@ def _range_cdf(r: float, k: int) -> float:
     erf = math.erf
     power = k - 1
     total = 0.0
-    for a, w_phi, erf_a in _inner_rule():
+    for a, w_phi, erf_a in _inner_rule(inner):
         total += w_phi * (erf_a - erf(a - b)) ** power
     return min(max(k * 0.5**power * total, 0.0), 1.0)
 
 
-def studentized_range_cdf(q: float, k: int, df: int) -> float:
-    """P(Q <= q) for the studentized range with k groups and df error dof."""
-    if k < 2:
-        raise ValueError(f"k={k} must be >= 2")
-    if df < 1:
-        raise ValueError(f"df={df} must be >= 1")
-    if q <= 0.0:
-        return 0.0
+def _integrated_cdf(q: float, k: int, df: int, outer: int, inner: int) -> float:
+    """P(Q <= q), q > 0, from an outer and an inner rule of the given sizes."""
     nu = float(df)
     spread = 12.0 / math.sqrt(2.0 * nu)
     lo = max(1e-12, 1.0 - spread)
@@ -122,22 +110,136 @@ def studentized_range_cdf(q: float, k: int, df: int) -> float:
         nu / 2.0
     )
     total = 0.0
-    for s, w in _scaled_nodes(_OUTER_NODES, lo, hi):
+    for s, w in _scaled_nodes(outer, lo, hi):
         w_density = w * math.exp(ln_const + (nu - 1.0) * math.log(s) - nu * s * s / 2.0)
         if w_density >= _NEGLIGIBLE:
-            total += w_density * _range_cdf(q * s, k)
+            total += w_density * _range_cdf(q * s, k, inner)
     return min(max(total, 0.0), 1.0)
+
+
+def studentized_range_cdf(q: float, k: int, df: int) -> float:
+    """P(Q <= q) for the studentized range with k groups and df error dof."""
+    _check_shape(k, df)
+    if q <= 0.0:
+        return 0.0
+    return _integrated_cdf(q, k, df, _OUTER_NODES, _INNER_NODES)
 
 
 # The bisection that defines a quantile: its lower end and final width.
 _BISECT_LO = 1e-9
 _BISECT_WIDTH = 1e-10
-# Regula falsi keeps each new point this far inside its bracket.
-_NARROW_STEP = 2e-11
-# The replay takes a midpoint's side from the CDF's monotonicity only
+# The replay takes a point's side from the CDF being increasing only
 # when it lies this far outside the evaluated bracket; the CDF's own
 # rounding moves its root by about 1e-15.
 _REPLAY_MARGIN = 1e-11
+# The coarse root search stops at this bracket width; the coarse rule's
+# own root is off by more.
+_COARSE_WIDTH = 1e-7
+
+
+def _check_shape(k: int, df: int) -> None:
+    if k < 2:
+        raise ValueError(f"k={k} must be >= 2")
+    if df < 1:
+        raise ValueError(f"df={df} must be >= 1")
+
+
+def _root_search(excess, p: float) -> Optional[tuple[float, float]]:
+    """A root of `excess` (a CDF minus p) and its slope across the final
+    bracket, by regula falsi from [1e-9, 4 * 1.6**n] to a bracket
+    _COARSE_WIDTH wide; None when 4 * 1.6**40 still falls short of p.
+    The Illinois step halves the weight of an end that stayed put for
+    two steps, so both ends close in."""
+    # The CDF at 1e-9 is 0 to double precision.
+    a, b = _BISECT_LO, 4.0
+    ea, eb = -p, excess(b)
+    for _ in range(40):
+        if eb >= 0.0:
+            break
+        a, ea = b, eb
+        b *= 1.6
+        eb = excess(b)
+    else:
+        return None
+    wa, wb = ea, eb
+    moved = 0
+    for _ in range(100):
+        if b - a <= _COARSE_WIDTH:
+            break
+        x = b - wb * (b - a) / (wb - wa)
+        if not a < x < b:
+            x = 0.5 * (a + b)
+        ex = excess(x)
+        if ex < 0.0:
+            if moved < 0:
+                wb *= 0.5
+            a, ea, wa, moved = x, ex, ex, -1
+        else:
+            if moved > 0:
+                wa *= 0.5
+            b, eb, wb, moved = x, ex, ex, 1
+    return a - ea * (b - a) / (eb - ea), (eb - ea) / (b - a)
+
+
+def _replay(excess: dict, root: float) -> tuple[float, list]:
+    """The bisection that defines a quantile, run on what `excess` (the
+    CDF minus p at each evaluated point) settles, and the points whose
+    side it predicted from `root` instead.
+
+    A point takes its own evaluated side; one more than _REPLAY_MARGIN
+    below the highest evaluated point under p, or above the lowest at or
+    over p, takes its side from the CDF being increasing.
+    """
+    low = max((q for q, e in excess.items() if e < 0.0), default=-math.inf)
+    high = min((q for q, e in excess.items() if e >= 0.0), default=math.inf)
+    predicted = []
+
+    def below(q: float) -> bool:
+        if q in excess:
+            return excess[q] < 0.0
+        if q < low - _REPLAY_MARGIN:
+            return True
+        if q > high + _REPLAY_MARGIN:
+            return False
+        predicted.append(q)
+        return q < root
+
+    hi = 4.0
+    while below(hi):
+        hi *= 1.6
+    lo = _BISECT_LO
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < _BISECT_WIDTH:
+            break
+    return 0.5 * (lo + hi), predicted
+
+
+def _next_root(excess: dict, slope: float) -> float:
+    """The root estimate after the latest evaluation: a secant step
+    through the last two evaluated points. A step that leaves the
+    tightest evaluated bracket falls back to its midpoint, or, while
+    every point lies on one side, to a Newton step with the coarse
+    `slope` from the nearest one, as after the first evaluation."""
+    points = list(excess.items())
+    q, e = points[-1]
+    x = math.nan
+    if len(points) > 1:
+        q0, e0 = points[-2]
+        if (e - e0) * (q - q0) > 0.0:
+            x = q - e * (q - q0) / (e - e0)
+    low = max((q for q, e in points if e < 0.0), default=-math.inf)
+    high = min((q for q, e in points if e >= 0.0), default=math.inf)
+    if low < x < high:
+        return x
+    if -math.inf < low and high < math.inf:
+        return 0.5 * (low + high)
+    nearest = low if high == math.inf else high
+    return nearest - excess[nearest] / slope
 
 
 @lru_cache(maxsize=256)
@@ -147,88 +249,40 @@ def studentized_range_quantile(p: float, k: int, df: int) -> float:
     The result is, bit for bit, the midpoint that a bisection on the
     CDF from [1e-9, hi] reaches once its bracket is under 1e-10 wide;
     hi is the first of 4 * 1.6**n with cdf(hi) >= p. That bisection
-    takes about 38 CDF evaluations. Here regula falsi first narrows the
-    bracket around the root to 1e-10, noting on which side of p each
-    evaluated point lies. Then the bisection is replayed: a midpoint
-    more than 1e-11 outside the tightest evaluated bracket takes its
-    side from the CDF being increasing, and only a midpoint inside that
-    band needs the CDF, unless it was evaluated already. The toy and
-    mid pipelines' quantiles take 9-15 evaluations.
+    takes about 38 CDF evaluations. Here a coarse 40 x 48-node rule
+    predicts the root, and the bisection is replayed with each side it
+    needs taken from the CDF where an evaluated point settles it and
+    from the predicted root elsewhere. The predicted point nearest the
+    root is then evaluated, the root re-estimated, and the replay run
+    again, until no side is left to prediction.
 
     Cached: analysis sweeps ask for the same (p, k, df) once per
     profile, and the CDF evaluations are by far their dominant cost.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p={p} outside (0, 1)")
-    below = {}  # every evaluated q: cdf(q) < p
+    _check_shape(k, df)
+    excess: dict[float, float] = {}  # the full CDF minus p where evaluated
 
-    def excess(q: float) -> float:
-        value = studentized_range_cdf(q, k, df)
-        below[q] = value < p
-        return value - p
+    def full(q: float) -> float:
+        excess[q] = studentized_range_cdf(q, k, df) - p
+        return excess[q]
 
-    # cdf(1e-9) is 0 to double precision, and the bisection never asks.
-    a, fa = _BISECT_LO, -p
-    hi = 4.0
-    fb = excess(hi)
-    expansions = 0
-    while below[hi]:
-        a, fa = hi, fb
-        hi *= 1.6
-        expansions += 1
-        if expansions > 40:
-            raise ArithmeticError(
-                f"quantile bracket failed for p={p}, k={k}, df={df} (cdf(hi) still low)"
-            )
-        fb = excess(hi)
+    def coarse(q: float) -> float:
+        return _integrated_cdf(q, k, df, _COARSE_OUTER, _COARSE_INNER) - p
 
-    # Regula falsi over [a, b]. The Illinois step halves the value kept
-    # at an end that stayed put for two steps, so both ends close in. A
-    # point kept _NARROW_STEP inside twice running means the CDF is flat
-    # at p to rounding there, so the next point halves the bracket.
-    b = hi
-    moved = 0
-    clamped = False
-    for _ in range(200):
-        if b - a <= _BISECT_WIDTH:
-            break
-        x = b - fb * (b - a) / (fb - fa)
-        inner = min(max(x, a + _NARROW_STEP), b - _NARROW_STEP)
-        if inner != x and clamped:
-            inner = 0.5 * (a + b)
-        clamped, x = inner != x, inner
-        fx = excess(x)
-        if below[x]:
-            if moved < 0:
-                fb *= 0.5
-            a, fa, moved = x, fx, -1
-        else:
-            if moved > 0:
-                fa *= 0.5
-            b, fb, moved = x, fx, 1
-
-    lo = _BISECT_LO
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid < a - _REPLAY_MARGIN:
-            is_below = True
-        elif mid > b + _REPLAY_MARGIN:
-            is_below = False
-        else:
-            if mid not in below:
-                excess(mid)
-            is_below = below[mid]
-            if is_below:
-                a = max(a, mid)
-            else:
-                b = min(b, mid)
-        if is_below:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < _BISECT_WIDTH:
-            break
-    return 0.5 * (lo + hi)
+    # Where the coarse rule never reaches p, the full rule predicts too.
+    estimate = _root_search(coarse, p) or _root_search(full, p)
+    if estimate is None:
+        raise ArithmeticError(f"quantile bracket failed for p={p}, k={k}, df={df}")
+    root, slope = estimate
+    for _ in range(100):
+        result, predicted = _replay(excess, root)
+        if not predicted:
+            return result
+        full(min(predicted, key=lambda x: abs(x - root)))
+        root = _next_root(excess, slope)
+    raise ArithmeticError(f"quantile replay did not settle for p={p}, k={k}, df={df}")
 
 
 class PairDiff(NamedTuple):

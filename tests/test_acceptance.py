@@ -388,16 +388,14 @@ def test_c5_toy_pipeline_byte_reproducible(tmp_path):
 
 
 def _random_matrix(seed, shift=0.0) -> EffectivenessMatrix:
-    matrix = EffectivenessMatrix()
+    cells = []
     for t in range(4):
         for s in range(3):
             for p in range(3):
                 for i in (1, 2):
                     cell_rng = random.Random(f"{seed}|{t}|{s}|{p}|{i}")
-                    matrix.set(
-                        f"t{t}", f"s{s}", f"p{p}", i, cell_rng.random() * 0.5 + shift
-                    )
-    return matrix
+                    cells.append((f"t{t}", f"s{s}", f"p{p}", i, cell_rng.random() * 0.5 + shift))
+    return EffectivenessMatrix.from_scores(cells)
 
 
 def test_c6_location_shift_leaves_analysis_unchanged():

@@ -18,15 +18,15 @@ from qvbench.evalstats.tukey import PairDiff
 def build_matrix(system_offsets_by_profile, topics=4, reps=3, noise=0.01, seed=5):
     """Per-profile system effects on a shared topic baseline."""
     rng = random.Random(seed)
-    m = EffectivenessMatrix()
+    cells = []
     for profile, offsets in system_offsets_by_profile.items():
         for t in range(topics):
             base = 0.3 + 0.05 * t
             for system, offset in offsets.items():
                 for i in range(1, reps + 1):
                     value = base + offset + rng.uniform(-noise, noise)
-                    m.set(f"t{t}", system, profile, i, min(max(value, 0.0), 1.0))
-    return m
+                    cells.append((f"t{t}", system, profile, i, min(max(value, 0.0), 1.0)))
+    return EffectivenessMatrix.from_scores(cells)
 
 
 def agreement(m, profile_a, profile_b):
@@ -124,6 +124,10 @@ def test_classification_rules_direct():
 
 
 def test_mismatched_system_sets_rejected():
-    m = build_matrix({"alpha": {"s1": 0.0, "s2": 0.1}, "beta": {"s1": 0.0, "s3": 0.1}})
+    # One matrix cannot hold them: its balance check names the gap.
+    with pytest.raises(ValueError, match="missing cell"):
+        build_matrix({"alpha": {"s1": 0.0, "s2": 0.1}, "beta": {"s1": 0.0, "s3": 0.1}})
+    verdicts_a, _ = system_verdicts(build_matrix({"alpha": {"s1": 0.0, "s2": 0.1}}), "alpha")
+    verdicts_b, _ = system_verdicts(build_matrix({"beta": {"s1": 0.0, "s3": 0.1}}), "beta")
     with pytest.raises(ValueError, match="different system sets"):
-        agreement(m, "alpha", "beta")
+        agreement_from_verdicts("alpha", "beta", verdicts_a, verdicts_b)

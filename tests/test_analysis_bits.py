@@ -74,8 +74,8 @@ TUKEY_DIGEST = "9ca702728dac513814dbb171e9763639c8d4d277ef66280175d153f4e7b5f4b5
 MEANS_DIGEST = "7ed1da33794bd43d8fa683c94dc78ae07ef6a3e7412aacafee9682f2a778ab55"
 
 
-def mid_shape_results():
-    matrix = EffectivenessMatrix.from_scores(mid_shape_scores())
+def mid_shape_results(scores=None):
+    matrix = EffectivenessMatrix.from_scores(scores or mid_shape_scores())
     table = anova(matrix, FACTORS)
     rows = [tuple(_hex(v) for v in row) for row in table.all_rows()]
     tukey_lines = []
@@ -103,3 +103,10 @@ def test_tukey_means_and_hsd_keep_their_bits():
 def test_marginal_means_keep_their_bits():
     _, _, means_lines = mid_shape_results()
     assert _digest(means_lines) == MEANS_DIGEST, "\n".join(means_lines)
+
+
+def test_insertion_order_moves_no_bit():
+    """Each mean sums its cells in level order, not in insertion order."""
+    scores = mid_shape_scores()
+    random.Random(7).shuffle(scores)
+    assert mid_shape_results(scores) == mid_shape_results()

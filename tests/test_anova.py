@@ -152,12 +152,12 @@ def oracle_three_way(cells):
 
 
 def matrix_from_two_way(cells, profile="p"):
-    m = EffectivenessMatrix()
-    for i, row in enumerate(cells):
-        for j, cell in enumerate(row):
-            for rep, v in enumerate(cell, start=1):
-                m.set(f"t{i}", f"s{j}", profile, rep, v)
-    return m
+    return EffectivenessMatrix.from_scores(
+        (f"t{i}", f"s{j}", profile, rep, v)
+        for i, row in enumerate(cells)
+        for j, cell in enumerate(row)
+        for rep, v in enumerate(cell, start=1)
+    )
 
 
 def source_row(table, source):
@@ -166,13 +166,13 @@ def source_row(table, source):
 
 
 def matrix_from_three_way(cells):
-    m = EffectivenessMatrix()
-    for i, x in enumerate(cells):
-        for j, y in enumerate(x):
-            for k, cell in enumerate(y):
-                for rep, v in enumerate(cell, start=1):
-                    m.set(f"t{i}", f"s{j}", f"p{k}", rep, v)
-    return m
+    return EffectivenessMatrix.from_scores(
+        (f"t{i}", f"s{j}", f"p{k}", rep, v)
+        for i, x in enumerate(cells)
+        for j, y in enumerate(x)
+        for k, cell in enumerate(y)
+        for rep, v in enumerate(cell, start=1)
+    )
 
 
 def test_two_way_hand_fixture():
@@ -315,10 +315,10 @@ def _remapped(matrix, value, relabel):
         {name: f"x{len(levels) - k}" if relabel else name for k, name in enumerate(levels)}
         for levels in names
     ]
-    out = EffectivenessMatrix()
-    for (t, s, p, i), v in matrix.items():
-        out.set(rename[0][t], rename[1][s], rename[2][p], i, value(v))
-    return out
+    return EffectivenessMatrix.from_scores(
+        (rename[0][t], rename[1][s], rename[2][p], i, value(v))
+        for (t, s, p, i), v in matrix.items()
+    )
 
 
 # (cell value before, cell value after, relabel levels): both matrices
@@ -352,38 +352,33 @@ def test_null_effect_zero_ss():
 
 
 def test_missing_cell_rejected():
-    m = EffectivenessMatrix()
-    m.set("t0", "s0", "p", 1, 0.5)
-    m.set("t0", "s1", "p", 1, 0.5)
-    m.set("t1", "s0", "p", 1, 0.5)
+    cells = [("t0", "s0", "p", 1, 0.5), ("t0", "s1", "p", 1, 0.5), ("t1", "s0", "p", 1, 0.5)]
     with pytest.raises(ValueError, match="missing cell"):
-        anova(m, ("topic", "system"))
+        EffectivenessMatrix.from_scores(cells)
 
 
 def test_unbalanced_cell_rejected():
-    m = EffectivenessMatrix()
-    for t in ("t0", "t1"):
-        for s in ("s0", "s1"):
-            m.set(t, s, "p", 1, 0.5)
-            m.set(t, s, "p", 2, 0.6)
-    m.set("t0", "s0", "p", 3, 0.7)
+    cells = [
+        (t, s, "p", i, v)
+        for t in ("t0", "t1")
+        for s in ("s0", "s1")
+        for i, v in ((1, 0.5), (2, 0.6))
+    ]
+    cells.append(("t0", "s0", "p", 3, 0.7))
     with pytest.raises(ValueError, match="unbalanced"):
-        anova(m, ("topic", "system"))
+        EffectivenessMatrix.from_scores(cells)
 
 
 def test_single_level_factor_rejected():
-    m = EffectivenessMatrix()
-    for s in ("s0", "s1"):
-        for i in (1, 2):
-            m.set("t0", s, "p", i, 0.5)
+    m = EffectivenessMatrix.from_scores(
+        ("t0", s, "p", i, 0.5) for s in ("s0", "s1") for i in (1, 2)
+    )
     with pytest.raises(ValueError, match="single level"):
         anova(m, ("topic", "system"))
 
 
 def test_zero_error_df_rejected():
-    m = EffectivenessMatrix()
-    m.set("t0", "s0", "p", 1, 0.1)
-    m.set("t1", "s0", "p", 1, 0.2)
+    m = EffectivenessMatrix.from_scores([("t0", "s0", "p", 1, 0.1), ("t1", "s0", "p", 1, 0.2)])
     with pytest.raises(ValueError, match="error degrees"):
         anova(m, ("topic",))
 
@@ -407,12 +402,10 @@ def test_omega_bands():
 
 
 def test_marginal_means_constant_matrix():
-    m = EffectivenessMatrix()
-    for t in ("t0", "t1"):
-        for s in ("s0", "s1"):
-            for p in ("p0", "p1"):
-                for i in (1, 2):
-                    m.set(t, s, p, i, 0.5)
+    m = EffectivenessMatrix.from_scores(
+        (t, s, p, i, 0.5) for t in ("t0", "t1") for s in ("s0", "s1") for p in ("p0", "p1")
+        for i in (1, 2)
+    )
     table = anova(m, ("topic", "system", "profile"))
     means = marginal_means(m, table)
     assert [mm.mean for mm in means] == [0.5, 0.5]
@@ -424,11 +417,10 @@ def test_marginal_means_constant_matrix():
 def test_marginal_means_t_intervals():
     # mean +- t(1 - alpha/2, df_error) * sqrt(MS_error / n), n = 9 cells
     # per profile, with the error term read from the table passed in.
-    m = EffectivenessMatrix()
-    for t in ("t0", "t1", "t2"):
-        for s in ("s0", "s1", "s2"):
-            m.set(t, s, "a", 1, 0.6)
-            m.set(t, s, "b", 1, 0.4)
+    m = EffectivenessMatrix.from_scores(
+        (t, s, p, 1, v) for t in ("t0", "t1", "t2") for s in ("s0", "s1", "s2")
+        for p, v in (("a", 0.6), ("b", 0.4))
+    )
     error = AnovaRow("error", 0.144, 16, 0.009, None, None, None)
     table = AnovaTable(rows=(), error=error, total=error, grand_mean=0.5)
     half = t_quantile(0.975, 16) * math.sqrt(0.009 / 9)
@@ -447,10 +439,10 @@ def test_marginal_means_uniform_shift():
         for i in (1, 2)
     }
     delta = 0.25
-    m = EffectivenessMatrix()
-    for (t, s, i), v in base.items():
-        m.set(t, s, "plain", i, v)
-        m.set(t, s, "boost", i, v + delta)
+    m = EffectivenessMatrix.from_scores(
+        (t, s, p, i, v + shift) for (t, s, i), v in base.items()
+        for p, shift in (("plain", 0.0), ("boost", delta))
+    )
     table = anova(m, ("topic", "system", "profile"))
     means = marginal_means(m, table)
     by_level = {mm.level: mm.mean for mm in means}
@@ -458,11 +450,11 @@ def test_marginal_means_uniform_shift():
 
 
 def test_matrix_validation():
-    m = EffectivenessMatrix()
-    m.set("t", "s", "p", 1, 0.5)
     with pytest.raises(ValueError, match="duplicate"):
-        m.set("t", "s", "p", 1, 0.6)
+        EffectivenessMatrix.from_scores([("t", "s", "p", 1, 0.5), ("t", "s", "p", 1, 0.6)])
     with pytest.raises(ValueError, match="outside"):
-        m.set("t", "s", "p", 2, 1.5)
-    assert len(m.subset(profiles=["p"])) == 1
-    assert len(m.subset(profiles=["other"])) == 0
+        EffectivenessMatrix.from_scores([("t", "s", "p", 1, 0.5), ("t", "s", "p", 2, 1.5)])
+    m = EffectivenessMatrix.from_scores([("t", "s", "p", 1, 0.5)])
+    assert len(m.for_profile("p")) == 1
+    with pytest.raises(ValueError, match="no cells for profile 'other'"):
+        m.for_profile("other")

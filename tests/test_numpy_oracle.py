@@ -18,14 +18,23 @@ from qvbench.evalstats.matrix import EffectivenessMatrix  # noqa: E402
 
 
 def numpy_sums(matrix, names):
-    """grand mean, {source: SS} and SS total, as the numpy ANOVA had them."""
-    levels, buckets = matrix.balanced_cells(names)
+    """grand mean, {source: SS} and SS total, as the numpy ANOVA had them.
+
+    The array is built from the matrix's (key, value) cells: a factor
+    combination's replicates in the order of the other key fields."""
+    axes = [("topic", "system", "profile").index(name) for name in names]
+    buckets = {}
+    for key, value in matrix.items():
+        combo = tuple(key[a] for a in axes)
+        rep_key = tuple(v for a, v in enumerate(key) if a not in axes)
+        buckets.setdefault(combo, []).append((rep_key, value))
+    levels = [sorted({combo[i] for combo in buckets}) for i in range(len(axes))]
     positions = [{lv: i for i, lv in enumerate(level)} for level in levels]
     r = len(next(iter(buckets.values())))
     y = np.empty([len(level) for level in levels] + [r], dtype=float)
     for combo, values in buckets.items():
         idx = tuple(positions[i][combo[i]] for i in range(len(combo)))
-        y[idx] = [v for _, v in values]
+        y[idx] = [v for _, v in sorted(values)]
     n_total = y.size
     m = len(names)
     grand = float(y.mean())

@@ -18,13 +18,13 @@ TRACED_STAGE = Path(__file__).resolve().parents[1] / "perfbench" / "traced_stage
 
 def _tables():
     tree = ast.parse(TRACED_STAGE.read_text(encoding="utf-8"))
-    tables = {}
-    for node in tree.body:
-        if isinstance(node, ast.Assign):
-            for target in node.targets:
-                if isinstance(target, ast.Name) and target.id in ("LAYER_FUNCTIONS", "CORE_READERS"):
-                    tables[target.id] = ast.literal_eval(node.value)
-    return tables
+    return {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("LAYER_FUNCTIONS", "CORE_READERS")
+    }
 
 
 TABLES = _tables()

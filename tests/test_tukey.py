@@ -151,8 +151,8 @@ def test_pinned_oracle_matches_bisection():
         assert bisection_quantile(*case).hex() == bits
 
 
-@pytest.mark.parametrize("case", sorted(PINNED_QUANTILES))
-def test_quantile_cdf_evaluations(case, monkeypatch):
+def _counting_cdf(monkeypatch):
+    """The q of every full CDF evaluation the quantile makes."""
     calls = []
     real = tukey.studentized_range_cdf
 
@@ -161,9 +161,75 @@ def test_quantile_cdf_evaluations(case, monkeypatch):
         return real(q, k, df)
 
     monkeypatch.setattr(tukey, "studentized_range_cdf", counting)
+    return calls
+
+
+# Full CDF evaluations per pinned quantile, as measured.
+PINNED_EVALUATIONS = {
+    (0.95, 5, 50): 4,
+    (0.95, 19, 950): 4,
+    (0.95, 5, 100): 3,
+    (0.95, 19, 1900): 4,
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_QUANTILES))
+def test_quantile_cdf_evaluations(case, monkeypatch):
+    calls = _counting_cdf(monkeypatch)
     assert studentized_range_quantile.__wrapped__(*case).hex() == PINNED_QUANTILES[case]
-    assert len(calls) <= 20
+    assert len(calls) <= PINNED_EVALUATIONS[case]
     assert len(set(calls)) == len(calls)
+
+
+def test_random_quantiles_take_few_cdf_evaluations(monkeypatch):
+    """Small df and large k, where the coarse rule predicts the root
+    worst, included: at most 6 full evaluations, none repeated."""
+    calls = _counting_cdf(monkeypatch)
+    for case in random_quantile_cases(40, seed=20261018):
+        calls.clear()
+        studentized_range_quantile.__wrapped__(*case)
+        assert len(calls) <= 6, case
+        assert len(set(calls)) == len(calls), case
+
+
+def newton_leggauss(n):
+    """Gauss-Legendre nodes (ascending) and weights on [-1, 1], n even.
+
+    Each positive root starts from Tricomi's asymptotic expansion
+    (Tricomi 1950, to O(n**-4)) and takes Newton steps on P_n from the
+    three-term recurrence until the next step would move it by less
+    than 1e-18; a step also updates P_n' through Legendre's equation, so
+    most roots need one pass of the recurrence. The negative roots
+    mirror the positive ones.
+    """
+    nodes, weights = [], []
+    nn = n * (n + 1)
+    for i in range(n // 2):
+        theta = math.pi * (i + 0.75) / (n + 0.5)
+        sin2 = math.sin(theta) ** 2
+        x = (1.0 - (n - 1) / (8.0 * n**3) - (39.0 - 28.0 / sin2) / (384.0 * n**4)) * math.cos(
+            theta
+        )
+        for _ in range(20):
+            p0, p1 = 1.0, x
+            for j in range(2, n + 1):
+                p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+            dp = n * (x * p1 - p0) / (x * x - 1.0)
+            ddp = (2.0 * x * dp - nn * p1) / (1.0 - x * x)
+            dx = p1 / dp
+            x -= dx
+            dp -= dx * ddp
+            if abs(ddp / dp) * dx * dx < 2e-18:
+                break
+        nodes.append(x)
+        weights.append(2.0 / ((1.0 - x * x) * dp * dp))
+    return tuple([-x for x in nodes] + nodes[::-1]), tuple(weights + weights[::-1])
+
+
+@pytest.mark.parametrize("n", [40, 48, 200, 240])
+def test_leggauss_table_matches_newton(n):
+    """The bundled rules are, bit for bit, what Newton's method gives."""
+    assert tukey._leggauss(n) == newton_leggauss(n)
 
 
 def _legendre_mp(n, x):
