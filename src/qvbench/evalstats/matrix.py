@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from functools import reduce
 from itertools import product
 from operator import add
@@ -11,8 +12,7 @@ AXES = ("topic", "system", "profile")
 
 
 def offsets(sizes: Sequence[int], strides: Sequence[int]) -> list[int]:
-    """sum(i[a] * strides[a]) for every index tuple i over `sizes`, in C
-    order."""
+    """sum(i[a] * strides[a]) for each index tuple i over `sizes`, in C order."""
     out = [0]
     for size, stride in zip(sizes, strides):
         out = [o + i * stride for o in out for i in range(size)]
@@ -41,18 +41,20 @@ class EffectivenessMatrix:
     balanced: every (topic, system, profile) combination holds the same
     number of variants.
 
-    `levels` holds each axis's sorted levels. `values` is the flat C-order
-    list over (topic, system, profile, variant), a combination's variants
-    in index order, and `keys` the (topic, system, profile, index) key of
-    each value. Build one with `from_scores`, which checks every cell and
-    the balance once.
+    `levels` holds each axis's sorted levels, also named `topics`,
+    `systems` and `profiles`. `values` is the flat C-order list over
+    (topic, system, profile, variant), a combination's variants in index
+    order, and `keys` the (topic, system, profile, index) key of each
+    value. Build one with `from_scores`, which checks every cell and the
+    balance once.
     """
 
-    __slots__ = ("levels", "variants", "keys", "values")
+    __slots__ = ("levels", "topics", "systems", "profiles", "variants", "keys", "values")
 
     def __init__(self, levels: tuple, keys: list, values: list):
         self.levels = levels
-        self.variants = len(values) // (len(levels[0]) * len(levels[1]) * len(levels[2]))
+        self.topics, self.systems, self.profiles = levels
+        self.variants = len(values) // math.prod(map(len, levels))
         self.keys = keys
         self.values = values
 
@@ -94,26 +96,12 @@ class EffectivenessMatrix:
     def items(self):
         return zip(self.keys, self.values)
 
-    @property
-    def topics(self) -> list[str]:
-        return self.levels[0]
-
-    @property
-    def systems(self) -> list[str]:
-        return self.levels[1]
-
-    @property
-    def profiles(self) -> list[str]:
-        return self.levels[2]
-
     def group_means(self, axis: str) -> dict:
         """The mean of each level of `axis`, levels sorted. Each level sums
         its cells left to right in C order, whatever order they came in."""
         pos = AXES.index(axis)
         levels = self.levels[pos]
-        run = self.variants
-        for lv in self.levels[pos + 1 :]:
-            run *= len(lv)
+        run = math.prod(map(len, self.levels[pos + 1 :])) * self.variants
         sums = [0.0] * len(levels)
         for block, start in enumerate(range(0, len(self.values), run)):
             j = block % len(levels)
@@ -147,7 +135,4 @@ class EffectivenessMatrix:
             picks = offsets([shape[a] for a in order], [strides[a] for a in order])
             values = [values[i] for i in picks]
         dims = [shape[a] for a in axes]
-        replicate = len(values)
-        for d in dims:
-            replicate //= d
-        return values, dims + [replicate]
+        return values, dims + [len(values) // math.prod(dims)]

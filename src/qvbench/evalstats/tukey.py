@@ -19,8 +19,10 @@ it asks for taken from the evaluated CDF points where they settle it,
 and predicted from a root estimate elsewhere. A coarse 40 x 48-node rule
 gives the first estimate; each full evaluation, at the predicted point
 nearest the root, refines it by a secant step, until no side is left to
-prediction. That returns the same float from 2-6 full evaluations; the
-toy and mid pipelines' quantiles take 4 and 3.
+prediction. That returns the same float from 2-6 full evaluations over
+the tests' random cases; the toy and mid pipelines' quantiles take 4
+and 3. Where the coarse rule never reaches p (df = 1 with p near 1),
+the full rule brackets the root itself, at about the bisection's cost.
 
 The bisection only sees on which side of p the CDF lies at each
 midpoint, so a CDF that moves by about 1e-14, as this one did from the
@@ -61,8 +63,6 @@ def _leggauss(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
             if int(size) == n:
                 nodes.append(float(x))
                 weights.append(float(w))
-    if not nodes:
-        raise ValueError(f"no {n}-node rule in {_NODES_PATH}")
     return tuple([-x for x in reversed(nodes)] + nodes), tuple(weights[::-1] + weights)
 
 
@@ -101,7 +101,13 @@ def _range_cdf(r: float, k: int, inner: int) -> float:
 
 
 def _integrated_cdf(q: float, k: int, df: int, outer: int, inner: int) -> float:
-    """P(Q <= q), q > 0, from an outer and an inner rule of the given sizes."""
+    """P(Q <= q) from an outer and an inner rule of the given sizes."""
+    if k < 2:
+        raise ValueError(f"k={k} must be >= 2")
+    if df < 1:
+        raise ValueError(f"df={df} must be >= 1")
+    if q <= 0.0:
+        return 0.0
     nu = float(df)
     spread = 12.0 / math.sqrt(2.0 * nu)
     lo = max(1e-12, 1.0 - spread)
@@ -119,9 +125,6 @@ def _integrated_cdf(q: float, k: int, df: int, outer: int, inner: int) -> float:
 
 def studentized_range_cdf(q: float, k: int, df: int) -> float:
     """P(Q <= q) for the studentized range with k groups and df error dof."""
-    _check_shape(k, df)
-    if q <= 0.0:
-        return 0.0
     return _integrated_cdf(q, k, df, _OUTER_NODES, _INNER_NODES)
 
 
@@ -137,19 +140,10 @@ _REPLAY_MARGIN = 1e-11
 _COARSE_WIDTH = 1e-7
 
 
-def _check_shape(k: int, df: int) -> None:
-    if k < 2:
-        raise ValueError(f"k={k} must be >= 2")
-    if df < 1:
-        raise ValueError(f"df={df} must be >= 1")
-
-
 def _root_search(excess, p: float) -> Optional[tuple[float, float]]:
     """A root of `excess` (a CDF minus p) and its slope across the final
-    bracket, by regula falsi from [1e-9, 4 * 1.6**n] to a bracket
-    _COARSE_WIDTH wide; None when 4 * 1.6**40 still falls short of p.
-    The Illinois step halves the weight of an end that stayed put for
-    two steps, so both ends close in."""
+    bracket, by Illinois regula falsi from [1e-9, 4 * 1.6**n] to a
+    bracket _COARSE_WIDTH wide; None if 4 * 1.6**40 falls short of p."""
     # The CDF at 1e-9 is 0 to double precision.
     a, b = _BISECT_LO, 4.0
     ea, eb = -p, excess(b)
@@ -161,8 +155,7 @@ def _root_search(excess, p: float) -> Optional[tuple[float, float]]:
         eb = excess(b)
     else:
         return None
-    wa, wb = ea, eb
-    moved = 0
+    wa, wb, moved = ea, eb, 0
     for _ in range(100):
         if b - a <= _COARSE_WIDTH:
             break
@@ -219,49 +212,20 @@ def _replay(excess: dict, root: float) -> tuple[float, list]:
     return 0.5 * (lo + hi), predicted
 
 
-def _next_root(excess: dict, slope: float) -> float:
-    """The root estimate after the latest evaluation: a secant step
-    through the last two evaluated points. A step that leaves the
-    tightest evaluated bracket falls back to its midpoint, or, while
-    every point lies on one side, to a Newton step with the coarse
-    `slope` from the nearest one, as after the first evaluation."""
-    points = list(excess.items())
-    q, e = points[-1]
-    x = math.nan
-    if len(points) > 1:
-        q0, e0 = points[-2]
-        if (e - e0) * (q - q0) > 0.0:
-            x = q - e * (q - q0) / (e - e0)
-    low = max((q for q, e in points if e < 0.0), default=-math.inf)
-    high = min((q for q, e in points if e >= 0.0), default=math.inf)
-    if low < x < high:
-        return x
-    if -math.inf < low and high < math.inf:
-        return 0.5 * (low + high)
-    nearest = low if high == math.inf else high
-    return nearest - excess[nearest] / slope
-
-
 @lru_cache(maxsize=256)
 def studentized_range_quantile(p: float, k: int, df: int) -> float:
     """Inverse CDF; absolute accuracy far below 1e-4.
 
     The result is, bit for bit, the midpoint that a bisection on the
     CDF from [1e-9, hi] reaches once its bracket is under 1e-10 wide;
-    hi is the first of 4 * 1.6**n with cdf(hi) >= p. That bisection
-    takes about 38 CDF evaluations. Here a coarse 40 x 48-node rule
-    predicts the root, and the bisection is replayed with each side it
-    needs taken from the CDF where an evaluated point settles it and
-    from the predicted root elsewhere. The predicted point nearest the
-    root is then evaluated, the root re-estimated, and the replay run
-    again, until no side is left to prediction.
+    hi is the first of 4 * 1.6**n with cdf(hi) >= p. The module
+    docstring says how it is reached from a few CDF evaluations.
 
     Cached: analysis sweeps ask for the same (p, k, df) once per
     profile, and the CDF evaluations are by far their dominant cost.
     """
     if not 0.0 < p < 1.0:
         raise ValueError(f"p={p} outside (0, 1)")
-    _check_shape(k, df)
     excess: dict[float, float] = {}  # the full CDF minus p where evaluated
 
     def full(q: float) -> float:
@@ -276,12 +240,18 @@ def studentized_range_quantile(p: float, k: int, df: int) -> float:
     if estimate is None:
         raise ArithmeticError(f"quantile bracket failed for p={p}, k={k}, df={df}")
     root, slope = estimate
+    last = None
     for _ in range(100):
         result, predicted = _replay(excess, root)
         if not predicted:
             return result
-        full(min(predicted, key=lambda x: abs(x - root)))
-        root = _next_root(excess, slope)
+        q = min(predicted, key=lambda x: abs(x - root))
+        e = full(q)
+        # A secant step through the last two evaluated points; a Newton
+        # step with the coarse slope after the first.
+        if last is not None and (e - last[1]) * (q - last[0]) > 0.0:
+            slope = (e - last[1]) / (q - last[0])
+        root, last = q - e / slope, (q, e)
     raise ArithmeticError(f"quantile replay did not settle for p={p}, k={k}, df={df}")
 
 

@@ -257,3 +257,15 @@ def test_leggauss_matches_mpmath(n):
             _, dp = _legendre_mp(n, root)
             assert abs(root - x) <= 5e-16
             assert abs(2 / ((1 - root * root) * dp * dp) - w) <= 5e-16
+
+
+def test_quantile_where_the_coarse_rule_falls_short():
+    """At df = 1 and p near 1 the coarse rule never reaches p; the full
+    rule brackets the root instead and the bits still hold."""
+    p, k, df = case = (0.9999, 50, 1)
+
+    def coarse(q):
+        return tukey._integrated_cdf(q, k, df, tukey._COARSE_OUTER, tukey._COARSE_INNER) - p
+
+    assert tukey._root_search(coarse, p) is None
+    assert studentized_range_quantile.__wrapped__(*case).hex() == bisection_quantile(*case).hex()
