@@ -42,7 +42,6 @@ from .core import (
     read_csv,
     read_variants,
     variant_query_id,
-    verify_complete,
     write_csv,
     write_qrels,
     write_topics,
@@ -83,7 +82,7 @@ class _PipelineConfigFields(NamedTuple):
     corpus: Path
     profiles: Path
     out: Path
-    runs_dir: Optional[Path]
+    runs: Optional[Path]
     qrels: Optional[Path]
     annotations: Optional[Path]
     methods: tuple
@@ -101,7 +100,7 @@ class PipelineConfig(_Validated, _PipelineConfigFields):
     __slots__ = ()
 
     def __new__(
-        cls, topics, corpus, profiles, out, runs_dir=None, qrels=None, annotations=None,
+        cls, topics, corpus, profiles, out, runs=None, qrels=None, annotations=None,
         methods=PROFILE_METHODS, k=10, alpha=0.05, gain="linear", merge="human-preferred",
         seed=0, provider="mock", endpoint="", model="",
     ):
@@ -121,7 +120,7 @@ class PipelineConfig(_Validated, _PipelineConfigFields):
         if not methods:
             raise ValidationError("methods must not be empty")
         return tuple.__new__(cls, (
-            topics, corpus, profiles, out, runs_dir, qrels, annotations, methods,
+            topics, corpus, profiles, out, runs, qrels, annotations, methods,
             k, alpha, gain, merge, seed, provider, endpoint, model,
         ))
 
@@ -129,14 +128,13 @@ class PipelineConfig(_Validated, _PipelineConfigFields):
 _COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
-# Config-file keys, each also a flag: one per PipelineConfig field, with
-# runs for runs_dir.
-SETTINGS = tuple("runs" if name == "runs_dir" else name for name in PipelineConfig._fields)
+# Each PipelineConfig field is a config-file key and a flag; these are
+# the ones that name paths.
 _PATH_SETTINGS = ("topics", "corpus", "profiles", "runs", "qrels", "out", "annotations")
 
 
 def parse_config_file(path) -> dict:
-    """Plain `key = value` lines over the keys in SETTINGS; later keys win.
+    """Plain `key = value` lines over PipelineConfig's fields; later keys win.
 
     '#' starts a comment at the start of a line or after whitespace, so
     `out = run#2` keeps its '#'.
@@ -151,7 +149,7 @@ def parse_config_file(path) -> dict:
                 raise ParseError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in SETTINGS:
+            if key not in PipelineConfig._fields:
                 raise ParseError(f"{path}:{lineno}: unknown setting {key!r}")
             values[key] = value.strip()
     return values
@@ -170,7 +168,7 @@ def build_config(args) -> PipelineConfig:
         config_path = Path(args.config)
         raw.update(parse_config_file(config_path))
         base = config_path.resolve().parent
-    for key in SETTINGS:
+    for key in PipelineConfig._fields:
         flag = getattr(args, key, None)
         if flag is not None:
             raw[key] = str(flag)
@@ -182,7 +180,7 @@ def build_config(args) -> PipelineConfig:
     fields = {}
     for key, value in raw.items():
         if key in _PATH_SETTINGS:
-            fields["runs_dir" if key == "runs" else key] = _resolve(base, value)
+            fields[key] = _resolve(base, value)
         elif key == "methods":
             fields[key] = tuple(m.strip() for m in value.split(",") if m.strip())
         elif key == "merge":
@@ -284,11 +282,6 @@ def cmd_generate(config: PipelineConfig) -> None:
         raise ValidationError(f"variants reference unknown topics/profiles: {sorted(unknown)[:5]}")
     ordered = sorted(
         merged.values(), key=lambda v: (topic_pos[v.topic_id], profile_pos[v.profile_id], v.index)
-    )
-    verify_complete(
-        [v for v in ordered if v.profile_id in selected_ids],
-        [t.topic_id for t in topics],
-        selected_ids,
     )
     write_variants(ordered, variants_path)
 
@@ -393,11 +386,11 @@ def cmd_search(config: PipelineConfig) -> None:
 
 
 def cmd_import_runs(config: PipelineConfig) -> None:
-    if config.runs_dir is None or not Path(config.runs_dir).is_dir():
+    if config.runs is None or not Path(config.runs).is_dir():
         raise ValidationError("runs directory not configured or missing")
-    files = sorted(p for p in Path(config.runs_dir).iterdir() if p.is_file())
+    files = sorted(p for p in Path(config.runs).iterdir() if p.is_file())
     if not files:
-        raise ValidationError(f"no run files in {config.runs_dir}")
+        raise ValidationError(f"no run files in {config.runs}")
     runs_dir = _runs_out(config)
     runs_dir.mkdir(parents=True, exist_ok=True)
     # Every system of every file is rendered and checked before any is
@@ -540,17 +533,7 @@ def _read_matrix(config: PipelineConfig):
     path = config.out / "ndcg.csv"
     if not path.exists():
         raise ValidationError(f"{path} missing; run evaluate first")
-    rows = read_csv(
-        path,
-        lambda row: (
-            row["topic_id"],
-            row["system_id"],
-            row["profile_id"],
-            int(row["variant_index"]),
-            float(row["ndcg"]),
-        ),
-        _NDCG_COLUMNS,
-    )
+    rows = read_csv(path, _NDCG_COLUMNS, (str, str, str, int, float))
     cells = [row for row in rows if row[2] != SEED_PROFILE]
     if not cells:
         raise ValidationError("ndcg.csv holds no variant cells")
@@ -595,7 +578,7 @@ def cmd_analyze(config: PipelineConfig) -> None:
             agreement_rows.append(
                 [a, b, rep.total_pairs]
                 + [rep.counts[cls] for cls in AGREEMENT_CLASSES]
-                + [float(rep.fractions[cls]) for cls in AGREEMENT_CLASSES]
+                + [rep.counts[cls] / rep.total_pairs for cls in AGREEMENT_CLASSES]
             )
     write_csv(
         config.out / "agreement.csv",
@@ -713,12 +696,7 @@ def cmd_report(config: PipelineConfig) -> None:
     if not means_path.exists():
         raise ValidationError(f"{means_path} missing; run analyze first")
 
-    rows = read_csv(
-        means_path,
-        lambda row: (row["profile"], float(row["mean"]), float(row["ci_low"]),
-                     float(row["ci_high"])),
-        _MEANS_COLUMNS,
-    )
+    rows = read_csv(means_path, _MEANS_COLUMNS, (str, float, float, float))
     if not rows:
         raise ValidationError(f"{means_path} holds no profile rows")
     svg = _svg_bar_chart(

@@ -21,7 +21,6 @@ import json
 import math
 import os
 import unicodedata
-from collections import defaultdict
 from contextlib import contextmanager
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Optional, Protocol, Sequence, TypeVar
@@ -581,31 +580,31 @@ def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
             writer.writerow([_csv_cell(value) for value in row])
 
 
-def read_csv(path, build=dict, required=()) -> list:
-    """The records of a CSV table, one per non-blank row.
+def read_csv(path, columns: Sequence[str], types: Sequence[Callable]) -> list[tuple]:
+    """One tuple per non-blank row of a CSV table: the row's `columns`
+    cells, in that order, each converted by its entry in `types`.
 
-    The header must name every `required` column and each row must have
-    one cell per column; `build` turns the row's dict of header name to
-    cell text into a record. Every error, and a ValueError from `build`,
-    names the file and line.
+    The header must name every one of `columns` and each row must have
+    one cell per header column. Every error, and a ValueError from a
+    conversion, names the file and line.
     """
     records = []
     with open(path, encoding="utf-8", newline="") as fh, _decoding(path):
         reader = csv.reader(fh)
         header = next(reader, [])
-        for column in required:
+        for column in columns:
             if column not in header:
                 raise ParseError(f"{path}:1: missing column {column!r}")
+        picks = [(header.index(column), kind) for column, kind in zip(columns, types)]
         for row in reader:
             if not row:
                 continue
-            where = f"{path}:{reader.line_num}"
-            if len(row) != len(header):
-                raise ParseError(f"{where}: expected {len(header)} cells, got {len(row)}")
             try:
-                records.append(build(dict(zip(header, row))))
+                if len(row) != len(header):
+                    raise ValueError(f"expected {len(header)} cells, got {len(row)}")
+                records.append(tuple([kind(row[i]) for i, kind in picks]))
             except ValueError as exc:
-                raise ParseError(f"{where}: {exc}") from exc
+                raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
     return records
 
 
@@ -614,40 +613,6 @@ def expected_variant_count(num_seeds: int, num_profiles: int) -> int:
         if value < 0:
             raise ValueError(f"{name} must be >= 0, got {value}")
     return num_seeds * num_profiles * VARIANTS_PER_PAIR
-
-
-def group_variants(
-    variants: Iterable[QueryVariant],
-) -> dict[tuple[str, str], list[QueryVariant]]:
-    groups: dict[tuple[str, str], list[QueryVariant]] = defaultdict(list)
-    for v in variants:
-        groups[(v.topic_id, v.profile_id)].append(v)
-    return {key: sorted(vs, key=lambda v: v.index) for key, vs in groups.items()}
-
-
-def verify_complete(
-    variants: Iterable[QueryVariant],
-    topic_ids: Iterable[str],
-    profile_ids: Iterable[str],
-) -> None:
-    """Check that every (topic, profile) pair has exactly indices 1..VARIANTS_PER_PAIR."""
-    topic_ids = list(topic_ids)
-    profile_ids = list(profile_ids)
-    groups = group_variants(variants)
-    known = {(t, p) for t in topic_ids for p in profile_ids}
-    want = list(range(1, VARIANTS_PER_PAIR + 1))
-    problems: list[str] = []
-    for key, vs in sorted(groups.items()):
-        if key not in known:
-            problems.append(f"unexpected pair {key}")
-        elif [v.index for v in vs] != want:
-            problems.append(f"pair {key} has indices {[v.index for v in vs]}")
-    for key in sorted(known - set(groups)):
-        problems.append(f"missing pair {key}")
-    if problems:
-        shown = "; ".join(problems[:5])
-        more = f" (+{len(problems) - 5} more)" if len(problems) > 5 else ""
-        raise ValidationError(f"incomplete variant set: {shown}{more}")
 
 
 # ---------------------------------------------------------- provider calls

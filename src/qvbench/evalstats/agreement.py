@@ -8,20 +8,18 @@ of profiles then classifies every system pair into one of six classes:
   MA  one significant, same direction    MD  one significant, opposite
   PA  neither significant, same dir.     PD  neither, opposite
 
-Fractions are exact rationals over n*(n-1)/2 system pairs.
+Counts are over the n*(n-1)/2 system pairs; `analyze` writes each
+class's fraction as the float count / total_pairs, the correctly
+rounded quotient.
 """
 
 from __future__ import annotations
 
-import logging
-from fractions import Fraction
 from typing import NamedTuple
 
 from .anova import anova
 from .matrix import EffectivenessMatrix
 from .tukey import PairDiff, TukeyResult, tukey_hsd
-
-logger = logging.getLogger(__name__)
 
 AGREEMENT_CLASSES = ("AA", "AD", "MA", "MD", "PA", "PD")
 
@@ -42,7 +40,6 @@ class ProfilePairAgreement(NamedTuple):
     profile_a: str
     profile_b: str
     counts: dict
-    fractions: dict
     total_pairs: int
 
 
@@ -51,14 +48,8 @@ def _sign(x: float) -> int:
 
 
 def _classify(va: PairDiff, vb: PairDiff) -> str:
-    sign_a, sign_b = _sign(va.diff), _sign(vb.diff)
-    if sign_a == 0 or sign_b == 0:
-        logger.info(
-            "equal means for pair (%s, %s): direction tie-broken as agreement",
-            va.group_a,
-            va.group_b,
-        )
-    same_direction = sign_a == sign_b or sign_a == 0 or sign_b == 0
+    # Equal means under either profile count as the same direction.
+    same_direction = _sign(va.diff) * _sign(vb.diff) >= 0
     if va.significant and vb.significant:
         return "AA" if same_direction else "AD"
     if va.significant or vb.significant:
@@ -84,12 +75,4 @@ def agreement_from_verdicts(
     counts = {cls: 0 for cls in AGREEMENT_CLASSES}
     for pair in verdicts_a:
         counts[_classify(verdicts_a[pair], verdicts_b[pair])] += 1
-    total = len(verdicts_a)
-    fractions = {cls: Fraction(counts[cls], total) for cls in AGREEMENT_CLASSES}
-    return ProfilePairAgreement(
-        profile_a=profile_a,
-        profile_b=profile_b,
-        counts=counts,
-        fractions=fractions,
-        total_pairs=total,
-    )
+    return ProfilePairAgreement(profile_a, profile_b, counts, len(verdicts_a))

@@ -30,10 +30,7 @@ def _imbalance(cells: dict, levels: list) -> str:
         if combo not in counts:
             return f"missing cell {dict(zip(AXES, combo))}"
     bad = min(counts, key=counts.get)
-    return (
-        f"unbalanced design: cell {dict(zip(AXES, bad))} has "
-        f"{counts[bad]} observations, others differ"
-    )
+    return f"cell {dict(zip(AXES, bad))} has {counts[bad]} observations, others differ"
 
 
 class EffectivenessMatrix:

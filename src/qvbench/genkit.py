@@ -54,7 +54,6 @@ from .core import (
     _decoding,
     _substitute,
     complete_parsed,
-    group_variants,
 )
 
 __all__ = [
@@ -733,11 +732,11 @@ def generate_sweep(
     output and logs are assembled, topics-major, profiles-minor,
     index-ascending.
     """
+    stored: dict[tuple[str, str], list[QueryVariant]] = {}
+    for v in sorted(existing, key=lambda v: v.index):
+        stored.setdefault((v.topic_id, v.profile_id), []).append(v)
     complete = list(range(1, VARIANTS_PER_PAIR + 1))
-    done: dict[tuple[str, str], list[QueryVariant]] = {}
-    for pair, group in group_variants(existing).items():
-        if [v.index for v in group] == complete:
-            done[pair] = group
+    done = {pair: group for pair, group in stored.items() if [v.index for v in group] == complete}
 
     def generate(pair: tuple[Topic, Profile]) -> tuple[list[QueryVariant], list[GenerationLog]]:
         pair_logs: list[GenerationLog] = []

@@ -365,7 +365,7 @@ def test_unbalanced_cell_rejected():
         for i, v in ((1, 0.5), (2, 0.6))
     ]
     cells.append(("t0", "s0", "p", 3, 0.7))
-    with pytest.raises(ValueError, match="unbalanced"):
+    with pytest.raises(ValueError, match="has 2 observations, others differ"):
         EffectivenessMatrix.from_scores(cells)
 
 

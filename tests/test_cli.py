@@ -203,16 +203,6 @@ class TestGenerate:
         assert "285 variants on file" in capsys.readouterr().out
         assert variants_path.read_bytes() == complete
 
-    def test_incomplete_sweep_exits_2_before_writing(self, tmp_path, monkeypatch, capsys):
-        import qvbench.genkit as genkit
-
-        sweep = genkit.generate_sweep
-        monkeypatch.setattr(genkit, "generate_sweep", lambda *args, **kw: sweep(*args, **kw)[1:])
-        config_path = write_toy_workspace(tmp_path / "ws")
-        assert main(["generate", "--config", str(config_path), "--methods", "neutral"]) == 2
-        assert "incomplete variant set" in capsys.readouterr().err
-        assert not (out_dir(config_path) / "variants.jsonl").exists()
-
 
 class TestValidateStage:
     def test_verdicts_all_valid(self, workspace):
@@ -646,8 +636,8 @@ def _faulty_ndcg_rows(fault):
 # The one balance check over ndcg.csv's variant cells: fault -> message.
 IMBALANCE_MESSAGES = {
     "missing": "missing cell {'topic': 't02', 'system': 's1', 'profile': 'pb'}",
-    "extra": "unbalanced design: cell {'topic': 't01', 'system': 's1', 'profile': 'pa'} "
-    "has 3 observations, others differ",
+    "extra": "cell {'topic': 't01', 'system': 's1', 'profile': 'pa'} has 3 observations, "
+    "others differ",
     "duplicate": "duplicate cell ('t02', 's2', 'pb', 2)",
     "range": "cell value 1.5 outside [0, 1]",
 }
@@ -1006,8 +996,8 @@ class TestModuleEntryPoint:
         ]
 
     # The qvbench modules that each stage's process holds once the stage
-    # has run; the package and core are left out. No stage holds numpy
-    # or dataclasses.
+    # has run; the package and core are left out. No stage holds numpy,
+    # dataclasses, logging or fractions.
     STAGE_MODULES = {
         "generate": {"cli", "genkit", "validate", "textkit", "porter"},
         "validate": {"cli", "genkit", "validate", "textkit", "porter"},
@@ -1032,14 +1022,15 @@ class TestModuleEntryPoint:
     @staticmethod
     def run_stage_process(stage, config, *flags):
         """The stage's exit code in a fresh interpreter, with the qvbench
-        modules, numpy and dataclasses loaded by `import qvbench.cli` and
-        held after the stage; the package and core are left out."""
+        modules, numpy, dataclasses, logging and fractions loaded by
+        `import qvbench.cli` and held after the stage; the package and
+        core are left out."""
         code = (
             "import sys\n"
             "def loaded():\n"
             "    return sorted(m.removeprefix('qvbench.') for m in sys.modules\n"
             "                  if m.startswith('qvbench.') and m != 'qvbench.core'\n"
-            "                  or m in ('numpy', 'dataclasses'))\n"
+            "                  or m in ('numpy', 'dataclasses', 'logging', 'fractions'))\n"
             "import qvbench.cli\n"
             "print(*loaded())\n"
             "print(qvbench.cli.main(sys.argv[1:]))\n"
@@ -1059,12 +1050,13 @@ class TestModuleEntryPoint:
     def test_each_stage_loads_only_the_modules_it_runs(self, workspace, tmp_path):
         """Each stage in a fresh interpreter: importing cli loads only core,
         the finished stage holds exactly its STAGE_MODULES, and so never
-        numpy or `dataclasses`, and the charts keep their bytes."""
+        numpy, `dataclasses`, `logging` or `fractions`, and the charts
+        keep their bytes."""
         assert sorted(self.STAGE_MODULES) == sorted(STAGES)
         config = write_toy_workspace(tmp_path / "ws")
         for stage in STAGES:
             loaded = self.run_stage_process(stage, config)
-            assert "numpy" not in loaded[2], stage
+            assert not loaded[2] & {"numpy", "dataclasses", "logging", "fractions"}, stage
             assert (stage, loaded) == (stage, (["cli"], "0", self.STAGE_MODULES[stage]))
         for name in ("marginal_means.svg", "system_rankings.svg"):
             assert (out_dir(config) / name).read_bytes() == (
@@ -1094,7 +1086,8 @@ class TestModuleEntryPoint:
 
     def test_http_provider_stages_skip_the_mock_spelling_modules(self, tmp_path, chat_server):
         """Only the mock provider spells, so under the HTTP provider generate
-        and judge load neither validate nor textkit nor porter."""
+        and judge load neither validate nor textkit nor porter. They hold
+        `logging`, which the provider's `concurrent.futures` pool loads."""
         config = write_toy_workspace(tmp_path / "ws")
         mock = MockProvider(seed_material=str(build_config(_args(config=str(config))).seed))
         chat_server.reply = lambda request: mock.complete(
@@ -1102,12 +1095,12 @@ class TestModuleEntryPoint:
         )
         flags = ["--provider", "http", "--endpoint", chat_server.url, "--model", "m"]
         assert self.run_stage_process("generate", config, *flags) == (
-            ["cli"], "0", {"cli", "genkit"}
+            ["cli"], "0", {"cli", "genkit", "logging"}
         )
         for stage in ("index", "search"):
             assert main([stage, "--config", str(config)]) == 0, stage
         assert self.run_stage_process("judge", config, *flags) == (
-            ["cli"], "0", {"cli", "genkit", "judge"}
+            ["cli"], "0", {"cli", "genkit", "judge", "logging"}
         )
 
     def test_python_dash_m(self, workspace):

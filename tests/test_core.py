@@ -22,7 +22,6 @@ from qvbench.core import (
     Topic,
     ValidationError,
     expected_variant_count,
-    group_variants,
     nfc,
     parse_passages,
     parse_qrels,
@@ -34,7 +33,6 @@ from qvbench.core import (
     read_csv,
     read_variants,
     variant_query_id,
-    verify_complete,
     write_csv,
     write_jsonl,
     write_passages,
@@ -749,38 +747,6 @@ def test_query_id_rejects_separator_in_components():
         variant_query_id("a__b", "child", 1)
 
 
-def test_verify_complete_accepts_full_grid():
-    variants = [
-        QueryVariant(t, p, i, "x")
-        for t in ("t1", "t2")
-        for p in ("a", "b")
-        for i in (1, 2, 3)
-    ]
-    verify_complete(variants, ["t1", "t2"], ["a", "b"])
-
-
-def test_verify_complete_flags_missing_pair():
-    variants = [QueryVariant("t1", "a", i, "x") for i in (1, 2, 3)]
-    with pytest.raises(ValidationError, match="missing pair"):
-        verify_complete(variants, ["t1"], ["a", "b"])
-
-
-def test_verify_complete_flags_bad_indices():
-    variants = [QueryVariant("t1", "a", i, "x") for i in (1, 1, 2)]
-    with pytest.raises(ValidationError, match="indices"):
-        verify_complete(variants, ["t1"], ["a"])
-
-
-def test_group_variants_sorts_by_index():
-    variants = [
-        QueryVariant("t1", "a", 3, "z"),
-        QueryVariant("t1", "a", 1, "x"),
-        QueryVariant("t1", "a", 2, "y"),
-    ]
-    groups = group_variants(variants)
-    assert [v.index for v in groups[("t1", "a")]] == [1, 2, 3]
-
-
 def test_profile_neutral_description_must_be_empty():
     Profile("neutral", "neutral", "Neutral", "")
     with pytest.raises(ValidationError):
@@ -1040,9 +1006,11 @@ def test_read_csv_returns_written_cells(tmp_path):
     path = tmp_path / "table.csv"
     header = ["name", "value", "flag", "note"]
     write_csv(path, header, [("a", 0.1 + 0.2, True, None), ("b,c", 7, False, 'say "hi", ünï')])
-    assert read_csv(path) == [
-        {"name": "a", "value": "0.30000000000000004", "flag": "true", "note": ""},
-        {"name": "b,c", "value": "7", "flag": "false", "note": 'say "hi", ünï'},
+    # requested out of header order, with `flag` not requested
+    columns, types = ("note", "value", "name"), (str, float, str)
+    assert read_csv(path, columns, types) == [
+        ("", 0.1 + 0.2, "a"),
+        ('say "hi", ünï', 7.0, "b,c"),
     ]
     write_csv(path, header, [])
-    assert read_csv(path) == []
+    assert read_csv(path, columns, types) == []

@@ -345,6 +345,40 @@ class TestSweep:
         assert [v.index for v in regenerated] == [1, 2, 3]
         assert all(v.text != "stored" for v in regenerated)
 
+    def test_returns_exactly_the_grid_over_random_stored_sets(self):
+        """Whatever the stored set holds (missing, duplicate or out-of-range
+        indices, foreign topics and profiles), the sweep returns exactly
+        topics x profiles x 1..3, in order, and keeps a pair's stored
+        texts only when its indices are exactly 1..3."""
+        rng = random.Random(24)
+        grid = [
+            (t.topic_id, p.profile_id, i)
+            for t in self.TOPICS
+            for p in self.PROFILES
+            for i in (1, 2, 3)
+        ]
+        topic_ids = [t.topic_id for t in self.TOPICS] + ["t_foreign"]
+        profile_ids = [p.profile_id for p in self.PROFILES] + ["p_foreign"]
+        for trial in range(30):
+            stored = {}
+            for pair in ((t, p) for t in topic_ids for p in profile_ids):
+                if rng.random() < 0.5:
+                    stored[pair] = rng.sample([1, 2, 3], 3)
+                else:
+                    stored[pair] = [rng.randint(0, 4) for _ in range(rng.randint(0, 4))]
+            # built as plain tuples: QueryVariant itself rejects indices outside 1..3
+            existing = [
+                tuple.__new__(QueryVariant, (t, p, i, f"stored#{trial}#{i}"))
+                for (t, p), indices in stored.items()
+                for i in indices
+            ]
+            rng.shuffle(existing)
+            variants = generate_sweep(MockProvider(), self.TOPICS, self.PROFILES, existing=existing)
+            assert [(v.topic_id, v.profile_id, v.index) for v in variants] == grid
+            for v in variants:
+                kept = sorted(stored[(v.topic_id, v.profile_id)]) == [1, 2, 3]
+                assert (v.text == f"stored#{trial}#{v.index}") == kept, (trial, v)
+
     def test_logs_cover_generated_pairs(self):
         logs = []
         generate_sweep(MockProvider(), self.TOPICS, self.PROFILES, logs=logs)
