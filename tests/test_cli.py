@@ -203,6 +203,21 @@ class TestGenerate:
         assert "285 variants on file" in capsys.readouterr().out
         assert variants_path.read_bytes() == complete
 
+    def test_incomplete_stored_pair_regenerated_before_writing(self, tmp_path, workspace, capsys):
+        """A stored pair that lacks a variant index is regenerated whole, so
+        the file written holds the full grid, never the incomplete set."""
+        complete = (out_dir(workspace) / "variants.jsonl").read_bytes()
+        variants = read_variants(out_dir(workspace) / "variants.jsonl")
+        assert [v.index for v in variants[:3]] == [1, 2, 3]
+        config_path = write_toy_workspace(tmp_path / "ws")
+        variants_path = out_dir(config_path) / "variants.jsonl"
+        variants_path.parent.mkdir()
+        write_variants(variants[:1] + variants[2:], variants_path)
+
+        assert main(["generate", "--config", str(config_path)]) == 0
+        assert "1 provider calls logged" in capsys.readouterr().out
+        assert variants_path.read_bytes() == complete
+
 
 class TestValidateStage:
     def test_verdicts_all_valid(self, workspace):

@@ -345,6 +345,17 @@ class TestSweep:
         assert [v.index for v in regenerated] == [1, 2, 3]
         assert all(v.text != "stored" for v in regenerated)
 
+    def test_reuses_a_shuffled_stored_pair_in_index_order(self):
+        existing = [
+            QueryVariant("t1", "persona_emily", 3, "three"),
+            QueryVariant("t2", "textual_order", 2, "other pair"),
+            QueryVariant("t1", "persona_emily", 1, "one"),
+            QueryVariant("t1", "persona_emily", 2, "two"),
+        ]
+        variants = generate_sweep(MockProvider(), self.TOPICS, self.PROFILES, existing=existing)
+        kept = [v for v in variants if v.topic_id == "t1" and v.profile_id == "persona_emily"]
+        assert [(v.index, v.text) for v in kept] == [(1, "one"), (2, "two"), (3, "three")]
+
     def test_returns_exactly_the_grid_over_random_stored_sets(self):
         """Whatever the stored set holds (missing, duplicate or out-of-range
         indices, foreign topics and profiles), the sweep returns exactly
