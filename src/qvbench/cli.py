@@ -234,15 +234,15 @@ def _runs_out(config: PipelineConfig) -> Path:
     return config.out / "runs"
 
 
-def _read_all_runs(config: PipelineConfig) -> list:
+def _runs_by_file(config: PipelineConfig):
+    """(path, its parsed records) for each run file under out/runs/, in
+    name order; a file is parsed only when the caller asks for it."""
     runs_dir = _runs_out(config)
     files = sorted(p for p in runs_dir.glob("*.run") if p.is_file()) if runs_dir.is_dir() else []
     if not files:
         raise ValidationError(f"no run files under {runs_dir}; run search/import-runs first")
-    records = []
     for path in files:
-        records.extend(parse_trec_run(path))
-    return records
+        yield path, parse_trec_run(path)
 
 
 # ---------------------------------------------------------------- stages
@@ -427,12 +427,30 @@ def cmd_import_runs(config: PipelineConfig) -> None:
     print(f"imported {len(imported)} systems: {', '.join(imported)}")
 
 
+def _pooled_pairs(config: PipelineConfig, topic_ids, passage_ids) -> list:
+    """The sorted (topic, passage) pairs in the top k of every run file,
+    pooled one file at a time; an unknown id is reported with its file.
+    No record outlives the call."""
+    from .judge import pool_topk
+
+    pairs = set()
+    for path, records in _runs_by_file(config):
+        try:
+            pairs |= pool_topk(records, topic_ids, passage_ids, config.k)
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
+    return sorted(pairs)
+
+
 def cmd_judge(config: PipelineConfig) -> None:
     from .genkit import generate_backstories
     from .judge import LabelStore, label_topk
 
+    # The corpus, the topics and every run are read and checked before
+    # the provider is made; of the runs, only the pooled pairs are kept.
     passages = parse_passages(config.corpus)
-    runs = _read_all_runs(config)
+    listed = parse_topics(config.topics)
+    pairs = _pooled_pairs(config, {t.topic_id for t in listed}, {p.passage_id for p in passages})
     config.out.mkdir(parents=True, exist_ok=True)
     provider = make_provider(config)
 
@@ -444,7 +462,7 @@ def cmd_judge(config: PipelineConfig) -> None:
         stored = {(t.topic_id, t.seed_query): t.backstory for t in parse_topics(backstories_path)}
     topics = [
         t if t.backstory else t._replace(backstory=stored.get((t.topic_id, t.seed_query)))
-        for t in parse_topics(config.topics)
+        for t in listed
     ]
     topics = generate_backstories(provider, topics)
     write_topics(topics, backstories_path)
@@ -453,7 +471,7 @@ def cmd_judge(config: PipelineConfig) -> None:
     raw_path = config.out / "llm_raw.jsonl"
     store = LabelStore.load(qrels_path, raw_path) if qrels_path.exists() else LabelStore()
     before = len(store)
-    label_topk(provider, runs, topics, passages, store, k=config.k)
+    label_topk(provider, pairs, topics, passages, store)
     store.save(qrels_path, raw_path)
     print(f"labels: {len(store)} cached ({len(store) - before} new)")
 
@@ -477,7 +495,7 @@ def cmd_evaluate(config: PipelineConfig) -> None:
     config.out.mkdir(parents=True, exist_ok=True)
     merged = _merged_qrels(config)
     write_qrels(merged, config.out / "merged_qrels.txt", with_source=True)
-    runs = _read_all_runs(config)
+    runs = [r for _, records in _runs_by_file(config) for r in records]
 
     reports = coverage(runs, merged, k=config.k)
     write_csv(config.out / "coverage.csv", CoverageReport._fields, reports)

@@ -168,7 +168,9 @@ class RunRecord(_Validated, _RunRecordFields):
     Stages build these by the ten thousand, so this `__new__` calls
     `nfc` only when an id is not ASCII, and never on the other fields.
     `parse_trec_run` makes both checks itself and builds the tuple of an
-    all-ASCII line with rank >= 1; other lines come here.
+    all-ASCII line with rank >= 1; other lines come here. The records of
+    one parsed file share their id strings: an id costs its string once
+    per file, not once per record.
     """
 
     __slots__ = ()
@@ -399,8 +401,13 @@ def parse_trec_run(path) -> list[RunRecord]:
     Every score must be finite. Validates per (tag, qid): ranks are
     exactly 1..n, scores do not increase with rank, and tied scores are
     ordered by ascending passage_id.
+
+    Equal query ids, passage ids and tags (after NFC) are one string
+    object across the returned records. The table that makes them so is
+    local to the call, so nothing outlives the records.
     """
     records: list[RunRecord] = []
+    share = {}.setdefault
     with open(path, encoding="utf-8") as fh, _decoding(path):
         for lineno, line in enumerate(fh, start=1):
             cols = line.split()
@@ -420,13 +427,14 @@ def parse_trec_run(path) -> list[RunRecord]:
             if not -math.inf < score < math.inf:
                 # NaN would pass every ordering check below: its comparisons are all false
                 raise ParseError(f"{path}:{lineno}: non-finite score {score_text!r}")
-            if rank >= 1 and line.isascii():  # RunRecord would neither reject nor nfc it
-                records.append(tuple.__new__(RunRecord, (tag, qid, docid, rank, score)))
-                continue
-            try:
-                records.append(RunRecord(tag, qid, docid, rank, score))
-            except ValidationError as exc:
-                raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            if rank < 1 or not line.isascii():  # else RunRecord would neither reject nor nfc it
+                try:
+                    tag, qid, docid, rank, score = RunRecord(tag, qid, docid, rank, score)
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
+            records.append(tuple.__new__(
+                RunRecord, (share(tag, tag), share(qid, qid), share(docid, docid), rank, score)
+            ))
     records.sort(key=itemgetter(0, 1, 3))
     # Once sorted, each record need only be checked against the one before.
     for prev, cur in zip([(None,) * 5, *records], records):

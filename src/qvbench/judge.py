@@ -9,6 +9,12 @@ provider's calls in flight. Only ``load_label_template`` and
 ``label_topk``, each run once per labelling pass, import genkit, so
 reading labels, merging qrels and measuring coverage do not load it.
 
+The pairs to label are pooled apart from the labelling: ``pool_topk``
+folds run records, one run file at a time if need be, into the distinct
+(topic, passage) pairs of their top k and checks each against the known
+topics and passages. So ``judge`` checks every run before its first
+provider call, and no run record is alive while labels are asked for.
+
 A label store caches grades by (topic, passage) so a passage retrieved
 by many systems and variants costs one provider call, and persists
 them, sorted by key whatever order the calls finished in, as TREC-style
@@ -23,7 +29,7 @@ from __future__ import annotations
 import threading
 from collections import defaultdict
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Container, Iterable, NamedTuple, Optional, Sequence
 
 from .core import (
     MERGE_POLICIES,
@@ -52,6 +58,7 @@ __all__ = [
     "build_label_prompt",
     "load_label_template",
     "label",
+    "pool_topk",
     "label_topk",
     "binarize",
     "mae",
@@ -243,21 +250,16 @@ def label(
     return store.put(topic.topic_id, passage.passage_id, grade, raw)
 
 
-def label_topk(
-    provider: Provider,
-    runs: Sequence[RunRecord],
-    topics: Sequence[Topic],
-    passages: Sequence[Passage],
-    store: LabelStore,
-    k: int = 10,
-) -> list[Qrel]:
-    """Label every distinct (topic, passage) pair in the runs' top k,
-    reading the label template once; the qrels come back in sorted
-    pair order."""
-    from .genkit import run_in_order
+def pool_topk(
+    runs: Iterable[RunRecord], topic_ids: Container[str], passage_ids: Container[str], k: int = 10
+) -> set[tuple[str, str]]:
+    """The distinct (topic, passage) pairs in the runs' top k, in one pass
+    over runs, which may be a one-shot iterator.
 
-    topic_by = {t.topic_id: t for t in topics}
-    passage_by = {p.passage_id: p for p in passages}
+    A record ranked within k must name a known topic and passage; the
+    first record that does not raises ValidationError. Pooling several
+    run files is the union of their pools.
+    """
     # Checking a topic at its query id's first record, and a passage at
     # its pair's, still fails at the first bad record.
     topic_of: dict[str, str] = {}
@@ -268,18 +270,36 @@ def label_topk(
         topic_id = topic_of.get(query_id)
         if topic_id is None:
             topic_id = topic_of[query_id] = query_cell(query_id)[0]
-            if topic_id not in topic_by:
+            if topic_id not in topic_ids:
                 raise ValidationError(f"run references unknown topic {topic_id!r}")
         pair = (topic_id, passage_id)
         if pair not in needed:
-            if passage_id not in passage_by:
+            if passage_id not in passage_ids:
                 raise ValidationError(f"run references unknown passage {passage_id!r}")
             needed.add(pair)
+    return needed
+
+
+def label_topk(
+    provider: Provider,
+    pairs: Iterable[tuple[str, str]],
+    topics: Sequence[Topic],
+    passages: Sequence[Passage],
+    store: LabelStore,
+) -> list[Qrel]:
+    """Label each (topic, passage) pair that `pool_topk` pooled, reading
+    the label template once; the qrels come back in the order of pairs.
+    The caller pools, and so checks, every run before the first label is
+    asked for, and holds no run record while the labels are."""
+    from .genkit import run_in_order
+
+    topic_by = {t.topic_id: t for t in topics}
+    passage_by = {p.passage_id: p for p in passages}
     template = load_label_template()
     return run_in_order(
         provider,
         lambda pair: label(provider, topic_by[pair[0]], passage_by[pair[1]], store, template),
-        sorted(needed),
+        pairs,
     )
 
 

@@ -416,6 +416,44 @@ class TestJudgeStage:
         assert after["t04"].backstory
         assert (after["t02"], after["t03"]) == (before["t02"], before["t03"])
 
+    @pytest.mark.parametrize(
+        "bad_runs, fault",
+        [
+            ({"aa.run": "t01 Q0 p001 1 high aa\n"}, "aa.run:1: non-numeric score 'high'"),
+            ({"aa.run": "t01 Q0 ghost 1 5.0 aa\n"}, "aa.run: run references unknown passage 'ghost'"),
+            ({"aa.run": "t09 Q0 p001 1 5.0 aa\n"}, "aa.run: run references unknown topic 't09'"),
+            # files are pooled in name order, so aa.run's fault comes before zz.run's
+            (
+                {"aa.run": "t01 Q0 ghost 1 5.0 aa\n", "zz.run": "t01 Q0 p001 1 high zz\n"},
+                "aa.run: run references unknown passage 'ghost'",
+            ),
+        ],
+        ids=["malformed", "unknown-passage", "unknown-topic", "earlier-file-first"],
+    )
+    def test_bad_run_exits_2_before_any_provider_call(
+        self, bad_runs, fault, tmp_path, workspace, monkeypatch, capsys
+    ):
+        config_path = write_toy_workspace(tmp_path / "ws")
+        out = out_dir(config_path)
+        shutil.copytree(out_dir(workspace), out)
+        for name in ("backstories.jsonl", "llm_qrels.txt", "llm_raw.jsonl"):
+            (out / name).unlink()
+        for name, text in bad_runs.items():
+            (out / "runs" / name).write_text(text, encoding="utf-8")
+        calls = []
+
+        class Counting:
+            def complete(self, prompt):
+                calls.append(prompt)
+                return MockProvider().complete(prompt)
+
+        monkeypatch.setattr(cli, "make_provider", lambda config: Counting())
+        assert main(["judge", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {out / 'runs'}/{fault}\n"
+        assert calls == []
+        assert not (out / "backstories.jsonl").exists()
+        assert not (out / "llm_qrels.txt").exists()
+
 
 class TestEvaluateStage:
     def test_ndcg_grid_is_complete(self, workspace):

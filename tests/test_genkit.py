@@ -33,7 +33,13 @@ from qvbench.genkit import (
     parse_variant_response,
     run_in_order,
 )
-from qvbench.judge import LabelStore, build_label_prompt, label_topk, load_label_template
+from qvbench.judge import (
+    LabelStore,
+    build_label_prompt,
+    label_topk,
+    load_label_template,
+    pool_topk,
+)
 from qvbench.validate import load_dictionary, validate_misspelling, validate_order
 
 TOPIC = Topic("t1", "asthma symptoms in children")
@@ -787,7 +793,8 @@ class TestRunInOrder:
         topics = generate_backstories(provider, self.TOPICS)
         passages = [Passage(f"p{i}", f"passage text {i}") for i in range(1, 4)]
         runs = [RunRecord("s1", "t1", p.passage_id, i + 1, 9.0 - i) for i, p in enumerate(passages)]
-        assert len(label_topk(provider, runs, topics, passages, LabelStore())) == 3
+        pairs = sorted(pool_topk(runs, {"t1"}, {p.passage_id for p in passages}))
+        assert len(label_topk(provider, pairs, topics, passages, LabelStore())) == 3
 
 
 class TestProfilesFile:

@@ -35,6 +35,7 @@ from qvbench.judge import (
     mae,
     merge_qrels,
     paired_grades,
+    pool_topk,
 )
 
 TOPIC = Topic("t1", "asthma symptoms in children", backstory="You worry about a wheezing child.")
@@ -83,6 +84,12 @@ class ScriptedProvider:
 
 def run(system, query, pid, rank):
     return RunRecord(system, query, pid, rank, 100.0 - rank)
+
+
+def label_runs(provider, runs, topics, passages, store, k=10):
+    """Pool the runs' top k, then label the sorted pairs, as `judge` does."""
+    pairs = pool_topk(runs, {t.topic_id for t in topics}, {p.passage_id for p in passages}, k)
+    return label_topk(provider, sorted(pairs), topics, passages, store)
 
 
 class TestCoverage:
@@ -225,7 +232,7 @@ class TestQueryIdsDecodedOnce:
         assert sorted(decoded) == ["t1", "t1__emily__1", "t2__emily__2"]
 
     def test_label_topk(self, decoded):
-        label_topk(MockProvider(), self.RUNS, self.TOPICS, self.PASSAGES, LabelStore(), k=10)
+        label_runs(MockProvider(), self.RUNS, self.TOPICS, self.PASSAGES, LabelStore(), k=10)
         assert sorted(decoded) == ["t1", "t1__emily__1", "t2__emily__2"]
 
 
@@ -300,7 +307,7 @@ class TestLabelTopk:
         ]
         provider = CountingProvider(MockProvider())
         store = LabelStore()
-        qrels = label_topk(provider, runs, self.TOPICS, self.PASSAGES, store, k=10)
+        qrels = label_runs(provider, runs, self.TOPICS, self.PASSAGES, store, k=10)
         assert provider.calls == 3  # (t1,p1), (t1,p2), (t2,p1)
         assert len(qrels) == 3
         assert {(q.query_id, q.passage_id) for q in qrels} == {
@@ -312,7 +319,7 @@ class TestLabelTopk:
     def test_k_truncates(self):
         runs = [run("s1", "t1", f"p{i}", i) for i in range(1, 6)]
         store = LabelStore()
-        label_topk(MockProvider(), runs, self.TOPICS, self.PASSAGES, store, k=2)
+        label_runs(MockProvider(), runs, self.TOPICS, self.PASSAGES, store, k=2)
         assert len(store) == 2
 
     def test_template_read_once_for_many_new_labels(self, monkeypatch):
@@ -327,7 +334,7 @@ class TestLabelTopk:
 
         monkeypatch.setattr(judge, "load_label_template", counting)
         provider = CountingProvider(MockProvider())
-        label_topk(provider, runs, self.TOPICS, self.PASSAGES, LabelStore(), k=10)
+        label_runs(provider, runs, self.TOPICS, self.PASSAGES, LabelStore(), k=10)
         assert provider.calls == 10
         assert len(loads) == 1
 
@@ -336,14 +343,14 @@ class TestLabelTopk:
         runs = [run("s1", t.topic_id, p.passage_id, i + 1)
                 for t in self.TOPICS for i, p in enumerate(passages)]
         serial = LabelStore()
-        expected = label_topk(MockProvider(), runs, self.TOPICS, passages, serial, k=200)
+        expected = label_runs(MockProvider(), runs, self.TOPICS, passages, serial, k=200)
         provider = MockProvider()
         provider.in_flight = 8  # more threads than cores
         store = LabelStore()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            qrels = label_topk(provider, runs, self.TOPICS, passages, store, k=200)
+            qrels = label_runs(provider, runs, self.TOPICS, passages, store, k=200)
         finally:
             sys.setswitchinterval(interval)
         assert qrels == expected
@@ -356,7 +363,7 @@ class TestLabelTopk:
     def test_unknown_passage_rejected(self):
         runs = [run("s1", "t1", "ghost", 1)]
         with pytest.raises(ValidationError):
-            label_topk(MockProvider(), runs, self.TOPICS, self.PASSAGES, LabelStore())
+            label_runs(MockProvider(), runs, self.TOPICS, self.PASSAGES, LabelStore())
 
     @pytest.mark.parametrize(
         "runs, message",
@@ -376,7 +383,7 @@ class TestLabelTopk:
     def test_first_bad_record_names_its_fault(self, runs, message):
         provider = CountingProvider(MockProvider())
         with pytest.raises(ValidationError) as info:
-            label_topk(provider, runs, self.TOPICS, self.PASSAGES, LabelStore())
+            label_runs(provider, runs, self.TOPICS, self.PASSAGES, LabelStore())
         assert str(info.value) == message
         assert provider.calls == 0
 
@@ -413,7 +420,7 @@ def test_parse_grade_accepts_what_the_digit_pattern_did(text):
 
 
 def _needed_pairs_per_record(runs, topic_ids, passage_ids, k):
-    """`label_topk`'s old loop, kept as its oracle: each top-k record's
+    """The pooling loop `label_topk` once ran, kept as `pool_topk`'s oracle: each top-k record's
     topic, then passage, checked in run order; the sorted pairs to label."""
     needed = set()
     for record in runs:
@@ -446,12 +453,16 @@ def test_label_topk_checks_and_pairs_match_the_per_record_loop(rows):
         expected = _needed_pairs_per_record(runs, {"t1", "t2"}, {"p1", "p2"}, k=2)
     except ValidationError as exc:
         expected = str(exc)
-    try:
-        qrels = label_topk(MockProvider(), runs, topics, passages, LabelStore(), k=2)
-        got = [(q.query_id, q.passage_id) for q in qrels]
-    except ValidationError as exc:
-        got = str(exc)
-    assert got == expected
+    outcomes = []
+    for records in (runs, (r for r in runs)):  # a list, and a one-shot generator
+        try:
+            qrels = label_runs(MockProvider(), records, topics, passages, LabelStore(), k=2)
+        except ValidationError as exc:
+            outcomes.append((str(exc), None))
+        else:
+            outcomes.append(([(q.query_id, q.passage_id) for q in qrels], qrels))
+    assert outcomes[0][0] == expected
+    assert outcomes[1] == outcomes[0]
 
 
 class TestLabelStorePersistence:
