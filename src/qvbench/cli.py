@@ -18,7 +18,7 @@ import re
 import sys
 from collections import defaultdict
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .core import (
     MERGE_POLICIES,
@@ -58,14 +58,6 @@ BM25_SYSTEMS = (
     ("bm25_k12_b075", (1.2, 0.75)),
     ("bm25_k20_b075", (2.0, 0.75)),
 )
-
-_MERGE_ALIASES = {
-    "human": "human-only",
-    "llm": "llm-only",
-    "human-only": "human-only",
-    "llm-only": "llm-only",
-    "human-preferred": "human-preferred",
-}
 
 # The columns of ndcg.csv, which evaluate writes and analyze and report
 # read, and of marginal_means.csv, which analyze writes and report reads.
@@ -128,9 +120,34 @@ class PipelineConfig(_Validated, _PipelineConfigFields):
 _COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
-# Each PipelineConfig field is a config-file key and a flag; these are
-# the ones that name paths.
-_PATH_SETTINGS = ("topics", "corpus", "profiles", "runs", "qrels", "out", "annotations")
+def _methods(text: str) -> tuple:
+    return tuple(m.strip() for m in text.split(",") if m.strip())
+
+
+# Each PipelineConfig field is a config-file key and a flag, given here
+# with its conversion from text and its flag help. A Path resolves
+# against the config file's directory; PipelineConfig checks the values.
+_SETTINGS = {
+    "topics": (Path, "seed topics (tsv or jsonl)"),
+    "corpus": (Path, "passage collection (tsv or jsonl)"),
+    "profiles": (Path, "transformation profiles json"),
+    "out": (Path, "output directory"),
+    "runs": (Path, "directory of external TREC run files"),
+    "qrels": (Path, "human relevance judgments"),
+    "annotations": (Path, "annotation export for consensus reports"),
+    "methods": (_methods, "comma list from " + ",".join(PROFILE_METHODS)),
+    "k": (int, "ranking depth (default 10)"),
+    "alpha": (float, "significance level (default 0.05)"),
+    "gain": (str, "NDCG gain mode: " + " | ".join(GAIN_MODES)),
+    "merge": (
+        lambda text: {"human": "human-only", "llm": "llm-only"}.get(text, text),
+        "qrels merge policy: human[-only] | llm[-only] | human-preferred",
+    ),
+    "seed": (int, "random seed for the run"),
+    "provider": (str, "variant/label provider: " + " | ".join(PROVIDERS)),
+    "endpoint": (str, "http provider endpoint URL"),
+    "model": (str, "http provider model name"),
+}
 
 
 def parse_config_file(path) -> dict:
@@ -149,29 +166,23 @@ def parse_config_file(path) -> dict:
                 raise ParseError(f"{path}:{lineno}: expected key = value")
             key, _, value = line.partition("=")
             key = key.strip()
-            if key not in PipelineConfig._fields:
+            if key not in _SETTINGS:
                 raise ParseError(f"{path}:{lineno}: unknown setting {key!r}")
             values[key] = value.strip()
     return values
 
 
-def _resolve(base: Path, value: str) -> Path:
-    path = Path(value)
-    return path if path.is_absolute() else base / path
-
-
 def build_config(args) -> PipelineConfig:
-    """PipelineConfig's defaults, overridden by the config file, overridden by flags."""
+    """PipelineConfig's defaults, overridden by the config file, overridden
+    by flags; every value is text until its _SETTINGS conversion."""
     raw = {}
     base = Path.cwd()
     if args.config:
         config_path = Path(args.config)
         raw.update(parse_config_file(config_path))
         base = config_path.resolve().parent
-    for key in PipelineConfig._fields:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            raw[key] = str(flag)
+    flags = vars(args)
+    raw.update((key, flags[key]) for key in _SETTINGS if flags.get(key) is not None)
 
     missing = [key for key in ("topics", "corpus", "profiles", "out") if key not in raw]
     if missing:
@@ -179,21 +190,11 @@ def build_config(args) -> PipelineConfig:
 
     fields = {}
     for key, value in raw.items():
-        if key in _PATH_SETTINGS:
-            fields[key] = _resolve(base, value)
-        elif key == "methods":
-            fields[key] = tuple(m.strip() for m in value.split(",") if m.strip())
-        elif key == "merge":
-            if value not in _MERGE_ALIASES:
-                raise ValidationError(f"unknown merge policy {value!r}")
-            fields[key] = _MERGE_ALIASES[value]
-        elif key in ("k", "seed", "alpha"):
-            try:
-                fields[key] = (float if key == "alpha" else int)(value)
-            except ValueError as exc:
-                raise ValidationError(f"bad numeric setting: {exc}") from exc
-        else:
-            fields[key] = value
+        convert = _SETTINGS[key][0]
+        try:
+            fields[key] = base / value if convert is Path else convert(value)
+        except ValueError as exc:  # from int or float
+            raise ValidationError(f"bad numeric setting: {exc}") from exc
     return PipelineConfig(**fields)
 
 
@@ -205,10 +206,6 @@ def make_provider(config: PipelineConfig):
     if not config.endpoint or not config.model:
         raise ValidationError("http provider needs endpoint and model settings")
     return HttpProvider(ProviderConfig(endpoint=config.endpoint, model_name=config.model))
-
-
-def _variants_path(config: PipelineConfig) -> Path:
-    return config.out / "variants.jsonl"
 
 
 def _keyed_variants(path, variants) -> dict:
@@ -226,18 +223,14 @@ def _keyed_variants(path, variants) -> dict:
 def _swept_variants(config: PipelineConfig) -> list:
     """The variants file `generate` wrote, rejected if two variants share
     a key."""
-    path = _variants_path(config)
+    path = config.out / "variants.jsonl"
     return list(_keyed_variants(path, read_variants(path)).values())
-
-
-def _runs_out(config: PipelineConfig) -> Path:
-    return config.out / "runs"
 
 
 def _runs_by_file(config: PipelineConfig):
     """(path, its parsed records) for each run file under out/runs/, in
     name order; a file is parsed only when the caller asks for it."""
-    runs_dir = _runs_out(config)
+    runs_dir = config.out / "runs"
     files = sorted(p for p in runs_dir.glob("*.run") if p.is_file()) if runs_dir.is_dir() else []
     if not files:
         raise ValidationError(f"no run files under {runs_dir}; run search/import-runs first")
@@ -258,7 +251,7 @@ def cmd_generate(config: PipelineConfig) -> None:
         raise ValidationError(f"no profiles match methods {config.methods}")
     config.out.mkdir(parents=True, exist_ok=True)
 
-    variants_path = _variants_path(config)
+    variants_path = config.out / "variants.jsonl"
     existing = read_variants(variants_path) if variants_path.exists() else []
     # Keep previously generated variants for profiles outside this
     # invocation's method selection, which generate_sweep does not
@@ -268,6 +261,13 @@ def cmd_generate(config: PipelineConfig) -> None:
     merged = _keyed_variants(
         variants_path, (v for v in existing if v.profile_id not in selected_ids)
     )
+    # generate_sweep makes variants of the listed topics only, so the kept
+    # ones are all that can reference an unknown topic or profile.
+    topic_pos = {t.topic_id: i for i, t in enumerate(topics)}
+    profile_pos = {p.profile_id: i for i, p in enumerate(profiles)}
+    unknown = [key for key in merged if key[0] not in topic_pos or key[1] not in profile_pos]
+    if unknown:
+        raise ValidationError(f"variants reference unknown topics/profiles: {sorted(unknown)[:5]}")
     provider = make_provider(config)
     logs = []
     produced = generate_sweep(
@@ -275,11 +275,6 @@ def cmd_generate(config: PipelineConfig) -> None:
     )
     for v in produced:
         merged[(v.topic_id, v.profile_id, v.index)] = v
-    topic_pos = {t.topic_id: i for i, t in enumerate(topics)}
-    profile_pos = {p.profile_id: i for i, p in enumerate(profiles)}
-    unknown = [key for key in merged if key[0] not in topic_pos or key[1] not in profile_pos]
-    if unknown:
-        raise ValidationError(f"variants reference unknown topics/profiles: {sorted(unknown)[:5]}")
     ordered = sorted(
         merged.values(), key=lambda v: (topic_pos[v.topic_id], profile_pos[v.profile_id], v.index)
     )
@@ -315,6 +310,9 @@ def cmd_validate(config: PipelineConfig) -> None:
     profiles = load_profiles(config.profiles)
     variants = _swept_variants(config)
     dictionary = load_dictionary()
+    consensus = None
+    if config.annotations is not None and Path(config.annotations).exists():
+        consensus = consensus_reports(read_annotations(config.annotations), profiles)
     config.out.mkdir(parents=True, exist_ok=True)
 
     verdicts = validate_variants(topics, variants, profiles, dictionary)
@@ -333,12 +331,10 @@ def cmd_validate(config: PipelineConfig) -> None:
     write_csv(config.out / "features.csv", VariantFeatureRecord._fields, features)
     print(f"features: {len(features)} rows")
 
-    if config.annotations is None or not Path(config.annotations).exists():
+    if consensus is None:
         print("consensus: skipped (no annotations file)")
         return
-    similarity_rows, alignment_rows = consensus_reports(
-        read_annotations(config.annotations), profiles
-    )
+    similarity_rows, alignment_rows = consensus
     for task, reports in (("similarity", similarity_rows), ("alignment", alignment_rows)):
         write_csv(config.out / f"consensus_{task}.csv", ConsensusReport._fields, reports)
     print(f"consensus: {len(similarity_rows)} similarity rows, {len(alignment_rows)} alignment rows")
@@ -377,7 +373,7 @@ def cmd_search(config: PipelineConfig) -> None:
     passages = parse_passages(config.corpus)
     index = build_index(passages)
     queries = _query_texts(config)
-    runs_dir = _runs_out(config)
+    runs_dir = config.out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     for system_id, params in BM25_SYSTEMS:
         records = run_queries(index, Bm25Params(*params), queries, system_id, k=config.k)
@@ -391,7 +387,7 @@ def cmd_import_runs(config: PipelineConfig) -> None:
     files = sorted(p for p in Path(config.runs).iterdir() if p.is_file())
     if not files:
         raise ValidationError(f"no run files in {config.runs}")
-    runs_dir = _runs_out(config)
+    runs_dir = config.out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     # Every system of every file is rendered and checked before any is
     # written, so a rejected import leaves runs/ as it was.
@@ -446,14 +442,12 @@ def cmd_judge(config: PipelineConfig) -> None:
     from .genkit import generate_backstories
     from .judge import LabelStore, label_topk
 
-    # The corpus, the topics and every run are read and checked before
-    # the provider is made; of the runs, only the pooled pairs are kept.
+    # The corpus, the topics, every run, the stored backstories and the
+    # label store are read and checked before the provider is made; of
+    # the runs, only the pooled pairs are kept.
     passages = parse_passages(config.corpus)
     listed = parse_topics(config.topics)
     pairs = _pooled_pairs(config, {t.topic_id for t in listed}, {p.passage_id for p in passages})
-    config.out.mkdir(parents=True, exist_ok=True)
-    provider = make_provider(config)
-
     # A stored backstory is reused only for the topic and seed query it
     # was written for.
     backstories_path = config.out / "backstories.jsonl"
@@ -464,13 +458,15 @@ def cmd_judge(config: PipelineConfig) -> None:
         t if t.backstory else t._replace(backstory=stored.get((t.topic_id, t.seed_query)))
         for t in listed
     ]
-    topics = generate_backstories(provider, topics)
-    write_topics(topics, backstories_path)
-
     qrels_path = config.out / "llm_qrels.txt"
     raw_path = config.out / "llm_raw.jsonl"
     store = LabelStore.load(qrels_path, raw_path) if qrels_path.exists() else LabelStore()
     before = len(store)
+    config.out.mkdir(parents=True, exist_ok=True)
+    provider = make_provider(config)
+
+    topics = generate_backstories(provider, topics)
+    write_topics(topics, backstories_path)
     label_topk(provider, pairs, topics, passages, store)
     store.save(qrels_path, raw_path)
     print(f"labels: {len(store)} cached ({len(store) - before} new)")
@@ -492,10 +488,10 @@ def cmd_evaluate(config: PipelineConfig) -> None:
     from .judge import CoverageReport, coverage
 
     expected = sorted(_query_texts(config))
-    config.out.mkdir(parents=True, exist_ok=True)
     merged = _merged_qrels(config)
-    write_qrels(merged, config.out / "merged_qrels.txt", with_source=True)
     runs = [r for _, records in _runs_by_file(config) for r in records]
+    config.out.mkdir(parents=True, exist_ok=True)
+    write_qrels(merged, config.out / "merged_qrels.txt", with_source=True)
 
     reports = coverage(runs, merged, k=config.k)
     write_csv(config.out / "coverage.csv", CoverageReport._fields, reports)
@@ -740,47 +736,44 @@ def cmd_report(config: PipelineConfig) -> None:
 # ---------------------------------------------------------------- entry
 
 
+class Stage(NamedTuple):
+    run: Callable[[PipelineConfig], None]
+    writes: tuple  # files under out/; "runs/" is every file in out/runs/
+
+
+# The pipeline's stages in order: each subcommand, its function, and
+# every file it may write.
+STAGES = {
+    "generate": Stage(cmd_generate, ("variants.jsonl", "genlog.jsonl")),
+    "validate": Stage(cmd_validate, (
+        "verdicts.csv", "features.csv", "consensus_similarity.csv", "consensus_alignment.csv",
+    )),
+    "index": Stage(cmd_index, ("index_stats.json",)),
+    "search": Stage(cmd_search, ("runs/",)),
+    "import-runs": Stage(cmd_import_runs, ("runs/",)),
+    "judge": Stage(cmd_judge, ("backstories.jsonl", "llm_qrels.txt", "llm_raw.jsonl")),
+    "evaluate": Stage(cmd_evaluate, ("merged_qrels.txt", "coverage.csv", "ndcg.csv")),
+    "analyze": Stage(cmd_analyze, (
+        "anova.csv", "tau_matrix.csv", "agreement.csv", "marginal_means.csv", "tukey_pairs.csv",
+    )),
+    "report": Stage(cmd_report, ("marginal_means.svg", "system_rankings.svg")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="key = value settings file")
-    common.add_argument("--topics", help="seed topics (tsv or jsonl)")
-    common.add_argument("--corpus", help="passage collection (tsv or jsonl)")
-    common.add_argument("--profiles", help="transformation profiles json")
-    common.add_argument("--runs", help="directory of external TREC run files")
-    common.add_argument("--qrels", help="human relevance judgments")
-    common.add_argument("--annotations", help="annotation export for consensus reports")
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--methods", help="comma list from persona,group,textual,neutral")
-    common.add_argument("--k", type=int, help="ranking depth (default 10)")
-    common.add_argument("--alpha", type=float, help="significance level (default 0.05)")
-    common.add_argument("--gain", choices=GAIN_MODES, help="NDCG gain mode")
-    common.add_argument("--seed", type=int, help="random seed for the run")
-    common.add_argument("--provider", choices=PROVIDERS, help="variant/label provider")
-    common.add_argument("--merge", choices=tuple(_MERGE_ALIASES), help="qrels merge policy")
-    common.add_argument("--endpoint", help="http provider endpoint URL")
-    common.add_argument("--model", help="http provider model name")
+    for key, (_, help_text) in _SETTINGS.items():
+        common.add_argument(f"--{key}", help=help_text)
 
     parser = argparse.ArgumentParser(
         prog="qvbench",
         description="Query-variant generation, validation, and evaluation pipeline.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _DISPATCH:
-        sub.add_parser(name, parents=[common])
+    for name, stage in STAGES.items():
+        sub.add_parser(name, parents=[common], help="writes " + ", ".join(stage.writes))
     return parser
-
-
-_DISPATCH = {
-    "generate": cmd_generate,
-    "validate": cmd_validate,
-    "index": cmd_index,
-    "search": cmd_search,
-    "import-runs": cmd_import_runs,
-    "judge": cmd_judge,
-    "evaluate": cmd_evaluate,
-    "analyze": cmd_analyze,
-    "report": cmd_report,
-}
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -788,7 +781,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = build_config(args)
-        _DISPATCH[args.command](config)
+        STAGES[args.command].run(config)
     except ImbalanceError as exc:
         print(f"error: unbalanced design: {exc}", file=sys.stderr)
         return 4

@@ -29,7 +29,7 @@ from test_metrics import (
     oracle_u_pair_count,
 )
 
-from qvbench.cli import main
+from qvbench.cli import STAGES, main
 from qvbench.core import parse_qrels
 from qvbench.evalstats.agreement import system_verdicts
 from qvbench.evalstats.anova import EffectivenessMatrix, anova
@@ -294,18 +294,6 @@ def test_c4_misspelling_validator_properties():
 
 
 # ------------------------------------------------------------ criterion 5
-
-STAGES = (
-    "generate",
-    "validate",
-    "index",
-    "search",
-    "import-runs",
-    "judge",
-    "evaluate",
-    "analyze",
-    "report",
-)
 
 
 def _run_pipeline(root) -> tuple:

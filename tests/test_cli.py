@@ -36,17 +36,7 @@ from qvbench.core import (
 from qvbench.genkit import MockProvider, TransportError
 from qvbench.toydata import write_toy_workspace
 
-STAGES = (
-    "generate",
-    "validate",
-    "index",
-    "search",
-    "import-runs",
-    "judge",
-    "evaluate",
-    "analyze",
-    "report",
-)
+STAGES = tuple(cli.STAGES)
 
 
 @pytest.fixture(scope="module")
@@ -118,16 +108,35 @@ class TestConfigFile:
         assert capsys.readouterr().err == f"error: {config_path}:{lineno}: unknown setting 'seeed'\n"
         assert not out_dir(config_path).exists()
 
+    def test_every_field_is_a_setting(self):
+        assert tuple(cli._SETTINGS) == PipelineConfig._fields
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("gain", "foo", "unknown gain 'foo'"),
+            ("provider", "gpt", "unknown provider 'gpt'"),
+            ("merge", "both", "unknown merge policy 'both'"),
+            ("methods", "persona,bogus", "unknown methods ['bogus']"),
+            ("k", "ten", "bad numeric setting: invalid literal for int() with base 10: 'ten'"),
+            ("alpha", "0.5", "alpha=0.5 outside (0, 0.5)"),
+        ],
+    )
+    def test_bad_flag_fails_like_a_bad_file_value(self, tmp_path, capsys, key, value, message):
+        config_path = write_toy_workspace(tmp_path / "ws")
+        assert main(["index", "--config", str(config_path), f"--{key}", value]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with open(config_path, "a", encoding="utf-8") as fh:
+            fh.write(f"{key} = {value}\n")
+        assert main(["index", "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out_dir(config_path).exists()
+
 
 def _args(**kwargs):
     import argparse
 
-    keys = (
-        "config topics corpus profiles runs qrels annotations out methods "
-        "k alpha gain seed provider merge endpoint model"
-    ).split()
-    values = {key: kwargs.get(key) for key in keys}
-    return argparse.Namespace(**values)
+    return argparse.Namespace(**{key: kwargs.get(key) for key in ("config", *cli._SETTINGS)})
 
 
 class TestConfigInvariants:
@@ -268,6 +277,19 @@ class TestValidateStage:
         rows = read_csv(out_dir(config) / "consensus_similarity.csv")
         assert rows[0]["profile_id"] == "persona_emily"
         assert rows[0]["accuracy"] == "1.0"
+
+    def test_bad_annotations_exit_2_before_any_write(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(out_dir(workspace), out)
+        for name in ("verdicts.csv", "features.csv"):
+            (out / name).write_text("stale\n", encoding="utf-8")
+        before = out_files(out)
+        path = tmp_path / "ann.jsonl"
+        path.write_text("{not json\n", encoding="utf-8")
+        flags = ["--out", str(out), "--annotations", str(path)]
+        assert main(["validate", "--config", str(workspace), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}:1: ")
+        assert out_files(out) == before
 
     def test_unknown_alignment_answer_rejected(self, workspace, tmp_path, capsys):
         from qvbench.core import write_jsonl
@@ -417,29 +439,42 @@ class TestJudgeStage:
         assert (after["t02"], after["t03"]) == (before["t02"], before["t03"])
 
     @pytest.mark.parametrize(
-        "bad_runs, fault",
+        "bad_files, fault",
         [
-            ({"aa.run": "t01 Q0 p001 1 high aa\n"}, "aa.run:1: non-numeric score 'high'"),
-            ({"aa.run": "t01 Q0 ghost 1 5.0 aa\n"}, "aa.run: run references unknown passage 'ghost'"),
-            ({"aa.run": "t09 Q0 p001 1 5.0 aa\n"}, "aa.run: run references unknown topic 't09'"),
+            ({"runs/aa.run": "t01 Q0 p001 1 high aa\n"}, "runs/aa.run:1: non-numeric score 'high'"),
+            (
+                {"runs/aa.run": "t01 Q0 ghost 1 5.0 aa\n"},
+                "runs/aa.run: run references unknown passage 'ghost'",
+            ),
+            (
+                {"runs/aa.run": "t09 Q0 p001 1 5.0 aa\n"},
+                "runs/aa.run: run references unknown topic 't09'",
+            ),
             # files are pooled in name order, so aa.run's fault comes before zz.run's
             (
-                {"aa.run": "t01 Q0 ghost 1 5.0 aa\n", "zz.run": "t01 Q0 p001 1 high zz\n"},
-                "aa.run: run references unknown passage 'ghost'",
+                {
+                    "runs/aa.run": "t01 Q0 ghost 1 5.0 aa\n",
+                    "runs/zz.run": "t01 Q0 p001 1 high zz\n",
+                },
+                "runs/aa.run: run references unknown passage 'ghost'",
             ),
+            ({"llm_qrels.txt": "garbage\n"}, "llm_qrels.txt:1: expected 4 or 5 columns, got 1"),
         ],
-        ids=["malformed", "unknown-passage", "unknown-topic", "earlier-file-first"],
+        ids=[
+            "malformed", "unknown-passage", "unknown-topic", "earlier-file-first", "bad-label-store"
+        ],
     )
     def test_bad_run_exits_2_before_any_provider_call(
-        self, bad_runs, fault, tmp_path, workspace, monkeypatch, capsys
+        self, bad_files, fault, tmp_path, workspace, monkeypatch, capsys
     ):
         config_path = write_toy_workspace(tmp_path / "ws")
         out = out_dir(config_path)
         shutil.copytree(out_dir(workspace), out)
         for name in ("backstories.jsonl", "llm_qrels.txt", "llm_raw.jsonl"):
             (out / name).unlink()
-        for name, text in bad_runs.items():
-            (out / "runs" / name).write_text(text, encoding="utf-8")
+        for name, text in bad_files.items():
+            (out / name).write_text(text, encoding="utf-8")
+        before = out_files(out)
         calls = []
 
         class Counting:
@@ -449,10 +484,10 @@ class TestJudgeStage:
 
         monkeypatch.setattr(cli, "make_provider", lambda config: Counting())
         assert main(["judge", "--config", str(config_path)]) == 2
-        assert capsys.readouterr().err == f"error: {out / 'runs'}/{fault}\n"
+        assert capsys.readouterr().err == f"error: {out}/{fault}\n"
         assert calls == []
         assert not (out / "backstories.jsonl").exists()
-        assert not (out / "llm_qrels.txt").exists()
+        assert out_files(out) == before
 
 
 class TestEvaluateStage:
@@ -539,6 +574,19 @@ class TestEvaluateStage:
         self.evaluate_with_edited_run(workspace, tmp_path, add_query, files=2)
         err = capsys.readouterr().err
         assert "warning: 1 run query ids outside the variant sweep were ignored" in err
+
+    def test_bad_run_exits_2_before_any_write(self, workspace, tmp_path, capsys):
+        out = tmp_path / "out"
+        shutil.copytree(out_dir(workspace), out)
+        (out / "merged_qrels.txt").write_text("stale\n", encoding="utf-8")
+        run = out / "runs" / "fixture_a.run"
+        lines = len(run.read_text(encoding="utf-8").splitlines())
+        with open(run, "a", encoding="utf-8") as fh:
+            fh.write("garbage\n")
+        before = out_files(out)
+        assert main(["evaluate", "--config", str(workspace), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {run}:{lines + 1}: ")
+        assert out_files(out) == before
 
     def test_human_row_in_llm_labels_exits_2(self, workspace, tmp_path, capsys):
         out = tmp_path / "out"
@@ -895,6 +943,28 @@ class TestExitCodes:
         )
         assert out_files(out_dir(config_path)) == before
 
+    def test_unknown_kept_variants_rejected_before_any_call(
+        self, tmp_path, workspace, monkeypatch, capsys
+    ):
+        config_path = write_toy_workspace(tmp_path / "ws")
+        shutil.copytree(out_dir(workspace), out_dir(config_path))
+        topics_path = config_path.parent / "topics.tsv"
+        lines = topics_path.read_text(encoding="utf-8").splitlines()
+        # t05 leaves the topics, so its stored variants outside --methods are unknown
+        topics_path.write_text("\n".join(lines[:4] + ["t06\tbest hiking boots"]) + "\n")
+        kept = sorted(
+            v[:3] for v in read_variants(out_dir(config_path) / "variants.jsonl")
+            if v.topic_id == "t05" and v.profile_id != "neutral"
+        )
+        before = out_files(out_dir(config_path))
+        monkeypatch.setattr(cli, "make_provider", lambda config: pytest.fail("provider made"))
+
+        assert main(["generate", "--config", str(config_path), "--methods", "neutral"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: variants reference unknown topics/profiles: {kept[:5]}\n"
+        )
+        assert out_files(out_dir(config_path)) == before
+
     def test_analyze_before_evaluate(self, tmp_path):
         config_path = write_toy_workspace(tmp_path / "ws")
         assert main(["analyze", "--config", str(config_path)]) == 2
@@ -1155,6 +1225,104 @@ class TestModuleEntryPoint:
         assert self.run_stage_process("judge", config, *flags) == (
             ["cli"], "0", {"cli", "genkit", "judge", "logging"}
         )
+
+    # Run as `python -c TRACE_SNIPPET root stage flags...`: runs the stage
+    # and prints its exit code and, in order, each file or directory under
+    # root that it read (opened for reading, listed) or wrote (opened for
+    # writing or appending, renamed onto), as JSON; atomic_write's
+    # temporary files are left out.
+    TRACE_SNIPPET = (
+        "import json, os, sys\n"
+        "root = sys.argv.pop(1) + os.sep\n"
+        "events = []\n"
+        "def hook(event, args):\n"
+        "    if event == 'open':\n"
+        "        path, kind = args[0], 'write' if args[2] & (os.O_WRONLY | os.O_RDWR) else 'read'\n"
+        "    elif event == 'os.rename':\n"
+        "        path, kind = args[1], 'write'\n"
+        "    elif event in ('os.scandir', 'os.listdir'):\n"
+        "        path, kind = args[0], 'read'\n"
+        "    else:\n"
+        "        return\n"
+        "    if isinstance(path, (str, os.PathLike)):\n"
+        "        path = os.fspath(path)\n"
+        "        if path.startswith(root) and not path.endswith('.tmp'):\n"
+        "            events.append((kind, path[len(root):]))\n"
+        "sys.addaudithook(hook)\n"
+        "import qvbench.cli\n"
+        "code = qvbench.cli.main(sys.argv[1:])\n"
+        "print(json.dumps([code, events]))\n"
+    )
+
+    def test_each_stage_reads_its_inputs_then_writes_its_declared_files(self, tmp_path):
+        """Traced in a fresh interpreter, every stage, a warm judge and a
+        validate with annotations: the files each writes are its STAGES
+        entry, everything it reads is a setting's path or a declared
+        output, and it reads nothing after its first write."""
+        from qvbench.core import write_jsonl
+
+        root = tmp_path.resolve() / "ws"
+        config = write_toy_workspace(root)
+        annotations = root / "ann.jsonl"
+        write_jsonl(
+            [
+                {"pair_id": "t01__persona_emily__1", "annotator_id": a, "task": "similarity",
+                 "seed_query": "q", "variant": "v", "answer": "similar"}
+                for a in ("a1", "a2")
+            ],
+            annotations,
+        )
+        settings = build_config(_args(config=str(config), annotations=str(annotations)))
+        inputs = [config.name] + [
+            str(value.relative_to(root))
+            for key, value in settings._asdict().items()
+            if isinstance(value, Path) and key != "out"
+        ]
+        declared = {
+            stage: {f"out/{name}" for name in entry.writes} for stage, entry in cli.STAGES.items()
+        }
+        outputs = set().union(*declared.values())
+
+        def named(path):  # a traced path as STAGES names it
+            return "out/runs/" if path.startswith("out/runs") else path
+
+        written = {stage: set() for stage in cli.STAGES}
+        runs = [(stage,) for stage in STAGES]
+        runs += [("judge",), ("validate", "--annotations", str(annotations))]
+        for stage, *flags in runs:
+            result = subprocess.run(
+                [sys.executable, "-c", self.TRACE_SNIPPET, str(root), stage, "--config",
+                 str(config), *flags],
+                capture_output=True,
+                text=True,
+                timeout=120,
+            )
+            assert result.returncode == 0, result.stderr
+            code, events = json.loads(result.stdout.splitlines()[-1])
+            assert code == 0, (stage, result.stderr)
+            writes = {named(path) for kind, path in events if kind == "write"}
+            assert writes <= declared[stage], stage
+            written[stage] |= writes
+            for kind, path in events:
+                assert named(path) in outputs or any(
+                    path == p or path.startswith(p + "/") for p in inputs
+                ), (stage, path)
+            first_write = [kind for kind, _ in events].index("write")
+            late = [path for kind, path in events[first_write:] if kind == "read"]
+            assert late == [], (stage, flags)
+        assert written == declared
+
+    def test_readme_outputs_table_names_each_stage_files(self):
+        """Each row of README's Outputs table names its stage's STAGES files,
+        in order: a backticked name with a dot, a path under runs/ as
+        `runs/`."""
+        readme = (Path(cli.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("\n## Outputs\n", 1)[1].split("\n## ", 1)[0]
+        table = []
+        for row in re.finditer(r"^\| `([\w-]+)` \| (.*) \|$", section, re.MULTILINE):
+            names = [n for n in re.findall(r"`([^`]+)`", row[2]) if "." in n and " " not in n]
+            table.append((row[1], tuple(re.sub(r"/.*", "/", n) for n in names)))
+        assert table == [(stage, entry.writes) for stage, entry in cli.STAGES.items()]
 
     def test_python_dash_m(self, workspace):
         result = subprocess.run(
