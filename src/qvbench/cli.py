@@ -28,11 +28,11 @@ from .core import (
     ParseError,
     TransportError,
     ValidationError,
-    _JSON_LINE,
     _Validated,
     _decoding,
     atomic_write,
     format_trec_run,
+    json_lines,
     parse_passages,
     parse_qrels,
     parse_topics,
@@ -242,7 +242,7 @@ def _runs_by_file(config: PipelineConfig):
 
 
 def cmd_generate(config: PipelineConfig) -> None:
-    from .genkit import generate_sweep, load_profiles
+    from .genkit import GenerationLog, generate_sweep, load_profiles
 
     topics = parse_topics(config.topics)
     profiles = load_profiles(config.profiles)
@@ -282,8 +282,7 @@ def cmd_generate(config: PipelineConfig) -> None:
 
     log_path = config.out / "genlog.jsonl"
     with open(log_path, "a", encoding="utf-8") as fh:
-        for log in logs:
-            fh.write(_JSON_LINE.encode(log._asdict()) + "\n")
+        fh.writelines(json_lines(logs, GenerationLog._fields))
 
     by_method = {}
     method_of = {p.profile_id: p.method for p in profiles}
@@ -311,7 +310,7 @@ def cmd_validate(config: PipelineConfig) -> None:
     variants = _swept_variants(config)
     dictionary = load_dictionary()
     consensus = None
-    if config.annotations is not None and Path(config.annotations).exists():
+    if config.annotations is not None:
         consensus = consensus_reports(read_annotations(config.annotations), profiles)
     config.out.mkdir(parents=True, exist_ok=True)
 
@@ -476,7 +475,7 @@ def _merged_qrels(config: PipelineConfig) -> list:
     from .judge import LabelStore, merge_qrels
 
     human = []
-    if config.qrels is not None and Path(config.qrels).exists():
+    if config.qrels is not None:
         human = parse_qrels(config.qrels)
     llm_path = config.out / "llm_qrels.txt"
     llm = LabelStore.load(llm_path).qrels() if llm_path.exists() else []

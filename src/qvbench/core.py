@@ -22,8 +22,9 @@ import math
 import os
 import unicodedata
 from contextlib import contextmanager
+from json.encoder import c_make_encoder, encode_basestring
 from operator import itemgetter
-from typing import Callable, Iterable, NamedTuple, Optional, Protocol, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence, TypeVar
 
 PROFILE_METHODS = ("persona", "group", "textual", "neutral")
 QREL_SOURCES = ("human", "llm")
@@ -524,7 +525,7 @@ def read_variants(path) -> list[QueryVariant]:
 
 
 def write_variants(variants: Iterable[QueryVariant], path) -> None:
-    write_jsonl((v._asdict() for v in variants), path)
+    write_jsonl(variants, path, QueryVariant._fields)
 
 
 def _annotation(obj: dict) -> AnnotationRecord:
@@ -556,13 +557,43 @@ def read_jsonl(path, required=()) -> list[dict]:
     return _read_records(path, dict, required)
 
 
-_JSON_LINE = json.JSONEncoder(ensure_ascii=False)  # json.dumps would build one per line
+_JSON = json.JSONEncoder(ensure_ascii=False)
 
 
-def write_jsonl(objects: Iterable[dict], path) -> None:
-    with atomic_write(path) as fh:
+def json_lines(objects: Iterable, keys: Optional[Sequence[str]] = None) -> Iterator[str]:
+    """Each object as one line of JSON text with non-ASCII kept, through
+    one encoder for them all (``JSONEncoder.encode`` builds one a call).
+
+    Without keys each object is a dict. With keys each is a sequence of
+    values in the keys' order, written as the object with those keys
+    without building a dict: a str or int value is written by the
+    function the encoder would call for it, any other value by the
+    encoder.
+    """
+    if c_make_encoder is None:  # an interpreter without the C accelerator
+        encode = _JSON.encode
+    else:
+        chunks = c_make_encoder(
+            {}, _JSON.default, encode_basestring, None, ": ", ", ", False, False, True
+        )
+
+        def encode(value) -> str:
+            return "".join(chunks(value, 0))
+
+    if keys is None:
         for obj in objects:
-            fh.write(_JSON_LINE.encode(obj) + "\n")
+            yield encode(obj) + "\n"
+        return
+    line = "{" + ", ".join(encode(key).replace("%", "%%") + ": %s" for key in keys) + "}\n"
+    quote = {str: encode_basestring, int: int.__repr__}.get  # what the encoder calls for them
+    for values in objects:
+        yield line % tuple([quote(v.__class__, encode)(v) for v in values])
+
+
+def write_jsonl(objects: Iterable, path, keys: Optional[Sequence[str]] = None) -> None:
+    """The objects as `json_lines` writes them, keys as there."""
+    with atomic_write(path) as fh:
+        fh.writelines(json_lines(objects, keys))
 
 
 def _csv_cell(value) -> str:

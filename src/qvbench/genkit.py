@@ -2,8 +2,9 @@
 
 Every provider call, for variants, backstories and relevance labels,
 goes through one path: a template read by ``load_template``,
-placeholders filled by ``core._substitute``, and ``core.complete_parsed``
-asking the provider until a response parses. The provider contract
+placeholders filled in ``core._substitute``'s order (a label prompt in
+the two steps ``judge`` takes), and ``core.complete_parsed`` asking the
+provider until a response parses. The provider contract
 (``Provider``, ``GenerationError``, ``TransportError``) lives in
 ``core`` too, so stages that make no provider call never load this
 module; it is re-exported here. Every batch of calls goes
@@ -33,6 +34,7 @@ import os
 import random
 import re
 import time
+from bisect import bisect
 from collections import deque
 from functools import lru_cache
 from itertools import islice
@@ -249,27 +251,72 @@ def run_in_order(provider: Provider, fn: Callable[[Item], T], items: Iterable[It
     attribute).
 
     At 1, fn runs inline in the calling thread and no thread is started.
-    Above it, worker threads run fn over a sliding window of that many
-    items: the next item starts only when the oldest has finished. The
-    results come back in item order, and so does the first exception,
-    as in a serial run; once it is raised no further item starts, the
-    ones already running finish, and their results or errors are
-    dropped. fn must be safe to call from several threads at once, and
-    any side effect whose order matters belongs in its return value.
+    Above it, up to that many ``threading.Thread`` workers run fn over a
+    sliding window of that many items: the next item is handed out only
+    when the oldest has finished. The results come back in item order,
+    and so does the first exception, as in a serial run; once it is
+    raised no further item starts, the ones already running finish, and
+    their results or errors are dropped. Every worker has ended when
+    this returns or raises. fn must be safe to call from several threads
+    at once, and any side effect whose order matters belongs in its
+    return value.
     """
     width = getattr(provider, "in_flight", 1)
     if width <= 1:
         return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor  # mock-only stages never load it
+    # threading and queue, not concurrent.futures, which loads logging
+    import threading
+    from queue import Empty, SimpleQueue
+
+    todo: SimpleQueue = SimpleQueue()
+    window: deque[list] = deque()
+
+    def hand_out(item: Item) -> None:
+        # a task is [item, a lock held until it is done, (ok, result or error)]
+        done = threading.Lock()
+        done.acquire()
+        task = [item, done, None]
+        window.append(task)
+        todo.put(task)
+
+    def work() -> None:
+        while (task := todo.get()) is not None:
+            try:
+                task[2] = (True, fn(task[0]))
+            except BaseException as exc:  # raised by the caller, in item order
+                task[2] = (False, exc)
+            task[1].release()
 
     pending = iter(items)
+    for item in islice(pending, width):
+        hand_out(item)
+    workers: list[threading.Thread] = []
     results: list[T] = []
-    with ThreadPoolExecutor(max_workers=width) as pool:
-        window = deque(pool.submit(fn, item) for item in islice(pending, width))
+    try:
+        for _ in window:
+            worker = threading.Thread(target=work)
+            worker.start()
+            workers.append(worker)
         while window:
-            results.append(window.popleft().result())
+            task = window.popleft()
+            task[1].acquire()
+            ok, value = task[2]
+            if not ok:
+                raise value
+            results.append(value)
             for item in islice(pending, 1):
-                window.append(pool.submit(fn, item))
+                hand_out(item)
+    finally:
+        # a task no worker has taken yet never starts
+        try:
+            while True:
+                todo.get_nowait()
+        except Empty:
+            pass
+        for worker in workers:
+            todo.put(None)
+        for worker in workers:
+            worker.join()
     return results
 
 
@@ -599,7 +646,9 @@ class MockProvider:
     downstream validators see realistic signal. Only misspelling variants
     spell, so only they load `validate` (and `textkit`, `porter`).
     Relevance-labeling prompts (a "Passage:" line plus an integer-answer
-    instruction) get a single grade drawn from a fixed distribution over 0..3.
+    instruction, told apart by ``_is_label_prompt``) get a single grade
+    drawn from a fixed distribution over 0..3, from a generator of the
+    call's own, so threads may call at once.
     """
 
     def __init__(self, seed_material: str = ""):
@@ -611,9 +660,9 @@ class MockProvider:
             (self.seed_material + "\x00" + prompt).encode("utf-8")
         ).digest()
         rng = random.Random(digest)
-        if "integer" in prompt.lower() and _PASSAGE_LINE.search(prompt):
-            # weights 35, 25, 22, 18; `choices` draws the same from their sums
-            return str(rng.choices((0, 1, 2, 3), cum_weights=(35, 60, 82, 100))[0])
+        if _is_label_prompt(prompt):
+            # weights 35, 25, 22, 18: the draw `choices` makes from their sums
+            return _GRADE_TEXTS[bisect(_GRADE_CUM_WEIGHTS, rng.random() * 100.0, 0, 3)]
         seed_query = _prompt_field(prompt, _SEED_QUERY_FIELD)
         if seed_query is None:
             raise ValidationError("mock provider needs a 'Seed query:' line in the prompt")
@@ -708,8 +757,29 @@ _SEED_QUERY_FIELD, _PROFILE_FIELD = (
     re.compile(rf"^{re.escape(label)}:\s*(.+?)\s*$", re.MULTILINE)
     for label in ("Seed query", "Transformation profile")
 )
-# A label prompt's "Passage:" line, of which only the presence is read.
-_PASSAGE_LINE = re.compile(r"^Passage:\s*.", re.MULTILINE)
+# A label prompt's "Passage:" line, of which only the presence is read,
+# matched at the start of a line.
+_PASSAGE_LINE = re.compile(r"Passage:\s*.")
+_GRADE_TEXTS = ("0", "1", "2", "3")
+_GRADE_CUM_WEIGHTS = (35, 60, 82, 100)
+
+
+def _is_label_prompt(prompt: str) -> bool:
+    """Whether the prompt has a line starting "Passage:" with something
+    other than line ends after it, and "integer" in any case.
+
+    It accepts exactly what ``"integer" in prompt.lower()`` and a
+    multiline search for ``^Passage:\\s*.`` accept, without lowering the
+    prompt or running the pattern over all of it. Only the first
+    "Passage:" at a line start is tried, since a later one would put a
+    character other than a line end after the first; the lowered prompt
+    is made only when "integer" is not there as written.
+    """
+    # find gives 0 when no line starts "Passage:", and the match fails there
+    start = 0 if prompt.startswith("Passage:") else prompt.find("\nPassage:") + 1
+    if not _PASSAGE_LINE.match(prompt, start):
+        return False
+    return "integer" in prompt or "integer" in prompt.lower()
 
 
 def _prompt_field(prompt: str, pattern: re.Pattern) -> Optional[str]:

@@ -2,10 +2,13 @@
 
 Labels live on the 4-point scale used by the human judgments. They come
 from the same provider path as query variants: the label template read
-once per ``label_topk`` through ``genkit.load_template``, filled by
-``core._substitute``, and asked through ``core.complete_parsed`` until
-the response is a bare grade, with ``genkit.run_in_order`` keeping the
-provider's calls in flight. Only ``load_label_template`` and
+once per ``label_topk`` through ``genkit.load_template``, and asked
+through ``core.complete_parsed`` until the response is a bare grade,
+with ``genkit.run_in_order`` keeping the provider's calls in flight. A
+prompt is filled in two steps, in ``core._substitute``'s order: the
+topic's backstory, once per topic (which is when a missing backstory is
+refused, before the topic's first provider call), then the passage and
+the scale description for each label. Only ``load_label_template`` and
 ``label_topk``, each run once per labelling pass, import genkit, so
 reading labels, merging qrels and measuring coverage do not load it.
 
@@ -18,7 +21,8 @@ provider call, and no run record is alive while labels are asked for.
 A label store caches grades by (topic, passage) so a passage retrieved
 by many systems and variants costs one provider call, and persists
 them, sorted by key whatever order the calls finished in, as TREC-style
-qrels with a source column plus a JSONL sidecar of raw responses.
+qrels with a source column plus a JSONL sidecar of raw responses, both
+written row by row from the store.
 Agreement metrics compare the two label sources: mean absolute error
 and Cohen's kappa after binarizing, Krippendorff's ordinal alpha on the
 full scale.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import threading
 from collections import defaultdict
+from functools import lru_cache
 from pathlib import Path
 from typing import Container, Iterable, NamedTuple, Optional, Sequence
 
@@ -40,7 +45,6 @@ from .core import (
     RunRecord,
     Topic,
     ValidationError,
-    _substitute,
     complete_parsed,
     parse_qrels,
     query_cell,
@@ -141,16 +145,32 @@ def load_label_template() -> str:
 def build_label_prompt(backstory: str, passage_text: str, template: str) -> str:
     """Labeling prompt around the backstory, not the seed query, from the
     text ``load_label_template`` returns."""
+    return _with_passage(_with_backstory(template, backstory), passage_text)
+
+
+# Bounded, so a long-lived process labelling many topics keeps only the
+# recent ones; the labels of one topic are asked for together.
+@lru_cache(maxsize=64)
+def _with_backstory(template: str, backstory: str) -> str:
+    """The label template with the topic's backstory filled in: the part
+    of a label prompt that is the same for all the topic's passages."""
     if not backstory or not backstory.strip():
         raise ValidationError(
             "topic has no backstory; generate one with genkit.generate_backstory first"
         )
-    # a placeholder inside an earlier value is filled by a later key, so
-    # this order is part of the prompt bytes
-    return _substitute(
-        template,
-        {"backstory": backstory, "passage": passage_text, "scale_description": SCALE_DESCRIPTION},
+    return template.replace("{backstory}", backstory)
+
+
+def _with_passage(topic_template: str, passage_text: str) -> str:
+    # `_substitute`'s order: a placeholder inside an earlier value is
+    # filled by a later key, so the order is part of the prompt bytes
+    return topic_template.replace("{passage}", passage_text).replace(
+        "{scale_description}", SCALE_DESCRIPTION
     )
+
+
+# The fields of each row of the raw-response sidecar.
+_RAW_KEYS = ("topic_id", "passage_id", "grade", "raw_response")
 
 
 class LabelStore:
@@ -186,18 +206,11 @@ class LabelStore:
     def save(self, qrels_path, raw_path) -> None:
         with self._lock:
             keys = sorted(self._labels)
-            qrels = [self._labels[key] for key in keys]
-            rows = [
-                {
-                    "topic_id": key[0],
-                    "passage_id": key[1],
-                    "grade": qrel.grade,
-                    "raw_response": self._raw.get(key, ""),
-                }
-                for key, qrel in zip(keys, qrels)
-            ]
-        write_qrels(qrels, qrels_path, with_source=True)
-        write_jsonl(rows, raw_path)
+            labels, raw = self._labels, self._raw
+            write_qrels((labels[key] for key in keys), qrels_path, with_source=True)
+            write_jsonl(
+                ((*key, labels[key].grade, raw.get(key, "")) for key in keys), raw_path, _RAW_KEYS
+            )
 
     @classmethod
     def load(cls, qrels_path, raw_path=None) -> "LabelStore":

@@ -835,6 +835,18 @@ class TestExitCodes:
         config_path = write_toy_workspace(tmp_path / "ws")
         assert main(["validate", "--config", str(config_path)]) == 2
 
+    @pytest.mark.parametrize("stage, setting", [("validate", "annotations"), ("evaluate", "qrels")])
+    def test_configured_input_that_is_missing_exits_2_naming_it(
+        self, workspace, capsys, stage, setting
+    ):
+        """A set path that names no file is an error, not a skipped input;
+        the stage stops before it writes."""
+        missing = workspace.parent / f"no_{setting}.txt"
+        before = out_files(out_dir(workspace))
+        assert main([stage, "--config", str(workspace), f"--{setting}", missing.name]) == 2
+        assert str(missing) in capsys.readouterr().err
+        assert out_files(out_dir(workspace)) == before
+
     def test_provider_failure(self, tmp_path):
         config_path = write_toy_workspace(tmp_path / "ws")
         code = main(
@@ -1209,8 +1221,8 @@ class TestModuleEntryPoint:
 
     def test_http_provider_stages_skip_the_mock_spelling_modules(self, tmp_path, chat_server):
         """Only the mock provider spells, so under the HTTP provider generate
-        and judge load neither validate nor textkit nor porter. They hold
-        `logging`, which the provider's `concurrent.futures` pool loads."""
+        and judge load neither validate nor textkit nor porter; and
+        `run_in_order`'s plain threads leave out `logging`."""
         config = write_toy_workspace(tmp_path / "ws")
         mock = MockProvider(seed_material=str(build_config(_args(config=str(config))).seed))
         chat_server.reply = lambda request: mock.complete(
@@ -1218,12 +1230,12 @@ class TestModuleEntryPoint:
         )
         flags = ["--provider", "http", "--endpoint", chat_server.url, "--model", "m"]
         assert self.run_stage_process("generate", config, *flags) == (
-            ["cli"], "0", {"cli", "genkit", "logging"}
+            ["cli"], "0", {"cli", "genkit"}
         )
         for stage in ("index", "search"):
             assert main([stage, "--config", str(config)]) == 0, stage
         assert self.run_stage_process("judge", config, *flags) == (
-            ["cli"], "0", {"cli", "genkit", "judge", "logging"}
+            ["cli"], "0", {"cli", "genkit", "judge"}
         )
 
     # Run as `python -c TRACE_SNIPPET root stage flags...`: runs the stage

@@ -2,6 +2,7 @@
 
 import csv
 import inspect
+import json
 import math
 from operator import attrgetter
 from pathlib import Path
@@ -22,6 +23,7 @@ from qvbench.core import (
     Topic,
     ValidationError,
     expected_variant_count,
+    json_lines,
     nfc,
     parse_passages,
     parse_qrels,
@@ -250,6 +252,42 @@ def test_variants_round_trip_with_combining_marks(tmp_path, cells):
     path = tmp_path / "marked_variants.jsonl"
     write_variants(variants, path)
     assert read_variants(path) == variants
+
+
+# Any JSON value, with strings holding what JSON escapes, what it need
+# not (U+2028, non-ASCII) and a str subclass.
+class _Str(str):
+    pass
+
+
+_json_strings = st.text(
+    st.sampled_from('"\\/%\x00\x1f\x7f\t\n\u2028é漢\U0001F600 x{}'), max_size=8
+)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _json_strings
+    | _json_strings.map(_Str),
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner)
+    | st.dictionaries(_json_strings, inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(st.lists(st.lists(_json_values, min_size=3, max_size=3), max_size=4))
+def test_json_lines_are_json_dumps_of_each_object(rows):
+    """Both forms, dicts or values under keys, write what one
+    `json.dumps(..., ensure_ascii=False)` a line wrote."""
+    keys = ("a", 'q"%s', "é\n")
+    objects = [dict(zip(keys, row)) for row in rows]
+    expected = [json.dumps(obj, ensure_ascii=False) + "\n" for obj in objects]
+    assert list(json_lines(objects)) == expected
+    assert list(json_lines(rows, keys)) == expected
+
+
+@pytest.mark.parametrize("keys", [None, ("a",)])
+def test_json_lines_refuse_what_json_cannot_hold(keys):
+    rows = [{"a": {1, 2}}] if keys is None else [({1, 2},)]
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        list(json_lines(rows, keys))
 
 
 def _failing(rows):

@@ -1,8 +1,11 @@
 """Coverage, labeling, and human/LLM agreement metrics."""
 
+import hashlib
+import json
 import random
 import re
 import sys
+import threading
 from collections import Counter
 
 import pytest
@@ -323,19 +326,31 @@ class TestLabelTopk:
         assert len(store) == 2
 
     def test_template_read_once_for_many_new_labels(self, monkeypatch):
+        """One template read, and `judge.label` called once per pair, cached
+        or not, through the module attribute, where a traced run counts
+        both by replacing them."""
         runs = [run("s1", t.topic_id, p.passage_id, i + 1)
                 for t in self.TOPICS for i, p in enumerate(self.PASSAGES)]
-        loads = []
-        original = judge.load_label_template
+        loads, labelled = [], []
+        original_load, original_label = judge.load_label_template, judge.label
 
         def counting(*args, **kwargs):
             loads.append(args)
-            return original(*args, **kwargs)
+            return original_load(*args, **kwargs)
+
+        def counting_label(provider, topic, passage, store, template):
+            labelled.append((topic.topic_id, passage.passage_id))
+            return original_label(provider, topic, passage, store, template)
 
         monkeypatch.setattr(judge, "load_label_template", counting)
+        monkeypatch.setattr(judge, "label", counting_label)
         provider = CountingProvider(MockProvider())
-        label_runs(provider, runs, self.TOPICS, self.PASSAGES, LabelStore(), k=10)
-        assert provider.calls == 10
+        store = LabelStore()
+        store.put("t1", "p1", 2, "2")
+        label_runs(provider, runs, self.TOPICS, self.PASSAGES, store, k=10)
+        assert provider.calls == 9
+        assert labelled == sorted((t.topic_id, p.passage_id) for t in self.TOPICS
+                                  for p in self.PASSAGES)
         assert len(loads) == 1
 
     def test_overlapped_labels_match_serial(self, tmp_path):
@@ -690,3 +705,132 @@ class TestMergePolicies:
     def test_paired_grades_intersection(self):
         pairs = paired_grades(self.HUMAN, self.LLM)
         assert pairs == [(1, 2)]
+
+
+# The cold label path as it was, kept as the oracle for the one that
+# fills each topic's backstory once, draws the mock's grade with bisect
+# and writes the store's rows without dicts.
+
+
+def _old_label_prompt(backstory, passage_text, template):
+    """`build_label_prompt` as one `_substitute` over all three keys."""
+    for key, value in (
+        ("backstory", backstory),
+        ("passage", passage_text),
+        ("scale_description", judge.SCALE_DESCRIPTION),
+    ):
+        template = template.replace("{" + key + "}", str(value))
+    return template
+
+
+def _old_mock_grade(seed, prompt):
+    digest = hashlib.sha256((seed + "\x00" + prompt).encode("utf-8")).digest()
+    return random.Random(digest).choices((0, 1, 2, 3), cum_weights=(35, 60, 82, 100))[0]
+
+
+def _old_save(store, qrels_path, raw_path):
+    """`LabelStore.save` as it was: a dict per row, one
+    `JSONEncoder.encode` a line."""
+    keys = sorted(store._labels)
+    with open(qrels_path, "w", encoding="utf-8") as fh:
+        for key in keys:
+            fh.write(f"{key[0]} 0 {key[1]} {store._labels[key].grade} llm\n")
+    encoder = json.JSONEncoder(ensure_ascii=False)
+    rows = [
+        {"topic_id": key[0], "passage_id": key[1], "grade": store._labels[key].grade,
+         "raw_response": store._raw.get(key, "")}
+        for key in keys
+    ]
+    with open(raw_path, "w", encoding="utf-8") as fh:
+        for row in rows:
+            fh.write(encoder.encode(row) + "\n")
+
+
+_PROMPT_PIECES = ["{passage}", "{scale_description}", "{backstory}", "{", "}", "{}", "{{x}}",
+                  "é", "漢字", " ", "\U0001F600", " ", "\n", "x"]
+_prompt_texts = st.lists(st.sampled_from(_PROMPT_PIECES), max_size=10).map("".join)
+
+
+class RecordingProvider:
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, prompt):
+        self.prompts.append(prompt)
+        return "2"
+
+
+@given(
+    backstories=st.lists(_prompt_texts.map(lambda text: "b" + text), min_size=2, max_size=2),
+    texts=st.lists(_prompt_texts.map(lambda text: text + "p"), min_size=1, max_size=3),
+)
+def test_label_prompts_are_the_bytes_one_substitution_made(backstories, texts):
+    topics = [Topic(f"t{i}", "q", backstory=b) for i, b in enumerate(backstories)]
+    passages = [Passage(f"p{i}", text) for i, text in enumerate(texts)]
+    expected = [_old_label_prompt(t.backstory, p.text, TEMPLATE) for t in topics for p in passages]
+    assert [build_label_prompt(t.backstory, p.text, TEMPLATE)
+            for t in topics for p in passages] == expected
+    provider = RecordingProvider()
+    pairs = [(t.topic_id, p.passage_id) for t in topics for p in passages]
+    label_topk(provider, pairs, topics, passages, LabelStore())
+    assert provider.prompts == expected
+
+
+def test_eight_threads_labelling_at_once_give_the_serial_grades():
+    """Eight threads share one mock and one store, each labelling every
+    pair from its own starting point, with threads switching often."""
+    topics = [Topic(f"t{i}", f"query {i}", backstory=f"Backstory {i}.") for i in range(3)]
+    passages = [Passage(f"p{i}", f"passage text {i}") for i in range(40)]
+    pairs = [(t, p) for t in topics for p in passages]
+    expected = {
+        (t.topic_id, p.passage_id): _old_mock_grade("j", _old_label_prompt(t.backstory, p.text, TEMPLATE))
+        for t, p in pairs
+    }
+    provider, store = MockProvider(seed_material="j"), LabelStore()
+    barrier = threading.Barrier(8)
+    failures = []
+
+    def work(start):
+        try:
+            barrier.wait(timeout=10)
+            for topic, passage in pairs[start:] + pairs[:start]:
+                label(provider, topic, passage, store, TEMPLATE)
+        except Exception as exc:
+            failures.append(exc)
+
+    threads = [threading.Thread(target=work, args=(15 * i,)) for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    assert {(q.query_id, q.passage_id): q.grade for q in store.qrels()} == expected
+    assert all(store._raw[key] == str(grade) for key, grade in expected.items())
+
+
+_ids = st.text(st.sampled_from("ab1é_"), min_size=1, max_size=4)
+# JSON-escaped and line-breaking characters among the raw responses
+_raw_texts = st.text(
+    st.sampled_from('"\\/\x00\x01\x1f\x7f\x85\t\n\r\u2028\u2029\ufeffé漢\U0001F600 x{}'), max_size=12
+)
+
+
+@given(st.dictionaries(st.tuples(_ids, _ids), st.tuples(st.integers(0, 3), _raw_texts),
+                       max_size=12))
+def test_saved_label_bytes_match_the_dict_rows(tmp_path_factory, labels):
+    tmp_path = tmp_path_factory.mktemp("labels")
+    store = LabelStore()
+    for (topic_id, passage_id), (grade, raw) in labels.items():
+        store.put(topic_id, passage_id, grade, raw)
+    store.save(tmp_path / "llm_qrels.txt", tmp_path / "llm_raw.jsonl")
+    _old_save(store, tmp_path / "old_qrels.txt", tmp_path / "old_raw.jsonl")
+    for new, old in (("llm_qrels.txt", "old_qrels.txt"), ("llm_raw.jsonl", "old_raw.jsonl")):
+        assert (tmp_path / new).read_bytes() == (tmp_path / old).read_bytes()
+    loaded = LabelStore.load(tmp_path / "llm_qrels.txt", tmp_path / "llm_raw.jsonl")
+    assert loaded._raw == store._raw
