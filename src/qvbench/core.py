@@ -22,7 +22,7 @@ import math
 import os
 import unicodedata
 from contextlib import contextmanager
-from json.encoder import c_make_encoder, encode_basestring
+from json.encoder import encode_basestring
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence, TypeVar
 
@@ -557,12 +557,11 @@ def read_jsonl(path, required=()) -> list[dict]:
     return _read_records(path, dict, required)
 
 
-_JSON = json.JSONEncoder(ensure_ascii=False)
+_JSON = json.JSONEncoder(ensure_ascii=False)  # json.dumps would build one per line
 
 
 def json_lines(objects: Iterable, keys: Optional[Sequence[str]] = None) -> Iterator[str]:
-    """Each object as one line of JSON text with non-ASCII kept, through
-    one encoder for them all (``JSONEncoder.encode`` builds one a call).
+    """Each object as one line of JSON text with non-ASCII kept.
 
     Without keys each object is a dict. With keys each is a sequence of
     values in the keys' order, written as the object with those keys
@@ -570,16 +569,7 @@ def json_lines(objects: Iterable, keys: Optional[Sequence[str]] = None) -> Itera
     function the encoder would call for it, any other value by the
     encoder.
     """
-    if c_make_encoder is None:  # an interpreter without the C accelerator
-        encode = _JSON.encode
-    else:
-        chunks = c_make_encoder(
-            {}, _JSON.default, encode_basestring, None, ": ", ", ", False, False, True
-        )
-
-        def encode(value) -> str:
-            return "".join(chunks(value, 0))
-
+    encode = _JSON.encode
     if keys is None:
         for obj in objects:
             yield encode(obj) + "\n"

@@ -251,72 +251,28 @@ def run_in_order(provider: Provider, fn: Callable[[Item], T], items: Iterable[It
     attribute).
 
     At 1, fn runs inline in the calling thread and no thread is started.
-    Above it, up to that many ``threading.Thread`` workers run fn over a
-    sliding window of that many items: the next item is handed out only
-    when the oldest has finished. The results come back in item order,
-    and so does the first exception, as in a serial run; once it is
-    raised no further item starts, the ones already running finish, and
-    their results or errors are dropped. Every worker has ended when
-    this returns or raises. fn must be safe to call from several threads
-    at once, and any side effect whose order matters belongs in its
-    return value.
+    Above it, worker threads run fn over a sliding window of that many
+    items: the next item starts only when the oldest has finished. The
+    results come back in item order, and so does the first exception,
+    as in a serial run; once it is raised no further item starts, the
+    ones already running finish, and their results or errors are
+    dropped. Every worker has ended when this returns or raises. fn
+    must be safe to call from several threads at once, and any side
+    effect whose order matters belongs in its return value.
     """
     width = getattr(provider, "in_flight", 1)
     if width <= 1:
         return [fn(item) for item in items]
-    # threading and queue, not concurrent.futures, which loads logging
-    import threading
-    from queue import Empty, SimpleQueue
-
-    todo: SimpleQueue = SimpleQueue()
-    window: deque[list] = deque()
-
-    def hand_out(item: Item) -> None:
-        # a task is [item, a lock held until it is done, (ok, result or error)]
-        done = threading.Lock()
-        done.acquire()
-        task = [item, done, None]
-        window.append(task)
-        todo.put(task)
-
-    def work() -> None:
-        while (task := todo.get()) is not None:
-            try:
-                task[2] = (True, fn(task[0]))
-            except BaseException as exc:  # raised by the caller, in item order
-                task[2] = (False, exc)
-            task[1].release()
+    from concurrent.futures import ThreadPoolExecutor  # mock-only stages never load it
 
     pending = iter(items)
-    for item in islice(pending, width):
-        hand_out(item)
-    workers: list[threading.Thread] = []
     results: list[T] = []
-    try:
-        for _ in window:
-            worker = threading.Thread(target=work)
-            worker.start()
-            workers.append(worker)
+    with ThreadPoolExecutor(max_workers=width) as pool:
+        window = deque(pool.submit(fn, item) for item in islice(pending, width))
         while window:
-            task = window.popleft()
-            task[1].acquire()
-            ok, value = task[2]
-            if not ok:
-                raise value
-            results.append(value)
+            results.append(window.popleft().result())
             for item in islice(pending, 1):
-                hand_out(item)
-    finally:
-        # a task no worker has taken yet never starts
-        try:
-            while True:
-                todo.get_nowait()
-        except Empty:
-            pass
-        for worker in workers:
-            todo.put(None)
-        for worker in workers:
-            worker.join()
+                window.append(pool.submit(fn, item))
     return results
 
 

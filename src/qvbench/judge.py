@@ -22,7 +22,7 @@ A label store caches grades by (topic, passage) so a passage retrieved
 by many systems and variants costs one provider call, and persists
 them, sorted by key whatever order the calls finished in, as TREC-style
 qrels with a source column plus a JSONL sidecar of raw responses, both
-written row by row from the store.
+written from one sorted list of keys with no dict built per row.
 Agreement metrics compare the two label sources: mean absolute error
 and Cohen's kappa after binarizing, Krippendorff's ordinal alpha on the
 full scale.
@@ -148,9 +148,11 @@ def build_label_prompt(backstory: str, passage_text: str, template: str) -> str:
     return _with_passage(_with_backstory(template, backstory), passage_text)
 
 
-# Bounded, so a long-lived process labelling many topics keeps only the
-# recent ones; the labels of one topic are asked for together.
-@lru_cache(maxsize=64)
+# Memoised here, not in label_topk, because label_topk must reach each
+# label through the module global `label` with the raw template (tracing
+# counts those calls). label_topk asks for a topic's labels together, so
+# any bound of at least in_flight keeps each topic filled once.
+@lru_cache(maxsize=16)
 def _with_backstory(template: str, backstory: str) -> str:
     """The label template with the topic's backstory filled in: the part
     of a label prompt that is the same for all the topic's passages."""
@@ -205,8 +207,10 @@ class LabelStore:
 
     def save(self, qrels_path, raw_path) -> None:
         with self._lock:
+            # written under the lock so both files are one snapshot of the store
             keys = sorted(self._labels)
             labels, raw = self._labels, self._raw
+            # write_qrels sorts again, but only references already in order
             write_qrels((labels[key] for key in keys), qrels_path, with_source=True)
             write_jsonl(
                 ((*key, labels[key].grade, raw.get(key, "")) for key in keys), raw_path, _RAW_KEYS

@@ -1221,8 +1221,8 @@ class TestModuleEntryPoint:
 
     def test_http_provider_stages_skip_the_mock_spelling_modules(self, tmp_path, chat_server):
         """Only the mock provider spells, so under the HTTP provider generate
-        and judge load neither validate nor textkit nor porter; and
-        `run_in_order`'s plain threads leave out `logging`."""
+        and judge load neither validate nor textkit nor porter. They hold
+        `logging`, which the provider's `concurrent.futures` pool loads."""
         config = write_toy_workspace(tmp_path / "ws")
         mock = MockProvider(seed_material=str(build_config(_args(config=str(config))).seed))
         chat_server.reply = lambda request: mock.complete(
@@ -1230,12 +1230,12 @@ class TestModuleEntryPoint:
         )
         flags = ["--provider", "http", "--endpoint", chat_server.url, "--model", "m"]
         assert self.run_stage_process("generate", config, *flags) == (
-            ["cli"], "0", {"cli", "genkit"}
+            ["cli"], "0", {"cli", "genkit", "logging"}
         )
         for stage in ("index", "search"):
             assert main([stage, "--config", str(config)]) == 0, stage
         assert self.run_stage_process("judge", config, *flags) == (
-            ["cli"], "0", {"cli", "genkit", "judge"}
+            ["cli"], "0", {"cli", "genkit", "judge", "logging"}
         )
 
     # Run as `python -c TRACE_SNIPPET root stage flags...`: runs the stage

@@ -794,10 +794,12 @@ class TestRunInOrder:
                 raise ValueError(f"item {item}")
             return item
 
+        threads = threading.active_count()
         with pytest.raises(ValueError, match="item 3"):
             run_in_order(self.OVERLAPPING, fn, range(20))
         # no item more than in_flight - 1 past the failed one starts
         assert sorted(started) == list(range(7))
+        assert threading.active_count() == threads  # every worker has ended
 
     def test_never_more_than_in_flight_running_at_once(self):
         """At most in_flight items run at once, and item i starts only once
@@ -823,28 +825,6 @@ class TestRunInOrder:
         finally:
             sys.setswitchinterval(interval)
         assert 1 < peak[0] <= 4
-
-    def test_nothing_starts_after_the_first_error(self):
-        started = []
-        lock = threading.Lock()
-
-        def fn(item):
-            with lock:
-                started.append(item)
-            time.sleep(0.002)
-            if item == 5:
-                raise ValueError("item 5")
-            return item
-
-        threads = threading.active_count()
-        with pytest.raises(ValueError, match="item 5"):
-            run_in_order(self.OVERLAPPING, fn, range(100))
-        with lock:
-            seen = list(started)
-        time.sleep(0.05)
-        assert started == seen
-        assert max(seen) <= 5 + 3
-        assert threading.active_count() == threads  # every worker has ended
 
     def test_mock_provider_starts_no_thread(self, monkeypatch):
         def refuse(thread):
