@@ -7,8 +7,8 @@ and the mock provider.
 
 Each stage runs in its own process, so each `cmd_*` imports the modules
 it runs and importing this module loads only `core`: `import-runs`
-needs nothing more, and no stage but `generate`, `validate` and `judge`
-loads `genkit`.
+needs nothing more, and no stage but `generate` and `judge` loads
+`genkit`.
 """
 
 import argparse
@@ -16,7 +16,6 @@ import json
 import math
 import re
 import sys
-from collections import defaultdict
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -33,6 +32,7 @@ from .core import (
     atomic_write,
     format_trec_run,
     json_lines,
+    load_profiles,
     parse_passages,
     parse_qrels,
     parse_topics,
@@ -220,16 +220,29 @@ def _keyed_variants(path, variants) -> dict:
     return keyed
 
 
-def _swept_variants(config: PipelineConfig) -> list:
+def _swept_variants(config: PipelineConfig, topics, profiles) -> list:
     """The variants file `generate` wrote, rejected if two variants share
-    a key."""
+    a key or one is of a topic or profile that is no longer listed."""
     path = config.out / "variants.jsonl"
-    return list(_keyed_variants(path, read_variants(path)).values())
+    variants = list(_keyed_variants(path, read_variants(path)).values())
+    topic_ids = {t.topic_id for t in topics}
+    profile_ids = {p.profile_id for p in profiles}
+    for v in variants:
+        if v.topic_id not in topic_ids:
+            raise ValidationError(f"{path}: variant of topic {v.topic_id!r}, not in {config.topics}")
+        if v.profile_id not in profile_ids:
+            raise ValidationError(
+                f"{path}: variant of profile {v.profile_id!r}, not in {config.profiles}"
+            )
+    return variants
 
 
 def _runs_by_file(config: PipelineConfig):
     """(path, its parsed records) for each run file under out/runs/, in
-    name order; a file is parsed only when the caller asks for it."""
+    name order. A file is parsed only when the caller asks for it, so a
+    caller that folds each file into what it keeps holds the records of
+    one file at a time: `judge` keeps the pooled pairs, `evaluate` the
+    top-k ranking of each (system, query)."""
     runs_dir = config.out / "runs"
     files = sorted(p for p in runs_dir.glob("*.run") if p.is_file()) if runs_dir.is_dir() else []
     if not files:
@@ -242,7 +255,7 @@ def _runs_by_file(config: PipelineConfig):
 
 
 def cmd_generate(config: PipelineConfig) -> None:
-    from .genkit import GenerationLog, generate_sweep, load_profiles
+    from .genkit import GenerationLog, generate_sweep
 
     topics = parse_topics(config.topics)
     profiles = load_profiles(config.profiles)
@@ -294,7 +307,6 @@ def cmd_generate(config: PipelineConfig) -> None:
 
 
 def cmd_validate(config: PipelineConfig) -> None:
-    from .genkit import load_profiles
     from .textkit import VariantFeatureRecord, variant_features
     from .validate import (
         CHECKED_PROFILES,
@@ -307,7 +319,7 @@ def cmd_validate(config: PipelineConfig) -> None:
 
     topics = parse_topics(config.topics)
     profiles = load_profiles(config.profiles)
-    variants = _swept_variants(config)
+    variants = _swept_variants(config, topics, profiles)
     dictionary = load_dictionary()
     consensus = None
     if config.annotations is not None:
@@ -359,7 +371,7 @@ def cmd_index(config: PipelineConfig) -> None:
 
 def _query_texts(config: PipelineConfig) -> dict:
     topics = parse_topics(config.topics)
-    variants = _swept_variants(config)
+    variants = _swept_variants(config, topics, load_profiles(config.profiles))
     queries = {t.topic_id: t.seed_query for t in topics}
     for v in variants:
         queries[variant_query_id(v.topic_id, v.profile_id, v.index)] = v.text
@@ -488,21 +500,29 @@ def cmd_evaluate(config: PipelineConfig) -> None:
 
     expected = sorted(_query_texts(config))
     merged = _merged_qrels(config)
-    runs = [r for _, records in _runs_by_file(config) for r in records]
+    # a system may be split across run files by query, but ranks each query once
+    ranked = {}  # (system, query) -> the passage ids it ranks within k, in rank order
+    for path, records in _runs_by_file(config):
+        for system_id, query_id, passage_id, rank, _ in records:  # by (system, query, rank)
+            if rank == 1:
+                if (system_id, query_id) in ranked:
+                    raise ValidationError(
+                        f"{path}: run {system_id}, query {query_id}:"
+                        " ranked again after an earlier run file"
+                    )
+                top = ranked[system_id, query_id] = []
+            if rank <= config.k:
+                top.append(passage_id)
     config.out.mkdir(parents=True, exist_ok=True)
     write_qrels(merged, config.out / "merged_qrels.txt", with_source=True)
 
-    reports = coverage(runs, merged, k=config.k)
+    reports = coverage(ranked, merged, k=config.k)
     write_csv(config.out / "coverage.csv", CoverageReport._fields, reports)
 
     grades = {}
     for q in merged:
         grades.setdefault(q.query_id, {})[q.passage_id] = q.grade
     ideal = {topic: sorted(g.values(), reverse=True)[: config.k] for topic, g in grades.items()}
-
-    ranked = defaultdict(list)
-    for system_id, query_id, passage_id, _, _ in runs:  # in rank order, as parsed
-        ranked[system_id, query_id].append(passage_id)
     systems = sorted({system_id for system_id, _ in ranked})
 
     skipped = len({query_id for _, query_id in ranked}.difference(expected))
@@ -523,7 +543,7 @@ def cmd_evaluate(config: PipelineConfig) -> None:
                 value = 0.0
             else:
                 grade_of = grades.get(topic_id, {})
-                observed = [grade_of.get(p, 0) for p in passages[: config.k]]
+                observed = [grade_of.get(p, 0) for p in passages]
                 value = ndcg_at_k(observed, ideal.get(topic_id, []), k=config.k, gain=config.gain)
             rows.append((topic_id, system_id, profile_id, index, value))
     if unscored:

@@ -1,10 +1,11 @@
 """Domain types and file I/O for the variant-benchmarking pipeline.
 
 Flat value objects plus parsers/writers for the on-disk formats: topics
-as TSV or JSONL, runs and qrels as TREC plain text, variants and
-annotations as JSONL, and every result table as CSV through `write_csv`
-and back through `read_csv`. Every writer goes through `atomic_write`,
-so a process that fails part-way never leaves a half-written file.
+as TSV or JSONL, profiles as a JSON array, runs and qrels as TREC plain
+text, variants and annotations as JSONL, and every result table as
+CSV through `write_csv` and back through `read_csv`. Every writer goes
+through `atomic_write`, so a process that fails part-way never leaves
+a half-written file.
 All ingested text is normalized to Unicode NFC so downstream equality
 checks are stable.
 
@@ -388,6 +389,44 @@ def _read_id_text(path, cls, id_key: str, text_key: str, optional=()) -> list:
 def parse_topics(path) -> list[Topic]:
     """Seed topics: `topic_id<TAB>seed_query`, or JSONL when the name ends in `.jsonl`."""
     return _read_id_text(path, Topic, "topic_id", "seed_query", optional=("backstory",))
+
+
+def load_profiles(path=None) -> list[Profile]:
+    """Bundled or user-supplied profile descriptions as Profile records."""
+    if path is None:
+        path = os.path.join(os.path.dirname(__file__), "data", "profiles.json")
+    with open(path, encoding="utf-8") as fh, _decoding(path):
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
+    if not isinstance(data, list):
+        raise ParseError(f"{path}: expected a JSON array of profiles")
+    profiles = []
+    seen = set()
+    for i, entry in enumerate(data):
+        try:
+            if not isinstance(entry, dict):
+                raise ParseError("not an object")
+            try:
+                fields = {key: entry[key] for key in ("profile_id", "method", "name")}
+            except KeyError as exc:
+                raise ParseError(f"lacks key {exc}") from exc
+            fields["description"] = entry.get("description", "")
+            for key, value in fields.items():
+                if not isinstance(value, str):
+                    raise ParseError(f"{key} must be a string")
+            profile = Profile(**fields)
+            if profile.profile_id == SEED_PROFILE:
+                raise ParseError(f"profile_id {SEED_PROFILE!r} is reserved for seed queries")
+            if profile.profile_id in seen:
+                raise ParseError(f"duplicate profile_id {profile.profile_id!r}")
+        except ValueError as exc:
+            raise ParseError(f"{path}: profiles entry {i}: {exc}") from exc
+        seen.add(profile.profile_id)
+        profiles.append(profile)
+    return profiles
 
 
 def write_topics(topics: Iterable[Topic], path) -> None:

@@ -6,19 +6,20 @@ placeholders filled in ``core._substitute``'s order (a label prompt in
 the two steps ``judge`` takes), and ``core.complete_parsed`` asking the
 provider until a response parses. The provider contract
 (``Provider``, ``GenerationError``, ``TransportError``) lives in
-``core`` too, so stages that make no provider call never load this
-module; it is re-exported here. Every batch of calls goes
-through ``run_in_order``, which keeps the provider's ``in_flight``
-calls running at once and hands back results in submission order, so
-the artifacts do not depend on which call finished first. The variant
-template has four numbered sections; neutral variants drop the two
-profile sections. Providers expose a ``complete(prompt) -> text``
-method. The HTTP provider speaks a chat-completion API in HTTP/1.1
-messages it frames itself over ``socket`` (and ``ssl`` for https), one
-connection per call and six calls in flight. The mock provider has no
-``in_flight`` and so runs inline, one call at a time; it derives every
-response from a hash of the prompt and a fixed seed string, so sweeps
-are bit-reproducible and need no network.
+``core`` too, as does ``load_profiles``, so stages that make no
+provider call never load this module; they are re-exported here.
+Every batch of calls goes through ``run_in_order``, which keeps the
+provider's ``in_flight`` calls running at once and hands back results
+in submission order, so the artifacts do not depend on which call
+finished first. The variant template has four numbered sections;
+neutral variants drop the two profile sections. Providers expose a
+``complete(prompt) -> text`` method. The HTTP provider speaks a
+chat-completion API in HTTP/1.1 messages it frames itself over
+``socket`` (and ``ssl`` for https), one connection per call and six
+calls in flight. The mock provider has no ``in_flight`` and so runs
+inline, one call at a time; it derives every response from a hash of
+the prompt and a fixed seed string, so sweeps are bit-reproducible and
+need no network.
 
 The mock reads the seed query and profile name back out of the rendered
 prompt, which couples it to the template's "Seed query:" and
@@ -42,7 +43,6 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 from .core import (
-    SEED_PROFILE,
     VARIANTS_PER_PAIR,
     GenerationError,
     ParseError,
@@ -53,9 +53,9 @@ from .core import (
     TransportError,
     ValidationError,
     _Validated,
-    _decoding,
     _substitute,
     complete_parsed,
+    load_profiles,
 )
 
 __all__ = [
@@ -787,41 +787,3 @@ def generate_sweep(
         for profile in profiles
         for variant in done[(topic.topic_id, profile.profile_id)]
     ]
-
-
-def load_profiles(path=None) -> list[Profile]:
-    """Bundled or user-supplied profile descriptions as Profile records."""
-    if path is None:
-        path = _DATA / "profiles.json"
-    with open(path, encoding="utf-8") as fh, _decoding(path):
-        text = fh.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}: invalid JSON ({exc.msg})") from exc
-    if not isinstance(data, list):
-        raise ParseError(f"{path}: expected a JSON array of profiles")
-    profiles = []
-    seen = set()
-    for i, entry in enumerate(data):
-        try:
-            if not isinstance(entry, dict):
-                raise ParseError("not an object")
-            try:
-                fields = {key: entry[key] for key in ("profile_id", "method", "name")}
-            except KeyError as exc:
-                raise ParseError(f"lacks key {exc}") from exc
-            fields["description"] = entry.get("description", "")
-            for key, value in fields.items():
-                if not isinstance(value, str):
-                    raise ParseError(f"{key} must be a string")
-            profile = Profile(**fields)
-            if profile.profile_id == SEED_PROFILE:
-                raise ParseError(f"profile_id {SEED_PROFILE!r} is reserved for seed queries")
-            if profile.profile_id in seen:
-                raise ParseError(f"duplicate profile_id {profile.profile_id!r}")
-        except ValueError as exc:
-            raise ParseError(f"{path}: profiles entry {i}: {exc}") from exc
-        seen.add(profile.profile_id)
-        profiles.append(profile)
-    return profiles

@@ -34,7 +34,7 @@ import threading
 from collections import defaultdict
 from functools import lru_cache
 from pathlib import Path
-from typing import Container, Iterable, NamedTuple, Optional, Sequence
+from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
     MERGE_POLICIES,
@@ -103,13 +103,15 @@ class AgreementReport(NamedTuple):
 
 
 def coverage(
-    runs: Sequence[RunRecord], qrels: Sequence[Qrel], k: int = 10
+    ranked: Mapping[tuple[str, str], Sequence[str]], qrels: Sequence[Qrel], k: int = 10
 ) -> list[CoverageReport]:
     """Fraction of top-k results without a human judgment.
 
-    One row per (system, profile) plus an overall row labeled
-    ("all", "all"). Run query ids are resolved to their topic, which is
-    how qrels are keyed; seed-query runs count under the "seed" profile.
+    `ranked` maps each (system, query) to the passage ids it ranks
+    within k, the one top-k ranking that `evaluate` also scores. One
+    row per (system, profile) plus an overall row labeled ("all",
+    "all"). Run query ids are resolved to their topic, which is how
+    qrels are keyed; seed-query runs count under the "seed" profile.
     """
     if k < 1:
         raise ValidationError("k must be >= 1")
@@ -117,13 +119,9 @@ def coverage(
     for q in qrels:
         if q.source == "human":
             human[q.query_id].add(q.passage_id)
-    top: dict[tuple[str, str], list[str]] = defaultdict(list)
-    for system_id, query_id, passage_id, rank, _ in runs:
-        if rank <= k:
-            top[system_id, query_id].append(passage_id)
-    cell_of = {q: query_cell(q) for q in {q for _, q in top}}  # each id decoded once
+    cell_of = {q: query_cell(q) for q in {q for _, q in ranked}}  # each id decoded once
     counts: dict[tuple[str, str], list[int]] = {}
-    for (system_id, query_id), passages in top.items():
+    for (system_id, query_id), passages in ranked.items():
         topic, profile, _ = cell_of[query_id]
         judged = sum(map(human[topic].__contains__, passages))
         for key in ((system_id, profile), ("all", "all")):

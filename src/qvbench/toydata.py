@@ -20,12 +20,12 @@ from .core import (
     RunRecord,
     Topic,
     ValidationError,
+    load_profiles,
     variant_query_id,
     write_passages,
     write_qrels,
     write_trec_run,
 )
-from .genkit import load_profiles
 from .textkit import tokenize
 
 SEED_QUERIES = (

@@ -120,12 +120,10 @@ def osa_distance(a: str, b: str) -> int:
     return prev[lb]
 
 
-def _dictionary_view(dictionary: Collection[str]) -> tuple[str, tuple[str, ...]]:
+@lru_cache(maxsize=8)
+def _dictionary_view(dictionary: frozenset[str]) -> tuple[str, tuple[str, ...]]:
     """The characters the dictionary's words use, and its words sorted."""
     return "".join(sorted(set("".join(dictionary)))), tuple(sorted(dictionary))
-
-
-_frozen_dictionary_view = lru_cache(maxsize=8)(_dictionary_view)
 
 
 def _single_edits(word: str, alphabet: str) -> set[str]:
@@ -153,13 +151,14 @@ def spell_correct(word: str, dictionary: Collection[str]) -> Optional[str]:
     are looked up first and the smallest hit wins. Only when none is a
     word are the sorted words within two characters of its length
     scanned with `osa_distance`, and the first within distance 2 wins.
-    The alphabet and the sorted words are cached per frozenset
-    dictionary; any other collection has them computed on each call.
+    The alphabet and the sorted words are cached per dictionary, which
+    is made a frozenset first unless it is one, as `load_dictionary`'s is.
     """
+    if not isinstance(dictionary, frozenset):
+        dictionary = frozenset(dictionary)
     if word in dictionary:
         return word
-    view = _frozen_dictionary_view if isinstance(dictionary, frozenset) else _dictionary_view
-    alphabet, ordered = view(dictionary)
+    alphabet, ordered = _dictionary_view(dictionary)
     hits = _single_edits(word, alphabet).intersection(dictionary)
     if hits:
         return min(hits)

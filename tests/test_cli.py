@@ -600,6 +600,48 @@ class TestEvaluateStage:
             " found source 'human' for (t01, p001)\n"
         )
 
+    def test_system_split_by_topic_across_files_writes_the_same_bytes(self, workspace, tmp_path):
+        """fixture_a.run split into two files by topic: judge and evaluate,
+        run afresh, write what they wrote from the whole file."""
+        out = tmp_path / "out"
+        shutil.copytree(out_dir(workspace), out)
+        for name in cli.STAGES["judge"].writes + cli.STAGES["evaluate"].writes:
+            (out / name).unlink()
+        run = out / "runs" / "fixture_a.run"
+        lines = run.read_text(encoding="utf-8").splitlines(keepends=True)
+        # each line starts with its query id, and t01's and t02's sort before "t03"
+        early = "".join(line for line in lines if line < "t03")
+        run.write_text(early, encoding="utf-8")
+        (out / "runs" / "fixture_a_later.run").write_text(
+            "".join(line for line in lines if line >= "t03"), encoding="utf-8"
+        )
+        assert 0 < len(early) < len("".join(lines))
+        for stage in ("judge", "evaluate"):
+            assert main([stage, "--config", str(workspace), "--out", str(out)]) == 0, stage
+        split = out_files(out)
+        assert split.pop("runs/fixture_a_later.run")
+        whole = out_files(out_dir(workspace))
+        del split["runs/fixture_a.run"], whole["runs/fixture_a.run"]
+        assert split == whole
+
+    def test_query_ranked_again_by_a_later_file_exits_2_before_any_write(
+        self, workspace, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        shutil.copytree(out_dir(workspace), out)
+        (out / "ndcg.csv").write_text("stale\n", encoding="utf-8")
+        lines = (out / "runs" / "fixture_a.run").read_text(encoding="utf-8").splitlines()
+        again = out / "runs" / "zz.run"
+        again.write_text(
+            "".join(f"{line}\n" for line in lines if line.split()[0] == "t02"), encoding="utf-8"
+        )
+        before = out_files(out)
+        assert main(["evaluate", "--config", str(workspace), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {again}: run fixture_a, query t02: ranked again after an earlier run file\n"
+        )
+        assert out_files(out) == before
+
     def test_unscored_pairs_warned_on_stderr(self, workspace, tmp_path, capsys):
         def drop_first_query(lines):
             qid = lines[0].split()[0]
@@ -930,6 +972,32 @@ class TestExitCodes:
         )
         assert out_files(out_dir(config_path)) == before
 
+    @pytest.mark.parametrize("stage", ("validate", "search", "evaluate"))
+    @pytest.mark.parametrize("removed", ("topic", "profile"))
+    def test_variant_of_an_unlisted_input_rejected(
+        self, stage, removed, tmp_path, workspace, capsys
+    ):
+        """t05 leaves topics.tsv, or persona_emily profiles.json, after
+        generate wrote their variants."""
+        config_path = write_toy_workspace(tmp_path / "ws")
+        shutil.copytree(out_dir(workspace), out_dir(config_path))
+        inputs = config_path.resolve().parent
+        if removed == "topic":
+            path, stale = inputs / "topics.tsv", "topic 't05'"
+            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+            path.write_text("".join(line for line in lines if not line.startswith("t05\t")))
+        else:
+            path, stale = inputs / "profiles.json", "profile 'persona_emily'"
+            profiles = json.loads(path.read_text(encoding="utf-8"))
+            path.write_text(json.dumps([p for p in profiles if p["profile_id"] != "persona_emily"]))
+        before = out_files(out_dir(config_path))
+
+        assert main([stage, "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out_dir(config_path) / 'variants.jsonl'}: variant of {stale}, not in {path}\n"
+        )
+        assert out_files(out_dir(config_path)) == before
+
     def test_duplicate_outside_methods_rejected_before_any_call(
         self, tmp_path, workspace, monkeypatch, capsys
     ):
@@ -1135,7 +1203,7 @@ class TestModuleEntryPoint:
     # dataclasses, logging or fractions.
     STAGE_MODULES = {
         "generate": {"cli", "genkit", "validate", "textkit", "porter"},
-        "validate": {"cli", "genkit", "validate", "textkit", "porter"},
+        "validate": {"cli", "validate", "textkit", "porter"},
         "index": {"cli", "retrieval", "textkit", "porter"},
         "search": {"cli", "retrieval", "textkit", "porter"},
         "import-runs": {"cli"},

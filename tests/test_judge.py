@@ -89,6 +89,16 @@ def run(system, query, pid, rank):
     return RunRecord(system, query, pid, rank, 100.0 - rank)
 
 
+def top_k(runs, k=10):
+    """The (system, query) -> top-k passage ids mapping `coverage` reads,
+    in the order of runs."""
+    ranked = {}
+    for system_id, query_id, passage_id, rank, _ in runs:
+        if rank <= k:
+            ranked.setdefault((system_id, query_id), []).append(passage_id)
+    return ranked
+
+
 def label_runs(provider, runs, topics, passages, store, k=10):
     """Pool the runs' top k, then label the sorted pairs, as `judge` does."""
     pairs = pool_topk(runs, {t.topic_id for t in topics}, {p.passage_id for p in passages}, k)
@@ -96,33 +106,32 @@ def label_runs(provider, runs, topics, passages, store, k=10):
 
 
 class TestCoverage:
+    TEN = {("s1", "t1"): [f"p{i}" for i in range(1, 11)]}
+
     def test_all_judged(self):
-        runs = [run("s1", "t1", f"p{i}", i) for i in range(1, 11)]
         qrels = [Qrel("t1", f"p{i}", 1) for i in range(1, 11)]
-        reports = coverage(runs, qrels, k=10)
+        reports = coverage(self.TEN, qrels, k=10)
         assert all(r.missing_fraction == 0.0 for r in reports)
 
     def test_no_qrels(self):
-        runs = [run("s1", "t1", f"p{i}", i) for i in range(1, 11)]
-        reports = coverage(runs, [], k=10)
+        reports = coverage(self.TEN, [], k=10)
         assert all(r.missing_fraction == 1.0 for r in reports)
 
     def test_seven_of_ten(self):
-        runs = [run("s1", "t1", f"p{i}", i) for i in range(1, 11)]
         qrels = [Qrel("t1", f"p{i}", 2) for i in range(1, 8)]
-        reports = coverage(runs, qrels, k=10)
+        reports = coverage(self.TEN, qrels, k=10)
         overall = next(r for r in reports if r.system_id == "all")
         assert overall.judged == 7 and overall.total == 10
         assert overall.missing_fraction == pytest.approx(0.3)
 
     def test_rows_split_by_system_and_profile(self):
-        runs = [
-            run("s1", "t1", "p1", 1),
-            run("s1", "t1__emily__1", "p2", 1),
-            run("s2", "t1__emily__2", "p3", 1),
-        ]
+        ranked = {
+            ("s1", "t1"): ["p1"],
+            ("s1", "t1__emily__1"): ["p2"],
+            ("s2", "t1__emily__2"): ["p3"],
+        }
         qrels = [Qrel("t1", "p1", 1), Qrel("t1", "p2", 0)]
-        reports = coverage(runs, qrels, k=10)
+        reports = coverage(ranked, qrels, k=10)
         keys = [(r.system_id, r.profile_id) for r in reports]
         assert keys == [("all", "all"), ("s1", "emily"), ("s1", "seed"), ("s2", "emily")]
         by_key = {(r.system_id, r.profile_id): r for r in reports}
@@ -131,22 +140,20 @@ class TestCoverage:
         assert by_key[("all", "all")].judged == 2
 
     def test_variant_queries_resolve_to_topic_qrels(self):
-        runs = [run("s1", "t1__emily__1", "p1", 1)]
         qrels = [Qrel("t1", "p1", 3)]
-        reports = coverage(runs, qrels, k=10)
+        reports = coverage({("s1", "t1__emily__1"): ["p1"]}, qrels, k=10)
         assert reports[0].missing_fraction == 0.0
 
-    def test_beyond_k_ignored_and_llm_qrels_do_not_count(self):
-        runs = [run("s1", "t1", "p1", 1), run("s1", "t1", "p99", 11)]
+    def test_llm_qrels_do_not_count(self):
         qrels = [Qrel("t1", "p1", 1, source="llm")]
-        reports = coverage(runs, qrels, k=10)
+        reports = coverage({("s1", "t1"): ["p1"]}, qrels, k=10)
         overall = next(r for r in reports if r.system_id == "all")
         assert overall.total == 1
         assert overall.missing_fraction == 1.0
 
     def test_k_below_one_rejected(self):
         with pytest.raises(ValidationError, match="k must be >= 1"):
-            coverage([], [], k=0)
+            coverage({}, [], k=0)
 
 
 def _coverage_per_record(runs, qrels, k=10):
@@ -201,11 +208,12 @@ def test_coverage_matches_the_per_record_count(records, qrels, k, rnd):
     """Shuffled records, so a (system, query)'s results are not together
     and a passage may repeat; ranks beyond k; seed and variant ids; human
     and LLM labels, and a label keyed by a variant id, which no run
-    record's topic matches."""
+    record's topic matches. `coverage` reads the mapping built from the
+    shuffled records."""
     runs = [run(system, query, pid, rank) for system, query, pid, rank in records]
     rnd.shuffle(runs)
     labels = [Qrel(*fields) for fields in qrels]
-    assert coverage(runs, labels, k) == _coverage_per_record(runs, labels, k)
+    assert coverage(top_k(runs, k), labels, k) == _coverage_per_record(runs, labels, k)
 
 
 class TestQueryIdsDecodedOnce:
@@ -231,7 +239,7 @@ class TestQueryIdsDecodedOnce:
         return ids
 
     def test_coverage(self, decoded):
-        coverage(self.RUNS, [], k=10)
+        coverage(top_k(self.RUNS), [], k=10)
         assert sorted(decoded) == ["t1", "t1__emily__1", "t2__emily__2"]
 
     def test_label_topk(self, decoded):
