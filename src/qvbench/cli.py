@@ -238,11 +238,10 @@ def _swept_variants(config: PipelineConfig, topics, profiles) -> list:
 
 
 def _runs_by_file(config: PipelineConfig):
-    """(path, its parsed records) for each run file under out/runs/, in
-    name order. A file is parsed only when the caller asks for it, so a
-    caller that folds each file into what it keeps holds the records of
-    one file at a time: `judge` keeps the pooled pairs, `evaluate` the
-    top-k ranking of each (system, query)."""
+    """(path, its parsed run) for each run file under out/runs/, in name
+    order. A file is parsed only when the caller asks for it, so a caller
+    that folds each file into what it keeps holds one run at a time:
+    `judge` keeps the pooled pairs, `evaluate` the top k of each list."""
     runs_dir = config.out / "runs"
     files = sorted(p for p in runs_dir.glob("*.run") if p.is_file()) if runs_dir.is_dir() else []
     if not files:
@@ -265,7 +264,16 @@ def cmd_generate(config: PipelineConfig) -> None:
     config.out.mkdir(parents=True, exist_ok=True)
 
     variants_path = config.out / "variants.jsonl"
-    existing = read_variants(variants_path) if variants_path.exists() else []
+    stored = read_variants(variants_path) if variants_path.exists() else []
+    topic_pos = {t.topic_id: i for i, t in enumerate(topics)}
+    profile_pos = {p.profile_id: i for i, p in enumerate(profiles)}
+    existing = [v for v in stored if v.topic_id in topic_pos and v.profile_id in profile_pos]
+    if len(existing) < len(stored):
+        print(
+            f"warning: dropped {len(stored) - len(existing)} variants of topics or profiles"
+            f" no longer listed from {variants_path}",
+            file=sys.stderr,
+        )
     # Keep previously generated variants for profiles outside this
     # invocation's method selection, which generate_sweep does not
     # regenerate, so a duplicate among them fails before any provider
@@ -274,13 +282,6 @@ def cmd_generate(config: PipelineConfig) -> None:
     merged = _keyed_variants(
         variants_path, (v for v in existing if v.profile_id not in selected_ids)
     )
-    # generate_sweep makes variants of the listed topics only, so the kept
-    # ones are all that can reference an unknown topic or profile.
-    topic_pos = {t.topic_id: i for i, t in enumerate(topics)}
-    profile_pos = {p.profile_id: i for i, p in enumerate(profiles)}
-    unknown = [key for key in merged if key[0] not in topic_pos or key[1] not in profile_pos]
-    if unknown:
-        raise ValidationError(f"variants reference unknown topics/profiles: {sorted(unknown)[:5]}")
     provider = make_provider(config)
     logs = []
     produced = generate_sweep(
@@ -387,9 +388,9 @@ def cmd_search(config: PipelineConfig) -> None:
     runs_dir = config.out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     for system_id, params in BM25_SYSTEMS:
-        records = run_queries(index, Bm25Params(*params), queries, system_id, k=config.k)
-        write_trec_run(records, runs_dir / f"{system_id}.run")
-        print(f"{system_id}: {len(records)} results over {len(queries)} queries")
+        run = run_queries(index, Bm25Params(*params), queries, system_id, k=config.k)
+        write_trec_run(run, runs_dir / f"{system_id}.run")
+        print(f"{system_id}: {sum(map(len, run.values()))} results over {len(queries)} queries")
 
 
 def cmd_import_runs(config: PipelineConfig) -> None:
@@ -405,10 +406,9 @@ def cmd_import_runs(config: PipelineConfig) -> None:
     imported = []
     planned = {}  # target -> (rendered text, input file it came from)
     for path in files:
-        records = parse_trec_run(path)
         by_system = {}
-        for r in records:
-            by_system.setdefault(r.system_id, []).append(r)
+        for key, hits in parse_trec_run(path).items():
+            by_system.setdefault(key[0], {})[key] = hits
         for system_id in by_system:
             # the tag becomes a file name under runs/
             if "/" in system_id or "\\" in system_id or system_id.startswith("."):
@@ -437,13 +437,13 @@ def cmd_import_runs(config: PipelineConfig) -> None:
 def _pooled_pairs(config: PipelineConfig, topic_ids, passage_ids) -> list:
     """The sorted (topic, passage) pairs in the top k of every run file,
     pooled one file at a time; an unknown id is reported with its file.
-    No record outlives the call."""
+    No run outlives the call."""
     from .judge import pool_topk
 
     pairs = set()
-    for path, records in _runs_by_file(config):
+    for path, run in _runs_by_file(config):
         try:
-            pairs |= pool_topk(records, topic_ids, passage_ids, config.k)
+            pairs |= pool_topk(run, topic_ids, passage_ids, config.k)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
     return sorted(pairs)
@@ -495,24 +495,20 @@ def _merged_qrels(config: PipelineConfig) -> list:
 
 
 def cmd_evaluate(config: PipelineConfig) -> None:
-    from .evalstats.metrics import ndcg_at_k
+    from .evalstats.metrics import ideal_dcg, ndcg
     from .judge import CoverageReport, coverage
 
     expected = sorted(_query_texts(config))
     merged = _merged_qrels(config)
     # a system may be split across run files by query, but ranks each query once
     ranked = {}  # (system, query) -> the passage ids it ranks within k, in rank order
-    for path, records in _runs_by_file(config):
-        for system_id, query_id, passage_id, rank, _ in records:  # by (system, query, rank)
-            if rank == 1:
-                if (system_id, query_id) in ranked:
-                    raise ValidationError(
-                        f"{path}: run {system_id}, query {query_id}:"
-                        " ranked again after an earlier run file"
-                    )
-                top = ranked[system_id, query_id] = []
-            if rank <= config.k:
-                top.append(passage_id)
+    for path, run in _runs_by_file(config):
+        for key, hits in run.items():
+            if key in ranked:
+                raise ValidationError(
+                    f"{path}: run {key[0]}, query {key[1]}: ranked again after an earlier run file"
+                )
+            ranked[key] = [passage_id for passage_id, _ in hits[: config.k]]
     config.out.mkdir(parents=True, exist_ok=True)
     write_qrels(merged, config.out / "merged_qrels.txt", with_source=True)
 
@@ -522,7 +518,7 @@ def cmd_evaluate(config: PipelineConfig) -> None:
     grades = {}
     for q in merged:
         grades.setdefault(q.query_id, {})[q.passage_id] = q.grade
-    ideal = {topic: sorted(g.values(), reverse=True)[: config.k] for topic, g in grades.items()}
+    idcg = {topic: ideal_dcg(g.values(), config.k, config.gain) for topic, g in grades.items()}
     systems = sorted({system_id for system_id, _ in ranked})
 
     skipped = len({query_id for _, query_id in ranked}.difference(expected))
@@ -544,7 +540,7 @@ def cmd_evaluate(config: PipelineConfig) -> None:
             else:
                 grade_of = grades.get(topic_id, {})
                 observed = [grade_of.get(p, 0) for p in passages]
-                value = ndcg_at_k(observed, ideal.get(topic_id, []), k=config.k, gain=config.gain)
+                value = ndcg(observed, idcg.get(topic_id, 0.0), config.k, config.gain)
             rows.append((topic_id, system_id, profile_id, index, value))
     if unscored:
         shown = ", ".join(f"{s}:{q}" for s, q in unscored[:5])
@@ -560,7 +556,8 @@ def cmd_evaluate(config: PipelineConfig) -> None:
 
 
 def _read_matrix(config: PipelineConfig):
-    """The variant cells of ndcg.csv as a balanced EffectivenessMatrix."""
+    """The variant cells of ndcg.csv as a balanced EffectivenessMatrix,
+    rejected if it has a topic or profile that is no longer listed."""
     from .evalstats.matrix import EffectivenessMatrix
 
     path = config.out / "ndcg.csv"
@@ -571,9 +568,19 @@ def _read_matrix(config: PipelineConfig):
     if not cells:
         raise ValidationError("ndcg.csv holds no variant cells")
     try:
-        return EffectivenessMatrix.from_scores(cells)
+        matrix = EffectivenessMatrix.from_scores(cells)
     except ValueError as exc:
         raise ImbalanceError(str(exc)) from exc
+    topic_ids = [t.topic_id for t in parse_topics(config.topics)]
+    profile_ids = [p.profile_id for p in load_profiles(config.profiles)]
+    for what, levels, listed, source in (
+        ("topic", matrix.topics, topic_ids, config.topics),
+        ("profile", matrix.profiles, profile_ids, config.profiles),
+    ):
+        unlisted = sorted(set(levels).difference(listed))
+        if unlisted:
+            raise ValidationError(f"{path}: cells of {what} {unlisted[0]!r}, not in {source}")
+    return matrix
 
 
 def cmd_analyze(config: PipelineConfig) -> None:

@@ -24,7 +24,6 @@ import os
 import unicodedata
 from contextlib import contextmanager
 from json.encoder import encode_basestring
-from operator import itemgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Protocol, Sequence, TypeVar
 
 PROFILE_METHODS = ("persona", "group", "textual", "neutral")
@@ -41,6 +40,9 @@ VARIANTS_PER_PAIR = 3
 # The profile id the seed query of a topic runs under (index 0); no
 # profile may take it.
 SEED_PROFILE = "seed"
+
+# A run: each (system_id, query_id)'s (passage_id, score) results in rank order.
+Run = dict[tuple[str, str], list[tuple[str, float]]]
 
 
 class ParseError(ValueError):
@@ -156,35 +158,6 @@ class QueryVariant(_Validated, _QueryVariantFields):
         return variant_query_id(self.topic_id, self.profile_id, self.index)
 
 
-class _RunRecordFields(NamedTuple):
-    system_id: str
-    query_id: str
-    passage_id: str
-    rank: int
-    score: float
-
-
-class RunRecord(_Validated, _RunRecordFields):
-    """One ranked result of one system for one query.
-
-    Stages build these by the ten thousand, so this `__new__` calls
-    `nfc` only when an id is not ASCII, and never on the other fields.
-    `parse_trec_run` makes both checks itself and builds the tuple of an
-    all-ASCII line with rank >= 1; other lines come here. The records of
-    one parsed file share their id strings: an id costs its string once
-    per file, not once per record.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, system_id: str, query_id: str, passage_id: str, rank: int, score: float):
-        if rank < 1:
-            raise ValidationError(f"rank {rank} must be >= 1")
-        if not (system_id.isascii() and query_id.isascii() and passage_id.isascii()):
-            system_id, query_id, passage_id = nfc(system_id), nfc(query_id), nfc(passage_id)
-        return tuple.__new__(cls, (system_id, query_id, passage_id, rank, score))
-
-
 class _QrelFields(NamedTuple):
     query_id: str
     passage_id: str
@@ -195,8 +168,7 @@ class _QrelFields(NamedTuple):
 class Qrel(_Validated, _QrelFields):
     """One relevance grade (0..3) for a (query, passage), from a human
     judge or the LLM. `evaluate` reads and `judge` stores them by the
-    thousand, so, as in `RunRecord`, only a non-ASCII id costs an `nfc`
-    call."""
+    thousand, so only a non-ASCII id costs an `nfc` call."""
 
     __slots__ = ()
 
@@ -434,20 +406,20 @@ def write_topics(topics: Iterable[Topic], path) -> None:
     write_jsonl(({k: v for k, v in t._asdict().items() if v is not None} for t in topics), path)
 
 
-def parse_trec_run(path) -> list[RunRecord]:
-    """6-column TREC run lines: qid Q0 docid rank score tag, returned
-    sorted by (tag, qid, rank).
+def parse_trec_run(path) -> Run:
+    """A TREC run file (lines: qid Q0 docid rank score tag) as a `Run`,
+    keys sorted, whatever the order of its lines.
 
-    Every score must be finite. Validates per (tag, qid): ranks are
-    exactly 1..n, scores do not increase with rank, and tied scores are
-    ordered by ascending passage_id.
-
-    Equal query ids, passage ids and tags (after NFC) are one string
-    object across the returned records. The table that makes them so is
-    local to the call, so nothing outlives the records.
+    Every score must be finite and every rank >= 1. Per (tag, qid), ranks
+    are exactly 1..n, scores do not increase with rank, and tied scores
+    are ordered by ascending passage_id; a line's own fault is reported
+    first, then the first of these in (tag, qid, rank) order. Equal ids
+    (after NFC) are one string object across the run, through a table
+    local to the call.
     """
-    records: list[RunRecord] = []
+    groups: dict[tuple[str, str], tuple[list[int], list[tuple[str, float]]]] = {}
     share = {}.setdefault
+    tag_seen = qid_seen = ranks = hits = None
     with open(path, encoding="utf-8") as fh, _decoding(path):
         for lineno, line in enumerate(fh, start=1):
             cols = line.split()
@@ -467,44 +439,49 @@ def parse_trec_run(path) -> list[RunRecord]:
             if not -math.inf < score < math.inf:
                 # NaN would pass every ordering check below: its comparisons are all false
                 raise ParseError(f"{path}:{lineno}: non-finite score {score_text!r}")
-            if rank < 1 or not line.isascii():  # else RunRecord would neither reject nor nfc it
-                try:
-                    tag, qid, docid, rank, score = RunRecord(tag, qid, docid, rank, score)
-                except ValidationError as exc:
-                    raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-            records.append(tuple.__new__(
-                RunRecord, (share(tag, tag), share(qid, qid), share(docid, docid), rank, score)
-            ))
-    records.sort(key=itemgetter(0, 1, 3))
-    # Once sorted, each record need only be checked against the one before.
-    for prev, cur in zip([(None,) * 5, *records], records):
-        system_id, query_id, passage_id, rank, score = cur
-        new_query = query_id != prev[1] or system_id != prev[0]
-        if rank != (1 if new_query else prev[3] + 1):
-            fault = "ranks are not a gap-free 1..n sequence"
-        elif new_query:
-            continue
-        elif score > prev[4]:
-            fault = f"score increases at rank {rank}"
-        elif score == prev[4] and passage_id < prev[2]:
-            fault = f"tied scores out of passage_id order at rank {rank}"
-        else:
-            continue
-        raise ValidationError(f"{path}: run {system_id}, query {query_id}: {fault}")
-    return records
+            if rank < 1:
+                raise ValidationError(f"{path}:{lineno}: rank {rank} must be >= 1")
+            if not line.isascii():
+                tag, qid, docid = nfc(tag), nfc(qid), nfc(docid)
+            if qid != qid_seen or tag != tag_seen:  # a list's lines mostly come together
+                tag_seen, qid_seen = share(tag, tag), share(qid, qid)
+                ranks, hits = groups.setdefault((tag_seen, qid_seen), ([], []))
+            ranks.append(rank)
+            hits.append((share(docid, docid), score))
+    run = {}
+    for key in sorted(groups):
+        ranks, hits = groups[key]
+        if ranks != list(range(1, len(ranks) + 1)):
+            order = sorted(range(len(ranks)), key=ranks.__getitem__)  # stable: ties keep file order
+            ranks, hits = [ranks[i] for i in order], [hits[i] for i in order]
+        prev_pid, prev_score = hits[0]
+        for position, (rank, (pid, score)) in enumerate(zip(ranks, hits), 1):
+            if rank != position:
+                fault = "ranks are not a gap-free 1..n sequence"
+            elif score > prev_score:
+                fault = f"score increases at rank {rank}"
+            elif score == prev_score and pid < prev_pid:
+                fault = f"tied scores out of passage_id order at rank {rank}"
+            else:
+                prev_pid, prev_score = pid, score
+                continue
+            raise ValidationError(f"{path}: run {key[0]}, query {key[1]}: {fault}")
+        run[key] = hits
+    return run
 
 
-def format_trec_run(records: Iterable[RunRecord]) -> str:
-    """The text of a TREC run file, sorted by (tag, qid, rank)."""
-    ordered = sorted(records, key=lambda r: (r.system_id, r.query_id, r.rank))
+def format_trec_run(run: Run) -> str:
+    """The text of a TREC run file, the lists in key order."""
     return "".join(
-        f"{r.query_id} Q0 {r.passage_id} {r.rank} {r.score!r} {r.system_id}\n" for r in ordered
+        f"{query_id} Q0 {passage_id} {rank} {score!r} {system_id}\n"
+        for system_id, query_id in sorted(run)
+        for rank, (passage_id, score) in enumerate(run[system_id, query_id], 1)
     )
 
 
-def write_trec_run(records: Iterable[RunRecord], path) -> None:
+def write_trec_run(run: Run, path) -> None:
     with atomic_write(path) as fh:
-        fh.write(format_trec_run(records))
+        fh.write(format_trec_run(run))
 
 
 def parse_qrels(path) -> list[Qrel]:

@@ -18,6 +18,30 @@ def _dcg(grades: Sequence[int], k: int, gains: Mapping[int, float]) -> float:
     return total
 
 
+def _checked(grades: Sequence[int], k: int, gain: str) -> Sequence[int]:
+    if k < 1:
+        raise ValueError(f"k={k} must be >= 1")
+    if gain not in _GAINS:
+        raise ValueError(f"unknown gain {gain!r}")
+    for grade in grades:
+        if grade not in VALID_GRADES:
+            raise ValueError(f"grade {grade!r} outside 0..3")
+    return grades
+
+
+def ideal_dcg(ideal_grades: Iterable[int], k: int = 10, gain: str = "linear") -> float:
+    """DCG@k of the ideal ranking of `ideal_grades` (see `ndcg_at_k`):
+    the denominator of every `ndcg` of a query, computed once for all."""
+    ideal = _checked(sorted(ideal_grades, reverse=True)[:k], k, gain)
+    return _dcg(ideal, k, _GAINS[gain])
+
+
+def ndcg(ranked_grades: Sequence[int], idcg: float, k: int = 10, gain: str = "linear") -> float:
+    """`ndcg_at_k` of `ranked_grades` against the query's `ideal_dcg`."""
+    _checked(ranked_grades[:k], k, gain)
+    return 0.0 if idcg == 0.0 else _dcg(ranked_grades, k, _GAINS[gain]) / idcg
+
+
 def ndcg_at_k(
     ranked_grades: Sequence[int],
     ideal_grades: Iterable[int],
@@ -30,18 +54,8 @@ def ndcg_at_k(
     order; `ideal_grades` is the grade multiset of the query's judgment
     pool, or of its k best grades, from which the ideal ranking is formed.
     """
-    if k < 1:
-        raise ValueError(f"k={k} must be >= 1")
-    if gain not in _GAINS:
-        raise ValueError(f"unknown gain {gain!r}")
-    ideal = sorted(ideal_grades, reverse=True)
-    for grade in list(ranked_grades[:k]) + ideal[:k]:
-        if grade not in VALID_GRADES:
-            raise ValueError(f"grade {grade!r} outside 0..3")
-    idcg = _dcg(ideal, k, _GAINS[gain])
-    if idcg == 0.0:
-        return 0.0
-    return _dcg(ranked_grades, k, _GAINS[gain]) / idcg
+    _checked(ranked_grades[:k], k, gain)
+    return ndcg(ranked_grades, ideal_dcg(ideal_grades, k, gain), k, gain)
 
 
 def kendall_tau(ranking_a: Mapping[str, float], ranking_b: Mapping[str, float]) -> float:

@@ -13,10 +13,10 @@ the scale description for each label. Only ``load_label_template`` and
 reading labels, merging qrels and measuring coverage do not load it.
 
 The pairs to label are pooled apart from the labelling: ``pool_topk``
-folds run records, one run file at a time if need be, into the distinct
-(topic, passage) pairs of their top k and checks each against the known
-topics and passages. So ``judge`` checks every run before its first
-provider call, and no run record is alive while labels are asked for.
+folds a run's ranked lists, one run file at a time if need be, into the
+distinct (topic, passage) pairs of their top k and checks each against
+the known topics and passages. So ``judge`` checks every run before its
+first provider call, and no run is alive while labels are asked for.
 
 A label store caches grades by (topic, passage) so a passage retrieved
 by many systems and variants costs one provider call, and persists
@@ -42,7 +42,7 @@ from .core import (
     Passage,
     Provider,
     Qrel,
-    RunRecord,
+    Run,
     Topic,
     ValidationError,
     complete_parsed,
@@ -108,7 +108,7 @@ def coverage(
     """Fraction of top-k results without a human judgment.
 
     `ranked` maps each (system, query) to the passage ids it ranks
-    within k, the one top-k ranking that `evaluate` also scores. One
+    within k in rank order, the top k that `evaluate` also scores. One
     row per (system, profile) plus an overall row labeled ("all",
     "all"). Run query ids are resolved to their topic, which is how
     qrels are keyed; seed-query runs count under the "seed" profile.
@@ -266,32 +266,30 @@ def label(
 
 
 def pool_topk(
-    runs: Iterable[RunRecord], topic_ids: Container[str], passage_ids: Container[str], k: int = 10
+    run: Run, topic_ids: Container[str], passage_ids: Container[str], k: int = 10
 ) -> set[tuple[str, str]]:
-    """The distinct (topic, passage) pairs in the runs' top k, in one pass
-    over runs, which may be a one-shot iterator.
+    """The distinct (topic, passage) pairs in the top k of a run's ranked
+    lists, which are only read.
 
-    A record ranked within k must name a known topic and passage; the
-    first record that does not raises ValidationError. Pooling several
-    run files is the union of their pools.
+    Each list's query must be of a known topic, checked at its first
+    list, and each passage within k a known passage, checked at its first
+    new pair; the first bad one in (system, query, rank) order raises
+    ValidationError. Pooling several run files is the union of their pools.
     """
-    # Checking a topic at its query id's first record, and a passage at
-    # its pair's, still fails at the first bad record.
     topic_of: dict[str, str] = {}
     needed: set[tuple[str, str]] = set()
-    for _, query_id, passage_id, rank, _ in runs:
-        if rank > k:
-            continue
+    for (_, query_id), hits in run.items():
         topic_id = topic_of.get(query_id)
         if topic_id is None:
             topic_id = topic_of[query_id] = query_cell(query_id)[0]
             if topic_id not in topic_ids:
                 raise ValidationError(f"run references unknown topic {topic_id!r}")
-        pair = (topic_id, passage_id)
-        if pair not in needed:
-            if passage_id not in passage_ids:
-                raise ValidationError(f"run references unknown passage {passage_id!r}")
-            needed.add(pair)
+        for passage_id, _ in hits[:k]:
+            pair = (topic_id, passage_id)
+            if pair not in needed:
+                if passage_id not in passage_ids:
+                    raise ValidationError(f"run references unknown passage {passage_id!r}")
+                needed.add(pair)
     return needed
 
 
@@ -305,7 +303,7 @@ def label_topk(
     """Label each (topic, passage) pair that `pool_topk` pooled, reading
     the label template once; the qrels come back in the order of pairs.
     The caller pools, and so checks, every run before the first label is
-    asked for, and holds no run record while the labels are."""
+    asked for, and holds no run while the labels are."""
     from .genkit import run_in_order
 
     topic_by = {t.topic_id: t for t in topics}

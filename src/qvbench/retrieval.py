@@ -1,4 +1,4 @@
-"""Desk-scale lexical retrieval: inverted index, BM25, run records.
+"""Desk-scale lexical retrieval: inverted index, BM25, ranked lists.
 
 Indexing and querying share the textkit pipeline (lowercase, strip
 punctuation, Porter stem). Scores follow the Robertson BM25 form with
@@ -9,8 +9,8 @@ its weight to a per-passage accumulator.
 The index caches, per `Bm25Params`, each passage's length norm and each
 queried term's (passage_id, weight) list, so a term is weighted once
 per params however many queries hold it. `run_queries` searches each
-distinct query text once and reuses its hits for every query id that
-carries the same text; profile variants often collide on one string.
+distinct query text once and shares its hits list among the query ids
+that carry it; profile variants often collide on one string.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import math
 from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple
 
-from .core import Passage, RunRecord, _Validated
+from .core import Passage, Run, _Validated
 from .textkit import porter_stem, tokenize
 
 
@@ -146,15 +146,15 @@ def run_queries(
     queries: Mapping[str, str],
     system_id: str,
     k: int = 10,
-) -> list[RunRecord]:
-    """Run records for every query id; each distinct text is searched once."""
+) -> Run:
+    """One system's run, keys sorted. Each distinct text is searched once;
+    the query ids that carry it share its hits list, which is read-only."""
     hits_by_text: dict[str, list[tuple[str, float]]] = {}
-    records = []
+    run = {}
     for query_id in sorted(queries):
         text = queries[query_id]
         hits = hits_by_text.get(text)
         if hits is None:
             hits = hits_by_text[text] = search(index, params, text, k)
-        for rank, (pid, score) in enumerate(hits, 1):
-            records.append(RunRecord(system_id, query_id, pid, rank, score))
-    return records
+        run[system_id, query_id] = hits
+    return run

@@ -17,7 +17,7 @@ from .core import (
     VARIANTS_PER_PAIR,
     Passage,
     Qrel,
-    RunRecord,
+    Run,
     Topic,
     ValidationError,
     load_profiles,
@@ -236,13 +236,13 @@ def toy_qrels(
     return qrels
 
 
-def fixture_run_records(
+def fixture_run(
     system_id: str,
     query_ids: Iterable[str],
     passage_ids: Sequence[str],
     k: int = 10,
-) -> list[RunRecord]:
-    """Pseudo-system results: passages ranked by a keyed content hash.
+) -> Run:
+    """A pseudo-system's run: passages ranked by a keyed content hash.
 
     A passage's score for a query is the first 8 bytes of
     sha256(f"{system_id}|{query_id}|{passage_id}"), compared as bytes, which
@@ -255,7 +255,7 @@ def fixture_run_records(
         raise ValidationError(f"k={k} must be >= 1")
     sha256 = hashlib.sha256
     raw_ids = [pid.encode() for pid in passage_ids]
-    records = []
+    run = {}
     for query_id in sorted(set(query_ids)):
         prefix = f"{system_id}|{query_id}|".encode()
         scores = [sha256(prefix + raw).digest()[:8] for raw in raw_ids]
@@ -265,9 +265,8 @@ def fixture_run_records(
         # The k-th largest score is a floor every true top-k passage meets.
         top = sorted((pid, s) for s, pid in zip(scores, passage_ids) if s >= floor)
         top.sort(key=lambda c: c[1], reverse=True)
-        for rank, (pid, _) in enumerate(top[:k], 1):
-            records.append(RunRecord(system_id, query_id, pid, rank, float(k - rank + 1)))
-    return records
+        run[system_id, query_id] = [(pid, float(k - i)) for i, (pid, _) in enumerate(top[:k])]
+    return run
 
 
 def all_query_ids(topics: Sequence[Topic], profile_ids: Sequence[str]) -> list[str]:
@@ -313,8 +312,8 @@ def write_toy_workspace(
     query_ids = all_query_ids(topics, profile_ids)
     passage_ids = [p.passage_id for p in passages]
     for system_id in FIXTURE_SYSTEMS:
-        records = fixture_run_records(system_id, query_ids, passage_ids, k=k)
-        write_trec_run(records, runs_dir / f"{system_id}.run")
+        run = fixture_run(system_id, query_ids, passage_ids, k=k)
+        write_trec_run(run, runs_dir / f"{system_id}.run")
 
     config_path = root / "toy.cfg"
     out_dir = root / "out"

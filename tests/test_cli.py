@@ -212,6 +212,43 @@ class TestGenerate:
         assert "285 variants on file" in capsys.readouterr().out
         assert variants_path.read_bytes() == complete
 
+    def test_variants_of_unlisted_inputs_dropped_without_a_provider_call(
+        self, tmp_path, workspace, monkeypatch, capsys
+    ):
+        """t05 leaves topics.tsv and persona_emily profiles.json after
+        generate wrote their variants: generate drops those variants and
+        says so, asks nothing for the pairs it keeps, and writes their
+        lines as they were."""
+        config_path = write_toy_workspace(tmp_path / "ws")
+        shutil.copytree(out_dir(workspace), out_dir(config_path))
+        for removed in ("topic", "profile"):
+            _unlist(config_path, removed)
+        variants_path = out_dir(config_path) / "variants.jsonl"
+        lines = variants_path.read_bytes().splitlines(keepends=True)
+        kept = [
+            line for line in lines
+            if json.loads(line)["topic_id"] != "t05"
+            and json.loads(line)["profile_id"] != "persona_emily"
+        ]
+        assert len(lines) - len(kept) == 57 + 12  # t05's 19 profiles, persona_emily's 4 topics
+        genlog = (out_dir(config_path) / "genlog.jsonl").read_bytes()
+
+        class Unpaid:
+            def complete(self, prompt):
+                pytest.fail("generate called the provider")
+
+        monkeypatch.setattr(cli, "make_provider", lambda config: Unpaid())
+        assert main(["generate", "--config", str(config_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"warning: dropped 69 variants of topics or profiles no longer listed"
+            f" from {variants_path}\n"
+        )
+        assert "216 variants on file" in captured.out  # 4 topics x 18 profiles x 3
+        assert "0 provider calls logged" in captured.out
+        assert variants_path.read_bytes() == b"".join(kept)
+        assert (out_dir(config_path) / "genlog.jsonl").read_bytes() == genlog
+
     def test_incomplete_stored_pair_regenerated_before_writing(self, tmp_path, workspace, capsys):
         """A stored pair that lacks a variant index is regenerated whole, so
         the file written holds the full grid, never the incomplete set."""
@@ -326,8 +363,9 @@ class TestIndexAndSearch:
         from qvbench.core import parse_trec_run
 
         for system_id, _ in BM25_SYSTEMS:
-            records = parse_trec_run(out_dir(workspace) / "runs" / f"{system_id}.run")
-            assert len({r.query_id for r in records}) == 290  # 5 seeds + 285 variants
+            run = parse_trec_run(out_dir(workspace) / "runs" / f"{system_id}.run")
+            assert {s for s, _ in run} == {system_id}
+            assert len(run) == 290  # 5 seeds + 285 variants
 
 
 class TestImportRuns:
@@ -642,6 +680,49 @@ class TestEvaluateStage:
         )
         assert out_files(out) == before
 
+    def test_ideal_dcg_once_per_topic(self, workspace, tmp_path, monkeypatch):
+        import qvbench.evalstats.metrics as metrics
+
+        real = metrics.ideal_dcg
+        pools = []
+
+        def counting(ideal_grades, *args, **kwargs):
+            pools.append(ideal_grades)
+            return real(ideal_grades, *args, **kwargs)
+
+        monkeypatch.setattr(metrics, "ideal_dcg", counting)
+        out = tmp_path / "out"
+        shutil.copytree(out_dir(workspace), out)
+        (out / "ndcg.csv").unlink()
+        assert main(["evaluate", "--config", str(workspace), "--out", str(out)]) == 0
+        assert len(pools) == 5  # one per judged topic, for 1,450 scored rankings
+        assert (out / "ndcg.csv").read_bytes() == (out_dir(workspace) / "ndcg.csv").read_bytes()
+
+    @pytest.mark.parametrize("bad_line", [False, True], ids=["first-key", "parse-first"])
+    def test_ranked_again_names_the_first_key_once_its_file_parses(
+        self, workspace, tmp_path, capsys, bad_line
+    ):
+        """A later file ranks t03 and then t02 again: the fold names t02,
+        first in (system, query) order, but only after the whole file has
+        parsed, so a bad line further down that file is reported instead."""
+        out = tmp_path / "out"
+        shutil.copytree(out_dir(workspace), out)
+        lines = (out / "runs" / "fixture_a.run").read_text(encoding="utf-8").splitlines()
+        again = out / "runs" / "zz.run"
+        text = "".join(f"{line}\n" for qid in ("t03", "t02") for line in lines
+                       if line.split()[0] == qid)
+        if bad_line:
+            text += "t04 Q0 p001 1 nan fixture_c\n"
+        again.write_text(text, encoding="utf-8")
+        before = out_files(out)
+        assert main(["evaluate", "--config", str(workspace), "--out", str(out)]) == 2
+        if bad_line:
+            message = f"{again}:{len(text.splitlines())}: non-finite score 'nan'"
+        else:
+            message = f"{again}: run fixture_a, query t02: ranked again after an earlier run file"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert out_files(out) == before
+
     def test_unscored_pairs_warned_on_stderr(self, workspace, tmp_path, capsys):
         def drop_first_query(lines):
             qid = lines[0].split()[0]
@@ -872,6 +953,22 @@ class TestReportStage:
         assert path.read_bytes() == before
 
 
+def _unlist(config_path, removed):
+    """Deletes t05 from topics.tsv ("topic") or persona_emily from
+    profiles.json ("profile"); returns the file and how a message names
+    the deleted id."""
+    inputs = config_path.resolve().parent
+    if removed == "topic":
+        path = inputs / "topics.tsv"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line.startswith("t05\t")))
+        return path, "topic 't05'"
+    path = inputs / "profiles.json"
+    profiles = json.loads(path.read_text(encoding="utf-8"))
+    path.write_text(json.dumps([p for p in profiles if p["profile_id"] != "persona_emily"]))
+    return path, "profile 'persona_emily'"
+
+
 class TestExitCodes:
     def test_missing_variants_file(self, tmp_path):
         config_path = write_toy_workspace(tmp_path / "ws")
@@ -981,15 +1078,7 @@ class TestExitCodes:
         generate wrote their variants."""
         config_path = write_toy_workspace(tmp_path / "ws")
         shutil.copytree(out_dir(workspace), out_dir(config_path))
-        inputs = config_path.resolve().parent
-        if removed == "topic":
-            path, stale = inputs / "topics.tsv", "topic 't05'"
-            lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-            path.write_text("".join(line for line in lines if not line.startswith("t05\t")))
-        else:
-            path, stale = inputs / "profiles.json", "profile 'persona_emily'"
-            profiles = json.loads(path.read_text(encoding="utf-8"))
-            path.write_text(json.dumps([p for p in profiles if p["profile_id"] != "persona_emily"]))
+        path, stale = _unlist(config_path, removed)
         before = out_files(out_dir(config_path))
 
         assert main([stage, "--config", str(config_path)]) == 2
@@ -1023,25 +1112,21 @@ class TestExitCodes:
         )
         assert out_files(out_dir(config_path)) == before
 
-    def test_unknown_kept_variants_rejected_before_any_call(
-        self, tmp_path, workspace, monkeypatch, capsys
+    @pytest.mark.parametrize("stage", ("analyze", "report"))
+    @pytest.mark.parametrize("removed", ("topic", "profile"))
+    def test_cell_of_an_unlisted_input_rejected_before_any_write(
+        self, stage, removed, tmp_path, workspace, capsys
     ):
+        """t05 leaves topics.tsv, or persona_emily profiles.json, after
+        evaluate scored their variants."""
         config_path = write_toy_workspace(tmp_path / "ws")
         shutil.copytree(out_dir(workspace), out_dir(config_path))
-        topics_path = config_path.parent / "topics.tsv"
-        lines = topics_path.read_text(encoding="utf-8").splitlines()
-        # t05 leaves the topics, so its stored variants outside --methods are unknown
-        topics_path.write_text("\n".join(lines[:4] + ["t06\tbest hiking boots"]) + "\n")
-        kept = sorted(
-            v[:3] for v in read_variants(out_dir(config_path) / "variants.jsonl")
-            if v.topic_id == "t05" and v.profile_id != "neutral"
-        )
+        path, stale = _unlist(config_path, removed)
         before = out_files(out_dir(config_path))
-        monkeypatch.setattr(cli, "make_provider", lambda config: pytest.fail("provider made"))
 
-        assert main(["generate", "--config", str(config_path), "--methods", "neutral"]) == 2
+        assert main([stage, "--config", str(config_path)]) == 2
         assert capsys.readouterr().err == (
-            f"error: variants reference unknown topics/profiles: {kept[:5]}\n"
+            f"error: {out_dir(config_path) / 'ndcg.csv'}: cells of {stale}, not in {path}\n"
         )
         assert out_files(out_dir(config_path)) == before
 

@@ -4,7 +4,6 @@ import csv
 import inspect
 import json
 import math
-from operator import attrgetter
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,6 @@ from qvbench.core import (
     Profile,
     Qrel,
     QueryVariant,
-    RunRecord,
     Topic,
     ValidationError,
     expected_variant_count,
@@ -127,7 +125,6 @@ COMPOSED = "caf\u00e9"
         Topic(DECOMPOSED, DECOMPOSED, DECOMPOSED),
         Profile(DECOMPOSED, "persona", DECOMPOSED, DECOMPOSED),
         QueryVariant(DECOMPOSED, DECOMPOSED, 1, DECOMPOSED),
-        RunRecord(DECOMPOSED, DECOMPOSED, DECOMPOSED, 1, 1.0),
         Qrel(DECOMPOSED, DECOMPOSED, 2),
         AnnotationRecord(
             DECOMPOSED, DECOMPOSED, "similarity", DECOMPOSED, DECOMPOSED, DECOMPOSED,
@@ -162,8 +159,10 @@ _round_trip = settings(
 
 
 @st.composite
-def _run_records(draw):
-    records = []
+def _runs(draw):
+    """A run as `parse_trec_run` returns one, its ids drawn in any
+    normal form, and the same run with every id NFC'd and keys sorted."""
+    run, composed = {}, {}
     for system_id in draw(st.lists(_ids, min_size=1, max_size=2, unique_by=nfc)):
         for query_id in draw(st.lists(_ids, min_size=1, max_size=3, unique_by=nfc)):
             pids = draw(st.lists(_ids, min_size=1, max_size=4, unique_by=nfc))
@@ -174,22 +173,21 @@ def _run_records(draw):
                     max_size=len(pids),
                 )
             )
-            hits = sorted(zip(scores, pids), key=lambda hit: (-hit[0], nfc(hit[1])))
-            records += [
-                RunRecord(system_id, query_id, pid, rank, score)
-                for rank, (score, pid) in enumerate(hits, 1)
-            ]
-    return records
+            hits = sorted(zip(pids, scores), key=lambda hit: (-hit[1], nfc(hit[0])))
+            run[system_id, query_id] = hits
+            composed[nfc(system_id), nfc(query_id)] = [(nfc(pid), score) for pid, score in hits]
+    return run, dict(sorted(composed.items()))
 
 
 @_round_trip
-@given(records=_run_records())
-def test_trec_run_round_trip_with_combining_marks(tmp_path, records):
+@given(runs=_runs())
+def test_trec_run_round_trip_with_combining_marks(tmp_path, runs):
+    run, composed = runs
     path = tmp_path / "marked.run"
-    write_trec_run(records, path)
-    assert parse_trec_run(path) == sorted(
-        records, key=lambda r: (r.system_id, r.query_id, r.rank)
-    )
+    write_trec_run(run, path)
+    parsed = parse_trec_run(path)
+    assert parsed == composed
+    assert list(parsed) == list(composed)
 
 
 @_round_trip
@@ -326,7 +324,7 @@ def test_topic_empty_seed_rejected():
 def test_parse_trec_run_single_line(tmp_path):
     p = tmp_path / "run.txt"
     p.write_text("q1 Q0 p7 1 12.5 bm25\n", encoding="utf-8")
-    assert parse_trec_run(p) == [RunRecord("bm25", "q1", "p7", 1, 12.5)]
+    assert parse_trec_run(p) == {("bm25", "q1"): [("p7", 12.5)]}
 
 
 def test_parse_trec_run_rank_gap(tmp_path):
@@ -345,13 +343,10 @@ def test_parse_trec_run_groups_interleaved_systems(tmp_path):
         "q1 Q0 p3 2 6.0 sysB\n",
         encoding="utf-8",
     )
-    records = parse_trec_run(p)
-    assert [(r.system_id, r.rank) for r in records] == [
-        ("sysA", 1),
-        ("sysA", 2),
-        ("sysB", 1),
-        ("sysB", 2),
-    ]
+    assert parse_trec_run(p) == {
+        ("sysA", "q1"): [("p1", 9.0), ("p2", 7.5)],
+        ("sysB", "q1"): [("p1", 8.0), ("p3", 6.0)],
+    }
 
 
 def test_parse_trec_run_bad_rank(tmp_path):
@@ -410,61 +405,69 @@ def test_bad_run_names_file(tmp_path, text, prefix, message):
 
 
 def test_trec_run_roundtrip(tmp_path):
-    records = [
-        RunRecord("bm25", "q1", "p7", 1, 12.5),
-        RunRecord("bm25", "q1", "p3", 2, 11.25),
-        RunRecord("bm25", "q2", "p1", 1, 3.0),
-    ]
+    run = {("bm25", "q1"): [("p7", 12.5), ("p3", 11.25)], ("bm25", "q2"): [("p1", 3.0)]}
     p = tmp_path / "run.txt"
-    write_trec_run(records, p)
-    assert parse_trec_run(p) == records
+    write_trec_run(run, p)
+    assert p.read_text(encoding="utf-8") == (
+        "q1 Q0 p7 1 12.5 bm25\nq1 Q0 p3 2 11.25 bm25\nq2 Q0 p1 1 3.0 bm25\n"
+    )
+    assert parse_trec_run(p) == run
 
 
-def _parse_trec_run_per_line(path):
-    """`parse_trec_run` as it was before its one-loop rewrite, kept as its
-    oracle: lines from text-mode file iteration, blank ones skipped by
-    `strip`, every record built by `RunRecord`, checks by attribute."""
+def _parse_trec_run_flat(path):
+    """`parse_trec_run` as it was when it returned one record per result,
+    kept as its oracle: a (tag, qid, docid, rank, score) tuple per line,
+    each line checked as it is read, then one global sort by (tag, qid,
+    rank) and each record checked against the one before."""
     records = []
+    share = {}.setdefault
     with open(path, encoding="utf-8") as fh:
-        lines = [(n, raw.rstrip("\n")) for n, raw in enumerate(fh, start=1)]
-    for lineno, line in lines:
-        if not line.strip():
-            continue
-        cols = line.split()
-        if len(cols) != 6:
-            raise ParseError(f"{path}:{lineno}: expected 6 columns, got {len(cols)}")
-        qid, _, docid, rank_text, score_text, tag = cols
-        try:
-            rank = int(rank_text)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-integer rank {rank_text!r}") from exc
-        try:
-            score = float(score_text)
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: non-numeric score {score_text!r}") from exc
-        if not math.isfinite(score):
-            raise ParseError(f"{path}:{lineno}: non-finite score {score_text!r}")
-        try:
-            records.append(RunRecord(tag, qid, docid, rank, score))
-        except ValidationError as exc:
-            raise ValidationError(f"{path}:{lineno}: {exc}") from exc
-    records.sort(key=attrgetter("system_id", "query_id", "rank"))
-    for prev, cur in zip([None, *records], records):
-        new_query = (
-            prev is None or prev.query_id != cur.query_id or prev.system_id != cur.system_id
-        )
-        if cur.rank != (1 if new_query else prev.rank + 1):
+        for lineno, line in enumerate(fh, start=1):
+            cols = line.split()
+            if not cols:
+                continue
+            if len(cols) != 6:
+                raise ParseError(f"{path}:{lineno}: expected 6 columns, got {len(cols)}")
+            qid, _, docid, rank_text, score_text, tag = cols
+            try:
+                rank = int(rank_text)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-integer rank {rank_text!r}") from exc
+            try:
+                score = float(score_text)
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: non-numeric score {score_text!r}") from exc
+            if not -math.inf < score < math.inf:
+                raise ParseError(f"{path}:{lineno}: non-finite score {score_text!r}")
+            if rank < 1:
+                raise ValidationError(f"{path}:{lineno}: rank {rank} must be >= 1")
+            tag, qid, docid = nfc(tag), nfc(qid), nfc(docid)
+            records.append((share(tag, tag), share(qid, qid), share(docid, docid), rank, score))
+    records.sort(key=lambda r: (r[0], r[1], r[3]))
+    for prev, cur in zip([(None,) * 5, *records], records):
+        system_id, query_id, passage_id, rank, score = cur
+        new_query = query_id != prev[1] or system_id != prev[0]
+        if rank != (1 if new_query else prev[3] + 1):
             fault = "ranks are not a gap-free 1..n sequence"
         elif new_query:
             continue
-        elif cur.score > prev.score:
-            fault = f"score increases at rank {cur.rank}"
-        elif cur.score == prev.score and cur.passage_id < prev.passage_id:
-            fault = f"tied scores out of passage_id order at rank {cur.rank}"
+        elif score > prev[4]:
+            fault = f"score increases at rank {rank}"
+        elif score == prev[4] and passage_id < prev[2]:
+            fault = f"tied scores out of passage_id order at rank {rank}"
         else:
             continue
-        raise ValidationError(f"{path}: run {cur.system_id}, query {cur.query_id}: {fault}")
+        raise ValidationError(f"{path}: run {system_id}, query {query_id}: {fault}")
     return records
+
+
+def _flat_records(run):
+    """A run mapping as the oracle's records, each rank its list position."""
+    return [
+        (system_id, query_id, passage_id, rank, score)
+        for (system_id, query_id), hits in run.items()
+        for rank, (passage_id, score) in enumerate(hits, 1)
+    ]
 
 
 # Run-file tokens: ids with decomposed (e + U+0301) and precomposed
@@ -474,7 +477,7 @@ _RUN_QIDS = ("q1", "q2", "t1__p__1")
 _RUN_PIDS = ("p1", "p2", "p3")
 _NON_ASCII_IDS = ("cafe\u0301", "caf\u00e9")
 _RUN_SCORES = (9.5, 3.0, 2.5, 1.0, 0.0, -0.5)
-_BAD_RANKS = ("0", "-1", "x", "7")
+_BAD_RANKS = ("0", "-1", "x", "7", "1", "2")  # 1 and 2 repeat a rank or leave a gap
 _BAD_SCORES = ("nan", "inf", "-inf", "1e999", "high") + ("99.0",) * 4  # 99.0 rises, but not at rank 1
 _BLANKS = ("", " ", "\t", "  \t ")
 
@@ -485,8 +488,8 @@ def _run_file_texts(draw):
     scores that do not rise, with passage ids drawn freely, so tied
     scores come in and out of order. Draws then break a rank or a score,
     change a line's column count, shuffle lines, add blank and
-    whitespace-only lines, and pick LF or CRLF line ends. About one file
-    in three has non-ASCII ids."""
+    whitespace-only lines, and pick LF, CRLF or lone CR line ends. About
+    one file in three has non-ASCII ids, NFD and NFC spellings of one id."""
     extra = _NON_ASCII_IDS if draw(st.integers(0, 2)) == 0 else ()
     rows = []
     tags = st.sampled_from(_RUN_TAGS + extra)
@@ -510,13 +513,13 @@ def _run_file_texts(draw):
     lines = draw(st.permutations(lines))
     for _ in range(draw(st.integers(0, 3))):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BLANKS)))
-    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     return eol.join(lines) + draw(st.sampled_from(["", eol]))
 
 
 def _parse_outcome(parse, path):
-    """What parse does with path: the records, each as its repr (class
-    name, field values and their types), or the exception type and message."""
+    """What parse does with path: the records, each as its repr (field
+    values and their types), or the exception type and message."""
     try:
         return [repr(record) for record in parse(path)]
     except Exception as exc:
@@ -542,17 +545,22 @@ def _parse_outcome(parse, path):
 @example(text="q1 Q0 p1 1 2.0 s\nq1 Q0 p2 3 1.0 s\n")
 @example(text="q1 Q0 p1 1 1.0 s\nq1 Q0 p2 2 2.0 s\n")
 @example(text="q1 Q0 p2 1 1.0 s\nq1 Q0 p1 2 1.0 s\n")
+@example(text="q2 Q0 p1 2 1.0 t\nq1 Q0 p3 1 5.0 s\nq2 Q0 p2 1 2.0 t\nq1 Q0 p1 2 4.0 s\n")
+@example(text="q1 Q0 p1 1 1.0 s\nq1 Q0 p2 2 2.0 s\nq1 Q0 p3 2 0.5 s\n")
+@example(text="q1 Q0 p1 2 1.0 s\nq1 Q0 p2 2 0.5 s\nq1 Q0 p3 1 2.0 s\n")
+@example(text="q1 Q0 p1 1 2.0 s\rq2 Q0 p1 1 2.0 s\rq1 Q0 p2 3 1.0 s\r")
 def test_parse_trec_run_matches_per_line_oracle(tmp_path, text):
     path = tmp_path / "oracle.run"
     path.write_bytes(text.encode("utf-8"))
-    outcome = _parse_outcome(parse_trec_run, path)
-    assert outcome == _parse_outcome(_parse_trec_run_per_line, path)
+    outcome = _parse_outcome(lambda p: _flat_records(parse_trec_run(p)), path)
+    assert outcome == _parse_outcome(_parse_trec_run_flat, path)
     if isinstance(outcome, list):
+        run = parse_trec_run(path)
+        assert list(run) == sorted(run)
         # equal ids of one file, NFC-equal ones included, are one string object
         first = {}
-        for record in parse_trec_run(path):
-            for column in ("system_id", "query_id", "passage_id"):
-                value = getattr(record, column)
+        for record in _flat_records(run):
+            for column, value in zip(("system_id", "query_id", "passage_id"), record):
                 assert first.setdefault((column, value), value) is value
 
 
@@ -799,19 +807,22 @@ def test_profile_neutral_description_must_be_empty():
         Profile("neutral", "neutral", "Neutral", "some text")
 
 
-def test_run_record_rank_positive():
-    with pytest.raises(ValidationError):
-        RunRecord("s", "q", "p", 0, 1.0)
+def test_run_record_rank_positive(tmp_path):
+    p = tmp_path / "sys.run"
+    for rank in (0, -1):
+        p.write_text(f"q Q0 p1 1 2.0 s\nq Q0 p2 {rank} 1.0 s\n", encoding="utf-8")
+        with pytest.raises(ValidationError) as info:
+            parse_trec_run(p)
+        assert str(info.value) == f"{p}:2: rank {rank} must be >= 1"
 
 
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: RunRecord("s", "q", "p", 0, 1.0), "rank 0 must be >= 1"),
         (lambda: Qrel("q", "p", 4), "grade 4 outside 0..3"),
         (lambda: Qrel("q", "p", 2, "crowd"), "unknown qrel source 'crowd'"),
     ],
-    ids=["rank-zero", "grade-four", "unknown-source"],
+    ids=["grade-four", "unknown-source"],
 )
 def test_record_checks_keep_their_messages(build, message):
     with pytest.raises(ValidationError) as info:
@@ -822,12 +833,10 @@ def test_record_checks_keep_their_messages(build, message):
 @pytest.mark.parametrize(
     "build, field",
     [
-        (lambda: RunRecord("s", "q", "p", 1, 1.0), "rank"),
-        (lambda: RunRecord("s", "q", "p", 1, 1.0), "system_id"),
         (lambda: Qrel("q", "p", 2), "grade"),
         (lambda: Qrel("q", "p", 2), "source"),
     ],
-    ids=["run-rank", "run-system", "qrel-grade", "qrel-source"],
+    ids=["qrel-grade", "qrel-source"],
 )
 def test_record_is_immutable(build, field):
     record = build()
@@ -839,8 +848,7 @@ def test_record_is_immutable(build, field):
 
 
 def test_record_is_its_tuple_of_fields():
-    run = RunRecord("s", "q", "p", 1, 2.5)
-    assert run == ("s", "q", "p", 1, 2.5)
+    assert Qrel("q", "p", 1) == ("q", "p", 1, "human")
     assert sorted([Qrel("q2", "p", 1), Qrel("q1", "p", 3)]) == [
         Qrel("q1", "p", 3), Qrel("q2", "p", 1)
     ]
@@ -866,7 +874,6 @@ BROKEN_FIELDS = [
     (_VARIANT, "index", True, "variant index must be an integer"),
     (_VARIANT, "index", 4, "variant index 4 outside 1..3"),
     (_VARIANT, "text", " ", "variant (t, p, 1): empty text"),
-    (RunRecord("s", "q", "p", 1, 1.0), "rank", 0, "rank 0 must be >= 1"),
     (Qrel("q", "p", 2), "grade", 4, "grade 4 outside 0..3"),
     (Qrel("q", "p", 2), "source", "crowd", "unknown qrel source 'crowd'"),
     (_ANNOTATION, "task", "rank", "unknown annotation task 'rank'"),
@@ -908,14 +915,15 @@ def test_every_way_to_build_a_record_checks_it(record, field, value, message, bu
 
 def test_record_replace_is_checked():
     with pytest.raises(ValidationError):
-        RunRecord("s", "q", "p", 1, 1.0)._replace(rank=0)
+        Qrel("q", "p", 2)._replace(grade=4)
     assert Qrel("q", "p", 2)._replace(passage_id=DECOMPOSED).passage_id == COMPOSED
 
 
 @pytest.mark.parametrize(
     "reader, name, text",
     [
-        (parse_trec_run, "sys.run", f"q1 Q0 p1 1 2.0 sys\nq1 Q0 {DECOMPOSED} 2 1.0 sys\n"),
+        (lambda p: _flat_records(parse_trec_run(p)), "sys.run",
+         f"q1 Q0 p1 1 2.0 sys\nq1 Q0 {DECOMPOSED} 2 1.0 sys\n"),
         (parse_qrels, "qrels.txt", f"q1 0 p1 2\n{DECOMPOSED} 0 p1 1 llm\n"),
     ],
     ids=["run", "qrels"],
@@ -923,8 +931,7 @@ def test_record_replace_is_checked():
 def test_reader_composes_text_on_the_last_line(tmp_path, reader, name, text):
     p = tmp_path / name
     p.write_text(text, encoding="utf-8")
-    last = reader(p)[-1]
-    fields = [getattr(last, name) for name in inspect.signature(type(last)).parameters]
+    fields = list(reader(p)[-1])
     assert COMPOSED in fields
     assert DECOMPOSED not in fields
 

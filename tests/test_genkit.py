@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import qvbench.genkit as genkit
-from qvbench.core import ParseError, Passage, Profile, QueryVariant, RunRecord, Topic, ValidationError
+from qvbench.core import ParseError, Passage, Profile, QueryVariant, Topic, ValidationError
 from qvbench.genkit import (
     GenerationError,
     HttpProvider,
@@ -835,8 +835,8 @@ class TestRunInOrder:
         assert len(generate_sweep(provider, self.TOPICS, self.PROFILES)) == 48
         topics = generate_backstories(provider, self.TOPICS)
         passages = [Passage(f"p{i}", f"passage text {i}") for i in range(1, 4)]
-        runs = [RunRecord("s1", "t1", p.passage_id, i + 1, 9.0 - i) for i, p in enumerate(passages)]
-        pairs = sorted(pool_topk(runs, {"t1"}, {p.passage_id for p in passages}))
+        run = {("s1", "t1"): [(p.passage_id, 9.0 - i) for i, p in enumerate(passages)]}
+        pairs = sorted(pool_topk(run, {"t1"}, {p.passage_id for p in passages}))
         assert len(label_topk(provider, pairs, topics, passages, LabelStore())) == 3
 
 

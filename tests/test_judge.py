@@ -7,6 +7,7 @@ import re
 import sys
 import threading
 from collections import Counter
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given
@@ -17,7 +18,6 @@ from qvbench.core import (
     ParseError,
     Passage,
     Qrel,
-    RunRecord,
     Topic,
     ValidationError,
     query_cell,
@@ -85,8 +85,18 @@ class ScriptedProvider:
         return self.responses[min(self.calls - 1, len(self.responses) - 1)]
 
 
+class Result(NamedTuple):
+    """One ranked result, as the per-record oracles below read a run."""
+
+    system_id: str
+    query_id: str
+    passage_id: str
+    rank: int
+    score: float
+
+
 def run(system, query, pid, rank):
-    return RunRecord(system, query, pid, rank, 100.0 - rank)
+    return Result(system, query, pid, rank, 100.0 - rank)
 
 
 def top_k(runs, k=10):
@@ -99,9 +109,20 @@ def top_k(runs, k=10):
     return ranked
 
 
+def ranked_lists(results):
+    """Results whose ranks are 1..n per (system, query) as the run that
+    `parse_trec_run` returns: keys sorted, each list in rank order."""
+    ranked = {}
+    for r in sorted(results, key=lambda r: (r.system_id, r.query_id, r.rank)):
+        ranked.setdefault((r.system_id, r.query_id), []).append((r.passage_id, r.score))
+    return ranked
+
+
 def label_runs(provider, runs, topics, passages, store, k=10):
     """Pool the runs' top k, then label the sorted pairs, as `judge` does."""
-    pairs = pool_topk(runs, {t.topic_id for t in topics}, {p.passage_id for p in passages}, k)
+    pairs = pool_topk(
+        ranked_lists(runs), {t.topic_id for t in topics}, {p.passage_id for p in passages}, k
+    )
     return label_topk(provider, sorted(pairs), topics, passages, store)
 
 
@@ -389,24 +410,24 @@ class TestLabelTopk:
             label_runs(MockProvider(), runs, self.TOPICS, self.PASSAGES, LabelStore())
 
     @pytest.mark.parametrize(
-        "runs, message",
+        "runs, k, message",
         [
-            # an unknown topic whose record also holds an unknown passage
+            # an unknown topic whose list also holds an unknown passage
             ([run("s1", "t1", "p1", 1), run("s1", "t9__emily__1", "ghost", 1),
-              run("s1", "t1", "ghost", 2)], "run references unknown topic 't9'"),
-            # the pair (t1, ghost) after a known pair of the same query id
+              run("s1", "t9__emily__1", "p1", 2)], 10, "run references unknown topic 't9'"),
+            # the pair (t1, ghost) after a known pair of the same list
             ([run("s1", "t1", "p1", 1), run("s1", "t1", "ghost", 2),
-              run("s1", "t9", "p1", 1)], "run references unknown passage 'ghost'"),
-            # beyond k, neither is looked at
-            ([run("s1", "t9", "ghost", 11), run("s1", "t1", "p1", 1),
-              run("s1", "t1", "spook", 2)], "run references unknown passage 'spook'"),
+              run("s1", "t9", "p1", 1)], 10, "run references unknown passage 'ghost'"),
+            # beyond k, a passage is not looked at
+            ([run("s1", "t1", "p1", 1), run("s1", "t1", "ghost", 2),
+              run("s1", "t2", "spook", 1)], 1, "run references unknown passage 'spook'"),
         ],
         ids=["topic", "passage", "beyond-k"],
     )
-    def test_first_bad_record_names_its_fault(self, runs, message):
+    def test_first_bad_record_names_its_fault(self, runs, k, message):
         provider = CountingProvider(MockProvider())
         with pytest.raises(ValidationError) as info:
-            label_runs(provider, runs, self.TOPICS, self.PASSAGES, LabelStore())
+            label_runs(provider, runs, self.TOPICS, self.PASSAGES, LabelStore(), k=k)
         assert str(info.value) == message
         assert provider.calls == 0
 
@@ -444,7 +465,7 @@ def test_parse_grade_accepts_what_the_digit_pattern_did(text):
 
 def _needed_pairs_per_record(runs, topic_ids, passage_ids, k):
     """The pooling loop `label_topk` once ran, kept as `pool_topk`'s oracle: each top-k record's
-    topic, then passage, checked in run order; the sorted pairs to label."""
+    topic, then passage, checked in (system, query, rank) order; the sorted pairs to label."""
     needed = set()
     for record in runs:
         if record.rank > k:
@@ -459,33 +480,65 @@ def _needed_pairs_per_record(runs, topic_ids, passage_ids, k):
 
 
 @given(
-    st.lists(
+    st.dictionaries(
         st.tuples(
+            st.sampled_from(["s1", "s2"]),
             st.sampled_from(["t1", "t2", "t9", "t1__emily__1", "t9__emily__2"]),
-            st.sampled_from(["p1", "p2", "ghost"]),
-            st.integers(1, 3),
         ),
-        max_size=8,
+        st.lists(st.sampled_from(["p1", "p2", "ghost"]), min_size=1, max_size=3),
+        max_size=6,
     )
 )
-def test_label_topk_checks_and_pairs_match_the_per_record_loop(rows):
-    runs = [run("s1", query_id, pid, rank) for query_id, pid, rank in rows]
+def test_label_topk_checks_and_pairs_match_the_per_record_loop(lists):
+    runs = [
+        run(system_id, query_id, pid, rank)
+        for (system_id, query_id), pids in lists.items()
+        for rank, pid in enumerate(pids, 1)
+    ]
     topics = [Topic(t, "q", backstory="Backstory.") for t in ("t1", "t2")]
     passages = [Passage(p, f"text {p}") for p in ("p1", "p2")]
+    ordered = sorted(runs, key=lambda r: (r.system_id, r.query_id, r.rank))
     try:
-        expected = _needed_pairs_per_record(runs, {"t1", "t2"}, {"p1", "p2"}, k=2)
+        expected = _needed_pairs_per_record(ordered, {"t1", "t2"}, {"p1", "p2"}, k=2)
     except ValidationError as exc:
         expected = str(exc)
-    outcomes = []
-    for records in (runs, (r for r in runs)):  # a list, and a one-shot generator
-        try:
-            qrels = label_runs(MockProvider(), records, topics, passages, LabelStore(), k=2)
-        except ValidationError as exc:
-            outcomes.append((str(exc), None))
-        else:
-            outcomes.append(([(q.query_id, q.passage_id) for q in qrels], qrels))
-    assert outcomes[0][0] == expected
-    assert outcomes[1] == outcomes[0]
+    try:
+        qrels = label_runs(MockProvider(), runs, topics, passages, LabelStore(), k=2)
+    except ValidationError as exc:
+        outcome = str(exc)
+    else:
+        outcome = [(q.query_id, q.passage_id) for q in qrels]
+    assert outcome == expected
+
+
+@pytest.mark.parametrize(
+    "ranked, message",
+    [
+        # the lists in key order: s1's t1 is fine, s1's t2 names the ghost
+        ({("s1", "t1"): [("p1", 2.0)], ("s1", "t2"): [("ghost", 1.0)],
+          ("s2", "t9"): [("p1", 1.0)]}, "run references unknown passage 'ghost'"),
+        # a list's topic is checked before its passages
+        ({("s1", "t1"): [("p1", 2.0)], ("s1", "t9__emily__1"): [("ghost", 1.0)]},
+         "run references unknown topic 't9'"),
+        # a pair already pooled is not looked up again, the next new one is
+        ({("s1", "t1"): [("p1", 2.0), ("p2", 1.0)], ("s1", "t1__emily__1"):
+          [("p2", 3.0), ("spook", 2.0)]}, "run references unknown passage 'spook'"),
+    ],
+    ids=["key-order", "topic-first", "new-pair"],
+)
+def test_pool_topk_names_the_first_bad_result(ranked, message):
+    with pytest.raises(ValidationError) as info:
+        pool_topk(ranked, {"t1", "t2"}, {"p1", "p2"}, k=10)
+    assert (type(info.value), str(info.value)) == (ValidationError, message)
+
+
+def test_pool_topk_reads_k_per_list_and_leaves_the_lists_as_they_are():
+    shared = [("p1", 3.0), ("p2", 2.0), ("ghost", 1.0)]
+    ranked = {("s1", "t1"): shared, ("s1", "t2__emily__1"): shared}
+    assert pool_topk(ranked, {"t1", "t2"}, {"p1", "p2"}, k=2) == {
+        ("t1", "p1"), ("t1", "p2"), ("t2", "p1"), ("t2", "p2")
+    }
+    assert shared == [("p1", 3.0), ("p2", 2.0), ("ghost", 1.0)]
 
 
 class TestLabelStorePersistence:

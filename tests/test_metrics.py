@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qvbench.evalstats.metrics import kendall_tau, mann_whitney_u, ndcg_at_k
+from qvbench.evalstats.metrics import ideal_dcg, kendall_tau, mann_whitney_u, ndcg, ndcg_at_k
 
 mpmath.mp.dps = 30
 
@@ -136,12 +136,39 @@ _POOLS = st.one_of(
 )
 def test_ndcg_equals_the_whole_pool_oracle_bit_for_bit(ranked, pool, k, gain):
     """Exactly equal, not approximately: the same gains and discounts
-    summed in the same order, whether the pool comes whole or as the
-    top k that `evaluate` passes."""
+    summed in the same order, whether the pool comes whole, as its top
+    k, or as the ideal DCG that `evaluate` computes once per topic."""
     want = ndcg_sorting_the_whole_pool(ranked, pool, k, gain)
     assert ndcg_at_k(ranked, pool, k, gain) == want
     assert ndcg_at_k(ranked, sorted(pool, reverse=True)[:k], k, gain) == want
     assert ndcg_at_k(tuple(ranked), iter(pool), k, gain) == want
+    assert ndcg(ranked, ideal_dcg(iter(pool), k, gain), k, gain) == want
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: ndcg_at_k([5], [4]), "grade 5 outside 0..3"),  # the ranked grade first
+        (lambda: ndcg_at_k([1], [4]), "grade 4 outside 0..3"),
+        (lambda: ndcg_at_k([5], [4], k=0), "k=0 must be >= 1"),
+        (lambda: ndcg_at_k([5], [4], gain="log"), "unknown gain 'log'"),
+        (lambda: ideal_dcg([4, 3], k=1), "grade 4 outside 0..3"),
+        (lambda: ideal_dcg([3, 4], k=0), "k=0 must be >= 1"),
+        (lambda: ndcg([5], 1.0), "grade 5 outside 0..3"),
+        (lambda: ndcg([5], 0.0), "grade 5 outside 0..3"),  # checked even when the ideal is 0
+        (lambda: ndcg([1], 1.0, gain="log"), "unknown gain 'log'"),
+    ],
+)
+def test_ndcg_checks_name_the_first_fault(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_ideal_dcg_reads_only_the_top_k():
+    # as in ndcg_at_k, a grade below the k best, or ranked below k, is not looked at
+    assert ideal_dcg([0, 3, -1, 2], k=2) == ideal_dcg([3, 2], k=2)
+    assert ndcg([0, 2, 3, 9], ideal_dcg([3, 2], k=3), k=3) == ndcg_at_k([0, 2, 3], [3, 2], k=3)
 
 
 @pytest.mark.parametrize("ranked", [[], [2]])

@@ -82,9 +82,12 @@ def test_every_exported_name_resolves(name):
 
 
 # Public names that nothing else in the package reaches yet: the README
-# entry point, the version, and library API the paper's analysis still
+# entry point, the version, library API the paper's analysis still
 # has to wire into a stage (completeness check, feature comparison,
-# effect-size labels, human-vs-LLM label agreement).
+# effect-size labels, human-vs-LLM label agreement), and `ndcg_at_k`,
+# NDCG in one call for library callers and the release checks, which
+# `evaluate` splits into one `ideal_dcg` per topic and one `ndcg` per
+# ranking.
 UNREFERENCED_ALLOWED = {
     "__version__",
     "write_toy_workspace",
@@ -93,6 +96,7 @@ UNREFERENCED_ALLOWED = {
     "classify_omega",
     "agreement_report",
     "paired_grades",
+    "ndcg_at_k",
 }
 
 

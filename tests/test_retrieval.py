@@ -6,7 +6,7 @@ import random
 import pytest
 
 import qvbench.retrieval as retrieval
-from qvbench.core import Passage, RunRecord, parse_trec_run, write_trec_run
+from qvbench.core import Passage, parse_trec_run, write_trec_run
 from qvbench.retrieval import (
     Bm25Params,
     build_index,
@@ -225,20 +225,18 @@ def test_bm25_params_validation():
 
 def test_run_queries_records(tmp_path):
     index = build_index(CORPUS)
-    records = run_queries(index, Bm25Params(), {"q1": "bangkok"}, "sysX", k=2)
-    assert all(r.system_id == "sysX" for r in records)
-    assert [r.rank for r in records] == [1, 2]
+    run = run_queries(index, Bm25Params(), {"q1": "bangkok"}, "sysX", k=2)
+    assert list(run) == [("sysX", "q1")]
+    assert len(run["sysX", "q1"]) == 2
 
-    queries = {"q1": "bangkok budget", "q2": "dog breeds"}
-    records = run_queries(index, Bm25Params(), queries, "bm25-default", k=10)
+    queries = {"q2": "dog breeds", "q1": "bangkok budget"}
+    run = run_queries(index, Bm25Params(), queries, "bm25-default", k=10)
+    assert list(run) == [("bm25-default", "q1"), ("bm25-default", "q2")]
     path = tmp_path / "run.txt"
-    write_trec_run(records, path)
+    write_trec_run(run, path)
     parsed = parse_trec_run(path)
-    assert {r.system_id for r in parsed} == {"bm25-default"}
-    hits = search(index, Bm25Params(), queries["q1"], k=10)
-    q1 = [r for r in parsed if r.query_id == "q1"]
-    assert [r.rank for r in q1] == list(range(1, len(hits) + 1))
-    assert [r.passage_id for r in q1] == [pid for pid, _ in hits]
+    assert parsed == run
+    assert parsed["bm25-default", "q1"] == search(index, Bm25Params(), queries["q1"], k=10)
 
 
 DUPLICATE_TEXT_QUERIES = {
@@ -254,14 +252,18 @@ DUPLICATE_TEXT_QUERIES = {
 def test_run_queries_with_duplicate_texts_matches_one_search_per_id():
     index = build_index(CORPUS)
     params = Bm25Params()
-    want = [
-        RunRecord("sysX", query_id, pid, rank, score)
+    fresh = build_index(CORPUS)
+    want = {
+        ("sysX", query_id): search(fresh, params, DUPLICATE_TEXT_QUERIES[query_id], k=2)
         for query_id in sorted(DUPLICATE_TEXT_QUERIES)
-        for rank, (pid, score) in enumerate(
-            search(build_index(CORPUS), params, DUPLICATE_TEXT_QUERIES[query_id], k=2), 1
-        )
-    ]
-    assert run_queries(index, params, DUPLICATE_TEXT_QUERIES, "sysX", k=2) == want
+    }
+    run = run_queries(index, params, DUPLICATE_TEXT_QUERIES, "sysX", k=2)
+    assert run == want
+    assert list(run) == list(want)
+    # query ids of one text share one hits list; ids of different texts do not
+    assert run["sysX", "q1"] is run["sysX", "q3"] is run["sysX", "q4"]
+    assert run["sysX", "q2"] is run["sysX", "q6"]
+    assert run["sysX", "q5"] is not run["sysX", "q1"]
 
 
 def test_run_queries_searches_each_distinct_text_once(monkeypatch):

@@ -7,7 +7,6 @@ import random
 import pytest
 
 from qvbench.core import (
-    RunRecord,
     ValidationError,
     format_trec_run,
     parse_passages,
@@ -25,7 +24,7 @@ from qvbench.toydata import (
     _FILLER,
     all_query_ids,
     content_words,
-    fixture_run_records,
+    fixture_run,
     toy_passages,
     toy_qrels,
     toy_topics,
@@ -127,7 +126,7 @@ class TestQrels:
         assert all(q.query_id in ids for q in toy_qrels(100, topics))
 
 
-def oracle_fixture_run_records(system_id, query_ids, passage_ids, k=10):
+def oracle_fixture_run(system_id, query_ids, passage_ids, k=10):
     """The reference ranking: an integer hash key per passage, top k by
     `heapq.nsmallest` on (-score, passage id)."""
 
@@ -135,14 +134,16 @@ def oracle_fixture_run_records(system_id, query_ids, passage_ids, k=10):
         digest = hashlib.sha256(f"{system_id}|{query_id}|{passage_id}".encode()).digest()
         return int.from_bytes(digest[:8], "big")
 
-    records = []
+    run = {}
     for query_id in sorted(set(query_ids)):
         top = heapq.nsmallest(
             k, passage_ids, key=lambda pid: (-score(query_id, pid), pid)
         )
-        for rank, pid in enumerate(top, 1):
-            records.append(RunRecord(system_id, query_id, pid, rank, float(k - rank + 1)))
-    return records
+        if top:
+            run[system_id, query_id] = [
+                (pid, float(k - rank + 1)) for rank, pid in enumerate(top, 1)
+            ]
+    return run
 
 
 def _tied_sha256(buckets):
@@ -180,23 +181,26 @@ EDGE_CASES = [
 
 class TestFixtureRuns:
     def test_shape_and_determinism(self):
-        records = fixture_run_records("fixture_a", ["t01", "t02"], ["p1", "p2", "p3"], k=2)
-        assert len(records) == 4
-        assert records == fixture_run_records("fixture_a", ["t01", "t02"], ["p1", "p2", "p3"], k=2)
+        run = fixture_run("fixture_a", ["t01", "t02"], ["p1", "p2", "p3"], k=2)
+        assert list(run) == [("fixture_a", "t01"), ("fixture_a", "t02")]
+        assert [[score for _, score in hits] for hits in run.values()] == [[2.0, 1.0]] * 2
+        assert run == fixture_run("fixture_a", ["t01", "t02"], ["p1", "p2", "p3"], k=2)
 
     def test_systems_rank_differently(self):
         pids = [f"p{i}" for i in range(30)]
-        a = fixture_run_records("fixture_a", ["t01"], pids, k=10)
-        b = fixture_run_records("fixture_b", ["t01"], pids, k=10)
-        assert [r.passage_id for r in a] != [r.passage_id for r in b]
+        a = fixture_run("fixture_a", ["t01"], pids, k=10)["fixture_a", "t01"]
+        b = fixture_run("fixture_b", ["t01"], pids, k=10)["fixture_b", "t01"]
+        assert [pid for pid, _ in a] != [pid for pid, _ in b]
 
     def test_roundtrips_through_trec_format(self, tmp_path):
-        records = fixture_run_records("fixture_a", ["t01", "t01__emily__1"], ["p1", "p2"], k=2)
+        run = fixture_run("fixture_a", ["t01__emily__1", "t01"], ["p1", "p2"], k=2)
         from qvbench.core import write_trec_run
 
         path = tmp_path / "f.run"
-        write_trec_run(records, path)
-        assert parse_trec_run(path) == sorted(records, key=lambda r: (r.query_id, r.rank))
+        write_trec_run(run, path)
+        parsed = parse_trec_run(path)
+        assert parsed == run
+        assert list(parsed) == list(run)
 
     def test_mid_size_run_bytes_pinned(self):
         # 30 variant ids over the mid workspace's 1,000 passages: any change
@@ -207,7 +211,7 @@ class TestFixtureRuns:
             for i in range(1, 4)
         ]
         passage_ids = [f"p{i:03d}" for i in range(1, 1001)]
-        text = format_trec_run(fixture_run_records("fixture_a", query_ids, passage_ids, k=10))
+        text = format_trec_run(fixture_run("fixture_a", query_ids, passage_ids, k=10))
         assert len(text.splitlines()) == 300
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "68320d1dbf1bb1ab8bd70ef43e100b95a1acc420bb010f367789782fe83cd2aa"
@@ -221,7 +225,7 @@ class TestFixtureRuns:
             monkeypatch.setattr(hashlib, "sha256", _tied_sha256(buckets))
         rng = random.Random(f"fixture-oracle|{buckets}")
         for case in [*EDGE_CASES, *(_random_case(rng) for _ in range(200))]:
-            assert fixture_run_records(*case) == oracle_fixture_run_records(*case), case
+            assert fixture_run(*case) == oracle_fixture_run(*case), case
 
     def test_one_digest_per_query_and_passage(self, monkeypatch):
         calls = []
@@ -236,7 +240,7 @@ class TestFixtureRuns:
         passage_ids = [f"p{i:03d}" for i in range(1, 51)]
         for _ in range(2):  # a second identical call pays again: no memo
             calls.clear()
-            fixture_run_records("fixture_a", query_ids, passage_ids, k=5)
+            fixture_run("fixture_a", query_ids, passage_ids, k=5)
             assert len(calls) == len(set(query_ids)) * len(passage_ids)
 
     def test_query_id_grid(self):
@@ -267,9 +271,9 @@ class TestWorkspace:
 
         expected_queries = set(all_query_ids(topics, [p.profile_id for p in profiles]))
         for system_id in FIXTURE_SYSTEMS:
-            records = parse_trec_run(root / "runs" / f"{system_id}.run")
-            assert {r.query_id for r in records} == expected_queries
-            assert {r.system_id for r in records} == {system_id}
+            run = parse_trec_run(root / "runs" / f"{system_id}.run")
+            assert {query_id for _, query_id in run} == expected_queries
+            assert {s for s, _ in run} == {system_id}
 
         from qvbench.cli import parse_config_file
 

@@ -40,3 +40,36 @@ def test_tables_found():
 @pytest.mark.parametrize("module, attr", NAMES, ids=[f"{m}.{a}" for m, a in NAMES])
 def test_traced_name_resolves(module, attr):
     assert callable(getattr(importlib.import_module(f"qvbench.{module}"), attr))
+
+
+# A one-record input for each reader in CORE_READERS.
+READER_INPUTS = {
+    "parse_topics": ("topics.tsv", "t1\tseed query\n"),
+    "parse_passages": ("passages.tsv", "p1\tpassage text\n"),
+    "parse_qrels": ("qrels.txt", "t1 0 p1 2\n"),
+    "parse_trec_run": ("sys.run", "t1 Q0 p1 1 2.0 sys\n"),
+    "read_variants": (
+        "variants.jsonl",
+        '{"topic_id": "t1", "profile_id": "p", "index": 1, "text": "a variant"}\n',
+    ),
+    "read_annotations": (
+        "annotations.jsonl",
+        '{"pair_id": "g", "annotator_id": "a", "task": "similarity", "seed_query": "s",'
+        ' "variant": "v", "answer": "yes"}\n',
+    ),
+    "read_jsonl": ("rows.jsonl", '{"key": 1}\n'),
+}
+
+
+@pytest.mark.parametrize("attr", TABLES["CORE_READERS"])
+def test_core_reader_result_is_sized(attr, tmp_path):
+    """The tracer counts `len()` of each reader's result as
+    `core.records_parsed`: one per record, or per ranked list of a run."""
+    from collections.abc import Sized
+
+    name, text = READER_INPUTS[attr]
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    result = getattr(importlib.import_module("qvbench.core"), attr)(path)
+    assert isinstance(result, Sized)
+    assert len(result) == 1
