@@ -1,4 +1,4 @@
-"""Pipeline orchestration: one subcommand per stage, artifacts as files.
+"""Pipeline orchestration: one stage per invocation, artifacts as files.
 
 Every stage reads its inputs from disk and writes its outputs under the
 configured output directory, so stages can be re-run independently and
@@ -74,47 +74,41 @@ class _PipelineConfigFields(NamedTuple):
     corpus: Path
     profiles: Path
     out: Path
-    runs: Optional[Path]
-    qrels: Optional[Path]
-    annotations: Optional[Path]
-    methods: tuple
-    k: int
-    alpha: float
-    gain: str
-    merge: str
-    seed: int
-    provider: str
-    endpoint: str
-    model: str
+    runs: Optional[Path] = None
+    qrels: Optional[Path] = None
+    annotations: Optional[Path] = None
+    methods: tuple = PROFILE_METHODS
+    k: int = 10
+    alpha: float = 0.05
+    gain: str = "linear"
+    merge: str = "human-preferred"
+    seed: int = 0
+    provider: str = "mock"
+    endpoint: str = ""
+    model: str = ""
 
 
 class PipelineConfig(_Validated, _PipelineConfigFields):
     __slots__ = ()
 
-    def __new__(
-        cls, topics, corpus, profiles, out, runs=None, qrels=None, annotations=None,
-        methods=PROFILE_METHODS, k=10, alpha=0.05, gain="linear", merge="human-preferred",
-        seed=0, provider="mock", endpoint="", model="",
-    ):
-        if k < 1:
-            raise ValidationError(f"k={k} must be >= 1")
-        if not 0.0 < alpha < 0.5:
-            raise ValidationError(f"alpha={alpha} outside (0, 0.5)")
-        if gain not in GAIN_MODES:
-            raise ValidationError(f"unknown gain {gain!r}")
-        if provider not in PROVIDERS:
-            raise ValidationError(f"unknown provider {provider!r}")
-        if merge not in MERGE_POLICIES:
-            raise ValidationError(f"unknown merge policy {merge!r}")
-        bad = [m for m in methods if m not in PROFILE_METHODS]
+    def __new__(cls, *args, **kwargs):
+        self = _PipelineConfigFields.__new__(cls, *args, **kwargs)
+        if self.k < 1:
+            raise ValidationError(f"k={self.k} must be >= 1")
+        if not 0.0 < self.alpha < 0.5:
+            raise ValidationError(f"alpha={self.alpha} outside (0, 0.5)")
+        if self.gain not in GAIN_MODES:
+            raise ValidationError(f"unknown gain {self.gain!r}")
+        if self.provider not in PROVIDERS:
+            raise ValidationError(f"unknown provider {self.provider!r}")
+        if self.merge not in MERGE_POLICIES:
+            raise ValidationError(f"unknown merge policy {self.merge!r}")
+        bad = [m for m in self.methods if m not in PROFILE_METHODS]
         if bad:
             raise ValidationError(f"unknown methods {bad}")
-        if not methods:
+        if not self.methods:
             raise ValidationError("methods must not be empty")
-        return tuple.__new__(cls, (
-            topics, corpus, profiles, out, runs, qrels, annotations, methods,
-            k, alpha, gain, merge, seed, provider, endpoint, model,
-        ))
+        return self
 
 
 _COMMENT = re.compile(r"(?:^|\s)#.*")
@@ -184,7 +178,8 @@ def build_config(args) -> PipelineConfig:
     flags = vars(args)
     raw.update((key, flags[key]) for key in _SETTINGS if flags.get(key) is not None)
 
-    missing = [key for key in ("topics", "corpus", "profiles", "out") if key not in raw]
+    defaults = PipelineConfig._field_defaults
+    missing = [key for key in _SETTINGS if key not in raw and key not in defaults]
     if missing:
         raise ValidationError(f"missing required settings: {', '.join(missing)}")
 
@@ -767,7 +762,7 @@ class Stage(NamedTuple):
     writes: tuple  # files under out/; "runs/" is every file in out/runs/
 
 
-# The pipeline's stages in order: each subcommand, its function, and
+# The pipeline's stages in order: each stage name, its function, and
 # every file it may write.
 STAGES = {
     "generate": Stage(cmd_generate, ("variants.jsonl", "genlog.jsonl")),
@@ -787,27 +782,26 @@ STAGES = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key = value settings file")
-    for key, (_, help_text) in _SETTINGS.items():
-        common.add_argument(f"--{key}", help=help_text)
-
     parser = argparse.ArgumentParser(
         prog="qvbench",
         description="Query-variant generation, validation, and evaluation pipeline.",
+        epilog="stages, in pipeline order, and the files each writes under out/:\n" + "".join(
+            f"  {name:<12} {', '.join(stage.writes)}\n" for name, stage in STAGES.items()
+        ),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, stage in STAGES.items():
-        sub.add_parser(name, parents=[common], help="writes " + ", ".join(stage.writes))
+    parser.add_argument("stage", choices=STAGES, metavar="stage", help="one of the stages below")
+    parser.add_argument("--config", help="key = value settings file")
+    for key, (_, help_text) in _SETTINGS.items():
+        parser.add_argument(f"--{key}", help=help_text)
     return parser
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         config = build_config(args)
-        STAGES[args.command].run(config)
+        STAGES[args.stage].run(config)
     except ImbalanceError as exc:
         print(f"error: unbalanced design: {exc}", file=sys.stderr)
         return 4

@@ -33,6 +33,9 @@ ANNOTATION_TASKS = ("similarity", "alignment")
 
 QUERY_ID_SEP = "__"
 
+# The relevance scale of human judgments and LLM labels alike.
+GRADES = (0, 1, 2, 3)
+
 # The study protocol: every (topic, profile) pair gets this many
 # variants, indexed 1..VARIANTS_PER_PAIR.
 VARIANTS_PER_PAIR = 3
@@ -73,13 +76,13 @@ def nfc(text: str) -> str:
 class _Validated:
     """First base of a record built from a file, a flag or a library
     argument, `class X(_Validated, _XFields)`: `_XFields` is the
-    NamedTuple of X's fields, and X's `__new__` checks them and builds
-    the tuple. A namedtuple's own `_make`, and so its `_replace`, would
-    skip that `__new__`; this `_make` calls X. A record that one function
-    of the package computes and builds is a plain NamedTuple: its values
-    are checked where they enter, not again. Being a tuple, a record is
-    cheap to build, immutable and hashable, and equals and orders like
-    the plain tuple of its fields.
+    NamedTuple of X's fields and defaults, and X's `__new__` builds
+    through it and checks the values. A namedtuple's own `_make`, and so
+    its `_replace`, would skip that `__new__`; this `_make` calls X. A
+    record that one function of the package computes and builds is a
+    plain NamedTuple: its values are checked where they enter, not again.
+    Being a tuple, a record is cheap to build, immutable and hashable,
+    and equals and orders like the plain tuple of its fields.
     """
 
     __slots__ = ()
@@ -89,24 +92,38 @@ class _Validated:
         return cls(*iterable)
 
 
-def _nfc_fields(cls, values):
-    """A cls tuple of values, each non-ASCII str among them NFC'd."""
-    return tuple.__new__(cls, [nfc(v) if isinstance(v, str) else v for v in values])
+def _nfc_fields(record):
+    """record, or a copy of it with each non-ASCII str field NFC'd."""
+    for value in record:
+        if isinstance(value, str) and not value.isascii():
+            values = [nfc(v) if isinstance(v, str) else v for v in record]
+            return tuple.__new__(type(record), values)
+    return record
+
+
+def _check_id(field: str, value: str, composite: bool = False) -> None:
+    """An id goes into whitespace-separated run and qrels lines, and a
+    `composite` one (a topic's or a profile's) into variant query ids."""
+    if not value:
+        raise ValidationError(f"{field} must be non-empty")
+    if value.split() != [value]:
+        raise ValidationError(f"{field} {value!r} holds whitespace")
+    if composite and QUERY_ID_SEP in value:
+        raise ValidationError(f"{field} {value!r} holds {QUERY_ID_SEP!r}")
 
 
 class _TopicFields(NamedTuple):
     topic_id: str
     seed_query: str
-    backstory: Optional[str]
+    backstory: Optional[str] = None
 
 
 class Topic(_Validated, _TopicFields):
     __slots__ = ()
 
-    def __new__(cls, topic_id, seed_query, backstory=None):
-        self = _nfc_fields(cls, (topic_id, seed_query, backstory))
-        if not self.topic_id:
-            raise ValidationError("topic_id must be non-empty")
+    def __new__(cls, *args, **kwargs):
+        self = _nfc_fields(_TopicFields.__new__(cls, *args, **kwargs))
+        _check_id("topic_id", self.topic_id, composite=True)
         if not self.seed_query.strip():
             raise ValidationError(f"topic {self.topic_id}: empty seed query")
         return self
@@ -116,14 +133,15 @@ class _ProfileFields(NamedTuple):
     profile_id: str
     method: str
     name: str
-    description: str
+    description: str = ""
 
 
 class Profile(_Validated, _ProfileFields):
     __slots__ = ()
 
-    def __new__(cls, profile_id, method, name, description=""):
-        self = _nfc_fields(cls, (profile_id, method, name, description))
+    def __new__(cls, *args, **kwargs):
+        self = _nfc_fields(_ProfileFields.__new__(cls, *args, **kwargs))
+        _check_id("profile_id", self.profile_id, composite=True)
         if self.method not in PROFILE_METHODS:
             raise ValidationError(f"unknown profile method {self.method!r}")
         if self.method == "neutral" and self.description:
@@ -141,8 +159,8 @@ class _QueryVariantFields(NamedTuple):
 class QueryVariant(_Validated, _QueryVariantFields):
     __slots__ = ()
 
-    def __new__(cls, topic_id, profile_id, index, text):
-        self = _nfc_fields(cls, (topic_id, profile_id, index, text))
+    def __new__(cls, *args, **kwargs):
+        self = _nfc_fields(_QueryVariantFields.__new__(cls, *args, **kwargs))
         if not isinstance(self.index, int) or isinstance(self.index, bool):
             raise ValidationError("variant index must be an integer")
         if not 1 <= self.index <= VARIANTS_PER_PAIR:
@@ -167,13 +185,13 @@ class _QrelFields(NamedTuple):
 
 class Qrel(_Validated, _QrelFields):
     """One relevance grade (0..3) for a (query, passage), from a human
-    judge or the LLM. `evaluate` reads and `judge` stores them by the
-    thousand, so only a non-ASCII id costs an `nfc` call."""
+    judge or the LLM. Built by the thousand, it builds its own tuple, not
+    through `_QrelFields`, and only a non-ASCII id costs an `nfc` call."""
 
     __slots__ = ()
 
     def __new__(cls, query_id: str, passage_id: str, grade: int, source: str = "human"):
-        if grade not in (0, 1, 2, 3):
+        if grade not in GRADES:
             raise ValidationError(f"grade {grade} outside 0..3")
         if source not in QREL_SOURCES:
             raise ValidationError(f"unknown qrel source {source!r}")
@@ -189,20 +207,15 @@ class _AnnotationRecordFields(NamedTuple):
     seed_query: str
     variant: str
     answer: str
-    is_gold: bool
-    gold_answer: Optional[str]
+    is_gold: bool = False
+    gold_answer: Optional[str] = None
 
 
 class AnnotationRecord(_Validated, _AnnotationRecordFields):
     __slots__ = ()
 
-    def __new__(
-        cls, pair_id, annotator_id, task, seed_query, variant, answer, is_gold=False,
-        gold_answer=None,
-    ):
-        self = _nfc_fields(
-            cls, (pair_id, annotator_id, task, seed_query, variant, answer, is_gold, gold_answer)
-        )
+    def __new__(cls, *args, **kwargs):
+        self = _nfc_fields(_AnnotationRecordFields.__new__(cls, *args, **kwargs))
         if self.task not in ANNOTATION_TASKS:
             raise ValidationError(f"unknown annotation task {self.task!r}")
         if self.is_gold and self.gold_answer is None:
@@ -218,10 +231,9 @@ class _PassageFields(NamedTuple):
 class Passage(_Validated, _PassageFields):
     __slots__ = ()
 
-    def __new__(cls, passage_id, text):
-        self = _nfc_fields(cls, (passage_id, text))
-        if not self.passage_id:
-            raise ValidationError("passage_id must be non-empty")
+    def __new__(cls, *args, **kwargs):
+        self = _nfc_fields(_PassageFields.__new__(cls, *args, **kwargs))
+        _check_id("passage_id", self.passage_id)
         if not self.text.strip():
             raise ValidationError(f"passage {self.passage_id}: empty text")
         return self
@@ -381,11 +393,10 @@ def load_profiles(path=None) -> list[Profile]:
         try:
             if not isinstance(entry, dict):
                 raise ParseError("not an object")
-            try:
-                fields = {key: entry[key] for key in ("profile_id", "method", "name")}
-            except KeyError as exc:
-                raise ParseError(f"lacks key {exc}") from exc
-            fields["description"] = entry.get("description", "")
+            missing = [key for key in ("profile_id", "method", "name") if key not in entry]
+            if missing:
+                raise ParseError(f"lacks key {missing[0]!r}")
+            fields = {key: entry[key] for key in Profile._fields if key in entry}
             for key, value in fields.items():
                 if not isinstance(value, str):
                     raise ParseError(f"{key} must be a string")
@@ -545,19 +556,13 @@ def write_variants(variants: Iterable[QueryVariant], path) -> None:
 
 
 def _annotation(obj: dict) -> AnnotationRecord:
-    is_gold = obj.get("is_gold", False)
-    if not isinstance(is_gold, bool):
+    """An absent optional key takes the record's default."""
+    if "is_gold" in obj and not isinstance(obj["is_gold"], bool):
         raise ParseError("is_gold must be a boolean")
-    return AnnotationRecord(
-        pair_id=str(obj["pair_id"]),
-        annotator_id=str(obj["annotator_id"]),
-        task=obj["task"],
-        seed_query=obj["seed_query"],
-        variant=obj["variant"],
-        answer=str(obj["answer"]),
-        is_gold=is_gold,
-        gold_answer=obj.get("gold_answer"),
-    )
+    fields = {key: obj[key] for key in AnnotationRecord._fields if key in obj}
+    for key in ("pair_id", "annotator_id", "answer"):  # may be JSON numbers
+        fields[key] = str(fields[key])
+    return AnnotationRecord(**fields)
 
 
 def read_annotations(path) -> list[AnnotationRecord]:

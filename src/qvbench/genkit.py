@@ -43,6 +43,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, TypeVar
 
 from .core import (
+    GRADES,
     VARIANTS_PER_PAIR,
     GenerationError,
     ParseError,
@@ -716,7 +717,7 @@ _SEED_QUERY_FIELD, _PROFILE_FIELD = (
 # A label prompt's "Passage:" line, of which only the presence is read,
 # matched at the start of a line.
 _PASSAGE_LINE = re.compile(r"Passage:\s*.")
-_GRADE_TEXTS = ("0", "1", "2", "3")
+_GRADE_TEXTS = tuple(map(str, GRADES))
 _GRADE_CUM_WEIGHTS = (35, 60, 82, 100)
 
 

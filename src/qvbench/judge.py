@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Container, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .core import (
+    GRADES,
     MERGE_POLICIES,
     ParseError,
     Passage,
@@ -72,8 +73,6 @@ __all__ = [
     "paired_grades",
     "merge_qrels",
 ]
-
-GRADES = (0, 1, 2, 3)
 
 SCALE_DESCRIPTION = (
     "Grade the passage on this scale. 3: the passage is dedicated to the "

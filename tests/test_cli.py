@@ -1,4 +1,4 @@
-"""Pipeline subcommands: config handling, artifacts, exit codes."""
+"""Pipeline stages: config handling, artifacts, exit codes."""
 
 import ast
 import csv
@@ -94,6 +94,23 @@ class TestConfigFile:
         argv = ["evaluate", "--config", str(workspace), "--merge", flag]
         args = cli._build_parser().parse_args(argv)
         assert build_config(args).merge == (flag if "-" in flag else f"{flag}-only")
+
+    def test_settings_may_come_before_or_after_the_stage(self, workspace):
+        parse = cli._build_parser().parse_args
+        after = parse(["evaluate", "--config", str(workspace), "--k", "5"])
+        before = parse(["--config", str(workspace), "--k", "5", "evaluate"])
+        around = parse(["--config", str(workspace), "evaluate", "--k", "5"])
+        assert after == before == around
+        assert after.stage == "evaluate"
+        assert build_config(after) == build_config(_args(config=str(workspace)))._replace(k=5)
+
+    def test_help_lists_each_stage_and_its_files(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        lines = capsys.readouterr().out.splitlines()
+        for name, stage in cli.STAGES.items():
+            assert f"  {name:<12} {', '.join(stage.writes)}" in lines
 
     def test_missing_required(self):
         with pytest.raises(ValidationError, match="missing required"):
@@ -1047,6 +1064,57 @@ class TestExitCodes:
         )
         assert calls == []
         assert not (out_dir(config_path) / "variants.jsonl").exists()
+
+    @pytest.mark.parametrize(
+        "file, old, new, stage, where, fault",
+        [
+            ("passages.tsv", "p001\t", "p 001\t", "index", ":1", "passage_id 'p 001' holds whitespace"),
+            ("topics.tsv", "t01\t", "t 01\t", "generate", ":1", "topic_id 't 01' holds whitespace"),
+            (
+                "profiles.json", '"persona_emily"', '"persona_emily x"', "generate",
+                ": profiles entry 0", "profile_id 'persona_emily x' holds whitespace",
+            ),
+            (
+                "topics.tsv", "t01\t", "t01__group_child__1\t", "generate", ":1",
+                "topic_id 't01__group_child__1' holds '__'",
+            ),
+        ],
+        ids=["passage-space", "topic-space", "profile-space", "topic-separator"],
+    )
+    def test_id_that_cannot_round_trip_exits_2_where_it_enters(
+        self, tmp_path, monkeypatch, capsys, file, old, new, stage, where, fault
+    ):
+        """An id that a run line or a variant query id could not carry back
+        fails the first stage that reads its file, naming the file and
+        line (or profiles entry); that stage writes nothing and makes no
+        provider call, and every stage before it succeeds."""
+        config_path = write_toy_workspace(tmp_path / "ws")
+        path = config_path.parent / file
+        text = path.read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        out = out_dir(config_path)
+        calls = []
+
+        class Counting:
+            def __init__(self, provider):
+                self.provider = provider
+
+            def complete(self, prompt):
+                calls.append(prompt)
+                return self.provider.complete(prompt)
+
+        make_provider = cli.make_provider
+        monkeypatch.setattr(cli, "make_provider", lambda config: Counting(make_provider(config)))
+        for name in STAGES[: STAGES.index(stage)]:
+            assert main([name, "--config", str(config_path)]) == 0, name
+        capsys.readouterr()
+        before = out_files(out) if out.exists() else None
+        calls.clear()
+        assert main([stage, "--config", str(config_path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}{where}: {fault}\n"
+        assert calls == []
+        assert (out_files(out) if out.exists() else None) == before
 
     @pytest.mark.parametrize("stage", ("validate", "search", "evaluate"))
     def test_duplicate_variant_key_rejected(self, stage, tmp_path, workspace, capsys):

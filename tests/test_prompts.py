@@ -185,40 +185,45 @@ def _defaulted_params(fn, skip=0):
     return [(a.arg, positional.index(a) if a in positional else None) for a in defaulted + keyword]
 
 
-def _class_defaults(cls):
-    """Defaulted `__init__` or `__new__` parameters, else defaulted
-    fields of a NamedTuple class."""
-    for node in cls.body:
-        if isinstance(node, ast.FunctionDef) and node.name in ("__init__", "__new__"):
-            return _defaulted_params(node, skip=1)
-    if not any(isinstance(b, ast.Name) and b.id == "NamedTuple" for b in cls.bases):
-        return []
+def _field_defaults(cls):
+    """(name, position) of a NamedTuple class's defaulted fields."""
     fields = [n for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
     return [(f.target.id, i) for i, f in enumerate(fields) if f.value is not None]
 
 
-def test_every_default_is_passed_somewhere():
-    """Each defaulted parameter of a public top-level function of
-    `src/qvbench`, and each defaulted `__init__` or `__new__` parameter or
-    NamedTuple field of a public top-level class there, is passed by some call
-    elsewhere there: by keyword, by position, or through a `*` or `**`
-    argument.
+def _class_defaults(cls, classes):
+    """Defaulted `__init__` or `__new__` parameters, and the defaulted
+    fields of a NamedTuple class or of the private `_…Fields` NamedTuple
+    base (among `classes`, its module's classes by name) that a
+    `__new__(cls, *args, **kwargs)` builds through."""
+    params = {}
+    for node in cls.body:
+        if isinstance(node, ast.FunctionDef) and node.name in ("__init__", "__new__"):
+            params.update(_defaulted_params(node, skip=1))
+    for base in cls.bases:
+        if not isinstance(base, ast.Name):
+            continue
+        if base.id == "NamedTuple":
+            params.update(_field_defaults(cls))
+        elif base.id.startswith("_") and base.id.endswith("Fields") and base.id in classes:
+            params.update(_field_defaults(classes[base.id]))
+    return list(params.items())
 
-    A default that only tests change is a constant with extra code
-    paths. Calls match by bare name, or as `module.name` for the module
-    that defines it; a call inside the function or class itself does not
-    count, except `cls(...)` in a classmethod. A keyword of a
-    `_replace` call passes the field of that name.
-    """
+
+def _unpassed_defaults(modules):
+    """`Class.param` or `function.param` of each default that no call
+    among `modules`, (module stem, parsed module) pairs, passes; see
+    `test_every_default_is_passed_somewhere`."""
     defaults = {}  # name -> (module stem, [(param, call position or None)])
     calls = []  # (top-level name the call sits in, Call)
     classes = set()
-    for path in sorted(Path(qvbench.__file__).parent.rglob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for stem, tree in modules:
+        module_classes = {n.name: n for n in tree.body if isinstance(n, ast.ClassDef)}
+        for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                defaults[node.name] = (path.stem, _defaulted_params(node))
+                defaults[node.name] = (stem, _defaulted_params(node))
             elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                defaults[node.name] = (path.stem, _class_defaults(node))
+                defaults[node.name] = (stem, _class_defaults(node, module_classes))
                 classes.add(node.name)
             owner = getattr(node, "name", None)
             calls.extend((owner, sub) for sub in ast.walk(node) if isinstance(sub, ast.Call))
@@ -256,8 +261,48 @@ def test_every_default_is_passed_somewhere():
                 continue
             if not (name in classes and param in replaced):
                 unpassed.add(f"{name}.{param}")
+    return unpassed
+
+
+def test_every_default_is_passed_somewhere():
+    """Each defaulted parameter of a public top-level function of
+    `src/qvbench`, and each defaulted `__init__` or `__new__` parameter or
+    NamedTuple field of a public top-level class there (or of the
+    `_…Fields` base it builds through), is passed by some call elsewhere
+    there: by keyword, by position, or through a `*` or `**` argument.
+
+    A default that only tests change is a constant with extra code
+    paths. Calls match by bare name, or as `module.name` for the module
+    that defines it; a call inside the function or class itself does not
+    count, except `cls(...)` in a classmethod. A keyword of a
+    `_replace` call passes the field of that name.
+    """
+    modules = [
+        (path.stem, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(Path(qvbench.__file__).parent.rglob("*.py"))
+    ]
+    unpassed = _unpassed_defaults(modules)
     assert sorted(unpassed - set(UNPASSED_DEFAULTS_ALLOWED)) == []
     assert sorted(set(UNPASSED_DEFAULTS_ALLOWED) - unpassed) == []
+
+
+def test_defaults_of_a_fields_base_are_checked():
+    """A record whose `__new__` takes `*args, **kwargs` and builds through
+    its `_…Fields` NamedTuple, as `PipelineConfig` does, states its
+    defaults there; one that no call passes is still found."""
+    source = (
+        "class _XFields(NamedTuple):\n"
+        "    a: int\n"
+        "    b: int = 1\n"
+        "    c: int = 2\n"
+        "    d: int = 3\n"
+        "class X(_Validated, _XFields):\n"
+        "    def __new__(cls, *args, **kwargs):\n"
+        "        return _XFields.__new__(cls, *args, **kwargs)\n"
+        "def make():\n"
+        "    return X(0, 1, d=4)\n"
+    )
+    assert _unpassed_defaults([("m", ast.parse(source))]) == {"X.c"}
 
 
 def test_no_module_imports_dataclasses():
