@@ -397,9 +397,9 @@ def cmd_import_runs(config: PipelineConfig) -> None:
     runs_dir = config.out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
     # Every system of every file is rendered and checked before any is
-    # written, so a rejected import leaves runs/ as it was.
-    imported = []
-    planned = {}  # target -> (rendered text, input file it came from)
+    # written, so a rejected import leaves runs/ as it was. A system that
+    # two files carry byte-identically is imported once.
+    planned = {}  # system id -> (rendered text, input file it came from)
     for path in files:
         by_system = {}
         for key, hits in parse_trec_run(path).items():
@@ -411,8 +411,8 @@ def cmd_import_runs(config: PipelineConfig) -> None:
         for system_id in sorted(by_system):
             target = runs_dir / f"{system_id}.run"
             rendered = format_trec_run(by_system[system_id])
-            if target in planned:
-                present, where = planned[target]
+            if system_id in planned:
+                present, where = planned[system_id]
             else:
                 present = target.read_text(encoding="utf-8") if target.exists() else None
                 where = target
@@ -421,12 +421,11 @@ def cmd_import_runs(config: PipelineConfig) -> None:
                     f"{path}: system {system_id!r} already present in {where}"
                     " with different content"
                 )
-            planned[target] = (rendered, path)
-            imported.append(system_id)
-    for target, (rendered, _) in planned.items():
-        with atomic_write(target) as fh:
+            planned[system_id] = (rendered, path)
+    for system_id, (rendered, _) in planned.items():
+        with atomic_write(runs_dir / f"{system_id}.run") as fh:
             fh.write(rendered)
-    print(f"imported {len(imported)} systems: {', '.join(imported)}")
+    print(f"imported {len(planned)} systems: {', '.join(planned)}")
 
 
 def _pooled_pairs(config: PipelineConfig, topic_ids, passage_ids) -> list:
@@ -539,9 +538,10 @@ def cmd_evaluate(config: PipelineConfig) -> None:
             rows.append((topic_id, system_id, profile_id, index, value))
     if unscored:
         shown = ", ".join(f"{s}:{q}" for s, q in unscored[:5])
+        more = " ..." if len(unscored) > 5 else ""
         print(
             f"warning: {len(unscored)} (system, query) pairs missing from runs scored 0.0"
-            f" ({shown} ...)",
+            f" ({shown}{more})",
             file=sys.stderr,
         )
 

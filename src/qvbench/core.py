@@ -171,10 +171,6 @@ class QueryVariant(_Validated, _QueryVariantFields):
             )
         return self
 
-    @property
-    def query_id(self) -> str:
-        return variant_query_id(self.topic_id, self.profile_id, self.index)
-
 
 class _QrelFields(NamedTuple):
     query_id: str
@@ -656,13 +652,6 @@ def read_csv(path, columns: Sequence[str], types: Sequence[Callable]) -> list[tu
             except ValueError as exc:
                 raise ParseError(f"{path}:{reader.line_num}: {exc}") from exc
     return records
-
-
-def expected_variant_count(num_seeds: int, num_profiles: int) -> int:
-    for name, value in (("num_seeds", num_seeds), ("num_profiles", num_profiles)):
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-    return num_seeds * num_profiles * VARIANTS_PER_PAIR
 
 
 # ---------------------------------------------------------- provider calls

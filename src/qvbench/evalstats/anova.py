@@ -207,15 +207,6 @@ def omega_squared_partial(ss_effect: float, df_effect: int, ms_error: float, n: 
     return (ss_effect - df_effect * ms_error) / denom
 
 
-def classify_omega(omega: float) -> str:
-    """Effect-size bands: large >= 0.14, small <= 0.06, medium between."""
-    if omega >= 0.14:
-        return "large"
-    if omega <= 0.06:
-        return "small"
-    return "medium"
-
-
 class MarginalMean(NamedTuple):
     level: str
     mean: float

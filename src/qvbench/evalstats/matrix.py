@@ -90,9 +90,6 @@ class EffectivenessMatrix:
     def __len__(self) -> int:
         return len(self.values)
 
-    def items(self):
-        return zip(self.keys, self.values)
-
     def group_means(self, axis: str) -> dict:
         """The mean of each level of `axis`, levels sorted. Each level sums
         its cells left to right in C order, whatever order they came in."""

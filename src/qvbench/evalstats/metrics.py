@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, Sequence
 
 VALID_GRADES = (0, 1, 2, 3)
 
@@ -90,60 +90,3 @@ def kendall_tau(ranking_a: Mapping[str, float], ranking_b: Mapping[str, float]) 
     if denom_a == 0 or denom_b == 0:
         raise ValueError("tau-b undefined: one ranking is entirely tied")
     return (concordant - discordant) / math.sqrt(denom_a * denom_b)
-
-
-class MannWhitneyResult(NamedTuple):
-    u: float
-    p: float
-    significant: bool
-
-
-def _midranks(values: Sequence[float]) -> list[float]:
-    order = sorted(range(len(values)), key=lambda i: values[i])
-    ranks = [0.0] * len(values)
-    i = 0
-    while i < len(order):
-        j = i
-        while j + 1 < len(order) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        mid = (i + j) / 2 + 1
-        for pos in range(i, j + 1):
-            ranks[order[pos]] = mid
-        i = j + 1
-    return ranks
-
-
-def mann_whitney_u(
-    sample_a: Sequence[float],
-    sample_b: Sequence[float],
-    alpha: float = 0.05,
-) -> MannWhitneyResult:
-    """Two-sided Mann-Whitney U test via the normal approximation.
-
-    U is reported for sample_a. Ties get midranks and the variance tie
-    correction; the z statistic uses a 0.5 continuity correction. When
-    every value is identical the test degenerates to p = 1.
-    """
-    from .special import norm_sf  # here, so that evaluate, which needs only NDCG, loads no more
-
-    n1, n2 = len(sample_a), len(sample_b)
-    if n1 == 0 or n2 == 0:
-        raise ValueError("both samples must be non-empty")
-    combined = list(sample_a) + list(sample_b)
-    ranks = _midranks(combined)
-    r1 = sum(ranks[:n1])
-    u = r1 - n1 * (n1 + 1) / 2
-    mu = n1 * n2 / 2
-    n = n1 + n2
-    tie_counts: dict[float, int] = {}
-    for v in combined:
-        tie_counts[v] = tie_counts.get(v, 0) + 1
-    tie_term = sum(t**3 - t for t in tie_counts.values())
-    var = n1 * n2 / 12 * ((n + 1) - tie_term / (n * (n - 1)))
-    if var <= 0:
-        return MannWhitneyResult(u=u, p=1.0, significant=False)
-    numer = abs(u - mu) - 0.5
-    if numer < 0:
-        numer = 0.0
-    p = min(1.0, 2.0 * norm_sf(numer / math.sqrt(var)))
-    return MannWhitneyResult(u=u, p=p, significant=p < alpha)

@@ -125,10 +125,3 @@ def t_quantile(p: float, df: float) -> float:
         if hi - lo < 1e-13 * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
-
-
-_SQRT2 = math.sqrt(2.0)
-
-
-def norm_sf(x: float) -> float:
-    return 0.5 * math.erfc(x / _SQRT2)

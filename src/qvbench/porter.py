@@ -158,6 +158,12 @@ _STEP3_RULES = [
     ("ness", "", _M_POSITIVE),
 ]
 
+
+def _ion_condition(stem: str) -> bool:
+    """Step 4 drops -ion after an s or a t, if m > 1."""
+    return _M_GT_1(stem) and stem.endswith(("s", "t"))
+
+
 _STEP4_RULES = [
     ("al", "", _M_GT_1),
     ("ance", "", _M_GT_1),
@@ -170,7 +176,7 @@ _STEP4_RULES = [
     ("ement", "", _M_GT_1),
     ("ment", "", _M_GT_1),
     ("ent", "", _M_GT_1),
-    ("ion", "", lambda stem: _M_GT_1(stem) and stem.endswith(("s", "t"))),
+    ("ion", "", _ion_condition),
     ("ou", "", _M_GT_1),
     ("ism", "", _M_GT_1),
     ("ate", "", _M_GT_1),

@@ -79,7 +79,7 @@ def mid_shape_results(scores=None):
     table = anova(matrix, FACTORS)
     rows = [tuple(_hex(v) for v in row) for row in table.all_rows()]
     tukey_lines = []
-    for profile in sorted({key[2] for key, _ in matrix.items()}):
+    for profile in sorted({key[2] for key in matrix.keys}):
         _, tukey = system_verdicts(matrix, profile)
         means = " ".join(f"{s}={m.hex()}" for s, m in sorted(tukey.means.items()))
         tukey_lines.append(f"{profile} {means} hsd={tukey.hsd.hex()}")

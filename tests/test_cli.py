@@ -426,6 +426,15 @@ class TestImportRuns:
         )
         assert list((out_dir(config_path) / "runs").iterdir()) == []
 
+    def test_system_two_files_carry_alike_imported_once(self, tmp_path, capsys):
+        config_path = write_toy_workspace(tmp_path / "ws")
+        runs = config_path.parent / "runs"
+        shutil.copy(runs / "fixture_a.run", runs / "fixture_a_copy.run")
+        assert main(["import-runs", "--config", str(config_path)]) == 0
+        assert capsys.readouterr().out == "imported 2 systems: fixture_a, fixture_b\n"
+        imported = sorted(p.name for p in (out_dir(config_path) / "runs").iterdir())
+        assert imported == ["fixture_a.run", "fixture_b.run"]
+
     @pytest.mark.parametrize("score", ["nan", "inf"])
     def test_non_finite_score_rejected(self, tmp_path, capsys, score):
         config_path = write_toy_workspace(tmp_path / "ws")
@@ -740,15 +749,37 @@ class TestEvaluateStage:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert out_files(out) == before
 
-    def test_unscored_pairs_warned_on_stderr(self, workspace, tmp_path, capsys):
-        def drop_first_query(lines):
-            qid = lines[0].split()[0]
-            return "".join(line for line in lines if line.split()[0] != qid)
+    def evaluate_without_queries(self, workspace, tmp_path, count) -> list:
+        """Evaluate with the first run file's first `count` queries, in
+        sorted order, dropped; returns their `system:query` pairs."""
+        dropped = []
 
-        self.evaluate_with_edited_run(workspace, tmp_path, drop_first_query)
+        def drop_queries(lines):
+            tag = lines[0].split()[5]
+            queries = sorted({line.split()[0] for line in lines})[:count]
+            dropped.extend(f"{tag}:{query}" for query in queries)
+            return "".join(line for line in lines if line.split()[0] not in queries)
+
+        self.evaluate_with_edited_run(workspace, tmp_path, drop_queries)
+        return dropped
+
+    def test_unscored_pairs_warned_on_stderr(self, workspace, tmp_path, capsys):
+        (pair,) = self.evaluate_without_queries(workspace, tmp_path, 1)
         captured = capsys.readouterr()
-        assert "warning: 1 (system, query) pairs missing from runs scored 0.0" in captured.err
+        assert captured.err == (
+            f"warning: 1 (system, query) pairs missing from runs scored 0.0 ({pair})\n"
+        )
         assert "warning" not in captured.out
+
+    @pytest.mark.parametrize("count, more", [(5, ""), (6, " ...")])
+    def test_unscored_pairs_past_five_end_in_an_ellipsis(
+        self, workspace, tmp_path, capsys, count, more
+    ):
+        dropped = self.evaluate_without_queries(workspace, tmp_path, count)
+        assert capsys.readouterr().err == (
+            f"warning: {count} (system, query) pairs missing from runs scored 0.0"
+            f" ({', '.join(dropped[:5])}{more})\n"
+        )
 
 
 class TestAnalyzeStage:

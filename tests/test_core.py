@@ -20,7 +20,6 @@ from qvbench.core import (
     QueryVariant,
     Topic,
     ValidationError,
-    expected_variant_count,
     json_lines,
     nfc,
     parse_passages,
@@ -777,17 +776,6 @@ def test_variant_index_bounds():
         QueryVariant("t", "p", 0, "text")
     with pytest.raises(ValidationError):
         QueryVariant("t", "p", 4, "text")
-
-
-def test_expected_variant_count_published_sizes():
-    assert expected_variant_count(53, 6) == 954
-    assert expected_variant_count(76, 8) == 1824
-    assert expected_variant_count(0, 8) == 0
-
-
-def test_expected_variant_count_rejects_negative():
-    with pytest.raises(ValueError):
-        expected_variant_count(-1, 6)
 
 
 def test_query_id_roundtrip():

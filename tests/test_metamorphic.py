@@ -1,11 +1,14 @@
 """Pipeline-level metamorphic relations: inputs changed in ways that must
-not matter give an `out/` tree byte-equal to the unchanged run.
+not matter give an `out/` tree byte-equal to the unchanged run, and a
+system copied under a new tag scores exactly as the original.
 
 Each run is the toy pipeline's nine stages in-process through
 `cli.main`, so an order dependence that enters between two stages, which
 no single stage's tests see, shows as a changed artifact.
 """
 
+import csv
+import io
 import random
 from pathlib import Path
 
@@ -58,3 +61,31 @@ def test_out_is_byte_equal_to_the_unchanged_run(unchanged, tmp_path, change):
     changed = run_pipeline(config_path)
     assert sorted(changed) == sorted(unchanged)
     assert [name for name in unchanged if changed[name] != unchanged[name]] == []
+
+
+def read_table(data: bytes) -> list:
+    return list(csv.DictReader(io.StringIO(data.decode("utf-8"), newline="")))
+
+
+def test_run_copied_under_a_new_tag_scores_as_the_original(tmp_path):
+    config_path = write_toy_workspace(tmp_path / "ws")
+    runs = config_path.parent / "runs"
+    lines = (runs / "fixture_a.run").read_text(encoding="utf-8").splitlines()
+    copied = "".join(line.rsplit(" ", 1)[0] + " fixture_copy\n" for line in lines)
+    (runs / "fixture_copy.run").write_text(copied, encoding="utf-8")
+    out = run_pipeline(config_path)
+
+    ndcg = read_table(out["ndcg.csv"])
+
+    def scores(system):
+        return {
+            (row["topic_id"], row["profile_id"], row["variant_index"]): row["ndcg"]
+            for row in ndcg
+            if row["system_id"] == system
+        }
+
+    assert scores("fixture_a") and scores("fixture_copy") == scores("fixture_a")
+    tukey = read_table(out["tukey_pairs.csv"])
+    pairs = [r for r in tukey if {r["system_a"], r["system_b"]} == {"fixture_a", "fixture_copy"}]
+    assert sorted(r["profile"] for r in pairs) == sorted({r["profile"] for r in tukey})
+    assert {(float(r["diff"]), r["significant"]) for r in pairs} == {(0.0, "false")}

@@ -24,7 +24,7 @@ def numpy_sums(matrix, names):
     combination's replicates in the order of the other key fields."""
     axes = [("topic", "system", "profile").index(name) for name in names]
     buckets = {}
-    for key, value in matrix.items():
+    for key, value in zip(matrix.keys, matrix.values):
         combo = tuple(key[a] for a in axes)
         rep_key = tuple(v for a, v in enumerate(key) if a not in axes)
         buckets.setdefault(combo, []).append((rep_key, value))

@@ -81,23 +81,9 @@ def test_every_exported_name_resolves(name):
     assert [attr for attr in module.__all__ if not hasattr(module, attr)] == []
 
 
-# Public names that nothing else in the package reaches yet: the README
-# entry point, the version, library API the paper's analysis still
-# has to wire into a stage (completeness check, feature comparison,
-# effect-size labels, human-vs-LLM label agreement), and `ndcg_at_k`,
-# NDCG in one call for library callers and the release checks, which
-# `evaluate` splits into one `ideal_dcg` per topic and one `ndcg` per
-# ranking.
-UNREFERENCED_ALLOWED = {
-    "__version__",
-    "write_toy_workspace",
-    "expected_variant_count",
-    "mann_whitney_u",
-    "classify_omega",
-    "agreement_report",
-    "paired_grades",
-    "ndcg_at_k",
-}
+# Public constants and method-less classes that nothing else in the
+# package reaches: the version.
+UNREFERENCED_ALLOWED = {"__version__"}
 
 
 def _top_level_names(node):
@@ -109,62 +95,80 @@ def _top_level_names(node):
     return [t.id for t in targets if isinstance(t, ast.Name)]
 
 
-def _members(node):
-    """(name, node) of each public method and property of a public class."""
-    if not isinstance(node, ast.ClassDef) or node.name.startswith("_"):
-        return []
-    return [
-        (item.name, item)
-        for item in node.body
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not item.name.startswith("_")
-    ]
+def _has_code(node) -> bool:
+    """True for a function, and for a class that defines a method."""
+    if isinstance(node, ast.ClassDef):
+        return any(isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)) for n in node.body)
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
 
 
-def test_no_public_name_only_tests_reach():
-    """Every public top-level name of `src/qvbench`, and every public
-    method and property of a public class there, is referenced by other
-    code there.
-
-    A reference is a name or attribute use outside the definition
-    itself; imports and `__all__` lists do not count, so a name kept
-    alive only by tests or re-exports shows up here. A member is
-    reached only as an attribute, and matches by name alone: a method
-    shares its uses with every other member of its name.
-    """
-    defined = set()  # (name, module, top-level name, member name or None)
+def _unreferenced(modules) -> set:
+    """The public constants and method-less classes of `modules`,
+    (module, parsed module) pairs, that nothing among them references;
+    see `test_no_public_name_only_tests_reach`."""
+    defined = set()  # (name, module)
     used = set()  # (name, module, top-level name the use sits in)
-    attrs = set()  # (name, module, top-level name, member name or None) of attribute uses
-    for path in sorted(Path(qvbench.__file__).parent.rglob("*.py")):
-        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for module, tree in modules:
+        for node in tree.body:
             names = _top_level_names(node)
             if names == ["__all__"]:
                 continue
-            for name in names:
-                if not name.startswith("_") or (name.startswith("__") and name.endswith("__")):
-                    defined.add((name, path, name, None))
+            if not _has_code(node):
+                defined |= {
+                    (name, module)
+                    for name in names
+                    if not name.startswith("_") or (name.startswith("__") and name.endswith("__"))
+                }
             owner = names[0] if len(names) == 1 else None
-            member_of = {}
-            for member, item in _members(node):
-                defined.add((member, path, owner, member))
-                member_of.update((id(sub), member) for sub in ast.walk(item))
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
-                    used.add((sub.id, path, owner))
+                    used.add((sub.id, module, owner))
                 elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-                    used.add((sub.attr, path, owner))
-                    attrs.add((sub.attr, path, owner, member_of.get(id(sub))))
-    unreferenced = sorted(
-        f"{owner}.{name}" if member else name
-        for name, path, owner, member in defined
-        if not (
-            any(u == name and (p, o) != (path, name) for u, p, o in used)
-            if member is None
-            else any(u == name and (p, o, m) != (path, owner, member) for u, p, o, m in attrs)
-        )
+                    used.add((sub.attr, module, owner))
+    return {
+        name
+        for name, module in defined
+        if not any(u == name and (m, o) != (module, name) for u, m, o in used)
+    }
+
+
+def test_no_public_name_only_tests_reach():
+    """Every public top-level constant of `src/qvbench`, and every public
+    class there that defines no method, is referenced by other code there.
+
+    Functions and methods are `tests/test_reach.py`'s: each must be
+    entered by a traced pipeline run. The names here have no code of
+    their own for a run to enter. A reference is a name or attribute use
+    outside the definition itself; imports and `__all__` lists do not
+    count, so a name kept alive only by tests or re-exports shows up here.
+    """
+    unreferenced = _unreferenced(
+        (path, ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(Path(qvbench.__file__).parent.rglob("*.py"))
     )
-    assert [n for n in unreferenced if n not in UNREFERENCED_ALLOWED] == []
-    assert sorted(UNREFERENCED_ALLOWED - set(unreferenced)) == []
+    assert sorted(unreferenced - UNREFERENCED_ALLOWED) == []
+    assert sorted(UNREFERENCED_ALLOWED - unreferenced) == []
+
+
+def test_unreferenced_constants_and_method_less_classes_are_found():
+    """A constant or a method-less record that only its own definition
+    names is found; a function or a class with a method is left to the
+    trace, and a name another module reads counts as reached."""
+    source = (
+        "LIMIT = 3\n"
+        "USED = LIMIT\n"
+        "UNUSED = 4\n"
+        "class Row(NamedTuple):\n"
+        "    a: int\n"
+        "class Store:\n"
+        "    def get(self):\n"
+        "        return 0\n"
+        "def helper():\n"
+        "    return 1\n"
+    )
+    other = "def f():\n    return m.USED\n"
+    modules = [("m", ast.parse(source)), ("other", ast.parse(other))]
+    assert _unreferenced(modules) == {"Row", "UNUSED"}
 
 
 # Defaulted parameters and fields that no call in the package passes,
@@ -172,6 +176,14 @@ def test_no_public_name_only_tests_reach():
 UNPASSED_DEFAULTS_ALLOWED = {
     "main.argv": "tests drive the CLI in-process; the console script passes none",
     "ProviderConfig.api_key": "credential; the CLI reads `QVBENCH_API_KEY`",
+    **dict.fromkeys(
+        [f"write_toy_workspace.{p}" for p in ("n_topics", "n_passages", "seed", "k")],
+        "the README's toy workspace; perfbench's mid workload passes its size and seed",
+    ),
+    **dict.fromkeys(
+        ["ndcg_at_k.k", "ndcg_at_k.gain"],
+        "library-only NDCG in one call, the tests' oracle (tests/test_reach.py ALLOWED)",
+    ),
 }
 
 
@@ -253,8 +265,6 @@ def _unpassed_defaults(modules):
     }
     unpassed = set()
     for name, (_, params) in defaults.items():
-        if name in UNREFERENCED_ALLOWED:
-            continue
         sites = [call for owner, call in calls if callee(owner, call) == name]
         for param, position in params:
             if any(passes(call, param, position) for call in sites):
