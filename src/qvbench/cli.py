@@ -3,7 +3,9 @@
 Every stage reads its inputs from disk and writes its outputs under the
 configured output directory, so stages can be re-run independently and
 a finished output directory is byte-reproducible given the same seed
-and the mock provider.
+and the mock provider. Beside that directory, `search` and
+`import-runs` keep a run cache (`cache_dir`) that spares `judge` and
+`evaluate` parsing the run files again.
 
 Each stage runs in its own process, so each `cmd_*` imports the modules
 it runs and importing this module loads only `core`: `import-runs`
@@ -33,6 +35,7 @@ from .core import (
     format_trec_run,
     json_lines,
     load_profiles,
+    load_trec_run,
     parse_passages,
     parse_qrels,
     parse_topics,
@@ -41,11 +44,11 @@ from .core import (
     read_annotations,
     read_csv,
     read_variants,
+    run_cache_entry,
     variant_query_id,
     write_csv,
     write_qrels,
     write_topics,
-    write_trec_run,
     write_variants,
 )
 
@@ -232,17 +235,46 @@ def _swept_variants(config: PipelineConfig, topics, profiles) -> list:
     return variants
 
 
+def cache_dir(out: Path) -> Path:
+    """The directory of the run cache: `search` and `import-runs` leave in
+    its runs/ an entry of each run file they write under `out`/runs/, by
+    the same name. It lies beside `out`, so no file under `out` changes,
+    and is named after it, so each out directory has its own. Deleting it
+    costs only parsing the run files again."""
+    return out.parent / f".{out.name}-cache"
+
+
+def _write_runs(config: PipelineConfig, runs) -> None:
+    """Each (system id, its checked run, the run's rendered text) of
+    `runs` as out/runs/<system id>.run, then as the file's run cache
+    entry. An entry that cannot be written only costs a later parse."""
+    cache = cache_dir(config.out) / "runs"
+    for system_id, run, text in runs:
+        name = f"{system_id}.run"
+        data = text.encode("utf-8")
+        with atomic_write(config.out / "runs" / name, binary=True) as fh:
+            fh.write(data)
+        try:
+            cache.mkdir(parents=True, exist_ok=True)
+            with atomic_write(cache / name, binary=True) as fh:
+                fh.write(run_cache_entry(run, data))
+        except OSError as exc:
+            print(f"warning: run cache entry not written: {exc}", file=sys.stderr)
+
+
 def _runs_by_file(config: PipelineConfig):
-    """(path, its parsed run) for each run file under out/runs/, in name
-    order. A file is parsed only when the caller asks for it, so a caller
-    that folds each file into what it keeps holds one run at a time:
-    `judge` keeps the pooled pairs, `evaluate` the top k of each list."""
+    """(path, its run) for each run file under out/runs/, in name order,
+    loaded from the file's run cache entry when that matches it and parsed
+    otherwise. A file is read only when the caller asks for it, so a
+    caller that folds each file into what it keeps holds one run at a
+    time: `judge` keeps the pooled pairs, `evaluate` the top k of each list."""
     runs_dir = config.out / "runs"
     files = sorted(p for p in runs_dir.glob("*.run") if p.is_file()) if runs_dir.is_dir() else []
     if not files:
         raise ValidationError(f"no run files under {runs_dir}; run search/import-runs first")
+    cache = cache_dir(config.out) / "runs"
     for path in files:
-        yield path, parse_trec_run(path)
+        yield path, load_trec_run(path, cache / path.name)
 
 
 # ---------------------------------------------------------------- stages
@@ -380,11 +412,10 @@ def cmd_search(config: PipelineConfig) -> None:
     passages = parse_passages(config.corpus)
     index = build_index(passages)
     queries = _query_texts(config)
-    runs_dir = config.out / "runs"
-    runs_dir.mkdir(parents=True, exist_ok=True)
+    (config.out / "runs").mkdir(parents=True, exist_ok=True)
     for system_id, params in BM25_SYSTEMS:
         run = run_queries(index, Bm25Params(*params), queries, system_id, k=config.k)
-        write_trec_run(run, runs_dir / f"{system_id}.run")
+        _write_runs(config, [(system_id, run, format_trec_run(run))])
         print(f"{system_id}: {sum(map(len, run.values()))} results over {len(queries)} queries")
 
 
@@ -399,7 +430,7 @@ def cmd_import_runs(config: PipelineConfig) -> None:
     # Every system of every file is rendered and checked before any is
     # written, so a rejected import leaves runs/ as it was. A system that
     # two files carry byte-identically is imported once.
-    planned = {}  # system id -> (rendered text, input file it came from)
+    planned = {}  # system id -> (its run, rendered text, input file it came from)
     for path in files:
         by_system = {}
         for key, hits in parse_trec_run(path).items():
@@ -412,7 +443,7 @@ def cmd_import_runs(config: PipelineConfig) -> None:
             target = runs_dir / f"{system_id}.run"
             rendered = format_trec_run(by_system[system_id])
             if system_id in planned:
-                present, where = planned[system_id]
+                _, present, where = planned[system_id]
             else:
                 present = target.read_text(encoding="utf-8") if target.exists() else None
                 where = target
@@ -421,10 +452,8 @@ def cmd_import_runs(config: PipelineConfig) -> None:
                     f"{path}: system {system_id!r} already present in {where}"
                     " with different content"
                 )
-            planned[system_id] = (rendered, path)
-    for system_id, (rendered, _) in planned.items():
-        with atomic_write(runs_dir / f"{system_id}.run") as fh:
-            fh.write(rendered)
+            planned[system_id] = (by_system[system_id], rendered, path)
+    _write_runs(config, ((system_id, run, text) for system_id, (run, text, _) in planned.items()))
     print(f"imported {len(planned)} systems: {', '.join(planned)}")
 
 
@@ -760,20 +789,26 @@ def cmd_report(config: PipelineConfig) -> None:
 class Stage(NamedTuple):
     run: Callable[[PipelineConfig], None]
     writes: tuple  # files under out/; "runs/" is every file in out/runs/
+    cache_writes: tuple = ()  # files under cache_dir(out), named as in `writes`
+    cache_reads: tuple = ()
 
 
-# The pipeline's stages in order: each stage name, its function, and
-# every file it may write.
+# The pipeline's stages in order: each stage name, its function, every
+# file it may write, and the cache files it may write or read.
 STAGES = {
     "generate": Stage(cmd_generate, ("variants.jsonl", "genlog.jsonl")),
     "validate": Stage(cmd_validate, (
         "verdicts.csv", "features.csv", "consensus_similarity.csv", "consensus_alignment.csv",
     )),
     "index": Stage(cmd_index, ("index_stats.json",)),
-    "search": Stage(cmd_search, ("runs/",)),
-    "import-runs": Stage(cmd_import_runs, ("runs/",)),
-    "judge": Stage(cmd_judge, ("backstories.jsonl", "llm_qrels.txt", "llm_raw.jsonl")),
-    "evaluate": Stage(cmd_evaluate, ("merged_qrels.txt", "coverage.csv", "ndcg.csv")),
+    "search": Stage(cmd_search, ("runs/",), cache_writes=("runs/",)),
+    "import-runs": Stage(cmd_import_runs, ("runs/",), cache_writes=("runs/",)),
+    "judge": Stage(
+        cmd_judge, ("backstories.jsonl", "llm_qrels.txt", "llm_raw.jsonl"), cache_reads=("runs/",)
+    ),
+    "evaluate": Stage(
+        cmd_evaluate, ("merged_qrels.txt", "coverage.csv", "ndcg.csv"), cache_reads=("runs/",)
+    ),
     "analyze": Stage(cmd_analyze, (
         "anova.csv", "tau_matrix.csv", "agreement.csv", "marginal_means.csv", "tukey_pairs.csv",
     )),

@@ -2,8 +2,9 @@
 
 Flat value objects plus parsers/writers for the on-disk formats: topics
 as TSV or JSONL, profiles as a JSON array, runs and qrels as TREC plain
-text, variants and annotations as JSONL, and every result table as
-CSV through `write_csv` and back through `read_csv`. Every writer goes
+text (a checked run also as a run cache entry), variants and
+annotations as JSONL, and every result table as CSV through
+`write_csv` and back through `read_csv`. Every writer goes
 through `atomic_write`, so a process that fails part-way never leaves
 a half-written file.
 All ingested text is normalized to Unicode NFC so downstream equality
@@ -19,8 +20,10 @@ from __future__ import annotations
 
 import csv
 import json
+import marshal
 import math
 import os
+import sys
 import unicodedata
 from contextlib import contextmanager
 from json.encoder import encode_basestring
@@ -264,11 +267,11 @@ def query_cell(query_id: str) -> tuple[str, str, int]:
 
 
 @contextmanager
-def atomic_write(path, newline=None):
-    """A UTF-8 text file to write that takes the place of `path` only when
-    the block completes.
+def atomic_write(path, newline=None, binary=False):
+    """A UTF-8 text file, or with `binary` a bytes file, to write that
+    takes the place of `path` only when the block completes.
 
-    The text goes to a temporary file beside `path`, which `os.replace`
+    The data goes to a temporary file beside `path`, which `os.replace`
     moves over it on success and which is deleted when the block raises,
     so a failed process leaves the old file or the new one, never part
     of either. Nothing is fsynced: this guards against a process that
@@ -276,7 +279,9 @@ def atomic_write(path, newline=None):
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "w", encoding="utf-8", newline=newline) as fh:
+        with (
+            open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline=newline)
+        ) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -489,6 +494,60 @@ def format_trec_run(run: Run) -> str:
 def write_trec_run(run: Run, path) -> None:
     with atomic_write(path) as fh:
         fh.write(format_trec_run(run))
+
+
+# A run cache entry lets a later stage load a run file's checked `Run`
+# instead of parsing the file again. It is the entry's key, the sha256 of
+# its payload and the payload, the run's marshal dump. The key is valid
+# for one run file's bytes, marshal's format, the interpreter and this
+# module's source, which holds the parser, so an entry that any of them
+# outdates, or a damaged one, is never loaded.
+_KEY_SIZE = 3 * 32
+_HEADER_SIZE = _KEY_SIZE + 32
+
+
+def _parser_source() -> bytes:
+    with open(__file__, "rb") as fh:
+        return fh.read()
+
+
+def _run_cache_key(data: bytes) -> bytes:
+    """The sha256 digests of a run file's bytes `data`, of marshal's
+    version and the interpreter, and of the parser's source."""
+    from hashlib import sha256  # not at import: it costs a stage that needs no digest 4-5 ms
+
+    interpreter = f"{marshal.version} {sys.implementation.cache_tag or sys.version}".encode()
+    return b"".join(sha256(part).digest() for part in (data, interpreter, _parser_source()))
+
+
+def run_cache_entry(run: Run, data: bytes) -> bytes:
+    """The cache entry of a checked `run` whose run file holds `data`, the
+    bytes of `format_trec_run(run)`. Its payload is the run as
+    `parse_trec_run` reads that file back: keys sorted, no list empty."""
+    from hashlib import sha256
+
+    payload = marshal.dumps({key: run[key] for key in sorted(run) if run[key]})
+    return _run_cache_key(data) + sha256(payload).digest() + payload
+
+
+def load_trec_run(path, entry_path) -> Run:
+    """`parse_trec_run(path)`, loaded from the cache entry at `entry_path`
+    when its key is the one of the file's bytes, this interpreter and this
+    parser, and its payload matches its digest. Any other entry, or none,
+    is no error: the file is parsed, with the parser's errors."""
+    from hashlib import sha256
+
+    try:
+        with open(entry_path, "rb") as fh:
+            entry = fh.read()
+    except OSError:
+        return parse_trec_run(path)
+    with open(path, "rb") as fh:
+        key = _run_cache_key(fh.read())
+    payload = entry[_HEADER_SIZE:]
+    if entry[:_KEY_SIZE] == key and entry[_KEY_SIZE:_HEADER_SIZE] == sha256(payload).digest():
+        return marshal.loads(payload)
+    return parse_trec_run(path)
 
 
 def parse_qrels(path) -> list[Qrel]:

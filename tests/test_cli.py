@@ -4,6 +4,7 @@ import ast
 import csv
 import hashlib
 import json
+import marshal
 import os
 import platform
 import re
@@ -18,6 +19,7 @@ from pathlib import Path
 import pytest
 
 import qvbench.cli as cli
+import qvbench.core as core
 from qvbench.cli import (
     BM25_SYSTEMS,
     PipelineConfig,
@@ -782,6 +784,170 @@ class TestEvaluateStage:
         )
 
 
+def _rank_lines(path: Path) -> list:
+    """The lines of a run file as [query, Q0, passage, rank, score, tag] columns."""
+    return [line.split() for line in path.read_text(encoding="utf-8").splitlines()]
+
+
+def _write_rank_lines(path: Path, rows) -> None:
+    path.write_text("".join(" ".join(cols) + "\n" for cols in rows), encoding="utf-8")
+
+
+def _edit_one_byte(ws, monkeypatch):
+    """A rank-1 passage id of bm25_k09_b04.run, ahead of rank 2 by score,
+    changed in its last digit after search wrote the file's entry."""
+    path = ws / "out" / "runs" / "bm25_k09_b04.run"
+    text = path.read_text(encoding="utf-8")
+    rows = _rank_lines(path)
+    i = next(
+        i for i, (top, below) in enumerate(zip(rows, rows[1:]))
+        if top[3] == "1" and below[3] == "2" and float(top[4]) > float(below[4])
+    )
+    pid = rows[i][2]
+    rows[i][2] = pid[:-1] + ("2" if pid[-1] == "1" else "1")
+    _write_rank_lines(path, rows)
+    assert len(path.read_text(encoding="utf-8")) == len(text)
+    return {path.name}
+
+
+def _truncate_entry(ws, monkeypatch):
+    entry = cli.cache_dir(ws / "out") / "runs" / "fixture_a.run"
+    entry.write_bytes(entry.read_bytes()[: entry.stat().st_size // 2])
+    return {entry.name}
+
+
+def _corrupt_payload(ws, monkeypatch):
+    entry = cli.cache_dir(ws / "out") / "runs" / "fixture_b.run"
+    data = bytearray(entry.read_bytes())
+    data[-1] ^= 0x01
+    entry.write_bytes(bytes(data))
+    return {entry.name}
+
+
+def _search_under(target, attr, value):
+    def rewrite(ws, monkeypatch):
+        with monkeypatch.context() as patched:
+            patched.setattr(target, attr, value)
+            assert main(["search", "--config", str(ws / "toy.cfg")]) == 0
+        return {f"{system_id}.run" for system_id, _ in BM25_SYSTEMS}
+
+    rewrite.__name__ = f"_written_for_another_{attr}"
+    return rewrite
+
+
+def _edit_parser(ws, monkeypatch):
+    source = core._parser_source()
+    monkeypatch.setattr(core, "_parser_source", lambda: source + b"\n# edited\n")
+    return {p.name for p in (ws / "out" / "runs").iterdir()}
+
+
+def _delete_cache(ws, monkeypatch):
+    shutil.rmtree(cli.cache_dir(ws / "out"))
+    return {p.name for p in (ws / "out" / "runs").iterdir()}
+
+
+def _add_run_by_hand(ws, monkeypatch):
+    rows = _rank_lines(ws / "out" / "runs" / "fixture_a.run")
+    _write_rank_lines(ws / "out" / "runs" / "by_hand.run", [row[:5] + ["by_hand"] for row in rows])
+    return {"by_hand.run"}
+
+
+class TestRunCache:
+    """judge and evaluate load each run file from the run cache entry
+    that search or import-runs wrote with it, and parse the file when
+    the entry does not match it. Each stale case makes entries stale in
+    one way, then expects a parse of exactly the stale files in each
+    stage and the out/ bytes of the same tree run without a cache."""
+
+    @staticmethod
+    def judge_and_evaluate(ws, monkeypatch) -> tuple:
+        """({stage: the run files it parsed}, out/'s files after both)."""
+        real = core.parse_trec_run
+        parsed = []
+
+        def spy(path):
+            parsed.append(Path(path).name)
+            return real(path)
+
+        monkeypatch.setattr(core, "parse_trec_run", spy)
+        by_stage = {}
+        for stage in ("judge", "evaluate"):
+            parsed.clear()
+            assert main([stage, "--config", str(ws / "toy.cfg")]) == 0, stage
+            by_stage[stage] = sorted(parsed)
+        monkeypatch.setattr(core, "parse_trec_run", real)
+        return by_stage, out_files(ws / "out")
+
+    def test_entries_hit_without_a_parse(self, workspace, tmp_path, monkeypatch):
+        ws = shutil.copytree(workspace.parent, tmp_path / "ws")
+        assert sorted(p.name for p in (cli.cache_dir(ws / "out") / "runs").iterdir()) == sorted(
+            p.name for p in (ws / "out" / "runs").iterdir()
+        )
+        parsed, files = self.judge_and_evaluate(ws, monkeypatch)
+        assert parsed == {"judge": [], "evaluate": []}
+        assert files == out_files(out_dir(workspace))
+
+    @pytest.mark.parametrize(
+        "make_stale",
+        [
+            _edit_one_byte,
+            _truncate_entry,
+            _corrupt_payload,
+            _search_under(marshal, "version", marshal.version - 1),
+            _search_under(sys.implementation, "cache_tag", "cpython-299"),
+            _edit_parser,
+            _delete_cache,
+            _add_run_by_hand,
+        ],
+        ids=lambda make_stale: make_stale.__name__.lstrip("_"),
+    )
+    def test_stale_entry_is_parsed(self, workspace, tmp_path, monkeypatch, make_stale):
+        ws = shutil.copytree(workspace.parent, tmp_path / "ws")
+        stale = sorted(make_stale(ws, monkeypatch))
+        uncached = shutil.copytree(ws, tmp_path / "uncached")
+        shutil.rmtree(cli.cache_dir(uncached / "out"), ignore_errors=True)  # gone if deleted
+        _, expected = self.judge_and_evaluate(uncached, monkeypatch)
+        parsed, files = self.judge_and_evaluate(ws, monkeypatch)
+        assert parsed == {"judge": stale, "evaluate": stale}
+        assert files == expected
+        if make_stale in (_edit_one_byte, _add_run_by_hand):
+            assert files != out_files(out_dir(workspace))  # a trusted entry would show
+
+    def test_entry_that_cannot_be_written_costs_a_parse(self, tmp_path, monkeypatch, capsys):
+        """A file where the cache directory should be: search and
+        import-runs warn and write their run files, and judge and
+        evaluate parse every one."""
+        ws = write_toy_workspace(tmp_path / "ws").parent
+        cli.cache_dir(ws / "out").write_text("in the way\n", encoding="utf-8")
+        for stage in ("generate", "search", "import-runs"):
+            assert main([stage, "--config", str(ws / "toy.cfg")]) == 0, stage
+        assert capsys.readouterr().err.count("warning: run cache entry not written: ") == 5
+        parsed, _ = self.judge_and_evaluate(ws, monkeypatch)
+        runs = sorted(p.name for p in (ws / "out" / "runs").iterdir())
+        assert parsed == {"judge": runs, "evaluate": runs}
+
+    def test_file_edited_invalid_fails_as_without_a_cache(
+        self, workspace, tmp_path, monkeypatch, capsys
+    ):
+        ws = shutil.copytree(workspace.parent, tmp_path / "ws")
+        path = ws / "out" / "runs" / "bm25_k09_b04.run"
+        rows = _rank_lines(path)
+        rows[1][4] = repr(float(rows[0][4]) + 1.0)  # rank 2 above rank 1
+        _write_rank_lines(path, rows)
+        before = out_files(ws / "out")
+        real = core.parse_trec_run
+        parsed = []
+        monkeypatch.setattr(core, "parse_trec_run", lambda p: parsed.append(p) or real(p))
+        for stage in ("judge", "evaluate"):
+            capsys.readouterr()
+            assert main([stage, "--config", str(ws / "toy.cfg")]) == 2, stage
+            assert capsys.readouterr().err == (
+                f"error: {path}: run bm25_k09_b04, query {rows[0][0]}: score increases at rank 2\n"
+            )
+        assert parsed == [path, path]
+        assert out_files(ws / "out") == before
+
+
 class TestAnalyzeStage:
     def test_tau_matrix_diagonal_and_symmetry(self, workspace):
         with open(out_dir(workspace) / "tau_matrix.csv", newline="") as fh:
@@ -1252,6 +1418,13 @@ def out_files(out: Path) -> dict:
     return {str(p.relative_to(out)): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
 
 
+def workspace_files(root: Path) -> dict:
+    """out_files of a toy workspace without its run cache, whose entries
+    are keyed to the interpreter that wrote them."""
+    cache = cli.cache_dir(root / "out").name
+    return {name: data for name, data in out_files(root).items() if Path(name).parts[0] != cache}
+
+
 class Overlapping:
     """The mock provider's answers after a prompt-hashed 0-3 ms sleep,
     with in_flight calls overlapping, so calls finish out of order.
@@ -1353,16 +1526,18 @@ class TestModuleEntryPoint:
     @pytest.fixture(scope="class")
     def toy_tree(self, tmp_path_factory):
         """Every file of a toy workspace after this interpreter ran its
-        nine stages."""
+        nine stages, the run cache left out."""
         config_path = write_toy_workspace(tmp_path_factory.mktemp("toy") / "ws")
         for stage in STAGES:
             assert main([stage, "--config", str(config_path)]) == 0, stage
-        return out_files(config_path.parent)
+        return workspace_files(config_path.parent)
 
     @pytest.mark.parametrize("python", other_interpreters(), ids=lambda path: path.parents[1].name)
     def test_other_interpreter_writes_the_same_bytes(self, toy_tree, tmp_path, chat_server, python):
         """The toy workspace and pipeline written by another CPython are
-        byte-identical to this one's, and its http call loads no urllib."""
+        byte-identical to this one's, also when its judge and evaluate
+        find the run cache entries that this interpreter's search wrote,
+        and its http call loads no urllib."""
         env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
 
         def run(*argv):
@@ -1374,9 +1549,17 @@ class TestModuleEntryPoint:
 
         write = "import sys, qvbench.toydata as t; t.write_toy_workspace(sys.argv[1])"
         run("-c", write, str(tmp_path / "ws"))
+        config = str(tmp_path / "ws" / "toy.cfg")
         for stage in STAGES:
-            run("-m", "qvbench", stage, "--config", str(tmp_path / "ws" / "toy.cfg"))
-        assert out_files(tmp_path / "ws") == toy_tree
+            run("-m", "qvbench", stage, "--config", config)
+        assert workspace_files(tmp_path / "ws") == toy_tree
+        entries = cli.cache_dir(tmp_path / "ws" / "out") / "runs"
+        foreign = (entries / "bm25_k09_b04.run").read_bytes()
+        assert main(["search", "--config", config]) == 0
+        assert (entries / "bm25_k09_b04.run").read_bytes() != foreign  # keyed to this interpreter
+        for stage in ("judge", "evaluate"):
+            run("-m", "qvbench", stage, "--config", config)
+        assert workspace_files(tmp_path / "ws") == toy_tree
         chat_server.reply = lambda request: "pong"
         assert run("-c", self.HTTP_SNIPPET, chat_server.url).split() == [
             "False", "pong", "False", "False", "False"
@@ -1520,9 +1703,10 @@ class TestModuleEntryPoint:
 
     def test_each_stage_reads_its_inputs_then_writes_its_declared_files(self, tmp_path):
         """Traced in a fresh interpreter, every stage, a warm judge and a
-        validate with annotations: the files each writes are its STAGES
-        entry, everything it reads is a setting's path or a declared
-        output, and it reads nothing after its first write."""
+        validate with annotations: the files each writes, under out/ and
+        the run cache, are its STAGES entry, everything it reads is a
+        setting's path, a declared output or one of its declared cache
+        reads, and it reads nothing after its first write."""
         from qvbench.core import write_jsonl
 
         root = tmp_path.resolve() / "ws"
@@ -1542,15 +1726,26 @@ class TestModuleEntryPoint:
             for key, value in settings._asdict().items()
             if isinstance(value, Path) and key != "out"
         ]
+        cache = cli.cache_dir(settings.out).relative_to(root)
         declared = {
-            stage: {f"out/{name}" for name in entry.writes} for stage, entry in cli.STAGES.items()
+            stage: {f"out/{name}" for name in entry.writes}
+            | {f"{cache}/{name}" for name in entry.cache_writes}
+            for stage, entry in cli.STAGES.items()
+        }
+        cache_reads = {
+            stage: {f"{cache}/{name}" for name in entry.cache_reads}
+            for stage, entry in cli.STAGES.items()
         }
         outputs = set().union(*declared.values())
 
         def named(path):  # a traced path as STAGES names it
-            return "out/runs/" if path.startswith("out/runs") else path
+            for runs in ("out/runs", f"{cache}/runs"):
+                if path.startswith(runs):
+                    return runs + "/"
+            return path
 
         written = {stage: set() for stage in cli.STAGES}
+        read_cache = {stage: set() for stage in cli.STAGES}
         runs = [(stage,) for stage in STAGES]
         runs += [("judge",), ("validate", "--annotations", str(annotations))]
         for stage, *flags in runs:
@@ -1567,14 +1762,19 @@ class TestModuleEntryPoint:
             writes = {named(path) for kind, path in events if kind == "write"}
             assert writes <= declared[stage], stage
             written[stage] |= writes
-            for kind, path in events:
-                assert named(path) in outputs or any(
-                    path == p or path.startswith(p + "/") for p in inputs
-                ), (stage, path)
+            for path in (path for kind, path in events if kind == "read"):
+                if path.startswith(f"{cache}/"):
+                    assert named(path) in cache_reads[stage], (stage, path)
+                    read_cache[stage].add(named(path))
+                else:
+                    assert named(path) in outputs or any(
+                        path == p or path.startswith(p + "/") for p in inputs
+                    ), (stage, path)
             first_write = [kind for kind, _ in events].index("write")
             late = [path for kind, path in events[first_write:] if kind == "read"]
             assert late == [], (stage, flags)
         assert written == declared
+        assert read_cache == cache_reads
 
     def test_readme_outputs_table_names_each_stage_files(self):
         """Each row of README's Outputs table names its stage's STAGES files,

@@ -3,12 +3,14 @@
 import csv
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import qvbench.core as core
 from qvbench.core import (
     QUERY_ID_SEP,
     VARIANTS_PER_PAIR,
@@ -20,7 +22,9 @@ from qvbench.core import (
     QueryVariant,
     Topic,
     ValidationError,
+    format_trec_run,
     json_lines,
+    load_trec_run,
     nfc,
     parse_passages,
     parse_qrels,
@@ -40,10 +44,11 @@ from qvbench.core import (
     write_trec_run,
     write_variants,
 )
-from qvbench.cli import PipelineConfig, parse_config_file
+from qvbench.cli import PipelineConfig, cache_dir, main, parse_config_file
 from qvbench.judge import AgreementReport, CoverageReport
 from qvbench.retrieval import Bm25Params
 from qvbench.textkit import VariantFeatureRecord
+from qvbench.toydata import write_toy_workspace
 from qvbench.validate import ConsensusReport, ValidationVerdict
 
 
@@ -187,6 +192,72 @@ def test_trec_run_round_trip_with_combining_marks(tmp_path, runs):
     parsed = parse_trec_run(path)
     assert parsed == composed
     assert list(parsed) == list(composed)
+
+
+@st.composite
+def _import_run_files(draw):
+    """The text of two input run files holding a drawn run, each line
+    shuffled in, and whether a system is split between them by query.
+    Each system goes into the first file, the second, both alike, or,
+    when it ranks two queries or more, is split between the two."""
+    run, _ = draw(_runs())
+    files = ([], [])
+    split = False
+    for system_id in dict.fromkeys(system_id for system_id, _ in run):
+        keys = [key for key in run if key[0] == system_id]
+        place = draw(st.sampled_from(("first", "second", "both", "split")))
+        parts = {"first": (keys, []), "second": ([], keys), "both": (keys, keys)}.get(place)
+        if parts is None:
+            parts, split = (keys[:1], keys[1:]), split or len(keys) > 1
+        for lines, part in zip(files, parts):
+            lines += format_trec_run({key: run[key] for key in part}).splitlines(keepends=True)
+    texts = ["".join(draw(st.permutations(lines))) for lines in files]
+    return texts, split
+
+
+@_round_trip
+@given(drawn=_import_run_files())
+def test_import_runs_entry_is_the_parse_of_its_file(tmp_path, monkeypatch, drawn):
+    """Each run cache entry import-runs writes loads as parse_trec_run
+    of the file it wrote, key order included; a system split between two
+    input files is rejected with no file written."""
+    texts, split = drawn
+    ws = Path(tempfile.mkdtemp(dir=tmp_path))
+    (ws / "in").mkdir()
+    for name, text in zip(("a.run", "b.run"), texts):
+        (ws / "in" / name).write_text(text, encoding="utf-8")
+    unread = ["--topics", "-", "--corpus", "-", "--profiles", "-"]
+    code = main(["import-runs", *unread, "--runs", str(ws / "in"), "--out", str(ws / "out")])
+    written = sorted((ws / "out" / "runs").iterdir())
+    entries = cache_dir(ws / "out") / "runs"
+    if split:
+        assert (code, written, list(entries.glob("*"))) == (2, [], [])
+        return
+    assert code == 0
+    for path in written:
+        with monkeypatch.context() as patched:
+            patched.setattr(core, "parse_trec_run", None)  # a parse would raise
+            cached = load_trec_run(path, entries / path.name)
+        parsed = parse_trec_run(path)
+        assert cached == parsed
+        assert list(cached) == list(parsed)
+
+
+@pytest.mark.parametrize("n_topics, n_passages", [(5, 200), (10, 1000)], ids=["toy", "mid"])
+def test_search_entry_is_the_parse_of_its_file(tmp_path, monkeypatch, n_topics, n_passages):
+    config = write_toy_workspace(tmp_path / "ws", n_topics, n_passages, seed=1)
+    for stage in ("generate", "search"):
+        assert main([stage, "--config", str(config)]) == 0, stage
+    entries = cache_dir(config.parent / "out") / "runs"
+    written = sorted((config.parent / "out" / "runs").iterdir())
+    assert len(written) == 3
+    for path in written:
+        with monkeypatch.context() as patched:
+            patched.setattr(core, "parse_trec_run", None)  # a parse would raise
+            cached = load_trec_run(path, entries / path.name)
+        parsed = parse_trec_run(path)
+        assert cached == parsed
+        assert list(cached) == list(parsed)
 
 
 @_round_trip

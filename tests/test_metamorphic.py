@@ -1,6 +1,7 @@
 """Pipeline-level metamorphic relations: inputs changed in ways that must
-not matter give an `out/` tree byte-equal to the unchanged run, and a
-system copied under a new tag scores exactly as the original.
+not matter give an `out/` tree byte-equal to the unchanged run, reversed
+topics reorder only the lines of the artifacts listed in topic order,
+and a system copied under a new tag scores exactly as the original.
 
 Each run is the toy pipeline's nine stages in-process through
 `cli.main`, so an order dependence that enters between two stages, which
@@ -61,6 +62,30 @@ def test_out_is_byte_equal_to_the_unchanged_run(unchanged, tmp_path, change):
     changed = run_pipeline(config_path)
     assert sorted(changed) == sorted(unchanged)
     assert [name for name in unchanged if changed[name] != unchanged[name]] == []
+
+
+# The artifacts that list their lines in topics.tsv's order.
+TOPIC_ORDERED = (
+    "variants.jsonl", "genlog.jsonl", "verdicts.csv", "features.csv", "backstories.jsonl",
+)
+
+
+def test_reversed_topics_reorder_only_the_topic_ordered_lines(unchanged, tmp_path):
+    """topics.tsv's lines reversed: each TOPIC_ORDERED artifact holds the
+    same lines, maybe in another order, and every other file is byte-equal."""
+    config_path = write_toy_workspace(tmp_path / "ws")
+    topics = config_path.parent / "topics.tsv"
+    lines = topics.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) > 1
+    topics.write_text("".join(reversed(lines)), encoding="utf-8")
+    changed = run_pipeline(config_path)
+    assert sorted(changed) == sorted(unchanged)
+    others = [name for name in unchanged if name not in TOPIC_ORDERED]
+    assert [name for name in others if changed[name] != unchanged[name]] == []
+    for name in TOPIC_ORDERED:
+        assert sorted(changed[name].splitlines(keepends=True)) == sorted(
+            unchanged[name].splitlines(keepends=True)
+        ), name
 
 
 def read_table(data: bytes) -> list:
