@@ -797,7 +797,7 @@ def _edit_one_byte(ws, monkeypatch):
     """A rank-1 passage id of bm25_k09_b04.run, ahead of rank 2 by score,
     changed in its last digit after search wrote the file's entry."""
     path = ws / "out" / "runs" / "bm25_k09_b04.run"
-    text = path.read_text(encoding="utf-8")
+    before = path.read_bytes()
     rows = _rank_lines(path)
     i = next(
         i for i, (top, below) in enumerate(zip(rows, rows[1:]))
@@ -806,7 +806,8 @@ def _edit_one_byte(ws, monkeypatch):
     pid = rows[i][2]
     rows[i][2] = pid[:-1] + ("2" if pid[-1] == "1" else "1")
     _write_rank_lines(path, rows)
-    assert len(path.read_text(encoding="utf-8")) == len(text)
+    after = path.read_bytes()
+    assert len(after) == len(before) and sum(a != b for a, b in zip(after, before)) == 1
     return {path.name}
 
 

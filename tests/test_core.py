@@ -215,6 +215,22 @@ def _import_run_files(draw):
     return texts, split
 
 
+def _assert_entries_load_as_parsed(runs_dir: Path, monkeypatch) -> int:
+    """Each run file under runs_dir loads from its run cache entry, with
+    no parse, as `parse_trec_run` reads the file, key order included;
+    returns how many files there are."""
+    entries = cache_dir(runs_dir.parent) / "runs"
+    written = sorted(runs_dir.iterdir())
+    for path in written:
+        with monkeypatch.context() as patched:
+            patched.setattr(core, "parse_trec_run", None)  # a parse would raise
+            cached = load_trec_run(path, entries / path.name)
+        parsed = parse_trec_run(path)
+        assert cached == parsed
+        assert list(cached) == list(parsed)
+    return len(written)
+
+
 @_round_trip
 @given(drawn=_import_run_files())
 def test_import_runs_entry_is_the_parse_of_its_file(tmp_path, monkeypatch, drawn):
@@ -228,19 +244,13 @@ def test_import_runs_entry_is_the_parse_of_its_file(tmp_path, monkeypatch, drawn
         (ws / "in" / name).write_text(text, encoding="utf-8")
     unread = ["--topics", "-", "--corpus", "-", "--profiles", "-"]
     code = main(["import-runs", *unread, "--runs", str(ws / "in"), "--out", str(ws / "out")])
-    written = sorted((ws / "out" / "runs").iterdir())
-    entries = cache_dir(ws / "out") / "runs"
     if split:
-        assert (code, written, list(entries.glob("*"))) == (2, [], [])
+        assert code == 2
+        assert list((ws / "out" / "runs").iterdir()) == []
+        assert not cache_dir(ws / "out").exists()
         return
     assert code == 0
-    for path in written:
-        with monkeypatch.context() as patched:
-            patched.setattr(core, "parse_trec_run", None)  # a parse would raise
-            cached = load_trec_run(path, entries / path.name)
-        parsed = parse_trec_run(path)
-        assert cached == parsed
-        assert list(cached) == list(parsed)
+    assert _assert_entries_load_as_parsed(ws / "out" / "runs", monkeypatch) > 0
 
 
 @pytest.mark.parametrize("n_topics, n_passages", [(5, 200), (10, 1000)], ids=["toy", "mid"])
@@ -248,16 +258,7 @@ def test_search_entry_is_the_parse_of_its_file(tmp_path, monkeypatch, n_topics, 
     config = write_toy_workspace(tmp_path / "ws", n_topics, n_passages, seed=1)
     for stage in ("generate", "search"):
         assert main([stage, "--config", str(config)]) == 0, stage
-    entries = cache_dir(config.parent / "out") / "runs"
-    written = sorted((config.parent / "out" / "runs").iterdir())
-    assert len(written) == 3
-    for path in written:
-        with monkeypatch.context() as patched:
-            patched.setattr(core, "parse_trec_run", None)  # a parse would raise
-            cached = load_trec_run(path, entries / path.name)
-        parsed = parse_trec_run(path)
-        assert cached == parsed
-        assert list(cached) == list(parsed)
+    assert _assert_entries_load_as_parsed(config.parent / "out" / "runs", monkeypatch) == 3
 
 
 @_round_trip
